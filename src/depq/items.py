@@ -93,6 +93,10 @@ class ReclaimedAccessError(AssertionError):
     """An operation touched an item after it was deallocated."""
 
 
+def reclaimed_access(index: int) -> ReclaimedAccessError:
+    return ReclaimedAccessError(f"item {index} accessed after reclamation")
+
+
 class Arena:
     """Owner of all items of one queue instance.
 
@@ -109,6 +113,12 @@ class Arena:
     @property
     def rmw_lock(self) -> threading.Lock:
         return self._lock
+
+    @property
+    def slots(self) -> list:
+        """The slot list itself, for hot loops that inline :meth:`item`:
+        a slot holding ``POISONED`` must raise ``reclaimed_access``."""
+        return self._items
 
     def new_item(self, user_key: int) -> int:
         """Create a fresh item with the next uid; returns its index."""
@@ -129,7 +139,7 @@ class Arena:
     def item(self, index: int) -> Item:
         it = self._items[index]
         if it is POISONED:
-            raise ReclaimedAccessError(f"item {index} accessed after reclamation")
+            raise reclaimed_access(index)
         return it  # type: ignore[return-value]
 
     def poison(self, index: int) -> None:

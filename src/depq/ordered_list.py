@@ -24,8 +24,8 @@ import threading
 from dataclasses import dataclass, field
 
 from .atomics import AtomicCell
-from .items import (MAX, MIN, NONE_IDX, Arena, Key, key_less, pack_link,
-                    unpack_link)
+from .items import (MAX, MIN, NONE_IDX, POISONED, Arena, Key, key_less,
+                    pack_link, reclaimed_access, unpack_link)
 
 
 def comes_before(a: Key, b: Key, end: int) -> bool:
@@ -104,26 +104,36 @@ class ListPair:
         Retries the publish CAS until it lands; each retry resumes from the
         node whose link word changed underneath us.
         """
-        arena = self.arena
-        node = arena.item(index)
+        # The hot loop works on raw link words (see ``pack_link``) and on the
+        # arena's slots directly, checking for poison itself.
+        items = self.arena.slots
+        node = self.arena.item(index)
         k = node.key
         assert k is not None
+        sorts_before_k = k.__gt__ if end == MIN else k.__lt__
+        published = pack_link(index, 0)
         pred = self._head[end].load(site="ins-read-head")
         while True:
-            succ, marked = unpack_link(
-                arena.item(pred).link[end].load(site="ins-read-link"))
-            while succ != NONE_IDX and (
-                    marked or comes_before(arena.item(succ).key, k, end)):
-                pred = succ
-                succ, marked = unpack_link(
-                    arena.item(pred).link[end].load(site="ins-read-link"))
-            if self._debug and marked:
+            pred_item = items[pred]
+            if pred_item is POISONED:
+                raise reclaimed_access(pred)
+            word = pred_item.link[end].load(site="ins-read-link")
+            while word > 1:  # names a successor
+                succ = (word >> 1) - 1
+                succ_item = items[succ]
+                if succ_item is POISONED:
+                    raise reclaimed_access(succ)
+                if not (word & 1 or sorts_before_k(succ_item.key)):
+                    break
+                pred, pred_item = succ, succ_item
+                word = pred_item.link[end].load(site="ins-read-link")
+            if self._debug and word & 1:
                 # A marked end-of-list word is unreachable while consumers
                 # honor their contract; retrying against it would spin forever.
                 raise AssertionError("end-of-list link is marked")
-            node.link[end].store(pack_link(succ, 0), site="ins-set-next")
-            if arena.item(pred).link[end].compare_and_swap(
-                    pack_link(succ, 0), pack_link(index, 0), site="ins-cas"):
+            expected = word & ~1
+            node.link[end].store(expected, site="ins-set-next")
+            if pred_item.link[end].compare_and_swap(expected, published, site="ins-cas"):
                 node.linked_into[end] = True
                 self.counters.inserts.fetch_add(1)
                 return
