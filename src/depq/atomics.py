@@ -146,31 +146,3 @@ class AtomicCell:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AtomicCell({self._value!r})"
 
-
-class SpinLock:
-    """Mutual exclusion via test-and-set with bounded spin then yield.
-
-    Unlike ``threading.Lock``, a blocked acquirer keeps reaching its pause
-    site, so the controlled scheduler can still step or freeze it; never
-    hold this lock across a real blocking call.
-    """
-
-    def __init__(self) -> None:
-        self._held = AtomicCell(0)
-
-    def acquire(self) -> None:
-        spins = 0
-        while self._held.test_and_set(site="lock-acquire") != 0:
-            spins += 1
-            if spins % 64 == 0:
-                time.sleep(0)
-
-    def release(self) -> None:
-        self._held.store(0, site="lock-release")
-
-    def __enter__(self) -> "SpinLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.release()

@@ -5,11 +5,12 @@ Subcommands::
     depq bench    --impl list-depq --threads-insert 2 --threads-min 1 ...
     depq stress   --windows 500 --capture hist.jsonl ...
     depq lincheck FILE
-    depq replay   {counterexample,twist,single-item-race}
+    depq replay   {counterexample,twist,single-item-race,index-start-reclaimed}
 
-Exit codes: 0 success; 2 invalid configuration; 3 a post-run audit failed;
-4 a history was not linearizable (or the check ran out of budget); 5 a
-replay schedule could not be realized.
+Exit codes: 0 success; 2 invalid configuration; 3 a post-run audit or the
+bench accounting identity failed; 4 a history was not linearizable (or the
+check ran out of budget); 5 a replay schedule could not be realized; 6 a
+bench worker raised.
 """
 
 from __future__ import annotations
@@ -17,19 +18,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import scenarios
 from .lincheck import Verdict, check, read_history
 from .reclaim import DEFERRED, EPOCH
 from .sched import ScheduleError
-from .workload import (IMPLS, ConfigError, RunReport, WorkloadConfig,
-                       run_bench, run_stress)
+from .workload import (IMPLS, ConfigError, RunReport, WorkerError,
+                       WorkloadConfig, run_bench, run_stress)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_AUDIT = 3
 EXIT_NOT_LINEARIZABLE = 4
 EXIT_SCHEDULE = 5
+EXIT_WORKER = 6
 
 _CSV_HELP = "csv columns: " + ",".join(RunReport.CSV_COLUMNS)
 
@@ -78,17 +81,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except WorkerError as exc:
+        traceback.print_exception(exc.__cause__, file=sys.stderr)
+        print(f"bench FAILED: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(",".join(RunReport.CSV_COLUMNS))
         print(report.to_csv_row())
+    code = EXIT_OK
     if not report.audit_ok:
         print("post-run audit FAILED", file=sys.stderr)
         for note in report.notes:
             print(note, file=sys.stderr)
-        return EXIT_AUDIT
-    return EXIT_OK
+        code = EXIT_AUDIT
+    if not report.accounting_ok:
+        print("accounting FAILED: inserted != returned + remaining", file=sys.stderr)
+        code = EXIT_AUDIT
+    return code
 
 
 def cmd_stress(args: argparse.Namespace) -> int:

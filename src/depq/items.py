@@ -57,10 +57,12 @@ class Item:
     list); its second increment signals the item is unreachable from both
     lists.  ``linked_into`` / ``marked_into`` are auditor bookkeeping tags,
     written only in the same step as the publish CAS / marking fetch-or.
+    ``towers[end]`` is the item's node in that end's list index, if it has
+    one (see :mod:`depq.ordered_list`).
     """
 
     __slots__ = ("index", "key", "reserved", "unlinked", "link",
-                 "linked_into", "marked_into")
+                 "linked_into", "marked_into", "towers")
 
     def __init__(self, index: int, key: Key | None, lock: threading.Lock):
         self.index = index
@@ -71,6 +73,7 @@ class Item:
                      AtomicCell(pack_link(NONE_IDX, 0), lock))
         self.linked_into = [False, False]
         self.marked_into = [False, False]
+        self.towers = [None, None]
 
     @property
     def user_key(self) -> int:
@@ -108,7 +111,7 @@ class Arena:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._items: list[Item | _Poisoned] = []
-        self._uid = AtomicCell(0, self._lock)
+        self._uid = 0  # next uid; changed only under the lock
 
     @property
     def rmw_lock(self) -> threading.Lock:
@@ -123,8 +126,8 @@ class Arena:
     def new_item(self, user_key: int) -> int:
         """Create a fresh item with the next uid; returns its index."""
         with self._lock:
-            uid = self._uid._value
-            self._uid._value = uid + 1
+            uid = self._uid
+            self._uid = uid + 1
             index = len(self._items)
             self._items.append(Item(index, Key(user_key, uid), self._lock))
             return index

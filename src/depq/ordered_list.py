@@ -13,6 +13,12 @@ each other and with the per-end consumer.  A failed insert CAS resumes the
 search from the node where it failed, never from the head, because nodes
 are only ever removed from the front.
 
+Each end also keeps a skiplist *index* above its list, in the manner of
+Lindén and Jonsson's skiplist priority queue.  The index holds only search
+hints: an insert searches it to find a node close before its slot and runs
+the list search above from there instead of from the head.  An index
+link may be lost to a race; that costs only speed, never correctness.
+
 Ordering invariants are runtime-checkable through :meth:`ListPair.audit`,
 which is meant to run at quiescent points or with other threads frozen by
 the controlled scheduler.
@@ -26,6 +32,40 @@ from dataclasses import dataclass, field
 from .atomics import AtomicCell
 from .items import (MAX, MIN, NONE_IDX, POISONED, Arena, Key, key_less,
                     pack_link, reclaimed_access, unpack_link)
+
+
+#: Index levels per end, above the list itself; tower heights are capped here.
+LEVELS = 24
+
+
+def tower_height(uid: int) -> int:
+    """Number of index levels for the item with this uid.
+
+    Geometric with p = 1/2 (P(height >= j) = 2**-j), capped at LEVELS: the
+    count of trailing one bits of a multiplicative hash of the uid.  A pure
+    function of the uid, so seeded and stepped runs stay deterministic.
+    """
+    bits = (uid * 0x9E3779B97F4A7C15 >> 32) & 0xFFFFFFFF
+    return min((bits ^ (bits + 1)).bit_length() - 1, LEVELS)
+
+
+class IndexNode:
+    """One item's tower in one end's index.
+
+    ``key`` and ``index`` copy the item's key and arena index, so a search
+    compares keys without touching the item.  ``next[lvl]`` is the next
+    tower on index level ``lvl``, or None.  The end's consumer sets
+    ``dead`` when it logically deletes the item; from then on the item may
+    be reclaimed, so only towers read as not dead lead to their items.
+    """
+
+    __slots__ = ("key", "index", "dead", "next")
+
+    def __init__(self, key: Key, index: int, height: int):
+        self.key = key
+        self.index = index
+        self.dead = False
+        self.next: list[IndexNode | None] = [None] * height
 
 
 def comes_before(a: Key, b: Key, end: int) -> bool:
@@ -87,6 +127,11 @@ class ListPair:
         lock = arena.rmw_lock
         self._head = [AtomicCell(dummy, lock), AtomicCell(dummy, lock)]
         self._last_deleted = [AtomicCell(dummy, lock), AtomicCell(dummy, lock)]
+        # Per end, the first tower on each index level.  Index links are
+        # plain references, changed by compare-and-swap under ``lock``.
+        self._lock = lock
+        self._index: tuple[list[IndexNode | None], ...] = (
+            [None] * LEVELS, [None] * LEVELS)
 
     # -- accessors -----------------------------------------------------------
 
@@ -101,8 +146,11 @@ class ListPair:
     def insert(self, index: int, end: int) -> None:
         """Link a fresh node into the sorted position of one list.
 
-        Retries the publish CAS until it lands; each retry resumes from the
-        node whose link word changed underneath us.
+        The search starts from the last live index tower whose key sorts
+        before the new key, or from the head when there is none.  Retries
+        the publish CAS until it lands; each retry resumes from the node
+        whose link word changed underneath us.  Once published, the node's
+        own tower is linked into the index.
         """
         # The hot loop works on raw link words (see ``pack_link``) and on the
         # arena's slots directly, checking for poison itself.
@@ -112,7 +160,16 @@ class ListPair:
         assert k is not None
         sorts_before_k = k.__gt__ if end == MIN else k.__lt__
         published = pack_link(index, 0)
+        # The tower is attached before the publish CAS, so the consumer that
+        # deletes this node always finds it to mark dead.
+        height = tower_height(k.uid)
+        tower = node.towers[end] = IndexNode(k, index, height) if height else None
+        preds: list = [None] * height
+        # Read even when the index supplies the start, to keep the pause site.
         pred = self._head[end].load(site="ins-read-head")
+        start = self._index_search(end, sorts_before_k, preds)
+        if start is not None:
+            pred = start.index
         while True:
             pred_item = items[pred]
             if pred_item is POISONED:
@@ -136,8 +193,63 @@ class ListPair:
             if pred_item.link[end].compare_and_swap(expected, published, site="ins-cas"):
                 node.linked_into[end] = True
                 self.counters.inserts.fetch_add(1)
+                if tower is not None:
+                    self._link_tower(tower, preds, sorts_before_k)
                 return
             self.counters.insert_cas_failures.fetch_add(1)
+
+    def _index_search(self, end: int, sorts_before_k, preds: list) -> IndexNode | None:
+        """Search one end's index top-down for the new key.
+
+        Returns the last tower passed (each read as not dead) whose key
+        sorts before the new key, or None.  Sets ``preds[lvl]`` to the
+        ``next`` list (the head list when None was passed) to link a new
+        tower into on level ``lvl``.  Unlinks every dead tower it meets.
+        Has no pause sites: the index is private to this layer.
+        """
+        height = len(preds)
+        lock = self._lock
+        start = None
+        links = self._index[end]
+        for lvl in range(LEVELS - 1, -1, -1):
+            nxt = links[lvl]
+            while nxt is not None:
+                if nxt.dead:
+                    # May undo a concurrent link into ``nxt``: only a hint lost.
+                    with lock:
+                        if links[lvl] is nxt:
+                            links[lvl] = nxt.next[lvl]
+                    nxt = links[lvl]
+                elif sorts_before_k(nxt.key):
+                    start = nxt
+                    links = nxt.next
+                    nxt = links[lvl]
+                else:
+                    break
+            if lvl < height:
+                preds[lvl] = links
+        return start
+
+    def _link_tower(self, tower: IndexNode, preds: list, sorts_before_k) -> None:
+        """Link a published node's tower into the index, bottom-up.
+
+        Stops as soon as the tower is dead: its node is deleted and a search
+        would only unlink it again.
+        """
+        lock = self._lock
+        for lvl, links in enumerate(preds):
+            while True:
+                if tower.dead:
+                    return
+                nxt = links[lvl]
+                if nxt is not None and sorts_before_k(nxt.key):
+                    links = nxt.next   # a tower linked here since the search
+                    continue
+                tower.next[lvl] = nxt
+                with lock:
+                    if links[lvl] is nxt:
+                        links[lvl] = tower
+                        break
 
     def mark_successor(self, index: int, end: int) -> int:
         """Logically delete the successor of node ``index`` on one list.
@@ -152,8 +264,14 @@ class ListPair:
         if self._debug:
             assert not was_marked, "link was already marked: consumer contract broken"
             assert succ != NONE_IDX, "marked an end-of-list link"
-        # Auditor tag; written in the same step as the fetch-or above.
-        self.arena.item(succ).marked_into[end] = True
+        # Auditor tag and index tombstone; written in the same step as the
+        # fetch-or above, and before sweep_head can hand the node to
+        # reclamation.
+        item = self.arena.item(succ)
+        item.marked_into[end] = True
+        tower = item.towers[end]
+        if tower is not None:
+            tower.dead = True
         self.counters.marks[end].fetch_add(1)
         return prior
 
@@ -222,6 +340,17 @@ class ListPair:
         while node != NONE_IDX and len(out) <= limit:
             out.append(node)
             node, _ = unpack_link(arena.item(node).link[end].load())
+        return out
+
+    def index_walk(self, end: int, level: int = 0) -> list[IndexNode]:
+        """The towers on one index level of one end, in order, dead ones
+        included.  Stops after more towers than the arena has items."""
+        out = []
+        node = self._index[end][level]
+        limit = len(self.arena) + 1
+        while node is not None and len(out) <= limit:
+            out.append(node)
+            node = node.next[level]
         return out
 
     def suffix_keys(self, end: int, include_reserved: bool = False) -> list[Key]:
@@ -313,7 +442,39 @@ class ListPair:
             report.heads_deleted = False
             report.notes.append("head or last-deleted names a live node")
 
+        self._audit_index(end, report)
         return report
+
+    def _audit_index(self, end: int, report: "AuditReport") -> None:
+        """Index levels sorted; live towers name live nodes; deleted nodes
+        have dead towers."""
+        slots = self.arena.slots
+        notes = []
+        for level in range(LEVELS):
+            towers = self.index_walk(end, level)
+            if len(towers) > len(slots):
+                notes.append(f"index level {level} exceeds arena size: cycle suspected")
+            for a, b in zip(towers, towers[1:]):
+                if not comes_before(a.key, b.key, end):
+                    notes.append(f"index level {level} out of order: {a.key} !< {b.key}")
+            for tower in towers:
+                if tower.dead:
+                    continue
+                item = slots[tower.index]
+                if item is POISONED:
+                    notes.append(f"live tower names reclaimed item {tower.index}")
+                elif not item.linked_into[end] or item.marked_into[end]:
+                    notes.append(f"live tower names item {tower.index}, "
+                                 "which is not a live node of this list")
+        for item in slots:
+            if item is POISONED:
+                continue
+            tower = item.towers[end]
+            if tower is not None and not tower.dead and item.marked_into[end]:
+                notes.append(f"deleted item {item.index} has a live tower")
+        if notes:
+            report.index_consistent = False
+            report.notes += notes
 
 
 @dataclass
@@ -326,13 +487,15 @@ class AuditReport:
     suffix_sorted: bool = True
     last_deleted_ok: bool = True
     heads_deleted: bool = True
+    index_consistent: bool = True
     path: list[tuple[int, int | None, bool]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return (self.finite and self.deleted_prefix and self.suffix_sorted
-                and self.last_deleted_ok and self.heads_deleted)
+                and self.last_deleted_ok and self.heads_deleted
+                and self.index_consistent)
 
     def describe(self) -> str:
         claims = [
@@ -341,6 +504,7 @@ class AuditReport:
             ("live suffix sorted", self.suffix_sorted),
             ("last-deleted positioned", self.last_deleted_ok),
             ("head/last-deleted logically deleted", self.heads_deleted),
+            ("index consistent", self.index_consistent),
         ]
         lines = [f"audit end={self.end}"]
         lines += [f"  [{'ok' if good else 'FAIL'}] {name}" for name, good in claims]

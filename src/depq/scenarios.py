@@ -10,6 +10,9 @@ scheduler and reports what it demonstrated:
   subsequent extractions still drain in priority order.
 * ``single-item-race`` — extract-min and extract-max fight over the last
   item; in every interleaving exactly one of them gets it.
+* ``index-start-reclaimed`` — an insert picks a list-index node as its
+  search start, then stalls while that node is extracted at both ends and
+  retired; epoch reclamation must keep it alive until the insert exits.
 """
 
 from __future__ import annotations
@@ -17,14 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dual_depq import DualDepq
-from .items import MAX, MIN, Arena
+from .items import MAX, MIN, Arena, ReclaimedAccessError
 from .lincheck import Recorder, Verdict, check
 from .list_depq import ListDepq
 from .oracle import LockedHeapPq
 from .ordered_list import ListPair
+from .reclaim import EPOCH
 from .sched import ControlledScheduler, explore_interleavings
 
-SCENARIOS = ("counterexample", "twist", "single-item-race")
+SCENARIOS = ("counterexample", "twist", "single-item-race", "index-start-reclaimed")
 
 
 @dataclass
@@ -46,6 +50,8 @@ def run(name: str) -> ReplayOutcome:
         return run_twist()
     if name == "single-item-race":
         return run_single_item_race()
+    if name == "index-start-reclaimed":
+        return run_index_start_reclaimed()
     raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
 
 
@@ -191,4 +197,65 @@ def run_single_item_race() -> ReplayOutcome:
         "exclusive_everywhere": exclusive,
         "winners_seen": sorted(winners),
         "audits_ok": audits_ok,
+    })
+
+
+def run_index_start_reclaimed() -> ReplayOutcome:
+    """Free an insert's index start node under it; the epoch must hold it.
+
+    Keys 0, 10, ..., 70 are stored.  An insert of a key 5 above an inner
+    node S that has an index tower on the ascending side searches the
+    index, picks S as its start, and is frozen at its first list read.
+    Both ends are then drained, so S is deleted from both lists, unlinked
+    twice and retired, and the epoch is pushed as far as it will go.  S
+    must stay allocated while the insert is inside its epoch, the insert
+    must land once thawed, and S is freed only after the insert exits.
+    """
+    d = ListDepq(reclaim_mode=EPOCH)
+    for key in range(0, 80, 10):
+        d.insert(key)
+    # Not the first or last key: sweeps keep each list's last deleted node.
+    start = next(t for t in d.lists.index_walk(MIN)
+                 if 0 < t.key.user_key < 70)
+    key = start.key.user_key + 5   # S is the last tower before it
+
+    error = None
+    drained: list[int] = []
+    retired = held = False
+    try:
+        with ControlledScheduler() as sched:
+            sched.freeze("ins", "ins-read-link")
+            sched.spawn("ins", d.insert, key)
+            sched.start()
+            sched.wait_frozen("ins")   # its index search chose ``start``
+            while (got := d.extract_min()) is not None:
+                drained.append(got)
+            while d.extract_max() is not None:
+                pass                   # deletes the claimed nodes on the max side
+            retired = d.arena.item(start.index).unlinked.load() == 2
+            for _ in range(6):
+                d.reclaim.try_advance()
+            held = not d.arena.is_poisoned(start.index)
+            sched.thaw("ins")
+            sched.join_worker("ins")
+    except ReclaimedAccessError as exc:
+        error = exc
+
+    landed = d.remaining_keys() == [key]
+    audits_ok = all(d.audit(end).ok for end in (MIN, MAX))
+    for _ in range(3):
+        d.reclaim.try_advance()
+    freed_after_exit = d.arena.is_poisoned(start.index)
+    ok = (error is None and retired and held and landed
+          and audits_ok and freed_after_exit)
+    return ReplayOutcome("index-start-reclaimed", ok, {
+        "start_key": start.key.user_key,
+        "inserted_key": key,
+        "drained_min": drained,
+        "start_retired_while_frozen": retired,
+        "start_held_while_frozen": held,
+        "error": None if error is None else str(error),
+        "insert_landed": landed,
+        "audits_ok": audits_ok,
+        "start_freed_after_exit": freed_after_exit,
     })

@@ -15,6 +15,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .atomics import checkpoint
 from .dual_depq import (COMBINING, MULTI_CONSUMER_MODES, CombiningMultiDepq,
@@ -223,12 +224,33 @@ class RunReport:
         return ",".join(str(row[c]) for c in self.CSV_COLUMNS)
 
 
-def _spawn_all(workers):
-    threads = [threading.Thread(target=w, daemon=True) for w in workers]
+class WorkerError(RuntimeError):
+    """A benchmark worker raised, so the run's results are incomplete."""
+
+
+def _spawn_all(workers: dict[str, Callable[[], None]]) -> None:
+    """Run each named worker on its own thread and wait for all of them.
+
+    A worker that raises does not stop the others; once all are joined,
+    the first failure is raised as a WorkerError chained to its exception.
+    """
+    failures: list[tuple[str, Exception]] = []
+
+    def guarded(name: str, work: Callable[[], None]) -> None:
+        try:
+            work()
+        except Exception as exc:  # re-raised on the spawning thread
+            failures.append((name, exc))
+
+    threads = [threading.Thread(target=guarded, args=item, daemon=True)
+               for item in workers.items()]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
+    if failures:
+        name, exc = failures[0]
+        raise WorkerError(f"worker {name} raised {exc!r}") from exc
 
 
 def run_bench(cfg: WorkloadConfig) -> RunReport:
@@ -283,17 +305,21 @@ def run_bench(cfg: WorkloadConfig) -> RunReport:
                 attempts[name] = n
         return body
 
-    workers = []
+    workers = {}
     seeds = [master.getrandbits(64) for _ in range(cfg.threads_insert)]
     for i in range(cfg.threads_insert):
-        workers.append(make_inserter(f"ins{i}", seeds[i]))
+        workers[f"ins{i}"] = make_inserter(f"ins{i}", seeds[i])
     for i in range(cfg.threads_min):
-        workers.append(make_extractor(f"min{i}", "extract_min"))
+        workers[f"min{i}"] = make_extractor(f"min{i}", "extract_min")
     for i in range(cfg.threads_max):
-        workers.append(make_extractor(f"max{i}", "extract_max"))
+        workers[f"max{i}"] = make_extractor(f"max{i}", "extract_max")
 
     started = time.monotonic()
-    _spawn_all(workers)
+    try:
+        _spawn_all(workers)
+    except WorkerError:
+        target.close()
+        raise
     wall = time.monotonic() - started
 
     returned: Counter = Counter()

@@ -370,6 +370,19 @@ def test_twist_replay():
         assert outcome.details["drain"] == [4, 2, None, None]
 
 
+def test_index_start_reclaimed_replay():
+    """An insert frozen after choosing an index node as its search start
+    keeps that node allocated while both ends extract and retire it; the
+    insert then lands and the node is freed only after it exits."""
+    with _Criterion("index-start-reclaimed", 2.0):
+        outcome = scenarios.run_index_start_reclaimed()
+        assert outcome.ok, outcome.details
+        assert outcome.details["error"] is None
+        assert outcome.details["start_retired_while_frozen"]
+        assert outcome.details["start_held_while_frozen"]
+        assert outcome.details["start_freed_after_exit"]
+
+
 def test_checker_self_test():
     """On a corpus of small histories (including mutated negatives) the
     memoized checker agrees with the brute-force enumerator."""

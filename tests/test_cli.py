@@ -198,3 +198,35 @@ def test_failed_audit_exits_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "bench", "--ops", "20")
     assert code == 3
     assert "audit FAILED" in err
+
+
+def test_failed_accounting_exits_3(capsys, monkeypatch):
+    from depq import workload
+
+    real = workload.BenchTarget.remaining_keys
+    monkeypatch.setattr(workload.BenchTarget, "remaining_keys",
+                        lambda self: real(self) + [-1])
+    code, out, err = run_cli(capsys, "bench", "--ops", "20")
+    assert code == 3
+    assert json.loads(out)["accounting_ok"] is False
+    assert "accounting FAILED" in err
+
+
+def test_raising_worker_exits_6(capsys, monkeypatch):
+    from depq.list_depq import ListDepq
+
+    def broken(self, user_key):
+        raise RuntimeError("injected insert failure")
+
+    monkeypatch.setattr(ListDepq, "insert", broken)
+    code, out, err = run_cli(capsys, "bench", "--ops", "20")
+    assert code == 6
+    assert out == ""
+    assert "injected insert failure" in err
+    assert "worker ins" in err
+
+
+def test_replay_index_start_reclaimed(capsys):
+    code, out, _ = run_cli(capsys, "replay", "index-start-reclaimed")
+    assert code == 0
+    assert "replay index-start-reclaimed: ok" in out
