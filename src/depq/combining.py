@@ -13,7 +13,8 @@ Consequences relied on elsewhere in this package: at most one combiner per
 instance at a time, requests are served exactly once in announcement order,
 and the finalizer runs after the batch's last request and before handoff.
 The finalizer is therefore the right place for once-per-batch maintenance
-such as physically deleting list prefixes.
+such as physically deleting list prefixes.  A request that raises does not
+stop its batch: its own caller re-raises the exception.
 """
 
 from __future__ import annotations
@@ -22,47 +23,21 @@ import threading
 import time
 from typing import Any, Callable
 
-from .atomics import AtomicCell
+from .atomics import AtomicCell, Counters
 
 _SPIN_BEFORE_YIELD = 64
 
 
 class CombinerRecord:
-    __slots__ = ("request", "result", "wait", "completed", "next_rec")
+    __slots__ = ("request", "result", "error", "wait", "completed", "next_rec")
 
     def __init__(self, lock: threading.Lock):
         self.request: Any = None
         self.result: Any = None
+        self.error: Exception | None = None
         self.wait = AtomicCell(0, lock)
         self.completed = AtomicCell(0, lock)
         self.next_rec = AtomicCell(None, lock)
-
-
-class CombinerStats:
-    """Exact per-instance accounting (atomic, not sampled)."""
-
-    def __init__(self) -> None:
-        lock = threading.Lock()
-        self.applied = AtomicCell(0, lock)
-        self.batches = AtomicCell(0, lock)
-        self.finalizes = AtomicCell(0, lock)
-        self.gauge = AtomicCell(0, lock)            # combiners currently active
-        self.gauge_violations = AtomicCell(0, lock)  # times a second combiner appeared
-        self._hist_lock = lock
-        self.batch_sizes: dict[int, int] = {}
-
-    def record_batch(self, size: int) -> None:
-        with self._hist_lock:
-            self.batch_sizes[size] = self.batch_sizes.get(size, 0) + 1
-
-    def snapshot(self) -> dict:
-        return {
-            "applied": self.applied.load(),
-            "batches": self.batches.load(),
-            "finalizes": self.finalizes.load(),
-            "gauge_violations": self.gauge_violations.load(),
-            "batch_sizes": dict(sorted(self.batch_sizes.items())),
-        }
 
 
 class Combiner:
@@ -79,7 +54,11 @@ class Combiner:
         self._lock = threading.Lock()
         self._tail = AtomicCell(CombinerRecord(self._lock), self._lock)
         self._spare = threading.local()
-        self.stats = CombinerStats()
+        # Combiners currently active: the at-most-one-combiner check.
+        self._gauge = AtomicCell(0)
+        # ``gauge_violations`` counts the times a second combiner appeared.
+        self.stats = Counters(applied=0, batches=0, gauge_violations=0,
+                              batch_sizes={})
 
     def _fresh_record(self) -> CombinerRecord:
         spare = getattr(self._spare, "rec", None)
@@ -93,6 +72,7 @@ class Combiner:
         fresh.next_rec.store(None)
         fresh.wait.store(1)
         fresh.completed.store(0)
+        fresh.error = None
         cell = self._tail.swap(fresh, site="cc-swap")
         cell.request = request
         cell.next_rec.store(fresh, site="cc-link")
@@ -104,30 +84,42 @@ class Combiner:
             spins += 1
             if spins % _SPIN_BEFORE_YIELD == 0:
                 time.sleep(0)
-        if cell.completed.load(site="cc-completed"):
-            return cell.result
+        if not cell.completed.load(site="cc-completed"):
+            self._combine(cell)
+        if cell.error is not None:
+            raise cell.error
+        return cell.result
 
-        # This thread is the combiner for the next batch.
-        if self.stats.gauge.fetch_add(1) != 0:
-            self.stats.gauge_violations.fetch_add(1)
+    def _combine(self, cell: CombinerRecord) -> None:
+        """Serve a batch starting at this thread's own record, then hand off.
+
+        A request that raises has its exception stored in its record, for
+        its own caller to raise; the batch goes on.  The role is handed on
+        even when the finalizer raises, so no later announce waits forever.
+        """
+        if self._gauge.fetch_add(1) != 0:
+            self.stats.add("gauge_violations")
         rec = cell
         served = 0
-        while served < self.batch_cap:
-            nxt = rec.next_rec.load(site="cc-read-next")
-            if nxt is None:
-                break
-            rec.result = self._apply(rec.request)
-            served += 1
-            self.stats.applied.fetch_add(1)
-            rec.completed.store(1, site="cc-set-completed")
-            rec.wait.store(0, site="cc-clear-wait")
-            rec = nxt
-        if self._finalize is not None:
-            self._finalize()
-        self.stats.finalizes.fetch_add(1)
-        self.stats.batches.fetch_add(1)
-        self.stats.record_batch(served)
-        self.stats.gauge.fetch_add(-1)
-        # Handoff: whoever owns (or will receive) this record combines next.
-        rec.wait.store(0, site="cc-handoff")
-        return cell.result
+        try:
+            while served < self.batch_cap:
+                nxt = rec.next_rec.load(site="cc-read-next")
+                if nxt is None:
+                    break
+                try:
+                    rec.result = self._apply(rec.request)
+                except Exception as exc:
+                    rec.error = exc
+                served += 1
+                rec.completed.store(1, site="cc-set-completed")
+                rec.wait.store(0, site="cc-clear-wait")
+                rec = nxt
+            if self._finalize is not None:
+                self._finalize()
+        finally:
+            self.stats.add("applied", served)
+            self.stats.add("batches")
+            self.stats.add_at("batch_sizes", served)
+            self._gauge.fetch_add(-1)
+            # Handoff: whoever owns (or will receive) this record combines next.
+            rec.wait.store(0, site="cc-handoff")

@@ -21,10 +21,7 @@ it stops stale items from accumulating.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable
-
-from .atomics import AtomicCell, SpinLock, checkpoint
+from .atomics import Counters, SpinLock, checkpoint
 from .combining import Combiner
 from .items import MAX, MIN, Arena, PriorityQueue, try_reserve
 
@@ -33,28 +30,8 @@ COMBINING = "combining"
 MULTI_CONSUMER_MODES = (TWO_LOCKS, COMBINING)
 
 
-class DualCounters:
-    def __init__(self) -> None:
-        lock = threading.Lock()
-        self.reserve_failures = [AtomicCell(0, lock), AtomicCell(0, lock)]
-        self.extract_successes = [AtomicCell(0, lock), AtomicCell(0, lock)]
-        self.empty_returns = [AtomicCell(0, lock), AtomicCell(0, lock)]
-
-    def snapshot(self) -> dict:
-        return {
-            "reserve_failures": [c.load() for c in self.reserve_failures],
-            "extract_successes": [c.load() for c in self.extract_successes],
-            "empty_returns": [c.load() for c in self.empty_returns],
-        }
-
-
 class DualDepq:
-    """Dual-consumer double-ended priority queue over two PriorityQueues.
-
-    ``reserve_listener``, when set, observes every reservation attempt as
-    ``(item_index, end, won)``; the progress tests use it to show that every
-    failed claim is explained by the other end's earlier success.
-    """
+    """Dual-consumer double-ended priority queue over two PriorityQueues."""
 
     def __init__(self, arena: Arena, min_pq: PriorityQueue, max_pq: PriorityQueue,
                  use_optional_delete: bool = False):
@@ -64,8 +41,7 @@ class DualDepq:
         # The delete shortcut needs delete support on both sides.
         self.use_optional_delete = (use_optional_delete
                                     and min_pq.has_delete and max_pq.has_delete)
-        self.counters = DualCounters()
-        self.reserve_listener: Callable[[int, int, bool], None] | None = None
+        self.counters = Counters(reserve_failures=[0, 0], extract_successes=[0, 0])
 
     def insert(self, user_key: int) -> None:
         index = self.arena.new_item(user_key)
@@ -88,18 +64,14 @@ class DualDepq:
         while True:
             index = own.pq_extract_first()
             if index is None:
-                self.counters.empty_returns[end].fetch_add(1)
                 return None
             item = self.arena.item(index)
-            won = try_reserve(item)
-            if self.reserve_listener is not None:
-                self.reserve_listener(index, end, won)
-            if won:
+            if try_reserve(item):
                 if self.use_optional_delete:
                     other.pq_delete(index)
-                self.counters.extract_successes[end].fetch_add(1)
+                self.counters.add_at("extract_successes", end)
                 return item.user_key
-            self.counters.reserve_failures[end].fetch_add(1)
+            self.counters.add_at("reserve_failures", end)
 
 
 class LockedMultiDepq:

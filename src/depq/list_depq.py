@@ -18,18 +18,16 @@ from __future__ import annotations
 from .atomics import checkpoint
 from .combining import Combiner
 from .items import MAX, MIN, Arena
-from .ordered_list import AuditReport, ListCounters, ListPair
+from .ordered_list import AuditReport, ListPair
 from .reclaim import DEFERRED, Reclaimer
 
 
 class ListDepq:
-    def __init__(self, batch_cap: int = 64, reclaim_mode: str = DEFERRED,
-                 debug: bool = True, _skip_reserved_check: bool = False):
+    def __init__(self, batch_cap: int = 64, reclaim_mode: str = DEFERRED):
         self.arena = Arena()
-        self.counters = ListCounters()
-        self.lists = ListPair(self.arena, self.counters, debug=debug,
-                              _skip_reserved_check=_skip_reserved_check)
-        self.reclaim = Reclaimer(self.arena, mode=reclaim_mode, debug=debug)
+        self.lists = ListPair(self.arena)
+        self.counters = self.lists.counters
+        self.reclaim = Reclaimer(self.arena, mode=reclaim_mode)
         self._combiners = (
             Combiner(lambda _req: self._extract_one(MIN),
                      finalize=lambda: self._finish_batch(MIN),

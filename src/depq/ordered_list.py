@@ -26,10 +26,9 @@ the controlled scheduler.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
-from .atomics import AtomicCell
+from .atomics import AtomicCell, Counters
 from .items import (MAX, MIN, NONE_IDX, POISONED, Arena, Key, key_less,
                     pack_link, reclaimed_access, unpack_link)
 
@@ -75,29 +74,6 @@ def comes_before(a: Key, b: Key, end: int) -> bool:
     return key_less(b, a)
 
 
-class ListCounters:
-    """Exact operation counters, shared by all threads of one ListPair."""
-
-    def __init__(self) -> None:
-        lock = threading.Lock()
-        self.insert_cas_failures = AtomicCell(0, lock)
-        self.inserts = AtomicCell(0, lock)
-        self.marks = [AtomicCell(0, lock), AtomicCell(0, lock)]
-        self.reserve_failures = [AtomicCell(0, lock), AtomicCell(0, lock)]
-        self.extract_successes = [AtomicCell(0, lock), AtomicCell(0, lock)]
-        self.empty_returns = [AtomicCell(0, lock), AtomicCell(0, lock)]
-
-    def snapshot(self) -> dict:
-        return {
-            "inserts": self.inserts.load(),
-            "insert_cas_failures": self.insert_cas_failures.load(),
-            "marks": [c.load() for c in self.marks],
-            "reserve_failures": [c.load() for c in self.reserve_failures],
-            "extract_successes": [c.load() for c in self.extract_successes],
-            "empty_returns": [c.load() for c in self.empty_returns],
-        }
-
-
 class ListPair:
     """Two sorted lists over one arena, plus their deletion bookkeeping.
 
@@ -108,14 +84,10 @@ class ListPair:
     frozen at instrumented sites.
     """
 
-    def __init__(self, arena: Arena, counters: ListCounters | None = None,
-                 debug: bool = True, _skip_reserved_check: bool = False):
+    def __init__(self, arena: Arena):
         self.arena = arena
-        self.counters = counters if counters is not None else ListCounters()
-        self._debug = debug
-        # Deliberately broken variant for checker mutation tests: an extract
-        # returns its node even when the reservation test-and-set failed.
-        self._skip_reserved_check = _skip_reserved_check
+        self.counters = Counters(insert_cas_failures=0, marks=[0, 0],
+                                 reserve_failures=[0, 0], extract_successes=[0, 0])
         dummy = arena.new_dummy()
         dummy_item = arena.item(dummy)
         # The sentinel counts as logically deleted from the start.
@@ -184,7 +156,7 @@ class ListPair:
                     break
                 pred, pred_item = succ, succ_item
                 word = pred_item.link[end].load(site="ins-read-link")
-            if self._debug and word & 1:
+            if word & 1:
                 # A marked end-of-list word is unreachable while consumers
                 # honor their contract; retrying against it would spin forever.
                 raise AssertionError("end-of-list link is marked")
@@ -192,11 +164,10 @@ class ListPair:
             node.link[end].store(expected, site="ins-set-next")
             if pred_item.link[end].compare_and_swap(expected, published, site="ins-cas"):
                 node.linked_into[end] = True
-                self.counters.inserts.fetch_add(1)
                 if tower is not None:
                     self._link_tower(tower, preds, sorts_before_k)
                 return
-            self.counters.insert_cas_failures.fetch_add(1)
+            self.counters.add("insert_cas_failures")
 
     def _index_search(self, end: int, sorts_before_k, preds: list) -> IndexNode | None:
         """Search one end's index top-down for the new key.
@@ -261,9 +232,8 @@ class ListPair:
         """
         prior = self.arena.item(index).link[end].fetch_or(1, site="ex-mark")
         succ, was_marked = unpack_link(prior)
-        if self._debug:
-            assert not was_marked, "link was already marked: consumer contract broken"
-            assert succ != NONE_IDX, "marked an end-of-list link"
+        assert not was_marked, "link was already marked: consumer contract broken"
+        assert succ != NONE_IDX, "marked an end-of-list link"
         # Auditor tag and index tombstone; written in the same step as the
         # fetch-or above, and before sweep_head can hand the node to
         # reclamation.
@@ -272,7 +242,7 @@ class ListPair:
         tower = item.towers[end]
         if tower is not None:
             tower.dead = True
-        self.counters.marks[end].fetch_add(1)
+        self.counters.add_at("marks", end)
         return prior
 
     def extract_first(self, end: int, reserve: bool = True) -> int | None:
@@ -292,20 +262,15 @@ class ListPair:
             if succ == NONE_IDX:
                 # Linearized at the link read above; a racing insert that
                 # lands afterwards does not invalidate the empty answer.
-                self.counters.empty_returns[end].fetch_add(1)
                 return None
             prior = self.mark_successor(last, end)
             target, _ = unpack_link(prior)
             self._last_deleted[end].store(target, site="ex-write-lastdel")
-            if not reserve:
-                self.counters.extract_successes[end].fetch_add(1)
+            if not reserve or (
+                    arena.item(target).reserved.test_and_set(site="ex-reserve") == 0):
+                self.counters.add_at("extract_successes", end)
                 return target
-            if arena.item(target).reserved.test_and_set(site="ex-reserve") == 0:
-                self.counters.extract_successes[end].fetch_add(1)
-                return target
-            self.counters.reserve_failures[end].fetch_add(1)
-            if self._skip_reserved_check:
-                return target
+            self.counters.add_at("reserve_failures", end)
 
     def sweep_head(self, end: int) -> list[int]:
         """Physically delete the logically deleted prefix, except its last node.
@@ -323,8 +288,7 @@ class ListPair:
         while node != last:
             removed.append(node)
             succ, marked = unpack_link(arena.item(node).link[end].load(site="uh-walk"))
-            if self._debug:
-                assert marked and succ != NONE_IDX, "prefix walk left the deleted prefix"
+            assert marked and succ != NONE_IDX, "prefix walk left the deleted prefix"
             node = succ
         self._head[end].store(last, site="uh-write-head")
         return removed

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 
-from .atomics import AtomicCell
+from .atomics import AtomicCell, Counters
 from .items import Arena
 
 _QUIESCENT = -1
@@ -32,21 +32,18 @@ class RetireProtocolError(AssertionError):
 
 
 class Reclaimer:
-    def __init__(self, arena: Arena, mode: str = DEFERRED, debug: bool = True):
+    def __init__(self, arena: Arena, mode: str = DEFERRED):
         if mode not in (DEFERRED, EPOCH):
             raise ValueError(f"unknown reclaim mode {mode!r}")
         self.arena = arena
         self.mode = mode
-        self._debug = debug
         self._lock = threading.Lock()
         self._epoch = AtomicCell(0, self._lock)
         self._slots: dict[int, AtomicCell] = {}
         self._buckets: dict[int, list[int]] = {}
         self._deferred: list[int] = []
         self._closed = False
-        self.unlink_first = AtomicCell(0, self._lock)
-        self.retired = AtomicCell(0, self._lock)
-        self.freed = AtomicCell(0, self._lock)
+        self.counters = Counters(unlink_first=0, retired=0, freed=0)
 
     # -- retire-bit protocol ---------------------------------------------------
 
@@ -60,15 +57,13 @@ class Reclaimer:
         """
         prior = self.arena.item(index).unlinked.fetch_add(1, site="unlink-flag")
         if prior == 0:
-            self.unlink_first.fetch_add(1)
+            self.counters.add("unlink_first")
             return False
         if prior == 1:
             self._retire(index)
-            self.retired.fetch_add(1)
+            self.counters.add("retired")
             return True
-        if self._debug:
-            raise RetireProtocolError(f"item {index} unlinked {prior + 1} times")
-        return True
+        raise RetireProtocolError(f"item {index} unlinked {prior + 1} times")
 
     def _retire(self, index: int) -> None:
         with self._lock:
@@ -117,9 +112,7 @@ class Reclaimer:
         with self._lock:
             ready = [e for e in self._buckets if e <= threshold]
             victims = [idx for e in ready for idx in self._buckets.pop(e)]
-        for idx in victims:
-            self.arena.poison(idx)
-            self.freed.fetch_add(1)
+        self._free(victims)
 
     # -- teardown -----------------------------------------------------------------
 
@@ -134,19 +127,19 @@ class Reclaimer:
             for bucket in self._buckets.values():
                 victims.extend(bucket)
             self._buckets.clear()
+        self._free(victims)
+
+    def _free(self, victims: list[int]) -> None:
         for idx in victims:
             self.arena.poison(idx)
-            self.freed.fetch_add(1)
+        self.counters.add("freed", len(victims))
 
     def pending(self) -> int:
         with self._lock:
             return len(self._deferred) + sum(len(b) for b in self._buckets.values())
 
     def snapshot(self) -> dict:
-        return {
-            "mode": self.mode,
-            "unlink_first": self.unlink_first.load(),
-            "retired": self.retired.load(),
-            "freed": self.freed.load(),
-            "pending": self.pending(),
-        }
+        """``unlink_first``, ``retired`` and ``freed`` counts, plus ``mode``
+        and the ``pending`` (retired, not yet freed) count."""
+        return {"mode": self.mode, **self.counters.snapshot(),
+                "pending": self.pending()}

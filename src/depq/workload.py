@@ -14,7 +14,7 @@ import random
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .atomics import checkpoint
@@ -137,12 +137,8 @@ class BenchTarget:
     def counter_snapshot(self) -> dict:
         if self._list is not None:
             counters = self._list.counters.snapshot()
-            counters["retired"] = self._list.reclaim.retired.load()
-            sizes: dict[int, int] = {}
-            for end in ENDS:
-                for size, count in self._list.combiner_stats(end).batch_sizes.items():
-                    sizes[size] = sizes.get(size, 0) + count
-            counters["batch_sizes"] = dict(sorted(sizes.items()))
+            counters["retired"] = self._list.reclaim.snapshot()["retired"]
+            counters["batch_sizes"] = _batch_sizes(self._list.combiner_stats)
             return counters
         dual = self._dual
         assert dual is not None
@@ -152,18 +148,22 @@ class BenchTarget:
         counters["batch_sizes"] = {}
         if isinstance(dual.min_pq, ListPq):
             lists = dual.min_pq.lists
-            counters["insert_cas_failures"] = lists.counters.insert_cas_failures.load()
+            counters["insert_cas_failures"] = lists.counters.snapshot()["insert_cas_failures"]
         if isinstance(self.depq, CombiningMultiDepq):
-            sizes = {}
-            for end in ENDS:
-                for size, count in self.depq.combiner_stats(end).batch_sizes.items():
-                    sizes[size] = sizes.get(size, 0) + count
-            counters["batch_sizes"] = dict(sorted(sizes.items()))
+            counters["batch_sizes"] = _batch_sizes(self.depq.combiner_stats)
         return counters
 
     def close(self) -> None:
         if self._list is not None:
             self._list.close()
+
+
+def _batch_sizes(stats_of) -> dict[int, int]:
+    """Both ends' combiner batch-size histograms, merged."""
+    sizes: Counter = Counter()
+    for end in ENDS:
+        sizes.update(stats_of(end).snapshot()["batch_sizes"])
+    return dict(sorted(sizes.items()))
 
 
 @dataclass
@@ -189,21 +189,9 @@ class RunReport:
                    "audit_ok", "accounting_ok")
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "impl": self.impl,
-            "mode": self.mode,
-            "seed": self.seed,
-            "wall_time_s": self.wall_time_s,
-            "ops": self.ops,
-            "throughput": self.throughput,
-            "retries": self.retries,
-            "batch_sizes": {str(k): v for k, v in self.batch_sizes.items()},
-            "retired_nodes": self.retired_nodes,
-            "audit_ok": self.audit_ok,
-            "accounting_ok": self.accounting_ok,
-            "notes": self.notes,
-        }
+        out = asdict(self)
+        out["batch_sizes"] = {str(k): v for k, v in self.batch_sizes.items()}
+        return out
 
     def to_csv_row(self) -> str:
         row = {
@@ -389,11 +377,6 @@ class StressOutcome:
         return self.failed is None
 
 
-def _build_window_target(cfg: WorkloadConfig, **overrides):
-    small = WorkloadConfig(**{**cfg.__dict__, **overrides})
-    return BenchTarget(small)
-
-
 def run_stress(cfg: WorkloadConfig, windows: int, capture: str | None = None,
                max_window_ops: int = 12,
                _target_factory=None) -> StressOutcome:
@@ -408,7 +391,7 @@ def run_stress(cfg: WorkloadConfig, windows: int, capture: str | None = None,
     out: list[WindowResult] = []
     for index in range(windows):
         wrng = random.Random(master.getrandbits(64))
-        target = (_target_factory or _build_window_target)(cfg)
+        target = (_target_factory or BenchTarget)(cfg)
         recorder = Recorder()
         recorded = recorder.wrap(target.depq)
 
@@ -453,8 +436,7 @@ def run_stress(cfg: WorkloadConfig, windows: int, capture: str | None = None,
         window = WindowResult(index=index, verdict=result.verdict,
                               ops=len(history), path=capture)
         out.append(window)
-        if hasattr(target, "close"):
-            target.close()
+        target.close()
         if result.verdict is not Verdict.LINEARIZABLE:
             return StressOutcome(out, window)
     return StressOutcome(out, None)

@@ -4,7 +4,17 @@ small randomized histories (optionally mutated into likely-wrong ones)."""
 import itertools
 
 from depq.lincheck import EMPTY, Event
+from depq.list_depq import ListDepq
 from depq.oracle import SeqDepq
+
+
+class UnclaimedListDepq(ListDepq):
+    """Deliberately broken build for the checker's mutation tests: an
+    extraction skips the reservation claim, so both ends can return one item."""
+
+    def _extract_one(self, end):
+        index = self.lists.extract_first(end, reserve=False)
+        return None if index is None else self.arena.item(index).user_key
 
 
 def ev(thread, kind, arg, result, invoke, response):

@@ -219,7 +219,8 @@ def test_combining_contract():
             apply_seq[req] = tick()   # combiner-only
             return req
 
-        comb = Combiner(apply, finalize=lambda: None, batch_cap=32)
+        finalized = []
+        comb = Combiner(apply, finalize=lambda: finalized.append(1), batch_cap=32)
         spans = {}
         span_lock = threading.Lock()
         per_thread = 12_500
@@ -245,7 +246,7 @@ def test_combining_contract():
         snap = comb.stats.snapshot()
         assert snap["gauge_violations"] == 0
         assert snap["applied"] == 8 * per_thread
-        assert snap["finalizes"] == snap["batches"]
+        assert len(finalized) == snap["batches"]
         assert sum(s * c for s, c in snap["batch_sizes"].items()) == 8 * per_thread
 
         by_apply = sorted(apply_seq, key=apply_seq.get)
@@ -297,8 +298,9 @@ def test_retire_protocol():
             reachable = set(d.lists.walk(end))
             removed_per_end.append(linked - reachable)
         both = removed_per_end[0] & removed_per_end[1]
-        assert d.reclaim.retired.load() == len(both)
-        assert (d.reclaim.unlink_first.load() + d.reclaim.retired.load()
+        counts = d.reclaim.snapshot()
+        assert counts["retired"] == len(both)
+        assert (counts["unlink_first"] + counts["retired"]
                 == len(removed_per_end[0]) + len(removed_per_end[1]))
 
         # frozen reader: an operation parked inside its epoch bracket pins it
@@ -313,16 +315,16 @@ def test_retire_protocol():
             while d2.extract_min() is not None:
                 pass
             d2.extract_max()   # second-list removals retire the claimed nodes
-            freed_before = d2.reclaim.freed.load()
+            freed_before = d2.reclaim.snapshot()["freed"]
             for _ in range(6):
                 d2.reclaim.try_advance()
-            assert d2.reclaim.freed.load() == freed_before == 0
-            assert d2.reclaim.retired.load() > 0
+            assert d2.reclaim.snapshot()["freed"] == freed_before == 0
+            assert d2.reclaim.snapshot()["retired"] > 0
             sched.thaw("reader")
             sched.join_worker("reader")
         for _ in range(3):
             d2.reclaim.try_advance()
-        assert d2.reclaim.freed.load() > 0
+        assert d2.reclaim.snapshot()["freed"] > 0
 
 
 def test_lock_freedom_smoke():

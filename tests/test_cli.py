@@ -1,6 +1,10 @@
 """CLI surface: exit codes, output formats, file round-trips."""
 
+import itertools
 import json
+import threading
+
+from helpers import UnclaimedListDepq
 
 from depq.cli import main
 from depq.lincheck import Event, write_history
@@ -32,6 +36,24 @@ def test_bench_csv_report(capsys):
     header, row = out.strip().splitlines()
     assert header == ",".join(RunReport.CSV_COLUMNS)
     assert len(row.split(",")) == len(RunReport.CSV_COLUMNS)
+
+
+def test_report_json_key_order_and_values():
+    report = RunReport(
+        schema=1, impl="list-depq", mode="combining", seed=7, wall_time_s=0.25,
+        ops={"insert": 4, "extract_min": 2, "extract_max": 1},
+        throughput={"insert": 16.0, "extract_min": 8.0, "extract_max": 4.0},
+        retries={"failed_reserve": 1, "failed_insert_cas": 0},
+        batch_sizes={1: 2, 3: 1}, retired_nodes=5, audit_ok=True,
+        accounting_ok=False, notes=["a note"])
+    assert json.dumps(report.to_dict()) == (
+        '{"schema": 1, "impl": "list-depq", "mode": "combining", "seed": 7, '
+        '"wall_time_s": 0.25, '
+        '"ops": {"insert": 4, "extract_min": 2, "extract_max": 1}, '
+        '"throughput": {"insert": 16.0, "extract_min": 8.0, "extract_max": 4.0}, '
+        '"retries": {"failed_reserve": 1, "failed_insert_cas": 0}, '
+        '"batch_sizes": {"1": 2, "3": 1}, "retired_nodes": 5, "audit_ok": true, '
+        '"accounting_ok": false, "notes": ["a note"]}')
 
 
 def test_bench_rejects_bad_config(capsys):
@@ -99,11 +121,9 @@ def test_stress_exit_zero_on_clean_windows(capsys, tmp_path):
 def test_stress_reports_offending_window(capsys, tmp_path):
     # Feed the stress loop the deliberately broken build via the factory
     # hook and make sure the verdict, exit path and capture file all fire.
-    from depq.list_depq import ListDepq
-
     class BrokenTarget:
         def __init__(self, cfg):
-            self.depq = ListDepq(_skip_reserved_check=True)
+            self.depq = UnclaimedListDepq()
 
         def close(self):
             pass
@@ -224,6 +244,30 @@ def test_raising_worker_exits_6(capsys, monkeypatch):
     assert out == ""
     assert "injected insert failure" in err
     assert "worker ins" in err
+
+
+def test_raising_extraction_under_combining_exits_6(capsys, monkeypatch):
+    # The first extraction raises inside a combiner serving two min
+    # extractors.  The role must still be handed on, or the other extractor
+    # spins forever; the run is on a daemon thread so a hang fails the test.
+    from depq.list_depq import ListDepq
+
+    real = ListDepq._extract_one
+    calls = itertools.count()
+
+    def raises_once(self, end):
+        if next(calls) == 0:
+            raise RuntimeError("injected extraction failure")
+        return real(self, end)
+
+    monkeypatch.setattr(ListDepq, "_extract_one", raises_once)
+    codes = []
+    runner = threading.Thread(daemon=True, target=lambda: codes.append(
+        main(["bench", "--threads-min", "2", "--ops", "200"])))
+    runner.start()
+    runner.join(timeout=30)
+    assert codes == [6]
+    assert "injected extraction failure" in capsys.readouterr().err
 
 
 def test_replay_index_start_reclaimed(capsys):

@@ -1,6 +1,7 @@
 """The combining engine: batching, FIFO service, handoff, finalizers."""
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -73,7 +74,9 @@ def test_scripted_batch_serves_all_in_announcement_order():
 
 def test_batch_cap_splits_into_two_batches_with_handoff():
     applied = []
-    comb = Combiner(lambda r: applied.append(r) or r, batch_cap=4)
+    finalized = []
+    comb = Combiner(lambda r: applied.append(r) or r,
+                    finalize=lambda: finalized.append(len(applied)), batch_cap=4)
     with ControlledScheduler() as sched:
         _park_announcers(sched, comb, 8)
         sched.thaw("t0")
@@ -91,7 +94,7 @@ def test_batch_cap_splits_into_two_batches_with_handoff():
 
     snap = comb.stats.snapshot()
     assert snap["batches"] == 2
-    assert snap["finalizes"] == 2
+    assert finalized == [4, 8]                # once per batch, after its last apply
     assert snap["batch_sizes"] == {4: 2}
     assert snap["gauge_violations"] == 0
 
@@ -107,7 +110,8 @@ def test_concurrent_announces_apply_exactly_once(fast_switching):
             seen.append(req)
         return req
 
-    comb = Combiner(apply, batch_cap=16)
+    finalized = []
+    comb = Combiner(apply, finalize=lambda: finalized.append(1), batch_cap=16)
     errors = []
 
     def worker(base):
@@ -129,7 +133,7 @@ def test_concurrent_announces_apply_exactly_once(fast_switching):
     assert len(set(seen)) == len(seen)        # exactly once, no duplicates
     snap = comb.stats.snapshot()
     assert snap["applied"] == per_thread * n_threads
-    assert snap["finalizes"] == snap["batches"]
+    assert len(finalized) == snap["batches"]
     assert snap["gauge_violations"] == 0
     assert sum(size * count for size, count in snap["batch_sizes"].items()) \
         == per_thread * n_threads
@@ -142,7 +146,9 @@ def test_every_announce_terminates_under_fair_stepping():
     from depq.sched import ControlledScheduler, random_walk
 
     for seed in (1, 2, 3):
-        comb = Combiner(lambda r: r * 10, batch_cap=2)
+        finalized = []
+        comb = Combiner(lambda r: r * 10, finalize=lambda: finalized.append(1),
+                        batch_cap=2)
         sched = ControlledScheduler(stepping=True, step_limit=50_000)
         with sched:
             for i in range(4):
@@ -151,7 +157,56 @@ def test_every_announce_terminates_under_fair_stepping():
             assert sched.results() == {f"t{i}": i * 10 for i in range(4)}
         snap = comb.stats.snapshot()
         assert snap["applied"] == 4
-        assert snap["finalizes"] == snap["batches"]
+        assert len(finalized) == snap["batches"]
+
+
+def test_raising_request_fails_only_its_own_caller():
+    # Three parked announcers; t1's request raises inside t0's batch.  The
+    # exception reaches t1 alone, the batch goes on, the role is handed off.
+    def apply(req):
+        if req == 1:
+            raise ValueError("request 1 failed")
+        return req * 10
+
+    def announce(req):
+        try:
+            return comb.announce(req)
+        except ValueError as exc:
+            return exc
+
+    finalized = []
+    comb = Combiner(apply, finalize=lambda: finalized.append(1))
+    with ControlledScheduler() as sched:
+        _park_announcers(sched, SimpleNamespace(announce=announce), 3)
+        for i in range(3):
+            sched.thaw(f"t{i}")
+        sched.join_all()
+        results = sched.results()
+    assert results["t0"] == 0 and results["t2"] == 20
+    assert str(results["t1"]) == "request 1 failed"
+    assert finalized == [1]                   # one batch served all three
+    assert comb.announce(4) == 40             # a later announce still works
+    assert comb.stats.snapshot()["applied"] == 4
+
+
+def test_raising_finalizer_still_hands_off():
+    calls = []
+
+    def finalize():
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("finalizer failed")
+
+    comb = Combiner(lambda r: r, finalize=finalize)
+    with pytest.raises(RuntimeError, match="finalizer failed"):
+        comb.announce(1)
+    # Without the handoff this announce would spin forever.
+    later = []
+    waiter = threading.Thread(target=lambda: later.append(comb.announce(2)), daemon=True)
+    waiter.start()
+    waiter.join(timeout=10)
+    assert later == [2]
+    assert comb.stats.snapshot()["batches"] == 2
 
 
 def check_fifo(spans, apply_seq):

@@ -12,7 +12,7 @@ from depq.lincheck import Recorder, Verdict, check
 from depq.oracle import LockedHeapPq, SeqDepq
 from depq.ordered_list import ListPair, ListPq
 from depq.sched import ControlledScheduler
-from depq import scenarios
+from depq import dual_depq, scenarios
 
 
 def heap_dual(use_optional_delete=False):
@@ -137,16 +137,26 @@ def test_counterexample_schedule_rejected_by_checker():
     assert outcome.details["verdict"] == "NOT_LINEARIZABLE"
 
 
-def test_reserve_failures_are_charged_to_other_end_successes():
+def test_reserve_failures_are_charged_to_other_end_successes(monkeypatch):
+    # Log every reservation attempt as (item index, end, won).
     d = heap_dual()
     log = []
-    d.reserve_listener = lambda idx, end, won: log.append((idx, end, won))
+    calling_end = [MIN]
+    real_try_reserve = dual_depq.try_reserve
+
+    def logged(item):
+        won = real_try_reserve(item)
+        log.append((item.index, calling_end[0], won))
+        return won
+
+    monkeypatch.setattr(dual_depq, "try_reserve", logged)
     for k in range(40):
         d.insert(k)
     # interleave single-consumer extractions from both ends
     rng = random.Random(3)
     for _ in range(60):
-        if rng.random() < 0.5:
+        calling_end[0] = MIN if rng.random() < 0.5 else MAX
+        if calling_end[0] == MIN:
             d.extract_min()
         else:
             d.extract_max()
@@ -197,7 +207,7 @@ def test_adversary_schedule_starves_one_extractor():
                 sched.grant("victim")
             sched.run_to_completion("adversary")
             sched.run_to_completion("victim")
-        return d.counters.reserve_failures[MAX].load()
+        return d.counters.snapshot()["reserve_failures"][MAX]
 
     assert run_rounds(10) == 10
     assert run_rounds(100) == 100
@@ -276,7 +286,7 @@ def test_multi_consumer_stress_accounting(mode, fast_switching):
                         if inner.arena.item(i).reserved.load() == 0)
     assert inserted == returned + remaining
     # every claim failure at one end is covered by a success at the other
-    fails = [c.load() for c in inner.counters.reserve_failures]
-    wins = [c.load() for c in inner.counters.extract_successes]
+    counts = inner.counters.snapshot()
+    fails, wins = counts["reserve_failures"], counts["extract_successes"]
     assert fails[MIN] <= wins[MAX]
     assert fails[MAX] <= wins[MIN]

@@ -4,6 +4,7 @@ import random
 import threading
 from collections import Counter
 
+from helpers import UnclaimedListDepq
 from hypothesis import given, settings, strategies as st
 
 from depq import scenarios
@@ -117,6 +118,9 @@ def test_one_sweep_per_batch():
     d = ListDepq()
     for k in range(10):
         d.insert(k)
+    finishes = []
+    finish_batch = d._finish_batch
+    d._finish_batch = lambda end: finishes.append(end) or finish_batch(end)
     with ControlledScheduler() as sched:
         for i in range(batch):
             name = f"x{i}"
@@ -137,7 +141,7 @@ def test_one_sweep_per_batch():
     assert sorted(results.values(), reverse=True) == [9, 8, 7, 6, 5]
     stats = d.combiner_stats(MAX).snapshot()
     assert stats["batches"] == 1
-    assert stats["finalizes"] == 1
+    assert finishes == [MAX]    # the finalizer ran once, for the one batch
     assert stats["batch_sizes"] == {batch: 1}
     # the whole logically deleted prefix went in one head move
     assert d.lists.head(MAX) == d.lists.last_deleted(MAX)
@@ -195,8 +199,8 @@ def test_exclusivity_and_no_loss_under_stress(fast_switching):
     assert inserted == returned + remaining          # no loss
     assert sum(inserted.values()) == 3 * per_thread  # and no invention
     assert d.audit(MIN).ok and d.audit(MAX).ok
-    fails = [c.load() for c in d.counters.reserve_failures]
-    wins = [c.load() for c in d.counters.extract_successes]
+    counts = d.counters.snapshot()
+    fails, wins = counts["reserve_failures"], counts["extract_successes"]
     assert fails[MIN] <= wins[MAX]
     assert fails[MAX] <= wins[MIN]
 
@@ -219,14 +223,15 @@ def test_retire_counts_match_double_unlinks():
         reachable = set(d.lists.walk(end))
         removed_per_end.append(linked - reachable)
     both_removed = removed_per_end[0] & removed_per_end[1]
-    assert d.reclaim.retired.load() == len(both_removed)
-    assert (d.reclaim.unlink_first.load() + d.reclaim.retired.load()
+    counts = d.reclaim.snapshot()
+    assert counts["retired"] == len(both_removed)
+    assert (counts["unlink_first"] + counts["retired"]
             == len(removed_per_end[0]) + len(removed_per_end[1]))
 
 
 def test_broken_build_without_reserve_check_is_caught():
     # Mutation test: drop the reservation check and the checker notices.
-    d = ListDepq(_skip_reserved_check=True)
+    d = UnclaimedListDepq()
     recorder = Recorder()
     recorded = recorder.wrap(d)
     recorded.insert(5)

@@ -143,7 +143,7 @@ def test_real_thread_stress_list_depq_epoch():
     inserted, returned = _hammer(d, seed=1)
     assert inserted == returned + Counter(d.remaining_keys())
     assert d.audit(MIN).ok and d.audit(MAX).ok
-    assert d.reclaim.freed.load() > 0
+    assert d.reclaim.snapshot()["freed"] > 0
     d.close()
     assert time.monotonic() - started < 5
 
@@ -158,7 +158,8 @@ def test_real_thread_stress_dual_list():
     remaining = [key.user_key for key in pair.suffix_keys(MIN)]
     assert inserted == returned + Counter(remaining)
     assert pair.audit(MIN).ok and pair.audit(MAX).ok
-    assert reclaim.retired.load() > 0
+    assert reclaim.snapshot()["retired"] > 0
     reclaim.close()   # deferred mode frees at close
-    assert reclaim.freed.load() == reclaim.retired.load() > 0
+    counts = reclaim.snapshot()
+    assert counts["freed"] == counts["retired"] > 0
     assert time.monotonic() - started < 5

@@ -328,17 +328,17 @@ def test_insert_makes_progress_only_when_others_succeed():
         completed_between = 0
         for _ in range(rounds):
             sched.run_until("slow", "ins-cas")   # poised with a stale expected word
-            before = lists.counters.insert_cas_failures.load()
+            before = lists.counters.snapshot()["insert_cas_failures"]
             sched.run_until("fast", "ins-cas")
             sched.grant("fast")                  # fast publishes first
             sched.wait_quiescent()
             completed_between += 1
             sched.grant("slow")                  # slow's publish now fails
             sched.run_until("slow", "ins-cas")   # it retraverses and re-poises
-            after = lists.counters.insert_cas_failures.load()
+            after = lists.counters.snapshot()["insert_cas_failures"]
             assert after == before + 1
         sched.run_to_completion("slow")
         sched.run_to_completion("fast")
-    assert lists.counters.insert_cas_failures.load() == rounds
+    assert lists.counters.snapshot()["insert_cas_failures"] == rounds
     assert completed_between == rounds
     assert walk_user_keys(lists, MIN) == sorted([100] + list(range(1, rounds + 1)))

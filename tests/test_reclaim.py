@@ -14,7 +14,7 @@ def test_first_unlink_is_not_safe_second_is():
     idx = arena.new_item(1)
     assert rec.on_unlink(idx) is False
     assert rec.on_unlink(idx) is True
-    assert rec.retired.load() == 1
+    assert rec.snapshot()["retired"] == 1
 
 
 def test_third_unlink_is_a_protocol_violation():
@@ -39,11 +39,11 @@ def test_deferred_mode_frees_only_at_close():
     for idx in indices:
         rec.on_unlink(idx)
         rec.on_unlink(idx)
-    assert rec.freed.load() == 0
+    assert rec.snapshot()["freed"] == 0
     assert rec.pending() == 10
     assert all(not arena.is_poisoned(i) for i in indices)
     rec.close()
-    assert rec.freed.load() == 10
+    assert rec.snapshot()["freed"] == 10
     assert all(arena.is_poisoned(i) for i in indices)
 
 
@@ -59,7 +59,7 @@ def test_epoch_mode_frees_after_two_advances():
     assert not arena.is_poisoned(idx)   # one grace period is not enough
     assert rec.try_advance()
     assert arena.is_poisoned(idx)
-    assert rec.freed.load() == 1
+    assert rec.snapshot()["freed"] == 1
 
 
 def test_frozen_reader_blocks_deallocation():
@@ -81,7 +81,7 @@ def test_frozen_reader_blocks_deallocation():
         rec.on_unlink(idx)
         advanced = sum(1 for _ in range(5) if rec.try_advance())
         assert advanced <= 1              # stuck behind the reader's epoch
-        assert rec.freed.load() == 0
+        assert rec.snapshot()["freed"] == 0
         assert not arena.is_poisoned(idx)
         sched.thaw("reader")
         sched.join_worker("reader")
@@ -103,4 +103,4 @@ def test_close_is_idempotent():
     rec.on_unlink(idx)
     rec.close()
     rec.close()
-    assert rec.freed.load() == 1
+    assert rec.snapshot()["freed"] == 1
