@@ -51,7 +51,8 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--duration-ms", type=int, default=None)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--batch-cap", type=int, default=64)
-    p.add_argument("--reclaim", default=DEFERRED, choices=(DEFERRED, EPOCH))
+    p.add_argument("--reclaim", default=DEFERRED, choices=(DEFERRED, EPOCH),
+                   help="epoch applies to list-depq only")
 
 
 def _config(args: argparse.Namespace, default_ops: int | None = 1000) -> WorkloadConfig:

@@ -54,8 +54,8 @@ class Combiner:
         self._lock = threading.Lock()
         self._tail = AtomicCell(CombinerRecord(self._lock), self._lock)
         self._spare = threading.local()
-        # Combiners currently active: the at-most-one-combiner check.
-        self._gauge = AtomicCell(0)
+        # Held by the active combiner: the at-most-one-combiner check.
+        self._combining = threading.Lock()
         # ``gauge_violations`` counts the times a second combiner appeared.
         self.stats = Counters(applied=0, batches=0, gauge_violations=0,
                               batch_sizes={})
@@ -97,7 +97,9 @@ class Combiner:
         its own caller to raise; the batch goes on.  The role is handed on
         even when the finalizer raises, so no later announce waits forever.
         """
-        if self._gauge.fetch_add(1) != 0:
+        # Never blocks: a held lock means a second combiner, which is counted.
+        owner = self._combining.acquire(False)
+        if not owner:
             self.stats.add("gauge_violations")
         rec = cell
         served = 0
@@ -120,6 +122,7 @@ class Combiner:
             self.stats.add("applied", served)
             self.stats.add("batches")
             self.stats.add_at("batch_sizes", served)
-            self._gauge.fetch_add(-1)
+            if owner:
+                self._combining.release()
             # Handoff: whoever owns (or will receive) this record combines next.
             rec.wait.store(0, site="cc-handoff")

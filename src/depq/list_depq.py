@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .atomics import checkpoint
 from .combining import Combiner
-from .items import MAX, MIN, Arena
+from .items import MAX, MIN, POISONED, Arena, reclaimed_access
 from .ordered_list import AuditReport, ListPair
 from .reclaim import DEFERRED, Reclaimer
 
@@ -65,7 +65,10 @@ class ListDepq:
         index = self.lists.extract_first(end, reserve=True)
         if index is None:
             return None
-        return self.arena.item(index).user_key
+        item = self.arena.slots[index]
+        if item is POISONED:
+            raise reclaimed_access(index)
+        return item.key.user_key
 
     # Once per batch, after its last extraction.
     def _finish_batch(self, end: int) -> None:

@@ -230,14 +230,20 @@ class ListPair:
         Returns the prior link word; its successor field is the node that
         just became logically deleted.
         """
-        prior = self.arena.item(index).link[end].fetch_or(1, site="ex-mark")
-        succ, was_marked = unpack_link(prior)
-        assert not was_marked, "link was already marked: consumer contract broken"
-        assert succ != NONE_IDX, "marked an end-of-list link"
+        items = self.arena.slots
+        pred = items[index]
+        if pred is POISONED:
+            raise reclaimed_access(index)
+        prior = pred.link[end].fetch_or(1, site="ex-mark")
+        assert not prior & 1, "link was already marked: consumer contract broken"
+        assert prior > 1, "marked an end-of-list link"
+        succ = (prior >> 1) - 1
+        item = items[succ]
+        if item is POISONED:
+            raise reclaimed_access(succ)
         # Auditor tag and index tombstone; written in the same step as the
         # fetch-or above, and before sweep_head can hand the node to
         # reclamation.
-        item = self.arena.item(succ)
         item.marked_into[end] = True
         tower = item.towers[end]
         if tower is not None:
@@ -254,23 +260,30 @@ class ListPair:
         extract-min of a plain single-ended priority queue and the caller
         owns the reservation step.
         """
-        arena = self.arena
+        # Raw link words and inlined poison checks, as in ``insert``.
+        items = self.arena.slots
+        last_deleted = self._last_deleted[end]
         while True:
-            last = self._last_deleted[end].load(site="ex-read-lastdel")
-            word = arena.item(last).link[end].load(site="ex-read-lastnext")
-            succ, _ = unpack_link(word)
-            if succ == NONE_IDX:
-                # Linearized at the link read above; a racing insert that
-                # lands afterwards does not invalidate the empty answer.
+            last = last_deleted.load(site="ex-read-lastdel")
+            last_item = items[last]
+            if last_item is POISONED:
+                raise reclaimed_access(last)
+            if last_item.link[end].load(site="ex-read-lastnext") <= 1:
+                # No successor.  Linearized at the link read above; a racing
+                # insert that lands afterwards does not invalidate the empty
+                # answer.
                 return None
-            prior = self.mark_successor(last, end)
-            target, _ = unpack_link(prior)
-            self._last_deleted[end].store(target, site="ex-write-lastdel")
-            if not reserve or (
-                    arena.item(target).reserved.test_and_set(site="ex-reserve") == 0):
-                self.counters.add_at("extract_successes", end)
-                return target
-            self.counters.add_at("reserve_failures", end)
+            target = (self.mark_successor(last, end) >> 1) - 1
+            last_deleted.store(target, site="ex-write-lastdel")
+            if reserve:
+                target_item = items[target]
+                if target_item is POISONED:
+                    raise reclaimed_access(target)
+                if target_item.reserved.test_and_set(site="ex-reserve") != 0:
+                    self.counters.add_at("reserve_failures", end)
+                    continue
+            self.counters.add_at("extract_successes", end)
+            return target
 
     def sweep_head(self, end: int) -> list[int]:
         """Physically delete the logically deleted prefix, except its last node.
@@ -278,19 +291,21 @@ class ListPair:
         Combiner-only.  Returns the unlinked node indices (oldest first) so
         the caller can run them through reclamation.
         """
-        arena = self.arena
-        head = self._head[end].load(site="uh-read-head")
+        items = self.arena.slots
+        head_cell = self._head[end]
+        node = head_cell.load(site="uh-read-head")
         last = self._last_deleted[end].load(site="uh-read-lastdel")
-        if head == last:
-            return []
         removed = []
-        node = head
         while node != last:
             removed.append(node)
-            succ, marked = unpack_link(arena.item(node).link[end].load(site="uh-walk"))
-            assert marked and succ != NONE_IDX, "prefix walk left the deleted prefix"
-            node = succ
-        self._head[end].store(last, site="uh-write-head")
+            item = items[node]
+            if item is POISONED:
+                raise reclaimed_access(node)
+            word = item.link[end].load(site="uh-walk")
+            assert word & 1 and word > 1, "prefix walk left the deleted prefix"
+            node = (word >> 1) - 1
+        if removed:
+            head_cell.store(last, site="uh-write-head")
         return removed
 
     # -- inspection ----------------------------------------------------------

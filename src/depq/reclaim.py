@@ -40,6 +40,7 @@ class Reclaimer:
         self._lock = threading.Lock()
         self._epoch = AtomicCell(0, self._lock)
         self._slots: dict[int, AtomicCell] = {}
+        self._local = threading.local()
         self._buckets: dict[int, list[int]] = {}
         self._deferred: list[int] = []
         self._closed = False
@@ -70,33 +71,36 @@ class Reclaimer:
             if self.mode == DEFERRED:
                 self._deferred.append(index)
             else:
-                self._buckets.setdefault(self._epoch._value, []).append(index)
+                self._buckets.setdefault(self._epoch.load(), []).append(index)
 
     # -- epoch machinery ---------------------------------------------------------
 
-    def _slot(self) -> AtomicCell:
-        ident = threading.get_ident()
-        slot = self._slots.get(ident)
-        if slot is None:
-            with self._lock:
-                slot = self._slots.setdefault(ident, AtomicCell(_QUIESCENT, self._lock))
+    def _new_slot(self) -> AtomicCell:
+        """Give this thread its epoch slot: cached in a thread-local for
+        ``enter``/``exit``, registered in ``_slots`` for ``try_advance``."""
+        slot = self._local.slot = AtomicCell(_QUIESCENT, self._lock)
+        with self._lock:
+            self._slots[threading.get_ident()] = slot
         return slot
 
     def enter(self) -> None:
         """Mark this thread active in the current epoch."""
         if self.mode == EPOCH:
-            self._slot().store(self._epoch.load(), site="epoch-enter")
+            slot = getattr(self._local, "slot", None) or self._new_slot()
+            slot.store(self._epoch.load(), site="epoch-enter")
 
     def exit(self) -> None:
         if self.mode == EPOCH:
-            self._slot().store(_QUIESCENT, site="epoch-exit")
+            slot = getattr(self._local, "slot", None) or self._new_slot()
+            slot.store(_QUIESCENT, site="epoch-exit")
 
     def try_advance(self) -> bool:
         """Advance the epoch if every active thread has observed it.
 
-        On success, frees the buckets that are now two epochs old.
+        On success, frees the buckets that are now two epochs old.  With no
+        retired node waiting to be freed there is nothing to advance for.
         """
-        if self.mode != EPOCH:
+        if self.mode != EPOCH or not self._buckets:
             return False
         current = self._epoch.load()
         for slot in list(self._slots.values()):
@@ -109,6 +113,10 @@ class Reclaimer:
         return True
 
     def _free_older_than(self, threshold: int) -> None:
+        # ``min`` over the epochs runs in one C call, so no retire can change
+        # the dict under it.
+        if min(self._buckets, default=threshold + 1) > threshold:
+            return
         with self._lock:
             ready = [e for e in self._buckets if e <= threshold]
             victims = [idx for e in ready for idx in self._buckets.pop(e)]

@@ -73,6 +73,9 @@ class WorkloadConfig:
             raise ConfigError("batch_cap must be at least 1")
         if self.reclaim_mode not in (DEFERRED, EPOCH):
             raise ConfigError(f"reclaim must be {DEFERRED!r} or {EPOCH!r}")
+        if self.reclaim_mode == EPOCH and self.impl != "list-depq":
+            raise ConfigError(f"reclaim {EPOCH!r} needs impl 'list-depq': "
+                              f"{self.impl!r} runs without a reclaimer")
 
 
 class BenchTarget:

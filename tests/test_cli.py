@@ -4,6 +4,8 @@ import itertools
 import json
 import threading
 
+import pytest
+
 from helpers import UnclaimedListDepq
 
 from depq.cli import main
@@ -59,6 +61,15 @@ def test_report_json_key_order_and_values():
 def test_bench_rejects_bad_config(capsys):
     code, _, err = run_cli(capsys, "bench", "--threads-insert", "0",
                            "--threads-min", "0", "--threads-max", "0")
+    assert code == 2
+    assert "invalid configuration" in err
+
+
+@pytest.mark.parametrize("command", ["bench", "stress"])
+@pytest.mark.parametrize("impl", ["dual-heap", "dual-list"])
+def test_epoch_reclaim_on_a_dual_build_is_rejected(capsys, command, impl):
+    """The dual builds have no reclaimer, so epoch mode would silently not run."""
+    code, _, err = run_cli(capsys, command, "--impl", impl, "--reclaim", "epoch")
     assert code == 2
     assert "invalid configuration" in err
 

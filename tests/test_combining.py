@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from depq.combining import Combiner
+from depq.combining import Combiner, CombinerRecord
 from depq.sched import ControlledScheduler
 
 
@@ -32,6 +32,22 @@ def test_two_instances_are_independent():
     assert b.announce(1) == ("b", 1)
     assert a.stats.snapshot()["batches"] == 1
     assert b.stats.snapshot()["batches"] == 1
+
+
+def test_overlapping_combine_passes_count_a_gauge_violation():
+    """A second combine pass while one is running is what the gauge exists
+    to catch; the counted overlap leaves the role usable."""
+    def apply(req):
+        if req == "nest":
+            # A second pass, on a spare record with nothing linked behind it.
+            comb._combine(CombinerRecord(threading.Lock()))
+        return req
+
+    comb = Combiner(apply)
+    assert comb.announce("nest") == "nest"
+    assert comb.stats.snapshot()["gauge_violations"] == 1
+    assert comb.announce("after") == "after"
+    assert comb.stats.snapshot()["gauge_violations"] == 1
 
 
 def _park_announcers(sched, comb, count):

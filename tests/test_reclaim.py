@@ -1,9 +1,15 @@
 """Retire-bit protocol and grace-period reclamation."""
 
+import random
+import sys
+import threading
+from collections import Counter
+
 import pytest
 
 from depq.atomics import checkpoint
-from depq.items import Arena
+from depq.items import MAX, MIN, Arena
+from depq.list_depq import ListDepq
 from depq.reclaim import DEFERRED, EPOCH, Reclaimer, RetireProtocolError
 from depq.sched import ControlledScheduler
 
@@ -60,6 +66,89 @@ def test_epoch_mode_frees_after_two_advances():
     assert rec.try_advance()
     assert arena.is_poisoned(idx)
     assert rec.snapshot()["freed"] == 1
+
+
+def test_try_advance_with_nothing_retired_keeps_the_epoch():
+    arena = Arena()
+    rec = Reclaimer(arena, mode=EPOCH)
+    rec.enter()
+    rec.exit()
+    assert rec.try_advance() is False
+    assert rec._epoch.load() == 0
+    # Once a node awaits freeing, the epoch moves as before.
+    idx = arena.new_item(1)
+    rec.enter()
+    rec.on_unlink(idx)
+    rec.on_unlink(idx)
+    rec.exit()
+    assert rec.try_advance()
+    assert not arena.is_poisoned(idx)
+    assert rec.try_advance()
+    assert arena.is_poisoned(idx)
+    assert rec.snapshot()["freed"] == 1
+    assert rec.try_advance() is False
+    assert rec._epoch.load() == 2
+
+
+def test_epoch_reclamation_completes_after_real_thread_bursts():
+    """Two inserters put in a burst of keys while one extractor per end
+    drains it to None, on real threads; at quiescence every retired node
+    gets freed."""
+    d = ListDepq(reclaim_mode=EPOCH)
+    cycles, burst = 40, 32   # per inserter
+    burst_in = threading.Event()
+    cycle = threading.Barrier(4, action=burst_in.clear)
+    inserted = threading.Barrier(2, action=burst_in.set)
+    keys, returned, errors = ([], []), ([], []), []
+
+    def insert_burst(rng, out):
+        for _ in range(burst):
+            key = rng.randrange(1000)
+            d.insert(key)
+            out.append(key)
+        inserted.wait(timeout=20)
+
+    def drain(extract, out):
+        while True:
+            done = burst_in.is_set()
+            key = extract()
+            if key is not None:
+                out.append(key)
+            elif done:
+                return
+
+    def run(body, *args):
+        try:
+            for _ in range(cycles):
+                cycle.wait(timeout=20)
+                body(*args)
+                cycle.wait(timeout=20)
+        except Exception as exc:
+            errors.append(exc)
+            cycle.abort()
+            inserted.abort()
+
+    jobs = [(insert_burst, random.Random(seed), out) for seed, out in enumerate(keys)]
+    jobs += [(drain, op, out) for op, out in zip((d.extract_min, d.extract_max), returned)]
+    threads = [threading.Thread(target=run, args=job, daemon=True) for job in jobs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors, errors
+    assert not any(t.is_alive() for t in threads)
+    assert Counter(keys[0] + keys[1]) == Counter(returned[0] + returned[1])
+    for _ in range(3):
+        d.reclaim.try_advance()
+    counts = d.reclaim.snapshot()
+    assert counts["pending"] == 0
+    assert counts["freed"] == counts["retired"] > 0
+    assert d.audit(MIN).ok and d.audit(MAX).ok
 
 
 def test_frozen_reader_blocks_deallocation():
