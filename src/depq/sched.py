@@ -13,6 +13,12 @@ Worker threads pause at every instrumented shared-memory operation (see
   (``run_until`` / ``grant``), a seeded random walk, and the exhaustive
   interleaving explorer below.
 
+A step is handed off with batons, locks created held, so each handoff
+wakes exactly one thread.  Every worker parks on its own baton, and
+``grant`` releases that one.  The driver waits on a baton of its own,
+released by whichever thread brings the count of running workers to zero:
+the last one to park or the last one to finish.
+
 The scheduler only coordinates threads it spawned itself; the invoking
 thread's operations never pause, so fixtures can be built inline.
 """
@@ -36,7 +42,7 @@ _DEFAULT_TIMEOUT = 20.0
 
 
 class _Worker:
-    __slots__ = ("name", "thread", "fn", "done", "result", "error")
+    __slots__ = ("name", "thread", "fn", "done", "result", "error", "baton")
 
     def __init__(self, name: str, fn: Callable[[], Any]):
         self.name = name
@@ -45,6 +51,13 @@ class _Worker:
         self.done = False
         self.result: Any = None
         self.error: BaseException | None = None
+        self.baton = _held_lock()     # released by the grant that lets it step
+
+
+def _held_lock() -> threading.Lock:
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
 
 
 class _Freeze:
@@ -62,11 +75,14 @@ class ControlledScheduler:
         self._stepping = stepping
         self._step_limit = step_limit
         self._steps = 0
-        self._cv = threading.Condition()
+        self._lock = threading.Lock()
         self._names: dict[int, str] = {}       # thread ident -> worker name
         self._workers: dict[str, _Worker] = {}
         self._parked: dict[str, str] = {}      # name -> site (stepping mode)
-        self._granted: set[str] = set()
+        # Workers neither parked nor finished.  ``_driver`` is released each
+        # time this falls to zero and taken once per release.
+        self._running = 0
+        self._driver = _held_lock()
         self._freezes: dict[str, _Freeze] = {}
         self._frozen: dict[str, str] = {}
         self._start = threading.Event()
@@ -88,7 +104,9 @@ class ControlledScheduler:
         if name in self._workers:
             raise ScheduleError(f"duplicate worker name {name!r}")
         worker = _Worker(name, lambda: fn(*args, **kwargs))
-        self._workers[name] = worker
+        with self._lock:
+            self._workers[name] = worker
+            self._count_running()
         thread = threading.Thread(target=self._run_worker, args=(worker,),
                                   name=f"depq-sched-{name}", daemon=True)
         worker.thread = thread
@@ -101,17 +119,32 @@ class ControlledScheduler:
     def _run_worker(self, worker: _Worker) -> None:
         self._start.wait()
         ident = threading.get_ident()
-        with self._cv:
+        with self._lock:
             self._names[ident] = worker.name
         try:
             worker.result = worker.fn()
         except BaseException as exc:  # reported at join_all
             worker.error = exc
         finally:
-            with self._cv:
+            with self._lock:
                 worker.done = True
                 self._names.pop(ident, None)
-                self._cv.notify_all()
+                self._count_stopped()
+
+    # Both count helpers are called with ``_lock`` held, so the driver's
+    # baton is held whenever a worker is running.
+
+    def _count_running(self) -> None:
+        if self._running == 0:
+            # Take back a release the driver has not consumed: it would
+            # otherwise report quiescence while this worker runs.
+            self._driver.acquire(blocking=False)
+        self._running += 1
+
+    def _count_stopped(self) -> None:
+        self._running -= 1
+        if self._running == 0:
+            self._driver.release()
 
     def join_worker(self, name: str, timeout: float = _DEFAULT_TIMEOUT) -> Any:
         """Wait for one worker to finish (it must not be frozen); returns its result."""
@@ -161,23 +194,27 @@ class ControlledScheduler:
         rule.hits -= 1
         if rule.hits > 0:
             return
-        with self._cv:
+        with self._lock:
             self._frozen[name] = site
-            self._cv.notify_all()
         rule.parked.set()
         rule.release.wait()
-        with self._cv:
+        with self._lock:
             self._frozen.pop(name, None)
 
     def _pause_stepping(self, name: str, site: str) -> None:
-        with self._cv:
+        baton = self._workers[name].baton
+        with self._lock:
+            if not self._stepping:          # released while on its way here
+                return
             self._parked[name] = site
-            self._cv.notify_all()
-            while name not in self._granted:
-                if not self._cv.wait(timeout=_DEFAULT_TIMEOUT):
-                    raise ScheduleError(f"worker {name!r} starved waiting for a grant")
-            self._granted.discard(name)
-            del self._parked[name]
+            self._count_stopped()
+        if baton.acquire(timeout=_DEFAULT_TIMEOUT):
+            return
+        with self._lock:
+            if self._parked.pop(name, None) is not None:
+                self._count_running()
+                raise ScheduleError(f"worker {name!r} starved waiting for a grant")
+        baton.acquire()                     # granted just after the timeout
 
     # -- freeze mode ---------------------------------------------------------
 
@@ -213,11 +250,12 @@ class ControlledScheduler:
         # Unblock anything still parked so join_all can complete.
         for rule in self._freezes.values():
             rule.release.set()
-        if self._stepping:
-            with self._cv:
-                self._granted.update(self._workers)
-                self._stepping = False
-                self._cv.notify_all()
+        with self._lock:
+            self._stepping = False
+            for name in self._parked:
+                self._count_running()
+                self._workers[name].baton.release()
+            self._parked.clear()
         self._start.set()
 
     # -- stepping mode drivers ------------------------------------------------
@@ -225,34 +263,39 @@ class ControlledScheduler:
     def wait_quiescent(self, timeout: float = _DEFAULT_TIMEOUT) -> tuple[str, ...]:
         """Block until every live worker is parked; returns parked names sorted.
 
-        A worker with a grant it has not yet consumed still counts as
-        running, otherwise the driver could observe its stale parked entry
-        and double-grant it.
+        A granted worker leaves the parked set in the same step as its grant
+        and counts as running until it parks again, so the names returned
+        are exactly the workers waiting for a grant.  A second call with no
+        grant in between returns at once.
         """
         deadline = _Deadline(timeout)
-        with self._cv:
-            while True:
-                live = [n for n, w in self._workers.items() if not w.done]
-                if not self._granted and all(n in self._parked for n in live):
+        while True:
+            with self._lock:
+                if self._running == 0:
+                    self._driver.acquire(blocking=False)    # unless it was taken below
                     return tuple(sorted(self._parked))
-                if not self._cv.wait(timeout=deadline.remaining()):
-                    stuck = [n for n in live if n not in self._parked]
-                    raise ScheduleError(f"workers never parked: {stuck}")
+            if not self._driver.acquire(timeout=deadline.remaining()):
+                with self._lock:
+                    if self._running:
+                        stuck = [n for n, w in self._workers.items()
+                                 if not w.done and n not in self._parked]
+                        raise ScheduleError(f"workers never parked: {stuck}")
 
     def parked_site(self, name: str) -> str | None:
-        with self._cv:
+        with self._lock:
             return self._parked.get(name)
 
     def grant(self, name: str) -> None:
         """Let ``name`` execute its pending operation and run to its next pause."""
-        self._steps += 1
-        if self._steps > self._step_limit:
-            raise ScheduleError("step limit exceeded")
-        with self._cv:
+        with self._lock:
             if name not in self._parked:
                 raise ScheduleError(f"cannot grant {name!r}: not parked")
-            self._granted.add(name)
-            self._cv.notify_all()
+            self._steps += 1
+            if self._steps > self._step_limit:
+                raise ScheduleError("step limit exceeded")
+            del self._parked[name]
+            self._count_running()
+            self._workers[name].baton.release()
 
     def run_until(self, name: str, site: str, timeout: float = _DEFAULT_TIMEOUT) -> None:
         """Advance only ``name`` until it parks at ``site``."""

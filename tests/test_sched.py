@@ -1,5 +1,8 @@
 """The controlled scheduler itself: freezing, stepping, exploration."""
 
+import threading
+import time
+
 import pytest
 
 from depq.atomics import AtomicCell, checkpoint
@@ -192,3 +195,139 @@ def test_grant_rejects_unparked_worker():
         sched.wait_quiescent()
         with pytest.raises(ScheduleError):
             sched.grant("nobody")
+
+
+def test_rejected_grant_uses_no_step_budget():
+    sched = ControlledScheduler(stepping=True, step_limit=1)
+    with sched:
+        sched.spawn("w", lambda: checkpoint("a"))
+        sched.start()
+        sched.wait_quiescent()
+        with pytest.raises(ScheduleError, match="cannot grant"):
+            sched.grant("nobody")
+        sched.grant("w")
+        assert sched.wait_quiescent() == ()
+
+
+# The handoff tests below join every worker thread with a timeout, so a
+# lost baton fails the test instead of hanging the suite.
+
+def _counting_body(cell, steps, threads, finished):
+    def run():
+        threads.append(threading.current_thread())
+        for _ in range(steps):
+            cell.fetch_add(1, site="bump")
+        finished.append(threading.current_thread().name)
+    return run
+
+
+def _assert_all_joined(threads, timeout=5.0):
+    for t in threads:
+        t.join(timeout=timeout)
+    assert [t.name for t in threads if t.is_alive()] == []
+
+
+def test_raising_chooser_releases_every_parked_worker():
+    cell = AtomicCell(0)
+    threads, finished = [], []
+    picks = []
+
+    class ChooserError(Exception):
+        pass
+
+    def choose(runnable):
+        if len(picks) == 3:
+            assert len(runnable) == 3       # all three parked mid-run
+            raise ChooserError("stop")
+        picks.append(runnable[0])
+        return runnable[0]
+
+    with pytest.raises(ChooserError):
+        with ControlledScheduler(stepping=True) as sched:
+            for name in ("a", "b", "c"):
+                sched.spawn(name, _counting_body(cell, 4, threads, finished))
+            sched.drive(choose)
+    _assert_all_joined(threads)
+    assert len(finished) == 3           # released workers ran free to the end
+    assert cell.load() == 12
+
+
+def test_repeated_wait_quiescent_and_mixed_scripted_drivers():
+    cell = AtomicCell(0)
+    threads, finished = [], []
+    sched = ControlledScheduler(stepping=True)
+    with sched:
+        sched.spawn("a", _counting_body(cell, 3, threads, finished))
+        sched.spawn("b", _counting_body(cell, 2, threads, finished))
+        sched.start()
+        first = sched.wait_quiescent()
+        t0 = time.monotonic()
+        assert sched.wait_quiescent(timeout=5.0) == first == ("a", "b")
+        assert time.monotonic() - t0 < 1.0
+        sched.grant("a")
+        sched.wait_quiescent()
+        sched.run_until("a", "bump")
+        assert cell.load() == 1
+        sched.run_to_completion("b")
+        assert cell.load() == 3
+        assert sched.wait_quiescent() == ("a",)
+        sched.run_to_completion("a")
+    _assert_all_joined(threads)
+    assert cell.load() == 5
+
+
+def test_late_spawn_is_waited_for():
+    # "a" parks before "b" exists; quiescence must then include "b".
+    cell = AtomicCell(0)
+    threads, finished = [], []
+    sched = ControlledScheduler(stepping=True)
+    with sched:
+        sched.spawn("a", _counting_body(cell, 1, threads, finished))
+        sched.start()
+        deadline = time.monotonic() + 5.0
+        while sched.parked_site("a") is None:
+            assert time.monotonic() < deadline, "a never parked"
+            time.sleep(0.001)
+        sched.spawn("b", _counting_body(cell, 1, threads, finished))
+        assert sched.wait_quiescent() == ("a", "b")
+        sched.drive(random_walk(0))
+    _assert_all_joined(threads)
+    assert cell.load() == 2
+
+
+def test_drive_goes_on_after_shorter_workers_finish():
+    cell = AtomicCell(0)
+    threads, finished = [], []
+    with ControlledScheduler(stepping=True) as sched:
+        for name, steps in (("a", 1), ("b", 3), ("c", 5)):
+            sched.spawn(name, _counting_body(cell, steps, threads, finished))
+        trace = sched.drive(random_walk(7))
+    _assert_all_joined(threads)
+    assert cell.load() == 9
+    assert len(trace) == 1 + 3 + 5      # one grant per bump
+    sizes = [len(runnable) for _, runnable in trace]
+    assert sizes == sorted(sizes, reverse=True)
+    assert sizes[0] == 3 and sizes[-1] == 1
+    assert trace[-1][1] == ("c",)
+
+
+def test_stepped_worker_raising_before_its_first_pause():
+    cell = AtomicCell(0)
+    threads, finished = [], []
+    drove = []
+
+    def boom():
+        threads.append(threading.current_thread())
+        raise RuntimeError("before its first pause")
+
+    with pytest.raises(RuntimeError, match="before its first pause"):
+        with ControlledScheduler(stepping=True) as sched:
+            sched.spawn("bad", boom)
+            sched.spawn("ok", _counting_body(cell, 2, threads, finished))
+            trace = sched.drive(random_walk(3))
+            drove.append(trace)
+            with pytest.raises(RuntimeError, match="before its first pause"):
+                sched.results()
+    _assert_all_joined(threads)
+    assert [pick for pick, _ in drove[0]] == ["ok"] * 2
+    assert cell.load() == 2
