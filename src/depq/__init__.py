@@ -1,12 +1,12 @@
 """Concurrent double-ended priority queue built from two single-ended
-priority queues, plus the machinery to validate it: combining for
-multi-consumer extraction, a linearizability checker, a sequential oracle,
-and a stress/bench CLI.
+priority queues, plus the machinery to validate it: per-end serializers
+(a lock or combining) for multi-consumer extraction, a linearizability
+checker, a sequential oracle, and a stress/bench CLI.
 """
 
 from .atomics import AtomicCell, SpinLock, checkpoint, set_controller
-from .combining import Combiner
-from .dual_depq import (COMBINING, TWO_LOCKS, DualDepq, make_multi_consumer)
+from .combining import COMBINING, TWO_LOCKS, Combiner, make_serializer
+from .dual_depq import DualDepq, make_multi_consumer
 from .items import MAX, MIN, Arena, Key, is_reserved, key_less, try_reserve
 from .lincheck import (EMPTY, CheckResult, Event, Recorder, Verdict, check,
                        read_history, write_history)
@@ -23,6 +23,6 @@ __all__ = [
     "LockedHeapPq", "MAX", "MIN", "Recorder", "Reclaimer", "ScheduleError",
     "SeqDepq", "SpinLock", "TWO_LOCKS", "Verdict", "check", "checkpoint",
     "comes_before", "explore_interleavings", "is_reserved", "key_less",
-    "make_multi_consumer", "read_history", "seq_apply", "set_controller",
-    "try_reserve", "write_history",
+    "make_multi_consumer", "make_serializer", "read_history", "seq_apply",
+    "set_controller", "try_reserve", "write_history",
 ]

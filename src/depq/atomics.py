@@ -56,25 +56,34 @@ def checkpoint(site: str) -> None:
 
 
 class SpinLock:
-    """Mutual exclusion via test-and-set with bounded spin then yield.
+    """Mutual exclusion via non-blocking acquires with bounded spin then yield.
 
-    Unlike ``threading.Lock``, a blocked acquirer keeps reaching its pause
-    site, so the controlled scheduler can still step or freeze it; never
-    hold this lock across a real blocking call.
+    Each attempt is one ``threading.Lock.acquire(False)``, which is atomic
+    without a second lock around it.  Unlike a blocking acquire, a waiter
+    keeps reaching its pause site, so the controlled scheduler can still
+    step or freeze it; never hold this lock across a real blocking call.
     """
 
     def __init__(self) -> None:
-        self._held = AtomicCell(0)
+        lock = threading.Lock()
+        self._try_acquire = lock.acquire
+        self._release = lock.release
 
     def acquire(self) -> None:
         spins = 0
-        while self._held.test_and_set(site="lock-acquire") != 0:
+        while True:
+            if _controller is not None:
+                _controller.pause("lock-acquire")
+            if self._try_acquire(False):
+                return
             spins += 1
             if spins % 64 == 0:
                 time.sleep(0)
 
     def release(self) -> None:
-        self._held.store(0, site="lock-release")
+        if _controller is not None:
+            _controller.pause("lock-release")
+        self._release()
 
     def __enter__(self) -> "SpinLock":
         self.acquire()

@@ -21,6 +21,7 @@ import sys
 import traceback
 
 from . import scenarios
+from .combining import DEFAULT_MODE, MODES
 from .lincheck import Verdict, check, read_history
 from .reclaim import DEFERRED, EPOCH
 from .sched import ScheduleError
@@ -39,8 +40,9 @@ _CSV_HELP = "csv columns: " + ",".join(RunReport.CSV_COLUMNS)
 
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--impl", default="list-depq", choices=IMPLS)
-    p.add_argument("--mode", default="combining", choices=("two-locks", "combining"),
-                   help="multi-consumer mechanism (dual impls only)")
+    p.add_argument("--mode", default=DEFAULT_MODE, choices=MODES,
+                   help="per-end serialization of extractions: a lock per end, "
+                        "or the paper's combining")
     p.add_argument("--threads-insert", type=int, default=2)
     p.add_argument("--threads-min", type=int, default=1)
     p.add_argument("--threads-max", type=int, default=1)

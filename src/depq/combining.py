@@ -1,20 +1,33 @@
-"""Combining engine: a queue-structured lock whose holder serves a batch.
+"""Per-end serializers: one end's extractions run one at a time.
 
-Threads announce a request by swapping a fresh record into the shared tail,
-receiving the previous tail record as their own announcement cell.  They
-publish the request into that cell, link the fresh record behind it, and
-spin locally on the cell's wait flag.  The thread whose wait flag clears
-with the completed flag still unset becomes the combiner: it walks the
-record chain in FIFO order applying up to ``batch_cap`` requests, runs the
-batch finalizer once, and hands the combiner role to the next record by
-clearing its wait flag.
+``make_serializer`` builds one of two kinds, chosen by mode.  Both take a
+per-request function ``apply`` and an optional ``finalize``, and both offer
+``announce(request)``, which returns ``apply(request)``, and ``stats``,
+whose snapshot has ``applied``, ``batches``, ``gauge_violations`` and a
+``batch_sizes`` histogram.
 
-Consequences relied on elsewhere in this package: at most one combiner per
-instance at a time, requests are served exactly once in announcement order,
-and the finalizer runs after the batch's last request and before handoff.
-The finalizer is therefore the right place for once-per-batch maintenance
-such as physically deleting list prefixes.  A request that raises does not
-stop its batch: its own caller re-raises the exception.
+``two-locks`` (:class:`EndLock`, the default): each caller takes the end's
+lock, runs its own request and then the finalizer, and releases.  Every
+call is a batch of one.
+
+``combining`` (:class:`Combiner`): the combining scheme of the paper, after
+CC-Synch.  Threads announce a request by swapping a fresh record into the
+shared tail, receiving the previous tail record as their own announcement
+cell.  They publish the request into that cell, link the fresh record
+behind it, and spin locally on the cell's wait flag.  The thread whose wait
+flag clears with the completed flag still unset becomes the combiner: it
+walks the record chain in FIFO order applying up to ``batch_cap`` requests,
+runs the batch finalizer once, and hands the combiner role to the next
+record by clearing its wait flag.  Combining pays off only when announcers
+run in parallel; under CPython's GIL its batches are almost always 1, which
+is why the lock is the default.
+
+Consequences relied on elsewhere in this package, in both modes: at most
+one thread runs an end's requests at a time, requests are served exactly
+once, and the finalizer runs after a batch's last request and before the
+next batch.  The finalizer is therefore the right place for once-per-batch
+maintenance such as physically deleting list prefixes.  A request that
+raises fails only its own caller.
 """
 
 from __future__ import annotations
@@ -23,7 +36,14 @@ import threading
 import time
 from typing import Any, Callable
 
-from .atomics import AtomicCell, Counters
+from .atomics import AtomicCell, Counters, SpinLock
+
+TWO_LOCKS = "two-locks"
+COMBINING = "combining"
+MODES = (TWO_LOCKS, COMBINING)
+#: The mode of ``ListDepq``, of ``depq bench|stress`` and of the workload
+#: config when none is given.
+DEFAULT_MODE = TWO_LOCKS
 
 _SPIN_BEFORE_YIELD = 64
 
@@ -126,3 +146,99 @@ class Combiner:
                 self._combining.release()
             # Handoff: whoever owns (or will receive) this record combines next.
             rec.wait.store(0, site="cc-handoff")
+
+
+class _GuardedCombiner(Combiner):
+    """Combining with each announcer inside ``guard`` for its whole call:
+    whichever thread combines runs the batch inside its own bracket."""
+
+    def __init__(self, guard: Any, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self._guard = guard
+
+    def announce(self, request: Any) -> Any:
+        self._guard.enter()
+        try:
+            return super().announce(request)
+        finally:
+            self._guard.exit()
+
+
+class _LockStats:
+    """Lock-mode stats: every call is a batch of one, so one count is all
+    there is to keep.  It is bumped under the end's lock, so a plain int is
+    exact.  The snapshot has the combiner's keys."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def snapshot(self) -> dict[str, Any]:
+        n = self.calls
+        return {"applied": n, "batches": n, "gauge_violations": 0,
+                "batch_sizes": {1: n} if n else {}}
+
+
+def _nothing() -> None:
+    pass
+
+
+class _NoGuard:
+    def enter(self) -> None:
+        pass
+
+    def exit(self) -> None:
+        pass
+
+
+class EndLock:
+    """Lock mode: each caller runs its own request under the end's lock.
+
+    The lock is a :class:`~depq.atomics.SpinLock`, so the controlled
+    scheduler can step or freeze a waiter.  The caller enters ``guard``
+    only once it holds the lock, so a waiter holds no bracket.
+    """
+
+    def __init__(self, apply: Callable[[Any], Any],
+                 finalize: Callable[[], None] | None = None,
+                 guard: Any = None):
+        self._apply = apply
+        self._finalize = finalize or _nothing
+        self._guard = guard if guard is not None else _NoGuard()
+        self._lock = SpinLock()
+        self.stats = _LockStats()
+
+    def announce(self, request: Any) -> Any:
+        """Apply ``request``, then finalize.  An error from ``apply`` reaches
+        the caller only after the finalizer has run and the lock is free."""
+        self._lock.acquire()
+        try:
+            self._guard.enter()
+            return self._apply(request)
+        finally:
+            try:
+                self._finalize()
+            finally:
+                self._guard.exit()
+                self.stats.calls += 1
+                self._lock.release()
+
+
+def make_serializer(mode: str, apply: Callable[[Any], Any],
+                    finalize: Callable[[], None] | None = None,
+                    batch_cap: int = 64, guard: Any = None):
+    """One end's serializer in ``mode``; ``batch_cap`` applies to combining.
+
+    ``guard`` is a bracket, such as a reclaimer's epoch, with ``enter()`` and
+    ``exit()``: each caller is inside it while its request can run.
+    """
+    if batch_cap < 1:
+        raise ValueError("batch_cap must be at least 1")
+    if mode == TWO_LOCKS:
+        return EndLock(apply, finalize, guard)
+    if mode == COMBINING:
+        if guard is None:
+            return Combiner(apply, finalize, batch_cap)
+        return _GuardedCombiner(guard, apply, finalize, batch_cap)
+    raise ValueError(f"unknown serializer mode {mode!r}")

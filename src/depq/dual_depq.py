@@ -8,10 +8,10 @@ already returned that item, so the loop simply pops again; emptiness of the
 own queue means the whole structure is empty.
 
 This composition is *dual-consumer*: at most one thread may run extract_min
-and at most one extract_max at a time (inserters are unrestricted).  The
-``make_multi_consumer`` wrappers lift it to arbitrary extractor counts,
-either with one plain lock per end or with one combining instance per end;
-inserts bypass both mechanisms.
+and at most one extract_max at a time (inserters are unrestricted).
+``make_multi_consumer`` lifts it to arbitrary extractor counts with one
+serializer per end (:mod:`depq.combining`: a lock or a combiner); inserts
+bypass it.
 
 When both underlying queues support arbitrary delete, an extraction can
 optionally also delete its claimed item from the opposite queue.  That is
@@ -21,13 +21,10 @@ it stops stale items from accumulating.
 
 from __future__ import annotations
 
-from .atomics import Counters, SpinLock, checkpoint
-from .combining import Combiner
+from .atomics import Counters, checkpoint
+# COMBINING and TWO_LOCKS are re-exported: callers name the modes from here.
+from .combining import COMBINING, TWO_LOCKS, make_serializer  # noqa: F401
 from .items import MAX, MIN, Arena, PriorityQueue, try_reserve
-
-TWO_LOCKS = "two-locks"
-COMBINING = "combining"
-MULTI_CONSUMER_MODES = (TWO_LOCKS, COMBINING)
 
 
 class DualDepq:
@@ -74,59 +71,30 @@ class DualDepq:
             self.counters.add_at("reserve_failures", end)
 
 
-class LockedMultiDepq:
-    """Multi-consumer wrapper: one mutual-exclusion lock per end.
+class MultiConsumerDepq:
+    """Multi-consumer wrapper: each end's extractions go through that end's
+    serializer.  There is no batch-end maintenance to do here, so no
+    finalizer is installed."""
 
-    The locks are scheduler-aware spinlocks so that scripted and stepped
-    tests can run through this wrapper without real blocking.
-    """
-
-    def __init__(self, inner: DualDepq):
+    def __init__(self, inner: DualDepq, mode: str, batch_cap: int = 64):
         self.inner = inner
-        self._end_locks = (SpinLock(), SpinLock())
-
-    def insert(self, user_key: int) -> None:
-        self.inner.insert(user_key)
-
-    def extract_min(self) -> int | None:
-        with self._end_locks[MIN]:
-            return self.inner.extract_min()
-
-    def extract_max(self) -> int | None:
-        with self._end_locks[MAX]:
-            return self.inner.extract_max()
-
-
-class CombiningMultiDepq:
-    """Multi-consumer wrapper: one combining instance per end.
-
-    The per-request function is the dual-consumer extract; there is no
-    batch-end maintenance to do here, so no finalizer is installed.
-    """
-
-    def __init__(self, inner: DualDepq, batch_cap: int = 64):
-        self.inner = inner
-        self._combiners = (
-            Combiner(lambda _req: inner.extract_min(), batch_cap=batch_cap),
-            Combiner(lambda _req: inner.extract_max(), batch_cap=batch_cap),
+        self._ends = (
+            make_serializer(mode, lambda _req: inner.extract_min(), batch_cap=batch_cap),
+            make_serializer(mode, lambda _req: inner.extract_max(), batch_cap=batch_cap),
         )
 
     def insert(self, user_key: int) -> None:
         self.inner.insert(user_key)
 
     def extract_min(self) -> int | None:
-        return self._combiners[MIN].announce(None)
+        return self._ends[MIN].announce(None)
 
     def extract_max(self) -> int | None:
-        return self._combiners[MAX].announce(None)
+        return self._ends[MAX].announce(None)
 
     def combiner_stats(self, end: int):
-        return self._combiners[end].stats
+        return self._ends[end].stats
 
 
 def make_multi_consumer(inner: DualDepq, mode: str, batch_cap: int = 64):
-    if mode == TWO_LOCKS:
-        return LockedMultiDepq(inner)
-    if mode == COMBINING:
-        return CombiningMultiDepq(inner, batch_cap=batch_cap)
-    raise ValueError(f"unknown multi-consumer mode {mode!r}")
+    return MultiConsumerDepq(inner, mode, batch_cap)

@@ -1,41 +1,43 @@
 """The multi-consumer list-based double-ended priority queue.
 
 Composition of the package's pieces: one :class:`~depq.ordered_list.ListPair`
-holding every element on both sorted lists, one combining instance per end
-serializing extractions, and a reclaimer retiring nodes once both lists
+holding every element on both sorted lists, one serializer per end
+(:mod:`depq.combining`: a per-end lock by default, or a combiner) running
+extractions one at a time, and a reclaimer retiring nodes once both lists
 have physically dropped them.
 
-An extraction announces itself to its end's combiner; the combiner runs the
+An extraction announces itself to its end's serializer, which runs the
 list extraction (logical delete + claim) for each request of its batch and
 then physically deletes the whole logically deleted prefix once, feeding
-the unlinked nodes to the reclaimer.  Insertions never touch the combiners:
-they link the new node into the ascending list first, then the descending
-one, concurrently with everything else.
+the unlinked nodes to the reclaimer.  Under the lock every batch is one
+extraction.  Insertions never touch the serializers: they link the new
+node into the ascending list first, then the descending one, concurrently
+with everything else.
 """
 
 from __future__ import annotations
 
 from .atomics import checkpoint
-from .combining import Combiner
-from .items import MAX, MIN, POISONED, Arena, reclaimed_access
+from .combining import DEFAULT_MODE, make_serializer
+from .items import ENDS, MAX, MIN, POISONED, Arena, reclaimed_access
 from .ordered_list import AuditReport, ListPair
 from .reclaim import DEFERRED, Reclaimer
 
 
 class ListDepq:
-    def __init__(self, batch_cap: int = 64, reclaim_mode: str = DEFERRED):
+    def __init__(self, mode: str = DEFAULT_MODE, batch_cap: int = 64,
+                 reclaim_mode: str = DEFERRED):
         self.arena = Arena()
         self.lists = ListPair(self.arena)
         self.counters = self.lists.counters
         self.reclaim = Reclaimer(self.arena, mode=reclaim_mode)
-        self._combiners = (
-            Combiner(lambda _req: self._extract_one(MIN),
-                     finalize=lambda: self._finish_batch(MIN),
-                     batch_cap=batch_cap),
-            Combiner(lambda _req: self._extract_one(MAX),
-                     finalize=lambda: self._finish_batch(MAX),
-                     batch_cap=batch_cap),
-        )
+        # Each extraction runs inside its caller's epoch; under the lock the
+        # caller enters it only once it holds the lock.
+        self._ends = tuple(
+            make_serializer(mode, lambda _req, end=end: self._extract_one(end),
+                            finalize=lambda end=end: self._finish_batch(end),
+                            batch_cap=batch_cap, guard=self.reclaim)
+            for end in ENDS)
 
     def insert(self, user_key: int) -> None:
         self.reclaim.enter()
@@ -54,13 +56,9 @@ class ListDepq:
         return self._extract(MAX)
 
     def _extract(self, end: int) -> int | None:
-        self.reclaim.enter()
-        try:
-            return self._combiners[end].announce(None)
-        finally:
-            self.reclaim.exit()
+        return self._ends[end].announce(None)
 
-    # Runs on the combiner thread of one end.
+    # Runs on the thread serving one end's batch.
     def _extract_one(self, end: int) -> int | None:
         index = self.lists.extract_first(end, reserve=True)
         if index is None:
@@ -79,7 +77,7 @@ class ListDepq:
     # -- inspection ------------------------------------------------------------
 
     def combiner_stats(self, end: int):
-        return self._combiners[end].stats
+        return self._ends[end].stats
 
     def audit(self, end: int, mid_extract_ok: bool = False) -> AuditReport:
         return self.lists.audit(end, mid_extract_ok=mid_extract_ok)

@@ -90,9 +90,22 @@ class Reclaimer:
             slot.store(self._epoch.load(), site="epoch-enter")
 
     def exit(self) -> None:
+        """Leave the epoch.
+
+        If another thread advanced the epoch while this one was inside, this
+        one may be what holds that thread's next advance back, and no
+        extraction may come to retry it (the extractors can be done).  So it
+        tries to advance itself, twice, which frees everything retired so
+        far.  Any other exit pays one comparison for this.
+        """
         if self.mode == EPOCH:
             slot = getattr(self._local, "slot", None) or self._new_slot()
+            entered = slot.load()
             slot.store(_QUIESCENT, site="epoch-exit")
+            epoch = self._epoch.load()
+            if (entered != epoch and getattr(self._local, "advanced_to", None) != epoch
+                    and self.try_advance()):
+                self.try_advance()
 
     def try_advance(self) -> bool:
         """Advance the epoch if every active thread has observed it.
@@ -109,6 +122,7 @@ class Reclaimer:
                 return False
         if not self._epoch.compare_and_swap(current, current + 1):
             return False
+        self._local.advanced_to = current + 1
         self._free_older_than(current + 1 - 2)
         return True
 

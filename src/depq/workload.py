@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .atomics import checkpoint
-from .dual_depq import (COMBINING, MULTI_CONSUMER_MODES, CombiningMultiDepq,
-                        DualDepq, make_multi_consumer)
+from .combining import DEFAULT_MODE, MODES
+from .dual_depq import DualDepq, make_multi_consumer
 from .items import ENDS, MAX, MIN, Arena
 from .lincheck import Recorder, Verdict, check, write_history
 from .list_depq import ListDepq
@@ -38,7 +38,7 @@ class ConfigError(ValueError):
 @dataclass
 class WorkloadConfig:
     impl: str = "list-depq"
-    mode: str = COMBINING            # dual impls only
+    mode: str = DEFAULT_MODE         # per-end serializer of every build
     threads_insert: int = 2
     threads_min: int = 1
     threads_max: int = 1
@@ -53,8 +53,8 @@ class WorkloadConfig:
     def validate(self) -> None:
         if self.impl not in IMPLS:
             raise ConfigError(f"impl must be one of {IMPLS}, got {self.impl!r}")
-        if self.mode not in MULTI_CONSUMER_MODES:
-            raise ConfigError(f"mode must be one of {MULTI_CONSUMER_MODES}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}")
         if min(self.threads_insert, self.threads_min, self.threads_max) < 0:
             raise ConfigError("thread counts cannot be negative")
         if self.threads_insert + self.threads_min + self.threads_max < 1:
@@ -84,7 +84,7 @@ class BenchTarget:
     def __init__(self, cfg: WorkloadConfig):
         self.cfg = cfg
         if cfg.impl == "list-depq":
-            self._list = ListDepq(batch_cap=cfg.batch_cap,
+            self._list = ListDepq(mode=cfg.mode, batch_cap=cfg.batch_cap,
                                   reclaim_mode=cfg.reclaim_mode)
             self.depq = self._list
             self._dual = None
@@ -141,19 +141,16 @@ class BenchTarget:
         if self._list is not None:
             counters = self._list.counters.snapshot()
             counters["retired"] = self._list.reclaim.snapshot()["retired"]
-            counters["batch_sizes"] = _batch_sizes(self._list.combiner_stats)
-            return counters
-        dual = self._dual
-        assert dual is not None
-        counters = dual.counters.snapshot()
-        counters["insert_cas_failures"] = 0
-        counters["retired"] = 0
-        counters["batch_sizes"] = {}
-        if isinstance(dual.min_pq, ListPq):
-            lists = dual.min_pq.lists
-            counters["insert_cas_failures"] = lists.counters.snapshot()["insert_cas_failures"]
-        if isinstance(self.depq, CombiningMultiDepq):
-            counters["batch_sizes"] = _batch_sizes(self.depq.combiner_stats)
+        else:
+            dual = self._dual
+            assert dual is not None
+            counters = dual.counters.snapshot()
+            counters["insert_cas_failures"] = 0
+            counters["retired"] = 0
+            if isinstance(dual.min_pq, ListPq):
+                lists = dual.min_pq.lists.counters.snapshot()
+                counters["insert_cas_failures"] = lists["insert_cas_failures"]
+        counters["batch_sizes"] = _batch_sizes(self.depq.combiner_stats)
         return counters
 
     def close(self) -> None:
@@ -162,7 +159,7 @@ class BenchTarget:
 
 
 def _batch_sizes(stats_of) -> dict[int, int]:
-    """Both ends' combiner batch-size histograms, merged."""
+    """Both ends' serializer batch-size histograms, merged."""
     sizes: Counter = Counter()
     for end in ENDS:
         sizes.update(stats_of(end).snapshot()["batch_sizes"])
@@ -333,7 +330,7 @@ def run_bench(cfg: WorkloadConfig) -> RunReport:
     report = RunReport(
         schema=1,
         impl=cfg.impl,
-        mode=cfg.mode if cfg.impl != "list-depq" else "combining",
+        mode=cfg.mode,
         seed=cfg.seed,
         wall_time_s=wall,
         ops=ops,

@@ -31,6 +31,19 @@ def test_bench_json_report(capsys):
     assert report["ops"]["insert"] == 400
 
 
+@pytest.mark.parametrize("mode", ["two-locks", "combining"])
+def test_bench_list_depq_reports_the_requested_mode(capsys, mode):
+    code, out, _ = run_cli(capsys, "bench", "--impl", "list-depq", "--mode", mode,
+                           "--ops", "100", "--seed", "3", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["mode"] == mode
+    extractions = report["ops"]["extract_min"] + report["ops"]["extract_max"]
+    assert sum(report["batch_sizes"].values()) > 0
+    if mode == "two-locks":
+        assert report["batch_sizes"] == {"1": extractions}
+
+
 def test_bench_csv_report(capsys):
     code, out, _ = run_cli(capsys, "bench", "--impl", "dual-heap",
                            "--mode", "two-locks", "--ops", "100", "--format", "csv")
@@ -274,7 +287,7 @@ def test_raising_extraction_under_combining_exits_6(capsys, monkeypatch):
     monkeypatch.setattr(ListDepq, "_extract_one", raises_once)
     codes = []
     runner = threading.Thread(daemon=True, target=lambda: codes.append(
-        main(["bench", "--threads-min", "2", "--ops", "200"])))
+        main(["bench", "--mode", "combining", "--threads-min", "2", "--ops", "200"])))
     runner.start()
     runner.join(timeout=30)
     assert codes == [6]

@@ -1,17 +1,28 @@
-"""The combining engine: batching, FIFO service, handoff, finalizers."""
+"""The per-end serializers: batching, FIFO service, handoff, finalizers.
+
+The combining engine's batching tests run on ``combining`` only.  The
+contract both modes share (exactly once, FIFO, termination under stepping,
+errors reaching only their own caller) has a check per property, run once
+per mode.
+"""
 
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
 
-from depq.combining import Combiner, CombinerRecord
-from depq.sched import ControlledScheduler
+from depq.atomics import checkpoint
+from depq.combining import (COMBINING, TWO_LOCKS, Combiner, CombinerRecord,
+                            make_serializer)
+from depq.sched import ControlledScheduler, random_walk
 
 
 def test_batch_cap_must_be_positive():
     with pytest.raises(ValueError):
         Combiner(lambda r: r, batch_cap=0)
+    with pytest.raises(ValueError):
+        make_serializer(TWO_LOCKS, lambda r: r, batch_cap=0)
 
 
 def test_single_caller_serves_itself_and_finalizes_once():
@@ -50,13 +61,13 @@ def test_overlapping_combine_passes_count_a_gauge_violation():
     assert comb.stats.snapshot()["gauge_violations"] == 1
 
 
-def _park_announcers(sched, comb, count):
-    """Spawn `count` workers announcing 0..count-1 and park each right after
-    its announcement is published (before it first checks its wait flag),
-    forcing a known announcement order."""
+def _park_announcers(sched, comb, count, site="cc-spin"):
+    """Spawn `count` workers announcing 0..count-1 and park each at `site`:
+    by default right after its announcement is published (before it first
+    checks its wait flag), forcing a known announcement order."""
     for i in range(count):
         name = f"t{i}"
-        sched.freeze(name, "cc-spin")
+        sched.freeze(name, site)
         sched.spawn(name, comb.announce, i)
         if i == 0:
             sched.start()
@@ -115,7 +126,7 @@ def test_batch_cap_splits_into_two_batches_with_handoff():
     assert snap["gauge_violations"] == 0
 
 
-def test_concurrent_announces_apply_exactly_once(fast_switching):
+def check_exactly_once(mode):
     per_thread = 300
     n_threads = 8
     seen = []
@@ -127,7 +138,8 @@ def test_concurrent_announces_apply_exactly_once(fast_switching):
         return req
 
     finalized = []
-    comb = Combiner(apply, finalize=lambda: finalized.append(1), batch_cap=16)
+    comb = make_serializer(mode, apply, finalize=lambda: finalized.append(1),
+                           batch_cap=16)
     errors = []
 
     def worker(base):
@@ -156,15 +168,21 @@ def test_concurrent_announces_apply_exactly_once(fast_switching):
     assert max(snap["batch_sizes"]) <= 16
 
 
-def test_every_announce_terminates_under_fair_stepping():
+def test_concurrent_announces_apply_exactly_once(fast_switching):
+    check_exactly_once(COMBINING)
+
+
+def test_concurrent_announces_apply_exactly_once_two_locks(fast_switching):
+    check_exactly_once(TWO_LOCKS)
+
+
+def check_terminates_under_fair_stepping(mode):
     # No lost wakeups: drive four announcers to completion with a seeded
     # random walk over every instrumented step, spins included.
-    from depq.sched import ControlledScheduler, random_walk
-
     for seed in (1, 2, 3):
         finalized = []
-        comb = Combiner(lambda r: r * 10, finalize=lambda: finalized.append(1),
-                        batch_cap=2)
+        comb = make_serializer(mode, lambda r: r * 10,
+                               finalize=lambda: finalized.append(1), batch_cap=2)
         sched = ControlledScheduler(stepping=True, step_limit=50_000)
         with sched:
             for i in range(4):
@@ -174,6 +192,14 @@ def test_every_announce_terminates_under_fair_stepping():
         snap = comb.stats.snapshot()
         assert snap["applied"] == 4
         assert len(finalized) == snap["batches"]
+
+
+def test_every_announce_terminates_under_fair_stepping():
+    check_terminates_under_fair_stepping(COMBINING)
+
+
+def test_every_announce_terminates_under_fair_stepping_two_locks():
+    check_terminates_under_fair_stepping(TWO_LOCKS)
 
 
 def test_raising_request_fails_only_its_own_caller():
@@ -205,7 +231,7 @@ def test_raising_request_fails_only_its_own_caller():
     assert comb.stats.snapshot()["applied"] == 4
 
 
-def test_raising_finalizer_still_hands_off():
+def check_raising_finalizer_releases(mode):
     calls = []
 
     def finalize():
@@ -213,16 +239,87 @@ def test_raising_finalizer_still_hands_off():
         if len(calls) == 1:
             raise RuntimeError("finalizer failed")
 
-    comb = Combiner(lambda r: r, finalize=finalize)
+    comb = make_serializer(mode, lambda r: r, finalize=finalize)
     with pytest.raises(RuntimeError, match="finalizer failed"):
         comb.announce(1)
-    # Without the handoff this announce would spin forever.
+    # Without the handoff (or the release) this announce would spin forever.
     later = []
     waiter = threading.Thread(target=lambda: later.append(comb.announce(2)), daemon=True)
     waiter.start()
     waiter.join(timeout=10)
     assert later == [2]
     assert comb.stats.snapshot()["batches"] == 2
+
+
+def test_raising_finalizer_still_hands_off():
+    check_raising_finalizer_releases(COMBINING)
+
+
+def test_raising_finalizer_still_releases_the_lock():
+    check_raising_finalizer_releases(TWO_LOCKS)
+
+
+def test_raising_request_fails_only_its_own_caller_two_locks():
+    # Three announcers parked before the lock, let through one at a time.
+    # t1's error reaches t1 once its finalizer has run and the lock is free.
+    def apply(req):
+        if req == 1:
+            raise ValueError("request 1 failed")
+        return req * 10
+
+    def announce(req):
+        try:
+            return comb.announce(req)
+        except ValueError as exc:
+            return exc, len(finalized)
+
+    finalized = []
+    comb = make_serializer(TWO_LOCKS, apply, finalize=lambda: finalized.append(1))
+    with ControlledScheduler() as sched:
+        _park_announcers(sched, SimpleNamespace(announce=announce), 3,
+                         site="lock-acquire")
+        for i in range(3):
+            sched.thaw(f"t{i}")
+            sched.join_worker(f"t{i}", timeout=10)
+        results = sched.results()
+    assert results["t0"] == 0 and results["t2"] == 20
+    error, finalized_before_raise = results["t1"]
+    assert str(error) == "request 1 failed"
+    assert finalized_before_raise == 2        # t0's finalizer and t1's own
+    assert finalized == [1, 1, 1]             # every call is its own batch
+    assert comb.announce(4) == 40
+    snap = comb.stats.snapshot()
+    assert snap["applied"] == snap["batches"] == 4
+    assert snap["batch_sizes"] == {1: 4}
+
+
+def test_frozen_lock_holder_keeps_a_second_caller_spinning():
+    applied = []
+
+    def apply(req):
+        checkpoint("in-apply")
+        applied.append(req)
+        return req
+
+    comb = make_serializer(TWO_LOCKS, apply)
+    with ControlledScheduler() as sched:
+        sched.freeze("holder", "in-apply")
+        sched.spawn("holder", comb.announce, "h")
+        sched.start()
+        sched.wait_frozen("holder", timeout=5)
+        # The waiter reaches its acquire site again and again, and gets no
+        # further while the holder is frozen.
+        sched.freeze("waiter", "lock-acquire", hits=200)
+        sched.spawn("waiter", comb.announce, "w")
+        sched.wait_frozen("waiter", timeout=5)
+        assert applied == []
+        sched.thaw("waiter")
+        time.sleep(0.05)
+        assert applied == [] and sched.is_frozen("holder")
+        sched.thaw("holder")
+        assert sched.join_worker("holder", timeout=10) == "h"
+        assert sched.join_worker("waiter", timeout=10) == "w"
+    assert applied == ["h", "w"]
 
 
 def check_fifo(spans, apply_seq):
@@ -239,7 +336,7 @@ def check_fifo(spans, apply_seq):
             f"request applied after {req} completed before it was invoked")
 
 
-def test_fifo_respects_completion_order(fast_switching):
+def check_fifo_order(mode):
     clock = threading.Lock()
     stamp = [0]
 
@@ -254,7 +351,7 @@ def test_fifo_respects_completion_order(fast_switching):
         apply_seq[req] = tick()  # combiner-only, no extra locking needed
         return req
 
-    comb = Combiner(apply, batch_cap=8)
+    comb = make_serializer(mode, apply, batch_cap=8)
     spans = {}
     span_lock = threading.Lock()
 
@@ -275,3 +372,11 @@ def test_fifo_respects_completion_order(fast_switching):
 
     assert len(apply_seq) == 6 * 200
     check_fifo(spans, apply_seq)
+
+
+def test_fifo_respects_completion_order(fast_switching):
+    check_fifo_order(COMBINING)
+
+
+def test_fifo_respects_completion_order_two_locks(fast_switching):
+    check_fifo_order(TWO_LOCKS)

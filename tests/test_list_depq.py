@@ -1,4 +1,4 @@
-"""The fused list-based build: combining extraction over shared-node lists."""
+"""The fused list-based build: serialized extraction over shared-node lists."""
 
 import random
 import threading
@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from depq import scenarios
 from depq.atomics import AtomicCell
+from depq.combining import COMBINING, TWO_LOCKS
 from depq.items import MAX, MIN
 from depq.lincheck import Recorder, Verdict, check
 from depq.list_depq import ListDepq
 from depq.oracle import SeqDepq
 from depq.reclaim import EPOCH
 from depq.sched import ControlledScheduler
+from depq.workload import WorkloadConfig, run_stress
 
 
 def test_insert_reaches_both_lists():
@@ -116,7 +118,7 @@ def test_one_sweep_per_batch():
     # Park a batch of extract-max requests, let one combiner serve them all,
     # and count physical deletions: one per batch, not one per request.
     batch = 5
-    d = ListDepq()
+    d = ListDepq(mode=COMBINING)
     for k in range(10):
         d.insert(k)
     finishes = []
@@ -240,6 +242,28 @@ def test_broken_build_without_reserve_check_is_caught():
     assert recorded.extract_max() == 5   # duplicate claim slips through
     result = check(recorder.snapshot())
     assert result.verdict is Verdict.NOT_LINEARIZABLE
+
+
+def test_two_locks_stress_windows_are_linearizable():
+    outcome = run_stress(WorkloadConfig(impl="list-depq", mode=TWO_LOCKS, seed=0x10C5),
+                         windows=200)
+    assert outcome.failed is None, outcome.failed
+    assert len(outcome.windows) == 200
+    assert all(w.verdict is Verdict.LINEARIZABLE for w in outcome.windows)
+
+
+def test_two_locks_broken_build_is_caught_by_stress_windows():
+    class BrokenTarget:
+        def __init__(self, cfg):
+            self.depq = UnclaimedListDepq(mode=cfg.mode)
+
+        def close(self):
+            pass
+
+    outcome = run_stress(WorkloadConfig(impl="list-depq", mode=TWO_LOCKS, seed=1),
+                         windows=50, _target_factory=BrokenTarget)
+    assert outcome.failed is not None
+    assert outcome.failed.verdict is Verdict.NOT_LINEARIZABLE
 
 
 def test_lock_freedom_smoke_frozen_threads_do_not_block_others():

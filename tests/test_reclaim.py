@@ -174,9 +174,37 @@ def test_frozen_reader_blocks_deallocation():
         assert not arena.is_poisoned(idx)
         sched.thaw("reader")
         sched.join_worker("reader")
-    assert rec.try_advance()
-    assert rec.try_advance() or arena.is_poisoned(idx)
+    # The reader's exit makes the advances its epoch held back.
     assert arena.is_poisoned(idx)
+    assert rec.snapshot()["freed"] == 1
+
+
+def test_stalled_inserter_frees_what_its_epoch_held_back():
+    """An inserter stalls inside its epoch while both ends are drained, and
+    then nothing extracts any more.  Its exit makes the advances it held
+    back, so every node retired during the stall is freed."""
+    d = ListDepq(reclaim_mode=EPOCH)
+    for key in range(0, 80, 10):
+        d.insert(key)
+    with ControlledScheduler() as sched:
+        sched.freeze("ins", "ins-read-link")
+        sched.spawn("ins", d.insert, 35)
+        sched.start()
+        sched.wait_frozen("ins")
+        while d.extract_min() is not None:
+            pass
+        while d.extract_max() is not None:
+            pass
+        stalled = d.reclaim.snapshot()
+        assert stalled["pending"] > 0
+        sched.thaw("ins")
+        sched.join_worker("ins")
+    counts = d.reclaim.snapshot()
+    assert counts["retired"] == stalled["retired"]
+    assert counts["pending"] == 0
+    assert counts["freed"] == counts["retired"]
+    assert d.remaining_keys() == [35]
+    assert d.audit(MIN).ok and d.audit(MAX).ok
 
 
 def test_try_advance_is_meaningless_in_deferred_mode():
