@@ -39,10 +39,6 @@ def set_controller(controller: TraceController | None) -> None:
     _controller = controller
 
 
-def current_controller() -> TraceController | None:
-    return _controller
-
-
 def checkpoint(site: str) -> None:
     """A pure pause point with no associated memory operation.
 

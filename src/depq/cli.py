@@ -7,8 +7,9 @@ Subcommands::
     depq lincheck FILE
     depq replay   {counterexample,twist,single-item-race,index-start-reclaimed}
 
-Exit codes: 0 success; 2 invalid configuration; 3 a post-run audit or the
-bench accounting identity failed; 4 a history was not linearizable (or the
+Exit codes: 0 success; 2 invalid configuration, or a history file that
+cannot be read or checked; 3 a post-run audit or the bench accounting
+identity failed; 4 a history was not linearizable (or the
 check ran out of budget); 5 a replay schedule could not be realized; 6 a
 bench worker raised.
 """
@@ -130,7 +131,11 @@ def cmd_lincheck(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read history: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    result = check(events, max_completed=args.max_ops)
+    try:
+        result = check(events, max_completed=args.max_ops)
+    except ValueError as exc:  # malformed, or longer than --max-ops
+        print(f"cannot check history: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(result.verdict.value)
     if result.witness is not None:
         order = " ".join(str(i) for i in result.witness)

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable
+from collections import Counter
+from typing import Any, Callable, Iterable
 
 from .atomics import AtomicCell, Counters, SpinLock
 
@@ -242,3 +243,11 @@ def make_serializer(mode: str, apply: Callable[[Any], Any],
             return Combiner(apply, finalize, batch_cap)
         return _GuardedCombiner(guard, apply, finalize, batch_cap)
     raise ValueError(f"unknown serializer mode {mode!r}")
+
+
+def batch_sizes(serializers: Iterable) -> dict[int, int]:
+    """The serializers' batch-size histograms, merged."""
+    sizes: Counter = Counter()
+    for serializer in serializers:
+        sizes.update(serializer.stats.snapshot()["batch_sizes"])
+    return dict(sorted(sizes.items()))

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from .atomics import Counters, checkpoint
 # COMBINING and TWO_LOCKS are re-exported: callers name the modes from here.
-from .combining import COMBINING, TWO_LOCKS, make_serializer  # noqa: F401
-from .items import MAX, MIN, Arena, PriorityQueue, try_reserve
+from .combining import COMBINING, TWO_LOCKS, batch_sizes, make_serializer  # noqa: F401
+from .items import MAX, MIN, Arena, PriorityQueue, is_reserved, try_reserve
 
 
 class DualDepq:
@@ -70,6 +70,27 @@ class DualDepq:
                 return item.user_key
             self.counters.add_at("reserve_failures", end)
 
+    # The surface every build shares, answered through the two queues'
+    # protocol; quiescent use only.
+
+    def remaining_keys(self) -> list[int]:
+        """User keys still extractable: the ascending queue's unclaimed items."""
+        items = map(self.arena.item, self.min_pq.contents())
+        return [item.user_key for item in items if not is_reserved(item)]
+
+    def problems(self) -> list[str]:
+        return self.min_pq.problems() + self.max_pq.problems()
+
+    def stats(self) -> dict:
+        """No serializer runs batches here and no reclaimer retires nodes."""
+        return {"reserve_failures": self.counters.snapshot()["reserve_failures"],
+                "insert_cas_failures": (self.min_pq.insert_cas_failures()
+                                        + self.max_pq.insert_cas_failures()),
+                "retired": 0, "batch_sizes": {}}
+
+    def close(self) -> None:
+        pass
+
 
 class MultiConsumerDepq:
     """Multi-consumer wrapper: each end's extractions go through that end's
@@ -94,6 +115,18 @@ class MultiConsumerDepq:
 
     def combiner_stats(self, end: int):
         return self._ends[end].stats
+
+    def remaining_keys(self) -> list[int]:
+        return self.inner.remaining_keys()
+
+    def problems(self) -> list[str]:
+        return self.inner.problems()
+
+    def stats(self) -> dict:
+        return {**self.inner.stats(), "batch_sizes": batch_sizes(self._ends)}
+
+    def close(self) -> None:
+        self.inner.close()
 
 
 def make_multi_consumer(inner: DualDepq, mode: str, batch_cap: int = 64):

@@ -176,6 +176,11 @@ class PriorityQueue(Protocol):
     the queue's own order, or None when empty at the linearization point.
     At most one consumer may run ``pq_extract_first`` at a time; inserts
     are unrestricted.  ``pq_delete`` exists only when ``has_delete``.
+
+    The rest is read at quiescence: ``contents`` lists the arena indices
+    still on the queue, claimed or not; ``problems`` describes each failed
+    structural check (empty when the queue passes); ``insert_cas_failures``
+    counts the failed publish CASes of lock-free inserts.
     """
 
     has_delete: bool
@@ -185,3 +190,9 @@ class PriorityQueue(Protocol):
     def pq_extract_first(self) -> int | None: ...
 
     def pq_delete(self, index: int) -> bool: ...
+
+    def contents(self) -> list[int]: ...
+
+    def problems(self) -> list[str]: ...
+
+    def insert_cas_failures(self) -> int: ...

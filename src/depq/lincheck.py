@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import json
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .atomics import AtomicCell
 
@@ -45,14 +45,7 @@ class Event:
         return self.response is not None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "thread": self.thread,
-            "kind": self.kind,
-            "arg": self.arg,
-            "result": self.result,
-            "invoke": self.invoke,
-            "response": self.response,
-        }, separators=(",", ":"))
+        return json.dumps(asdict(self), separators=(",", ":"))
 
     @staticmethod
     def from_json(line: str) -> "Event":

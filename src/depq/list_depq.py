@@ -18,7 +18,7 @@ with everything else.
 from __future__ import annotations
 
 from .atomics import checkpoint
-from .combining import DEFAULT_MODE, make_serializer
+from .combining import DEFAULT_MODE, batch_sizes, make_serializer
 from .items import ENDS, MAX, MIN, POISONED, Arena, reclaimed_access
 from .ordered_list import AuditReport, ListPair
 from .reclaim import DEFERRED, Reclaimer
@@ -82,12 +82,22 @@ class ListDepq:
     def audit(self, end: int, mid_extract_ok: bool = False) -> AuditReport:
         return self.lists.audit(end, mid_extract_ok=mid_extract_ok)
 
-    def remaining_keys(self) -> list[int]:
-        """User keys still extractable, read off the ascending list's suffix.
+    # The surface every build shares; quiescent use only.
 
-        Quiescent use only.
-        """
+    def remaining_keys(self) -> list[int]:
+        """User keys still extractable, read off the ascending list's suffix."""
         return [k.user_key for k in self.lists.suffix_keys(MIN)]
+
+    def problems(self) -> list[str]:
+        return [report.describe() for report in map(self.audit, ENDS)
+                if not report.ok]
+
+    def stats(self) -> dict:
+        counters = self.counters.snapshot()
+        return {"reserve_failures": counters["reserve_failures"],
+                "insert_cas_failures": counters["insert_cas_failures"],
+                "retired": self.reclaim.snapshot()["retired"],
+                "batch_sizes": batch_sizes(self._ends)}
 
     def close(self) -> None:
         self.reclaim.close()

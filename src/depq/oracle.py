@@ -119,6 +119,16 @@ class LockedHeapPq:
         with self._lock:
             return list(self._heap)
 
+    def problems(self) -> list[str]:
+        try:
+            self.check_heap()
+        except HeapOrderError as exc:
+            return [str(exc)]
+        return []
+
+    def insert_cas_failures(self) -> int:
+        return 0  # inserts take the lock; there is no CAS to fail
+
     # -- internals (lock held) -------------------------------------------------
 
     def _remove_at(self, pos: int) -> int:

@@ -332,19 +332,23 @@ class ListPair:
             node = node.next[level]
         return out
 
-    def suffix_keys(self, end: int, include_reserved: bool = False) -> list[Key]:
-        """Keys of the live suffix (after the deleted prefix), in list order."""
+    def suffix(self, end: int) -> list[int]:
+        """Node indices of the live suffix (after the deleted prefix), in
+        list order, claimed nodes included."""
         arena = self.arena
         out = []
         node, _ = unpack_link(
             arena.item(self._last_deleted[end].load()).link[end].load())
         while node != NONE_IDX:
-            item = arena.item(node)
-            if include_reserved or item.reserved.load() == 0:
-                assert item.key is not None
-                out.append(item.key)
-            node, _ = unpack_link(item.link[end].load())
+            out.append(node)
+            node, _ = unpack_link(arena.item(node).link[end].load())
         return out
+
+    def suffix_keys(self, end: int, include_reserved: bool = False) -> list[Key]:
+        """Keys of the live suffix, in list order."""
+        items = map(self.arena.item, self.suffix(end))
+        return [item.key for item in items
+                if include_reserved or item.reserved.load() == 0]
 
     def audit(self, end: int, mid_extract_ok: bool = False) -> "AuditReport":
         """Check the structural invariants of one list.
@@ -527,3 +531,18 @@ class ListPq:
 
     def pq_delete(self, index: int) -> bool:
         raise NotImplementedError("list-backed queue has no arbitrary delete")
+
+    def contents(self) -> list[int]:
+        return self.lists.suffix(self.end)
+
+    def problems(self) -> list[str]:
+        report = self.lists.audit(self.end)
+        return [] if report.ok else [report.describe()]
+
+    def insert_cas_failures(self) -> int:
+        """The pair's count, which covers the inserts of both ends.  The two
+        queues over one pair share it, so only the MIN end's queue reports
+        it and a sum over both queues counts each failure once."""
+        if self.end != MIN:
+            return 0
+        return self.lists.counters.snapshot()["insert_cas_failures"]

@@ -20,15 +20,40 @@ from typing import Callable
 from .atomics import checkpoint
 from .combining import DEFAULT_MODE, MODES
 from .dual_depq import DualDepq, make_multi_consumer
-from .items import ENDS, MAX, MIN, Arena
+from .items import MAX, MIN, Arena
 from .lincheck import Recorder, Verdict, check, write_history
 from .list_depq import ListDepq
-from .oracle import HeapOrderError, LockedHeapPq
+from .oracle import LockedHeapPq
 from .ordered_list import ListPair, ListPq
 from .reclaim import DEFERRED, EPOCH
 from .sched import ControlledScheduler, random_walk
 
-IMPLS = ("list-depq", "dual-heap", "dual-list")
+
+def _dual_build(make_queues):
+    """A dual build: ``make_queues(arena)`` gives its ascending and
+    descending queue."""
+    def build(cfg: WorkloadConfig):
+        arena = Arena()
+        dual = DualDepq(arena, *make_queues(arena))
+        return make_multi_consumer(dual, cfg.mode, batch_cap=cfg.batch_cap)
+    return build
+
+
+def _list_queues(arena: Arena) -> tuple[ListPq, ListPq]:
+    pair = ListPair(arena)
+    return ListPq(pair, MIN), ListPq(pair, MAX)
+
+
+#: impl name -> constructor of a fresh build.  Every build answers the
+#: harness through ``remaining_keys``, ``problems``, ``stats`` and ``close``.
+BUILDS = {
+    "list-depq": lambda cfg: ListDepq(mode=cfg.mode, batch_cap=cfg.batch_cap,
+                                      reclaim_mode=cfg.reclaim_mode),
+    "dual-heap": _dual_build(lambda arena: (LockedHeapPq(arena),
+                                            LockedHeapPq(arena, descending=True))),
+    "dual-list": _dual_build(_list_queues),
+}
+IMPLS = tuple(BUILDS)
 
 
 class ConfigError(ValueError):
@@ -78,94 +103,6 @@ class WorkloadConfig:
                               f"{self.impl!r} runs without a reclaimer")
 
 
-class BenchTarget:
-    """Uniform facade over the three builds for the harness."""
-
-    def __init__(self, cfg: WorkloadConfig):
-        self.cfg = cfg
-        if cfg.impl == "list-depq":
-            self._list = ListDepq(mode=cfg.mode, batch_cap=cfg.batch_cap,
-                                  reclaim_mode=cfg.reclaim_mode)
-            self.depq = self._list
-            self._dual = None
-        else:
-            arena = Arena()
-            if cfg.impl == "dual-heap":
-                min_pq = LockedHeapPq(arena)
-                max_pq = LockedHeapPq(arena, descending=True)
-            else:
-                self._pair = ListPair(arena)
-                min_pq = ListPq(self._pair, MIN)
-                max_pq = ListPq(self._pair, MAX)
-            self._dual = DualDepq(arena, min_pq, max_pq)
-            self.depq = make_multi_consumer(self._dual, cfg.mode,
-                                            batch_cap=cfg.batch_cap)
-            self._list = None
-
-    def remaining_keys(self) -> list[int]:
-        """Live contents at quiescence."""
-        if self._list is not None:
-            return self._list.remaining_keys()
-        dual = self._dual
-        assert dual is not None
-        if isinstance(dual.min_pq, LockedHeapPq):
-            return [dual.arena.item(i).user_key
-                    for i in dual.min_pq.contents()
-                    if dual.arena.item(i).reserved.load() == 0]
-        return [k.user_key for k in dual.min_pq.lists.suffix_keys(MIN)]
-
-    def audit(self) -> tuple[bool, list[str]]:
-        notes: list[str] = []
-        if self._list is not None:
-            for end in ENDS:
-                report = self._list.audit(end)
-                if not report.ok:
-                    notes.append(report.describe())
-            return not notes, notes
-        dual = self._dual
-        assert dual is not None
-        if isinstance(dual.min_pq, LockedHeapPq):
-            try:
-                dual.min_pq.check_heap()
-                dual.max_pq.check_heap()
-            except HeapOrderError as exc:
-                notes.append(str(exc))
-        else:
-            for end in ENDS:
-                report = dual.min_pq.lists.audit(end)
-                if not report.ok:
-                    notes.append(report.describe())
-        return not notes, notes
-
-    def counter_snapshot(self) -> dict:
-        if self._list is not None:
-            counters = self._list.counters.snapshot()
-            counters["retired"] = self._list.reclaim.snapshot()["retired"]
-        else:
-            dual = self._dual
-            assert dual is not None
-            counters = dual.counters.snapshot()
-            counters["insert_cas_failures"] = 0
-            counters["retired"] = 0
-            if isinstance(dual.min_pq, ListPq):
-                lists = dual.min_pq.lists.counters.snapshot()
-                counters["insert_cas_failures"] = lists["insert_cas_failures"]
-        counters["batch_sizes"] = _batch_sizes(self.depq.combiner_stats)
-        return counters
-
-    def close(self) -> None:
-        if self._list is not None:
-            self._list.close()
-
-
-def _batch_sizes(stats_of) -> dict[int, int]:
-    """Both ends' serializer batch-size histograms, merged."""
-    sizes: Counter = Counter()
-    for end in ENDS:
-        sizes.update(stats_of(end).snapshot()["batch_sizes"])
-    return dict(sorted(sizes.items()))
-
-
 @dataclass
 class RunReport:
     schema: int
@@ -194,22 +131,14 @@ class RunReport:
         return out
 
     def to_csv_row(self) -> str:
-        row = {
-            "schema": self.schema, "impl": self.impl, "mode": self.mode,
-            "seed": self.seed, "wall_time_s": f"{self.wall_time_s:.6f}",
-            "insert_ops": self.ops["insert"],
-            "extract_min_ops": self.ops["extract_min"],
-            "extract_max_ops": self.ops["extract_max"],
-            "insert_per_s": f"{self.throughput['insert']:.1f}",
-            "extract_min_per_s": f"{self.throughput['extract_min']:.1f}",
-            "extract_max_per_s": f"{self.throughput['extract_max']:.1f}",
-            "failed_reserve": self.retries["failed_reserve"],
-            "failed_insert_cas": self.retries["failed_insert_cas"],
-            "retired_nodes": self.retired_nodes,
-            "audit_ok": int(self.audit_ok),
-            "accounting_ok": int(self.accounting_ok),
-        }
-        return ",".join(str(row[c]) for c in self.CSV_COLUMNS)
+        """One row in ``CSV_COLUMNS`` order."""
+        kinds = ("insert", "extract_min", "extract_max")
+        row = (self.schema, self.impl, self.mode, self.seed, f"{self.wall_time_s:.6f}",
+               *(self.ops[k] for k in kinds),
+               *(f"{self.throughput[k]:.1f}" for k in kinds),
+               self.retries["failed_reserve"], self.retries["failed_insert_cas"],
+               self.retired_nodes, int(self.audit_ok), int(self.accounting_ok))
+        return ",".join(map(str, row))
 
 
 class WorkerError(RuntimeError):
@@ -243,109 +172,82 @@ def _spawn_all(workers: dict[str, Callable[[], None]]) -> None:
 
 def run_bench(cfg: WorkloadConfig) -> RunReport:
     cfg.validate()
-    target = BenchTarget(cfg)
+    depq = BUILDS[cfg.impl](cfg)
     master = random.Random(cfg.seed)
 
     inserted: Counter = Counter()
     prefill_rng = random.Random(master.getrandbits(64))
     for _ in range(cfg.prefill):
         key = prefill_rng.randrange(cfg.key_range)
-        target.depq.insert(key)
+        depq.insert(key)
         inserted[key] += 1
 
     deadline = None
     if cfg.duration_ms is not None:
         deadline = time.monotonic() + cfg.duration_ms / 1000.0
 
-    results: dict[str, list] = {}
-    lock = threading.Lock()
+    tallies: dict[str, tuple[str, list, int]] = {}  # worker -> (op, keys, calls)
 
-    def make_inserter(name: str, seed: int):
-        rng = random.Random(seed)
-
+    def inserter(name: str, rng: random.Random):
         def body():
-            mine = []
-            n = 0
-            while _keep_going(n, deadline, cfg):
+            keys: list[int] = []
+            while _keep_going(len(keys), deadline, cfg):
                 key = rng.randrange(cfg.key_range)
-                target.depq.insert(key)
-                mine.append(key)
-                n += 1
-            with lock:
-                results[name] = mine
+                depq.insert(key)
+                keys.append(key)
+            tallies[name] = ("insert", keys, len(keys))
         return body
 
-    attempts: dict[str, int] = {}
+    def extractor(name: str, kind: str):
+        op = getattr(depq, kind)
 
-    def make_extractor(name: str, kind: str):
         def body():
-            mine = []
-            n = 0
-            op = (target.depq.extract_min if kind == "extract_min"
-                  else target.depq.extract_max)
+            keys, n = [], 0
             while _keep_going(n, deadline, cfg):
                 got = op()
                 if got is not None:
-                    mine.append(got)
+                    keys.append(got)
                 n += 1
-            with lock:
-                results[name] = mine
-                attempts[name] = n
+            tallies[name] = (kind, keys, n)
         return body
 
-    workers = {}
     seeds = [master.getrandbits(64) for _ in range(cfg.threads_insert)]
-    for i in range(cfg.threads_insert):
-        workers[f"ins{i}"] = make_inserter(f"ins{i}", seeds[i])
+    workers = {f"ins{i}": inserter(f"ins{i}", random.Random(seed))
+               for i, seed in enumerate(seeds)}
     for i in range(cfg.threads_min):
-        workers[f"min{i}"] = make_extractor(f"min{i}", "extract_min")
+        workers[f"min{i}"] = extractor(f"min{i}", "extract_min")
     for i in range(cfg.threads_max):
-        workers[f"max{i}"] = make_extractor(f"max{i}", "extract_max")
+        workers[f"max{i}"] = extractor(f"max{i}", "extract_max")
 
     started = time.monotonic()
     try:
         _spawn_all(workers)
     except WorkerError:
-        target.close()
+        depq.close()
         raise
     wall = time.monotonic() - started
 
     returned: Counter = Counter()
     ops = {"insert": cfg.prefill, "extract_min": 0, "extract_max": 0}
-    for name, values in results.items():
-        if name.startswith("ins"):
-            ops["insert"] += len(values)
-            inserted.update(values)
-        else:
-            kind = "extract_min" if name.startswith("min") else "extract_max"
-            ops[kind] += attempts[name]
-            returned.update(values)
+    for kind, keys, calls in tallies.values():
+        ops[kind] += calls
+        (inserted if kind == "insert" else returned).update(keys)
 
-    remaining = Counter(target.remaining_keys())
+    remaining = Counter(depq.remaining_keys())
     accounting_ok = inserted == returned + remaining
 
-    audit_ok, notes = target.audit()
-    counters = target.counter_snapshot()
+    notes = depq.problems()
+    stats = depq.stats()
     throughput = {k: (v / wall if wall > 0 else 0.0) for k, v in ops.items()}
     report = RunReport(
-        schema=1,
-        impl=cfg.impl,
-        mode=cfg.mode,
-        seed=cfg.seed,
-        wall_time_s=wall,
-        ops=ops,
-        throughput=throughput,
-        retries={
-            "failed_reserve": sum(counters["reserve_failures"]),
-            "failed_insert_cas": counters["insert_cas_failures"],
-        },
-        batch_sizes=counters["batch_sizes"],
-        retired_nodes=counters["retired"],
-        audit_ok=audit_ok,
-        accounting_ok=accounting_ok,
-        notes=notes,
+        schema=1, impl=cfg.impl, mode=cfg.mode, seed=cfg.seed,
+        wall_time_s=wall, ops=ops, throughput=throughput,
+        retries={"failed_reserve": sum(stats["reserve_failures"]),
+                 "failed_insert_cas": stats["insert_cas_failures"]},
+        batch_sizes=stats["batch_sizes"], retired_nodes=stats["retired"],
+        audit_ok=not notes, accounting_ok=accounting_ok, notes=notes,
     )
-    target.close()
+    depq.close()
     return report
 
 
@@ -372,9 +274,13 @@ class StressOutcome:
     windows: list[WindowResult]
     failed: WindowResult | None
 
-    @property
-    def all_linearizable(self) -> bool:
-        return self.failed is None
+
+class _FreshBuild:
+    """``run_stress``'s default target: a fresh build of ``cfg.impl``."""
+
+    def __init__(self, cfg: WorkloadConfig):
+        self.depq = BUILDS[cfg.impl](cfg)
+        self.close = self.depq.close
 
 
 def run_stress(cfg: WorkloadConfig, windows: int, capture: str | None = None,
@@ -385,13 +291,16 @@ def run_stress(cfg: WorkloadConfig, windows: int, capture: str | None = None,
     Every window rebuilds a fresh small structure, runs 2-6 threads for a
     dozen operations under the stepping scheduler's random walk, and checks
     the recorded history.  Stops at the first non-linearizable window.
+    ``_target_factory(cfg)``, if given, builds each window's target in
+    place of a fresh build: an object with the queue as ``.depq`` and a
+    ``.close()``.
     """
     cfg.validate()
     master = random.Random(cfg.seed)
     out: list[WindowResult] = []
     for index in range(windows):
         wrng = random.Random(master.getrandbits(64))
-        target = (_target_factory or BenchTarget)(cfg)
+        target = (_target_factory or _FreshBuild)(cfg)
         recorder = Recorder()
         recorded = recorder.wrap(target.depq)
 

@@ -186,6 +186,29 @@ def test_lincheck_command_bad_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_lincheck_command_history_longer_than_max_ops(capsys, tmp_path):
+    path = tmp_path / "long.jsonl"
+    write_history([Event(0, "Insert", k, None, 2 * k, 2 * k + 1) for k in range(25)],
+                  str(path))
+    code, out, err = run_cli(capsys, "lincheck", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot check history:") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "lincheck", "--max-ops", "30", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "LINEARIZABLE"
+
+
+def test_lincheck_command_malformed_history(capsys, tmp_path):
+    path = tmp_path / "overlap.jsonl"
+    write_history([Event(0, "ExtractMin", None, None, 0, None),
+                   Event(0, "ExtractMax", None, None, 1, None)], str(path))
+    code, out, err = run_cli(capsys, "lincheck", str(path))
+    assert code == 2
+    assert out == ""
+    assert "cannot check history" in err and "overlapping" in err
+
+
 def test_replay_commands(capsys):
     for name in ("counterexample", "twist"):
         code, out, _ = run_cli(capsys, "replay", name)
@@ -245,12 +268,24 @@ def test_failed_audit_exits_3(capsys, monkeypatch):
 
 
 def test_failed_accounting_exits_3(capsys, monkeypatch):
-    from depq import workload
+    from depq.list_depq import ListDepq
 
-    real = workload.BenchTarget.remaining_keys
-    monkeypatch.setattr(workload.BenchTarget, "remaining_keys",
+    real = ListDepq.remaining_keys
+    monkeypatch.setattr(ListDepq, "remaining_keys",
                         lambda self: real(self) + [-1])
     code, out, err = run_cli(capsys, "bench", "--ops", "20")
+    assert code == 3
+    assert json.loads(out)["accounting_ok"] is False
+    assert "accounting FAILED" in err
+
+
+def test_failed_accounting_exits_3_dual_heap(capsys, monkeypatch):
+    from depq.dual_depq import DualDepq
+
+    real = DualDepq.remaining_keys
+    monkeypatch.setattr(DualDepq, "remaining_keys",
+                        lambda self: real(self) + [-1])
+    code, out, err = run_cli(capsys, "bench", "--impl", "dual-heap", "--ops", "20")
     assert code == 3
     assert json.loads(out)["accounting_ok"] is False
     assert "accounting FAILED" in err

@@ -1,0 +1,100 @@
+"""The surface every build answers the harness through: ``remaining_keys``,
+``problems``, ``stats`` and ``close``."""
+
+import pytest
+
+from depq import workload
+from depq.items import MIN
+from depq.workload import IMPLS, WorkloadConfig, run_bench
+
+STATS_KEYS = {"reserve_failures", "insert_cas_failures", "retired", "batch_sizes"}
+
+
+def build(impl):
+    return workload.BUILDS[impl](WorkloadConfig(impl=impl))
+
+
+def list_pair(impl, depq):
+    """The ListPair under a list build."""
+    return depq.lists if impl == "list-depq" else depq.inner.min_pq.lists
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """Builds made by the harness, kept open after ``run_bench`` is done."""
+    builds = []
+
+    def capturing(make):
+        def make_and_keep(cfg):
+            depq = make(cfg)
+            builds.append((depq, depq.close))
+            depq.close = lambda: None
+            return depq
+        return make_and_keep
+
+    for impl, make in list(workload.BUILDS.items()):
+        monkeypatch.setitem(workload.BUILDS, impl, capturing(make))
+    yield builds
+    for _, close in builds:
+        close()
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_real_thread_run_passes_through_the_surface(captured, impl):
+    cfg = WorkloadConfig(impl=impl, threads_insert=2, threads_min=2, threads_max=2,
+                         prefill=50, key_range=64, ops_per_thread=300, seed=17)
+    report = run_bench(cfg)
+    [(depq, _)] = captured
+    # accounting_ok is inserted == returned + remaining_keys().
+    assert report.accounting_ok and report.audit_ok and report.notes == []
+    assert depq.problems() == []
+    stats = depq.stats()
+    assert set(stats) == STATS_KEYS
+    assert len(stats["reserve_failures"]) == 2
+    assert sum(stats["reserve_failures"]) == report.retries["failed_reserve"]
+    assert stats["insert_cas_failures"] == report.retries["failed_insert_cas"]
+    assert stats["retired"] == report.retired_nodes
+    # Every extraction call is one request served by its end's serializer.
+    served = sum(size * n for size, n in stats["batch_sizes"].items())
+    assert served == report.ops["extract_min"] + report.ops["extract_max"]
+
+
+def test_corrupted_heap_is_reported():
+    depq = build("dual-heap")
+    for key in range(8):
+        depq.insert(key)
+    assert depq.problems() == []
+    heap = depq.inner.min_pq._heap
+    heap[0], heap[-1] = heap[-1], heap[0]
+    assert depq.problems()
+
+
+@pytest.mark.parametrize("impl", ["list-depq", "dual-list"])
+def test_live_node_tagged_deleted_is_reported(impl):
+    depq = build(impl)
+    for key in range(8):
+        depq.insert(key)
+    assert depq.extract_min() == 0
+    assert depq.problems() == []
+    pair = list_pair(impl, depq)
+    pair.arena.item(pair.suffix(MIN)[3]).marked_into[MIN] = True
+    problems = depq.problems()
+    assert problems and "deleted nodes form a prefix" in problems[0]
+    depq.close()
+
+
+def test_dual_list_reports_its_pairs_cas_failures_once():
+    depq = build("dual-list")
+    pair = list_pair("dual-list", depq)
+    pair.counters.add("insert_cas_failures", 3)
+    assert pair.counters.snapshot()["insert_cas_failures"] == 3
+    assert depq.stats()["insert_cas_failures"] == 3
+
+
+def test_dual_list_bench_reports_the_pairs_counter(captured):
+    report = run_bench(WorkloadConfig(impl="dual-list", threads_insert=3,
+                                      ops_per_thread=400, seed=5))
+    [(depq, _)] = captured
+    pair = list_pair("dual-list", depq)
+    assert (report.retries["failed_insert_cas"]
+            == pair.counters.snapshot()["insert_cas_failures"])
