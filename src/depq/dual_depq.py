@@ -13,10 +13,12 @@ and at most one extract_max at a time (inserters are unrestricted).
 serializer per end (:mod:`depq.combining`: a lock or a combiner); inserts
 bypass it.
 
-When both underlying queues support arbitrary delete, an extraction can
-optionally also delete its claimed item from the opposite queue.  That is
-never needed for correctness (the claimed item would be skipped anyway) but
-it stops stale items from accumulating.
+When both underlying queues support arbitrary delete, a successful claim
+also deletes its item from the opposite queue.  That is never needed for
+correctness (the claimed item would be skipped anyway), but it keeps each
+queue's length bounded by its live contents instead of growing with every
+claim.  The delete may find the item already gone, popped by the other
+end's consumer, whose claim then failed; it then returns False.
 """
 
 from __future__ import annotations
@@ -30,15 +32,17 @@ from .items import MAX, MIN, Arena, PriorityQueue, is_reserved, try_reserve
 class DualDepq:
     """Dual-consumer double-ended priority queue over two PriorityQueues."""
 
-    def __init__(self, arena: Arena, min_pq: PriorityQueue, max_pq: PriorityQueue,
-                 use_optional_delete: bool = False):
+    def __init__(self, arena: Arena, min_pq: PriorityQueue, max_pq: PriorityQueue):
         self.arena = arena
         self.min_pq = min_pq
         self.max_pq = max_pq
-        # The delete shortcut needs delete support on both sides.
-        self.use_optional_delete = (use_optional_delete
-                                    and min_pq.has_delete and max_pq.has_delete)
-        self.counters = Counters(reserve_failures=[0, 0], extract_successes=[0, 0])
+        self._delete_claimed = min_pq.has_delete and max_pq.has_delete
+        # Per-end counts, each bumped only by its end's consumer.
+        self.reserve_failures = [0, 0]
+        self.extract_successes = [0, 0]
+        self.counters = Counters(single_writer={
+            "reserve_failures": self.reserve_failures,
+            "extract_successes": self.extract_successes})
 
     def insert(self, user_key: int) -> None:
         index = self.arena.new_item(user_key)
@@ -64,11 +68,11 @@ class DualDepq:
                 return None
             item = self.arena.item(index)
             if try_reserve(item):
-                if self.use_optional_delete:
+                if self._delete_claimed:
                     other.pq_delete(index)
-                self.counters.add_at("extract_successes", end)
+                self.extract_successes[end] += 1
                 return item.user_key
-            self.counters.add_at("reserve_failures", end)
+            self.reserve_failures[end] += 1
 
     # The surface every build shares, answered through the two queues'
     # protocol; quiescent use only.
@@ -83,7 +87,7 @@ class DualDepq:
 
     def stats(self) -> dict:
         """No serializer runs batches here and no reclaimer retires nodes."""
-        return {"reserve_failures": self.counters.snapshot()["reserve_failures"],
+        return {"reserve_failures": list(self.reserve_failures),
                 "insert_cas_failures": (self.min_pq.insert_cas_failures()
                                         + self.max_pq.insert_cas_failures()),
                 "retired": 0, "batch_sizes": {}}

@@ -1,21 +1,23 @@
 """Ground truth: sequential double-ended queue semantics and a coarse-locked
-indexed binary heap usable as either underlying priority queue.
+binary heap usable as either underlying priority queue.
 
 ``SeqDepq`` defines what the concurrent structures must look like to any
 single observer; the differential tests and the linearizability checker
 both replay operations through it.  ``LockedHeapPq`` is deliberately boring:
-one lock around a position-indexed binary heap, with arbitrary delete, so
-it is obviously linearizable and exercises the optional-delete path of the
-generic construction.
+one lock around the standard library's ``heapq``, with a lazy arbitrary
+delete, so it is obviously linearizable and exercises the generic
+construction's delete from the other queue.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import insort
+from collections import Counter
+from heapq import heapify, heappop, heappush
 
 from .atomics import checkpoint
-from .items import Arena, Key
+from .items import Arena
 
 
 class SeqDepq:
@@ -59,17 +61,26 @@ def seq_apply(state: SeqDepq, op: tuple):
 
 
 class HeapOrderError(AssertionError):
-    """The heap array violated its order relation."""
+    """The heap violated its order relation or its bookkeeping."""
+
+
+#: Dead entries a heap may hold beyond its live count before it is rebuilt.
+_SLACK = 16
 
 
 class LockedHeapPq:
-    """Linearizable single-ended priority queue: binary heap + one lock.
+    """Linearizable single-ended priority queue: ``heapq`` + one lock.
 
-    ``descending=True`` flips the order relation, turning extract-first
-    into extract-largest.  A position index maps item index -> heap slot,
-    which makes arbitrary delete O(log n).  Deleting an absent item is a
-    no-op returning False: with both queues sharing items, a delete from
-    one side can race an extraction that already removed the item here.
+    Each entry is ``(user_key, uid, index)``; ``descending=True`` negates
+    the two key fields, turning extract-first into extract-largest, so every
+    sift runs in the standard library's C heap.  Delete is lazy: ``_live``
+    holds the indices still on the queue, and an entry whose index is not
+    in it is dead and skipped when popped.  Once the heap holds more than
+    ``2 * live + _SLACK`` entries it is rebuilt from its live ones, so its
+    length stays within about twice the live count and delete costs O(1)
+    amortized.  Deleting an absent item is a no-op returning False: with
+    both queues sharing items, a delete from one side can race an
+    extraction that already removed the item here.
     """
 
     has_delete = True
@@ -77,47 +88,54 @@ class LockedHeapPq:
     def __init__(self, arena: Arena, descending: bool = False):
         self.arena = arena
         self.descending = descending
-        self._heap: list[int] = []
-        self._pos: dict[int, int] = {}
+        self._heap: list[tuple[int, int, int]] = []
+        self._live: set[int] = set()
         self._lock = threading.Lock()
 
-    def _before(self, a: Key, b: Key) -> bool:
-        return (b < a) if self.descending else (a < b)
-
-    def _key(self, index: int) -> Key:
+    def _entry(self, index: int) -> tuple[int, int, int]:
         key = self.arena.item(index).key
         assert key is not None
-        return key
+        if self.descending:
+            return (-key.user_key, -key.uid, index)
+        return (key.user_key, key.uid, index)
 
     def pq_insert(self, index: int) -> None:
         checkpoint("pq-insert")
+        entry = self._entry(index)
         with self._lock:
-            self._heap.append(index)
-            self._pos[index] = len(self._heap) - 1
-            self._sift_up(len(self._heap) - 1)
+            heappush(self._heap, entry)
+            self._live.add(index)
 
     def pq_extract_first(self) -> int | None:
         checkpoint("pq-extract")
         with self._lock:
-            if not self._heap:
-                return None
-            return self._remove_at(0)
+            heap, live = self._heap, self._live
+            while heap:
+                index = heappop(heap)[2]
+                if index in live:
+                    live.remove(index)
+                    if len(heap) > 2 * len(live) + _SLACK:
+                        self._drop_dead()
+                    return index
+            return None
 
     def pq_delete(self, index: int) -> bool:
         checkpoint("pq-delete")
         with self._lock:
-            pos = self._pos.get(index)
-            if pos is None:
+            live = self._live
+            if index not in live:
                 return False
-            self._remove_at(pos)
+            live.remove(index)
+            if len(self._heap) > 2 * len(live) + _SLACK:
+                self._drop_dead()
             return True
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._live)
 
     def contents(self) -> list[int]:
         with self._lock:
-            return list(self._heap)
+            return list(self._live)
 
     def problems(self) -> list[str]:
         try:
@@ -129,60 +147,27 @@ class LockedHeapPq:
     def insert_cas_failures(self) -> int:
         return 0  # inserts take the lock; there is no CAS to fail
 
-    # -- internals (lock held) -------------------------------------------------
-
-    def _remove_at(self, pos: int) -> int:
-        heap = self._heap
-        removed = heap[pos]
-        last = heap.pop()
-        del self._pos[removed]
-        if pos < len(heap):
-            heap[pos] = last
-            self._pos[last] = pos
-            self._sift_down(pos)
-            self._sift_up(pos)
-        return removed
-
-    def _sift_up(self, pos: int) -> None:
-        heap = self._heap
-        while pos > 0:
-            parent = (pos - 1) // 2
-            if self._before(self._key(heap[pos]), self._key(heap[parent])):
-                self._swap(pos, parent)
-                pos = parent
-            else:
-                break
-
-    def _sift_down(self, pos: int) -> None:
-        heap = self._heap
-        n = len(heap)
-        while True:
-            left = 2 * pos + 1
-            right = left + 1
-            best = pos
-            if left < n and self._before(self._key(heap[left]), self._key(heap[best])):
-                best = left
-            if right < n and self._before(self._key(heap[right]), self._key(heap[best])):
-                best = right
-            if best == pos:
-                return
-            self._swap(pos, best)
-            pos = best
-
-    def _swap(self, a: int, b: int) -> None:
-        heap = self._heap
-        heap[a], heap[b] = heap[b], heap[a]
-        self._pos[heap[a]] = a
-        self._pos[heap[b]] = b
+    def _drop_dead(self) -> None:
+        """Rebuild the heap from its live entries (lock held)."""
+        heap, live = self._heap, self._live
+        heap[:] = [entry for entry in heap if entry[2] in live]
+        heapify(heap)
 
     def check_heap(self) -> None:
-        """Debug sweep: order relation holds at every edge, index consistent."""
+        """Debug sweep: order holds at every parent/child edge, every entry
+        carries its item's key, and every live index has exactly one entry."""
         with self._lock:
-            for pos in range(1, len(self._heap)):
-                parent = (pos - 1) // 2
-                if self._before(self._key(self._heap[pos]), self._key(self._heap[parent])):
+            heap = self._heap
+            for pos in range(1, len(heap)):
+                if heap[pos] < heap[(pos - 1) // 2]:
                     raise HeapOrderError(
                         f"slot {pos} precedes its parent under this relation")
-            for index, pos in self._pos.items():
-                if self._heap[pos] != index:
-                    raise HeapOrderError(f"position index stale for item {index}")
+            for entry in heap:
+                if entry != self._entry(entry[2]):
+                    raise HeapOrderError(
+                        f"entry {entry} does not carry item {entry[2]}'s key")
+            entries = Counter(entry[2] for entry in heap)
+            for index in self._live:
+                if entries[index] != 1:
+                    raise HeapOrderError(
+                        f"live item {index} has {entries[index]} entries")

@@ -86,8 +86,14 @@ class ListPair:
 
     def __init__(self, arena: Arena):
         self.arena = arena
-        self.counters = Counters(insert_cas_failures=0, marks=[0, 0],
-                                 reserve_failures=[0, 0], extract_successes=[0, 0])
+        # Per-end counts, each bumped only by its end's consumer.
+        self.marks = [0, 0]
+        self.reserve_failures = [0, 0]
+        self.extract_successes = [0, 0]
+        self.counters = Counters(
+            insert_cas_failures=0,
+            single_writer={"marks": self.marks, "reserve_failures": self.reserve_failures,
+                           "extract_successes": self.extract_successes})
         dummy = arena.new_dummy()
         dummy_item = arena.item(dummy)
         # The sentinel counts as logically deleted from the start.
@@ -248,7 +254,7 @@ class ListPair:
         tower = item.towers[end]
         if tower is not None:
             tower.dead = True
-        self.counters.add_at("marks", end)
+        self.marks[end] += 1
         return prior
 
     def extract_first(self, end: int, reserve: bool = True) -> int | None:
@@ -280,9 +286,9 @@ class ListPair:
                 if target_item is POISONED:
                     raise reclaimed_access(target)
                 if target_item.reserved.test_and_set(site="ex-reserve") != 0:
-                    self.counters.add_at("reserve_failures", end)
+                    self.reserve_failures[end] += 1
                     continue
-            self.counters.add_at("extract_successes", end)
+            self.extract_successes[end] += 1
             return target
 
     def sweep_head(self, end: int) -> list[int]:

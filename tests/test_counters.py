@@ -80,3 +80,14 @@ def test_counts_survive_their_thread():
 def test_snapshot_before_any_increment_is_all_zero():
     counters = Counters(hits=0, per_end=[0, 0], sizes={})
     assert counters.snapshot() == {"hits": 0, "per_end": [0, 0], "sizes": {}}
+
+
+def test_snapshot_copies_single_writer_lists():
+    marks = [0, 0]
+    counters = Counters(hits=0, single_writer={"marks": marks})
+    marks[1] += 2
+    counters.add("hits")
+    snap = counters.snapshot()
+    assert snap == {"hits": 1, "marks": [0, 2]}
+    marks[0] += 1
+    assert snap["marks"] == [0, 2]   # a copy, not the live list

@@ -15,11 +15,9 @@ from depq.sched import ControlledScheduler
 from depq import dual_depq, scenarios
 
 
-def heap_dual(use_optional_delete=False):
+def heap_dual():
     arena = Arena()
-    return DualDepq(arena, LockedHeapPq(arena),
-                    LockedHeapPq(arena, descending=True),
-                    use_optional_delete=use_optional_delete)
+    return DualDepq(arena, LockedHeapPq(arena), LockedHeapPq(arena, descending=True))
 
 
 def list_dual():
@@ -87,30 +85,83 @@ def test_random_traffic_matches_oracle(dual):
             assert dual.extract_max() == oracle.extract_max()
 
 
-def test_optional_delete_requires_support_on_both_sides():
-    assert heap_dual(use_optional_delete=True).use_optional_delete is True
-    arena = Arena()
-    pair = ListPair(arena)
-    mixed = DualDepq(arena, ListPq(pair, MIN), ListPq(pair, MAX),
-                     use_optional_delete=True)
-    assert mixed.use_optional_delete is False  # lists advertise no delete
+def test_dual_list_never_calls_pq_delete(monkeypatch):
+    # Lists advertise no delete, so a claim leaves the other list alone.
+    def refuse(self, index):
+        raise AssertionError("pq_delete called on a list-backed queue")
+
+    monkeypatch.setattr(ListPq, "pq_delete", refuse)
+    d = list_dual()
+    for k in (1, 2, 3, 4):
+        d.insert(k)
+    assert [d.extract_min(), d.extract_max(), d.extract_min(), d.extract_max()] == [1, 4, 2, 3]
+    assert d.extract_min() is None
 
 
-def test_optional_delete_strips_stale_items_from_other_queue():
-    with_delete = heap_dual(use_optional_delete=True)
-    naive = heap_dual(use_optional_delete=False)
-    for d in (with_delete, naive):
-        for k in (1, 2, 3):
-            d.insert(k)
-    assert with_delete.extract_min() == naive.extract_min() == 1
-    assert len(with_delete.max_pq) == 2     # 1 deleted eagerly
-    assert len(naive.max_pq) == 3           # 1 still parked as garbage
-    assert with_delete.extract_min() == naive.extract_min() == 2
-    assert len(with_delete.max_pq) == 1
-    assert len(naive.max_pq) == 3           # now trails by two
-    # the garbage never surfaces: both agree on every later answer
-    assert with_delete.extract_max() == naive.extract_max() == 3
-    assert with_delete.extract_max() is None and naive.extract_max() is None
+def test_claim_deletes_from_other_heap():
+    d = heap_dual()
+    for k in (1, 2, 3):
+        d.insert(k)
+    assert d.extract_min() == 1
+    assert len(d.max_pq) == 2     # 1 deleted eagerly
+    assert d.extract_min() == 2
+    assert len(d.max_pq) == 1
+    assert d.extract_max() == 3
+    assert d.extract_max() is None
+
+
+def test_heaps_stay_bounded_by_live_keys():
+    # Raw entries, dead ones included, stay within 2 * live + 16 per heap.
+    d = heap_dual()
+    rng = random.Random(2024)
+    live = 0
+    for _ in range(200):
+        d.insert(rng.randrange(1 << 20))
+        live += 1
+    for _ in range(20_000):
+        roll = rng.random()
+        if roll < 0.5 or live < 150:
+            d.insert(rng.randrange(1 << 20))
+            live += 1
+        elif (d.extract_min() if roll < 0.75 else d.extract_max()) is not None:
+            live -= 1
+        for heap in (d.min_pq, d.max_pq):
+            assert len(heap._heap) <= 2 * live + 16
+    assert sorted(d.remaining_keys()) == sorted(
+        d.arena.item(i).user_key for i in d.max_pq.contents())
+    assert d.problems() == []
+
+
+def test_claim_delete_races_other_end_pop():
+    # MIN claims the only item and freezes before deleting it from the max
+    # heap; MAX pops that item there, fails its claim and reports empty.
+    d = heap_dual()
+    deletes = []
+    real_delete = d.max_pq.pq_delete
+
+    def spy(index):
+        deletes.append(real_delete(index))
+        return deletes[-1]
+
+    d.max_pq.pq_delete = spy
+    recorder = Recorder()
+    recorded = recorder.wrap(d)
+    recorded.insert(7)
+    with ControlledScheduler() as sched:
+        sched.freeze("min", "pq-delete")
+        sched.spawn("min", recorded.extract_min)
+        sched.start()
+        sched.wait_frozen("min")
+        assert recorded.extract_max() is None
+        assert d.reserve_failures[MAX] == 1
+        assert deletes == []
+        sched.thaw("min")
+        sched.join_all()
+        assert sched.result("min") == 7
+    assert deletes == [False]
+    assert d.min_pq.problems() == [] and d.max_pq.problems() == []
+    assert len(d.min_pq) == len(d.max_pq) == 0
+    assert check(recorder.snapshot()).verdict is Verdict.LINEARIZABLE
 
 
 def test_insert_frozen_between_queues_is_visible_to_min_only():

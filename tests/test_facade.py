@@ -4,6 +4,7 @@
 import pytest
 
 from depq import workload
+from depq.combining import MODES
 from depq.items import MIN
 from depq.workload import IMPLS, WorkloadConfig, run_bench
 
@@ -81,6 +82,22 @@ def test_live_node_tagged_deleted_is_reported(impl):
     problems = depq.problems()
     assert problems and "deleted nodes form a prefix" in problems[0]
     depq.close()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("impl", IMPLS)
+def test_per_end_success_counts_match_the_report(captured, impl, mode, fast_switching):
+    # The prefill outlasts every extraction, so each call returns a key and
+    # each end's successes must equal its calls, with two threads per end
+    # taking turns at the end's single-writer counts.
+    cfg = WorkloadConfig(impl=impl, mode=mode, threads_insert=2, threads_min=2,
+                         threads_max=2, prefill=1200, ops_per_thread=300, seed=23)
+    report = run_bench(cfg)
+    [(depq, _)] = captured
+    counters = depq.counters if impl == "list-depq" else depq.inner.counters
+    successes = counters.snapshot()["extract_successes"]
+    assert successes == [report.ops["extract_min"], report.ops["extract_max"]]
+    assert report.accounting_ok and report.audit_ok
 
 
 def test_dual_list_reports_its_pairs_cas_failures_once():

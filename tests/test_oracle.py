@@ -120,6 +120,29 @@ def test_check_heap_detects_corruption():
     for k in (1, 2, 3):
         pq.pq_insert(arena.new_item(k))
     pq._heap.reverse()  # deliberate damage
-    pq._pos = {i: p for p, i in enumerate(pq._heap)}
     with pytest.raises(HeapOrderError):
+        pq.check_heap()
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_check_heap_detects_entry_with_wrong_key(descending):
+    arena = Arena()
+    pq = LockedHeapPq(arena, descending=descending)
+    for k in (1, 2, 3):
+        pq.pq_insert(arena.new_item(k))
+    pq.check_heap()
+    # A leaf whose key moves away from the top keeps the order intact.
+    key, uid, index = pq._heap[-1]
+    pq._heap[-1] = (key + 10, uid, index)
+    with pytest.raises(HeapOrderError, match="does not carry"):
+        pq.check_heap()
+
+
+def test_check_heap_detects_live_index_without_entry():
+    arena = Arena()
+    pq = LockedHeapPq(arena)
+    for k in (1, 2, 3):
+        pq.pq_insert(arena.new_item(k))
+    pq._heap.pop()  # a leaf: order still holds, but its item is live
+    with pytest.raises(HeapOrderError, match="has 0 entries"):
         pq.check_heap()
