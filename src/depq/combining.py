@@ -26,8 +26,8 @@ Consequences relied on elsewhere in this package, in both modes: at most
 one thread runs an end's requests at a time, requests are served exactly
 once, and the finalizer runs after a batch's last request and before the
 next batch.  The finalizer is therefore the right place for once-per-batch
-maintenance such as physically deleting list prefixes.  A request that
-raises fails only its own caller.
+maintenance; ``list-depq`` uses it to try to advance the reclaimer's
+epoch.  A request that raises fails only its own caller.
 """
 
 from __future__ import annotations

@@ -7,9 +7,13 @@ it via its reservation flag.  A pop whose claim fails means the other end
 already returned that item, so the loop simply pops again; emptiness of the
 own queue means the whole structure is empty.
 
+This loop is the only place in the package that claims an item.  Both
+builds run it: ``list-depq`` over two :class:`~depq.ordered_list.ListPq`,
+``dual-heap`` over two locked heaps.
+
 This composition is *dual-consumer*: at most one thread may run extract_min
 and at most one extract_max at a time (inserters are unrestricted).
-``make_multi_consumer`` lifts it to arbitrary extractor counts with one
+:class:`MultiConsumerDepq` lifts it to arbitrary extractor counts with one
 serializer per end (:mod:`depq.combining`: a lock or a combiner); inserts
 bypass it.
 
@@ -26,7 +30,8 @@ from __future__ import annotations
 from .atomics import Counters, checkpoint
 # COMBINING and TWO_LOCKS are re-exported: callers name the modes from here.
 from .combining import COMBINING, TWO_LOCKS, batch_sizes, make_serializer  # noqa: F401
-from .items import MAX, MIN, Arena, PriorityQueue, is_reserved, try_reserve
+from .items import (MAX, MIN, POISONED, Arena, PriorityQueue, is_reserved,
+                    reclaimed_access, try_reserve)
 
 
 class DualDepq:
@@ -34,15 +39,19 @@ class DualDepq:
 
     def __init__(self, arena: Arena, min_pq: PriorityQueue, max_pq: PriorityQueue):
         self.arena = arena
+        self._slots = arena.slots
         self.min_pq = min_pq
         self.max_pq = max_pq
         self._delete_claimed = min_pq.has_delete and max_pq.has_delete
         # Per-end counts, each bumped only by its end's consumer.
         self.reserve_failures = [0, 0]
         self.extract_successes = [0, 0]
-        self.counters = Counters(single_writer={
-            "reserve_failures": self.reserve_failures,
-            "extract_successes": self.extract_successes})
+
+    @property
+    def counters(self) -> Counters:
+        """The per-end counts, built when read so construction skips it."""
+        return Counters(single_writer={"reserve_failures": self.reserve_failures,
+                                       "extract_successes": self.extract_successes})
 
     def insert(self, user_key: int) -> None:
         index = self.arena.new_item(user_key)
@@ -62,16 +71,20 @@ class DualDepq:
         # no "never started" case to reason about.
         own = self.min_pq if end == MIN else self.max_pq
         other = self.max_pq if end == MIN else self.min_pq
+        # Slot and key are read inline, as in the lists' hot loops.
+        slots = self._slots
         while True:
             index = own.pq_extract_first()
             if index is None:
                 return None
-            item = self.arena.item(index)
+            item = slots[index]
+            if item is POISONED:
+                raise reclaimed_access(index)
             if try_reserve(item):
                 if self._delete_claimed:
                     other.pq_delete(index)
                 self.extract_successes[end] += 1
-                return item.user_key
+                return item.key.user_key
             self.reserve_failures[end] += 1
 
     # The surface every build shares, answered through the two queues'
@@ -86,11 +99,10 @@ class DualDepq:
         return self.min_pq.problems() + self.max_pq.problems()
 
     def stats(self) -> dict:
-        """No serializer runs batches here and no reclaimer retires nodes."""
+        """No serializer runs batches here, no reclaimer retires nodes and
+        no insert of its own can fail a CAS."""
         return {"reserve_failures": list(self.reserve_failures),
-                "insert_cas_failures": (self.min_pq.insert_cas_failures()
-                                        + self.max_pq.insert_cas_failures()),
-                "retired": 0, "batch_sizes": {}}
+                "insert_cas_failures": 0, "retired": 0, "batch_sizes": {}}
 
     def close(self) -> None:
         pass
@@ -98,15 +110,15 @@ class DualDepq:
 
 class MultiConsumerDepq:
     """Multi-consumer wrapper: each end's extractions go through that end's
-    serializer.  There is no batch-end maintenance to do here, so no
-    finalizer is installed."""
+    serializer, which gets ``guard`` and ``finalize`` (see
+    :func:`~depq.combining.make_serializer`)."""
 
-    def __init__(self, inner: DualDepq, mode: str, batch_cap: int = 64):
+    def __init__(self, inner: DualDepq, mode: str, batch_cap: int = 64,
+                 guard=None, finalize=None):
         self.inner = inner
         self._ends = (
-            make_serializer(mode, lambda _req: inner.extract_min(), batch_cap=batch_cap),
-            make_serializer(mode, lambda _req: inner.extract_max(), batch_cap=batch_cap),
-        )
+            make_serializer(mode, lambda _req: inner.extract_min(), finalize, batch_cap, guard),
+            make_serializer(mode, lambda _req: inner.extract_max(), finalize, batch_cap, guard))
 
     def insert(self, user_key: int) -> None:
         self.inner.insert(user_key)

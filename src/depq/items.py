@@ -179,8 +179,7 @@ class PriorityQueue(Protocol):
 
     The rest is read at quiescence: ``contents`` lists the arena indices
     still on the queue, claimed or not; ``problems`` describes each failed
-    structural check (empty when the queue passes); ``insert_cas_failures``
-    counts the failed publish CASes of lock-free inserts.
+    structural check (empty when the queue passes).
     """
 
     has_delete: bool
@@ -194,5 +193,3 @@ class PriorityQueue(Protocol):
     def contents(self) -> list[int]: ...
 
     def problems(self) -> list[str]: ...
-
-    def insert_cas_failures(self) -> int: ...

@@ -11,9 +11,10 @@ its operations that respects that real-time order and reproduces every
 completed operation's recorded result when replayed through the sequential
 semantics.  Operations still pending at the end of the history may be
 placed anywhere consistent with their invocation, or left out entirely.
-The search is depth-first with memoization on (set of placed operations,
-multiset of keys currently stored); a state budget turns pathological
-histories into an explicit inconclusive verdict rather than a hang.
+The search is depth-first, over an explicit stack, with memoization on (set
+of placed operations, multiset of keys currently stored); a state budget
+turns pathological histories into an explicit inconclusive verdict rather
+than a hang.
 """
 
 from __future__ import annotations
@@ -142,10 +143,6 @@ class CheckResult:
         return self.verdict is Verdict.LINEARIZABLE
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def validate_history(events: list[Event]) -> None:
     """Reject structurally malformed histories before searching."""
     pending: dict[int, int] = {}
@@ -208,19 +205,12 @@ def check(events: list[Event], *, max_completed: int = 20,
     from bisect import insort
 
     keys = sorted(initial_keys)
-    states = 0
-    failed: set[tuple[int, tuple]] = set()
+    order: list[int] = []
 
-    def dfs(chosen: int, order: list[int]) -> bool:
-        nonlocal states
-        if chosen & completed_mask == completed_mask:
-            return True
-        digest = (chosen, tuple(keys))
-        if digest in failed:
-            return False
-        states += 1
-        if states > state_budget:
-            raise _BudgetExceeded
+    def children(chosen: int):
+        """Place each operation that may go next, in event order: yield the
+        new set of placed operations with ``keys`` and ``order`` updated,
+        and undo the placement when resumed."""
         for i in range(n):
             bit = 1 << i
             if chosen & bit or (preds[i] & chosen) != preds[i]:
@@ -230,8 +220,7 @@ def check(events: list[Event], *, max_completed: int = 20,
             if kind == "Insert":
                 insort(keys, ev.arg)
                 order.append(i)
-                if dfs(chosen | bit, order):
-                    return True
+                yield chosen | bit
                 order.pop()
                 keys.remove(ev.arg)
                 continue
@@ -240,19 +229,37 @@ def check(events: list[Event], *, max_completed: int = 20,
                 popped = keys.pop(0) if kind == "ExtractMin" else keys.pop()
             if not ev.completed or popped == _expected(ev):
                 order.append(i)
-                if dfs(chosen | bit, order):
-                    return True
+                yield chosen | bit
                 order.pop()
             if popped is not None:
                 insort(keys, popped)
-        failed.add(digest)
-        return False
 
-    order: list[int] = []
-    try:
-        found = dfs(0, order)
-    except _BudgetExceeded:
-        return CheckResult(Verdict.SEARCH_BUDGET_EXCEEDED, None, states)
+    # Depth-first search with an explicit stack of open states, so a long
+    # history cannot exhaust the interpreter's recursion limit.  Each open
+    # state holds its memo key and the generator of its remaining children;
+    # a state whose children are all exhausted is memoized as failed.
+    states = 0
+    failed: set[tuple[int, tuple]] = set()
+    stack: list[tuple[tuple[int, tuple], object]] = []
+    chosen = 0
+    found = False
+    while True:
+        if chosen & completed_mask == completed_mask:
+            found = True
+            break
+        digest = (chosen, tuple(keys))
+        if digest not in failed:
+            states += 1
+            if states > state_budget:
+                return CheckResult(Verdict.SEARCH_BUDGET_EXCEEDED, None, states)
+            stack.append((digest, children(chosen)))
+        while stack:
+            chosen = next(stack[-1][1], 0)   # 0: no child left
+            if chosen:
+                break
+            failed.add(stack.pop()[0])
+        else:
+            break
     if not found:
         return CheckResult(Verdict.NOT_LINEARIZABLE, None, states)
     _assert_witness(events, order, initial_keys)

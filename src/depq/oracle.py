@@ -144,9 +144,6 @@ class LockedHeapPq:
             return [str(exc)]
         return []
 
-    def insert_cas_failures(self) -> int:
-        return 0  # inserts take the lock; there is no CAS to fail
-
     def _drop_dead(self) -> None:
         """Rebuild the heap from its live entries (lock held)."""
         heap, live = self._heap, self._live

@@ -8,6 +8,10 @@ live node by setting the mark bit in the link word of the previous node
 of the list.  Later the whole prefix is *physically deleted* in one step by
 advancing the head pointer.
 
+The lists never claim an item.  :class:`ListPq` makes one end a plain
+single-ended priority queue, whose pop also sweeps the deleted prefix; the
+generic construction of :mod:`depq.dual_depq` claims items over two.
+
 Insertion is lock-free: any number of threads may insert concurrently with
 each other and with the per-end consumer.  A failed insert CAS resumes the
 search from the node where it failed, never from the head, because nodes
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .atomics import AtomicCell, Counters
+from .atomics import AtomicCell
 from .items import (MAX, MIN, NONE_IDX, POISONED, Arena, Key, key_less,
                     pack_link, reclaimed_access, unpack_link)
 
@@ -88,12 +92,8 @@ class ListPair:
         self.arena = arena
         # Per-end counts, each bumped only by its end's consumer.
         self.marks = [0, 0]
-        self.reserve_failures = [0, 0]
-        self.extract_successes = [0, 0]
-        self.counters = Counters(
-            insert_cas_failures=0,
-            single_writer={"marks": self.marks, "reserve_failures": self.reserve_failures,
-                           "extract_successes": self.extract_successes})
+        # Bumped by any inserter, under ``_lock``, on the rare failed CAS.
+        self.insert_cas_failures = 0
         dummy = arena.new_dummy()
         dummy_item = arena.item(dummy)
         # The sentinel counts as logically deleted from the start.
@@ -173,7 +173,8 @@ class ListPair:
                 if tower is not None:
                     self._link_tower(tower, preds, sorts_before_k)
                 return
-            self.counters.add("insert_cas_failures")
+            with self._lock:
+                self.insert_cas_failures += 1
 
     def _index_search(self, end: int, sorts_before_k, preds: list) -> IndexNode | None:
         """Search one end's index top-down for the new key.
@@ -257,57 +258,47 @@ class ListPair:
         self.marks[end] += 1
         return prior
 
-    def extract_first(self, end: int, reserve: bool = True) -> int | None:
-        """Remove and return the first live node of one list, or None if empty.
-
-        With ``reserve=True`` the node is also claimed via its reservation
-        flag; nodes already claimed by the other end are deleted from this
-        list and skipped.  With ``reserve=False`` this behaves as the
-        extract-min of a plain single-ended priority queue and the caller
-        owns the reservation step.
+    def extract_first(self, end: int) -> int | None:
+        """Logically delete the first live node of one list and return it, or
+        None if the list is empty.  The node may already be claimed by the
+        other end: claiming is the caller's step (see :mod:`depq.dual_depq`).
         """
         # Raw link words and inlined poison checks, as in ``insert``.
         items = self.arena.slots
         last_deleted = self._last_deleted[end]
-        while True:
-            last = last_deleted.load(site="ex-read-lastdel")
-            last_item = items[last]
-            if last_item is POISONED:
-                raise reclaimed_access(last)
-            if last_item.link[end].load(site="ex-read-lastnext") <= 1:
-                # No successor.  Linearized at the link read above; a racing
-                # insert that lands afterwards does not invalidate the empty
-                # answer.
-                return None
-            target = (self.mark_successor(last, end) >> 1) - 1
-            last_deleted.store(target, site="ex-write-lastdel")
-            if reserve:
-                target_item = items[target]
-                if target_item is POISONED:
-                    raise reclaimed_access(target)
-                if target_item.reserved.test_and_set(site="ex-reserve") != 0:
-                    self.reserve_failures[end] += 1
-                    continue
-            self.extract_successes[end] += 1
-            return target
+        last = last_deleted.load(site="ex-read-lastdel")
+        last_item = items[last]
+        if last_item is POISONED:
+            raise reclaimed_access(last)
+        if last_item.link[end].load(site="ex-read-lastnext") <= 1:
+            # No successor.  Linearized at the link read above; a racing
+            # insert that lands afterwards does not invalidate the empty
+            # answer.
+            return None
+        target = (self.mark_successor(last, end) >> 1) - 1
+        last_deleted.store(target, site="ex-write-lastdel")
+        return target
 
     def sweep_head(self, end: int) -> list[int]:
         """Physically delete the logically deleted prefix, except its last node.
 
-        Combiner-only.  Returns the unlinked node indices (oldest first) so
-        the caller can run them through reclamation.
+        Consumer-only.  Returns the unlinked node indices (oldest first) so
+        the caller can run them through reclamation.  Only the head write
+        pauses: the words read here change only by this end's consumer or,
+        being marked, never, so a pause before them would only multiply the
+        interleavings a replay explores.
         """
         items = self.arena.slots
         head_cell = self._head[end]
-        node = head_cell.load(site="uh-read-head")
-        last = self._last_deleted[end].load(site="uh-read-lastdel")
+        node = head_cell.load()
+        last = self._last_deleted[end].load()
         removed = []
         while node != last:
             removed.append(node)
             item = items[node]
             if item is POISONED:
                 raise reclaimed_access(node)
-            word = item.link[end].load(site="uh-walk")
+            word = item.link[end].load()
             assert word & 1 and word > 1, "prefix walk left the deleted prefix"
             node = (word >> 1) - 1
         if removed:
@@ -513,8 +504,8 @@ class ListPq:
 
     The sole consumer doubles as the sweeper: each extraction physically
     deletes the logically deleted prefix behind it, otherwise inserts would
-    wade through an ever-growing dead prefix.  Nodes it unlinks go to the
-    reclaimer when one is attached.
+    wade through an ever-growing dead prefix.  This is the one place that
+    sweeps.  Nodes it unlinks go to the reclaimer when one is attached.
     """
 
     has_delete = False
@@ -528,7 +519,7 @@ class ListPq:
         self.lists.insert(index, self.end)
 
     def pq_extract_first(self) -> int | None:
-        got = self.lists.extract_first(self.end, reserve=False)
+        got = self.lists.extract_first(self.end)
         removed = self.lists.sweep_head(self.end)
         if self.reclaimer is not None:
             for index in removed:
@@ -544,11 +535,3 @@ class ListPq:
     def problems(self) -> list[str]:
         report = self.lists.audit(self.end)
         return [] if report.ok else [report.describe()]
-
-    def insert_cas_failures(self) -> int:
-        """The pair's count, which covers the inserts of both ends.  The two
-        queues over one pair share it, so only the MIN end's queue reports
-        it and a sum over both queues counts each failure once."""
-        if self.end != MIN:
-            return 0
-        return self.lists.counters.snapshot()["insert_cas_failures"]

@@ -44,7 +44,12 @@ class Reclaimer:
         self._buckets: dict[int, list[int]] = {}
         self._deferred: list[int] = []
         self._closed = False
-        self.counters = Counters(unlink_first=0, retired=0, freed=0)
+        # ``unlink_first`` has two writers (one per list) and no lock; the
+        # other two counts are bumped under ``_lock``, which is held there
+        # anyway.
+        self.counters = Counters(unlink_first=0)
+        self._retired = 0
+        self._freed = 0
 
     # -- retire-bit protocol ---------------------------------------------------
 
@@ -62,12 +67,12 @@ class Reclaimer:
             return False
         if prior == 1:
             self._retire(index)
-            self.counters.add("retired")
             return True
         raise RetireProtocolError(f"item {index} unlinked {prior + 1} times")
 
     def _retire(self, index: int) -> None:
         with self._lock:
+            self._retired += 1
             if self.mode == DEFERRED:
                 self._deferred.append(index)
             else:
@@ -134,6 +139,7 @@ class Reclaimer:
         with self._lock:
             ready = [e for e in self._buckets if e <= threshold]
             victims = [idx for e in ready for idx in self._buckets.pop(e)]
+            self._freed += len(victims)
         self._free(victims)
 
     # -- teardown -----------------------------------------------------------------
@@ -149,12 +155,12 @@ class Reclaimer:
             for bucket in self._buckets.values():
                 victims.extend(bucket)
             self._buckets.clear()
+            self._freed += len(victims)
         self._free(victims)
 
     def _free(self, victims: list[int]) -> None:
         for idx in victims:
             self.arena.poison(idx)
-        self.counters.add("freed", len(victims))
 
     def pending(self) -> int:
         with self._lock:
@@ -163,5 +169,7 @@ class Reclaimer:
     def snapshot(self) -> dict:
         """``unlink_first``, ``retired`` and ``freed`` counts, plus ``mode``
         and the ``pending`` (retired, not yet freed) count."""
-        return {"mode": self.mode, **self.counters.snapshot(),
-                "pending": self.pending()}
+        with self._lock:
+            retired, freed = self._retired, self._freed
+        return {"mode": self.mode, **self.counters.snapshot(), "retired": retired,
+                "freed": freed, "pending": self.pending()}

@@ -24,7 +24,7 @@ from .items import MAX, MIN, Arena, ReclaimedAccessError
 from .lincheck import Recorder, Verdict, check
 from .list_depq import ListDepq
 from .oracle import LockedHeapPq
-from .ordered_list import ListPair
+from .ordered_list import ListPair, ListPq
 from .reclaim import EPOCH
 from .sched import ControlledScheduler, explore_interleavings
 
@@ -142,22 +142,16 @@ def run_twist() -> ReplayOutcome:
 
 
 def run_single_item_race() -> ReplayOutcome:
-    """Explore every interleaving of both ends extracting the last item."""
+    """Explore every interleaving of both ends extracting the last item
+    through the claim loop over the two lists."""
 
     def factory():
         arena = Arena()
         lists = ListPair(arena)
-        index = arena.new_item(7)
-        lists.insert(index, MIN)
-        lists.insert(index, MAX)
-
-        def extract(end):
-            def body(_state):
-                got = lists.extract_first(end, reserve=True)
-                return None if got is None else arena.item(got).user_key
-            return body
-
-        return lists, [("min", extract(MIN)), ("max", extract(MAX))]
+        dual = DualDepq(arena, ListPq(lists, MIN), ListPq(lists, MAX))
+        dual.insert(7)
+        return lists, [("min", lambda _state: dual.extract_min()),
+                       ("max", lambda _state: dual.extract_max())]
 
     runs = 0
     winners: set[str] = set()

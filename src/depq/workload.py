@@ -1,6 +1,6 @@
 """Workload harness behind the CLI: benchmarks and checked stress windows.
 
-Benchmarks run real threads against one of the three builds and report
+Benchmarks run real threads against one of the two builds and report
 exact counters plus accounting identities.  Stress windows are small
 concurrent runs driven by the stepping scheduler with a seeded random
 walk, so each window's interleaving (and therefore its recorded history)
@@ -19,29 +19,19 @@ from typing import Callable
 
 from .atomics import checkpoint
 from .combining import DEFAULT_MODE, MODES
-from .dual_depq import DualDepq, make_multi_consumer
-from .items import MAX, MIN, Arena
+from .dual_depq import DualDepq, MultiConsumerDepq
+from .items import Arena
 from .lincheck import Recorder, Verdict, check, write_history
 from .list_depq import ListDepq
 from .oracle import LockedHeapPq
-from .ordered_list import ListPair, ListPq
 from .reclaim import DEFERRED, EPOCH
 from .sched import ControlledScheduler, random_walk
 
 
-def _dual_build(make_queues):
-    """A dual build: ``make_queues(arena)`` gives its ascending and
-    descending queue."""
-    def build(cfg: WorkloadConfig):
-        arena = Arena()
-        dual = DualDepq(arena, *make_queues(arena))
-        return make_multi_consumer(dual, cfg.mode, batch_cap=cfg.batch_cap)
-    return build
-
-
-def _list_queues(arena: Arena) -> tuple[ListPq, ListPq]:
-    pair = ListPair(arena)
-    return ListPq(pair, MIN), ListPq(pair, MAX)
+def _dual_heap(cfg: WorkloadConfig) -> MultiConsumerDepq:
+    arena = Arena()
+    dual = DualDepq(arena, LockedHeapPq(arena), LockedHeapPq(arena, descending=True))
+    return MultiConsumerDepq(dual, cfg.mode, batch_cap=cfg.batch_cap)
 
 
 #: impl name -> constructor of a fresh build.  Every build answers the
@@ -49,9 +39,7 @@ def _list_queues(arena: Arena) -> tuple[ListPq, ListPq]:
 BUILDS = {
     "list-depq": lambda cfg: ListDepq(mode=cfg.mode, batch_cap=cfg.batch_cap,
                                       reclaim_mode=cfg.reclaim_mode),
-    "dual-heap": _dual_build(lambda arena: (LockedHeapPq(arena),
-                                            LockedHeapPq(arena, descending=True))),
-    "dual-list": _dual_build(_list_queues),
+    "dual-heap": _dual_heap,
 }
 IMPLS = tuple(BUILDS)
 

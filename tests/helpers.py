@@ -3,17 +3,23 @@ small randomized histories (optionally mutated into likely-wrong ones)."""
 
 import itertools
 
+from depq.items import MIN
 from depq.lincheck import EMPTY, Event
 from depq.list_depq import ListDepq
 from depq.oracle import SeqDepq
 
 
 class UnclaimedListDepq(ListDepq):
-    """Deliberately broken build for the checker's mutation tests: an
-    extraction skips the reservation claim, so both ends can return one item."""
+    """Deliberately broken build for the checker's mutation tests: its claim
+    loop pops without ``try_reserve``, so both ends can return one item."""
 
-    def _extract_one(self, end):
-        index = self.lists.extract_first(end, reserve=False)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.inner._extract = self._pop_unclaimed
+
+    def _pop_unclaimed(self, end):
+        own = self.inner.min_pq if end == MIN else self.inner.max_pq
+        index = own.pq_extract_first()
         return None if index is None else self.arena.item(index).user_key
 
 

@@ -79,9 +79,9 @@ def test_bench_rejects_bad_config(capsys):
 
 
 @pytest.mark.parametrize("command", ["bench", "stress"])
-@pytest.mark.parametrize("impl", ["dual-heap", "dual-list"])
+@pytest.mark.parametrize("impl", ["dual-heap"])
 def test_epoch_reclaim_on_a_dual_build_is_rejected(capsys, command, impl):
-    """The dual builds have no reclaimer, so epoch mode would silently not run."""
+    """dual-heap has no reclaimer, so epoch mode would silently not run."""
     code, _, err = run_cli(capsys, command, "--impl", impl, "--reclaim", "epoch")
     assert code == 2
     assert "invalid configuration" in err
@@ -291,6 +291,15 @@ def test_failed_accounting_exits_3_dual_heap(capsys, monkeypatch):
     assert "accounting FAILED" in err
 
 
+def test_lincheck_command_checks_a_long_history(capsys, tmp_path):
+    path = tmp_path / "long.jsonl"
+    write_history([Event(0, "Insert", k, None, 2 * k, 2 * k + 1) for k in range(1500)],
+                  str(path))
+    code, out, _ = run_cli(capsys, "lincheck", str(path), "--max-ops", "2000")
+    assert code == 0
+    assert out.startswith("LINEARIZABLE")
+
+
 def test_raising_worker_exits_6(capsys, monkeypatch):
     from depq.list_depq import ListDepq
 
@@ -309,9 +318,9 @@ def test_raising_extraction_under_combining_exits_6(capsys, monkeypatch):
     # The first extraction raises inside a combiner serving two min
     # extractors.  The role must still be handed on, or the other extractor
     # spins forever; the run is on a daemon thread so a hang fails the test.
-    from depq.list_depq import ListDepq
+    from depq.dual_depq import DualDepq
 
-    real = ListDepq._extract_one
+    real = DualDepq._extract
     calls = itertools.count()
 
     def raises_once(self, end):
@@ -319,7 +328,7 @@ def test_raising_extraction_under_combining_exits_6(capsys, monkeypatch):
             raise RuntimeError("injected extraction failure")
         return real(self, end)
 
-    monkeypatch.setattr(ListDepq, "_extract_one", raises_once)
+    monkeypatch.setattr(DualDepq, "_extract", raises_once)
     codes = []
     runner = threading.Thread(daemon=True, target=lambda: codes.append(
         main(["bench", "--mode", "combining", "--threads-min", "2", "--ops", "200"])))

@@ -15,11 +15,6 @@ def build(impl):
     return workload.BUILDS[impl](WorkloadConfig(impl=impl))
 
 
-def list_pair(impl, depq):
-    """The ListPair under a list build."""
-    return depq.lists if impl == "list-depq" else depq.inner.min_pq.lists
-
-
 @pytest.fixture
 def captured(monkeypatch):
     """Builds made by the harness, kept open after ``run_bench`` is done."""
@@ -70,14 +65,14 @@ def test_corrupted_heap_is_reported():
     assert depq.problems()
 
 
-@pytest.mark.parametrize("impl", ["list-depq", "dual-list"])
+@pytest.mark.parametrize("impl", ["list-depq"])
 def test_live_node_tagged_deleted_is_reported(impl):
     depq = build(impl)
     for key in range(8):
         depq.insert(key)
     assert depq.extract_min() == 0
     assert depq.problems() == []
-    pair = list_pair(impl, depq)
+    pair = depq.lists
     pair.arena.item(pair.suffix(MIN)[3]).marked_into[MIN] = True
     problems = depq.problems()
     assert problems and "deleted nodes form a prefix" in problems[0]
@@ -94,24 +89,20 @@ def test_per_end_success_counts_match_the_report(captured, impl, mode, fast_swit
                          threads_max=2, prefill=1200, ops_per_thread=300, seed=23)
     report = run_bench(cfg)
     [(depq, _)] = captured
-    counters = depq.counters if impl == "list-depq" else depq.inner.counters
-    successes = counters.snapshot()["extract_successes"]
+    successes = depq.inner.counters.snapshot()["extract_successes"]
     assert successes == [report.ops["extract_min"], report.ops["extract_max"]]
     assert report.accounting_ok and report.audit_ok
 
 
-def test_dual_list_reports_its_pairs_cas_failures_once():
-    depq = build("dual-list")
-    pair = list_pair("dual-list", depq)
-    pair.counters.add("insert_cas_failures", 3)
-    assert pair.counters.snapshot()["insert_cas_failures"] == 3
+def test_list_depq_reports_its_pairs_cas_failures():
+    depq = build("list-depq")
+    depq.lists.insert_cas_failures = 3
     assert depq.stats()["insert_cas_failures"] == 3
+    assert depq.counters.snapshot()["insert_cas_failures"] == 3
 
 
-def test_dual_list_bench_reports_the_pairs_counter(captured):
-    report = run_bench(WorkloadConfig(impl="dual-list", threads_insert=3,
+def test_list_depq_bench_reports_the_pairs_counter(captured):
+    report = run_bench(WorkloadConfig(impl="list-depq", threads_insert=3,
                                       ops_per_thread=400, seed=5))
     [(depq, _)] = captured
-    pair = list_pair("dual-list", depq)
-    assert (report.retries["failed_insert_cas"]
-            == pair.counters.snapshot()["insert_cas_failures"])
+    assert report.retries["failed_insert_cas"] == depq.lists.insert_cas_failures

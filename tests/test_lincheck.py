@@ -227,6 +227,15 @@ def test_oversized_history_rejected():
 # -- checker vs naive enumerator -------------------------------------------------
 
 
+def test_long_sequential_history_needs_no_recursion():
+    # 1500 levels of search, more than the default recursion limit allows a
+    # recursive search.
+    events = [ev(0, "Insert", k, None, 2 * k, 2 * k + 1) for k in range(1500)]
+    result = check(events, max_completed=2000)
+    assert result.verdict is Verdict.LINEARIZABLE
+    assert result.witness == list(range(1500))
+
+
 def test_checker_agrees_with_naive_enumerator_on_corpus():
     rng = random.Random(20240811)
     disagreements = []

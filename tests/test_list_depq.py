@@ -1,4 +1,5 @@
-"""The fused list-based build: serialized extraction over shared-node lists."""
+"""The list-based build: the claim loop over two shared-node list queues,
+serialized per end."""
 
 import random
 import threading
@@ -114,16 +115,17 @@ def test_insert_concurrent_with_extracts_audits_clean(fast_switching):
     assert d.audit(MIN).ok and d.audit(MAX).ok
 
 
-def test_one_sweep_per_batch():
+def test_one_finalize_per_batch():
     # Park a batch of extract-max requests, let one combiner serve them all,
-    # and count physical deletions: one per batch, not one per request.
+    # and count the finalizer's calls of try_advance: one per batch, not one
+    # per request.
     batch = 5
     d = ListDepq(mode=COMBINING)
     for k in range(10):
         d.insert(k)
     finishes = []
-    finish_batch = d._finish_batch
-    d._finish_batch = lambda end: finishes.append(end) or finish_batch(end)
+    try_advance = d.reclaim.try_advance
+    d.reclaim.try_advance = lambda: finishes.append(MAX) or try_advance()
     with ControlledScheduler() as sched:
         for i in range(batch):
             name = f"x{i}"
@@ -146,7 +148,7 @@ def test_one_sweep_per_batch():
     assert stats["batches"] == 1
     assert finishes == [MAX]    # the finalizer ran once, for the one batch
     assert stats["batch_sizes"] == {batch: 1}
-    # the whole logically deleted prefix went in one head move
+    # each pop swept the logically deleted prefix behind it
     assert d.lists.head(MAX) == d.lists.last_deleted(MAX)
 
 

@@ -1,5 +1,5 @@
 """The per-end skiplist index over the shared-node lists: search length,
-audit claims, and real-thread runs of the builds that use it."""
+audit claims, and real-thread runs of the build that uses it."""
 
 import random
 import sys
@@ -8,11 +8,11 @@ import time
 from collections import Counter
 
 from depq import atomics
-from depq.dual_depq import COMBINING, DualDepq, make_multi_consumer
+from depq.combining import COMBINING
 from depq.items import MAX, MIN, Arena
 from depq.list_depq import ListDepq
-from depq.ordered_list import LEVELS, ListPair, ListPq, tower_height
-from depq.reclaim import EPOCH, Reclaimer
+from depq.ordered_list import LEVELS, ListPair, tower_height
+from depq.reclaim import EPOCH
 
 
 class _CountReads:
@@ -148,18 +148,14 @@ def test_real_thread_stress_list_depq_epoch():
     assert time.monotonic() - started < 5
 
 
-def test_real_thread_stress_dual_list():
+def test_real_thread_stress_list_depq_combining():
     started = time.monotonic()
-    arena = Arena()
-    pair = ListPair(arena)
-    reclaim = Reclaimer(arena)
-    dual = DualDepq(arena, ListPq(pair, MIN, reclaim), ListPq(pair, MAX, reclaim))
-    inserted, returned = _hammer(make_multi_consumer(dual, COMBINING), seed=2)
-    remaining = [key.user_key for key in pair.suffix_keys(MIN)]
-    assert inserted == returned + Counter(remaining)
-    assert pair.audit(MIN).ok and pair.audit(MAX).ok
-    assert reclaim.snapshot()["retired"] > 0
-    reclaim.close()   # deferred mode frees at close
-    counts = reclaim.snapshot()
+    d = ListDepq(mode=COMBINING)
+    inserted, returned = _hammer(d, seed=2)
+    assert inserted == returned + Counter(d.remaining_keys())
+    assert d.audit(MIN).ok and d.audit(MAX).ok
+    assert d.reclaim.snapshot()["retired"] > 0
+    d.close()   # deferred mode frees at close
+    counts = d.reclaim.snapshot()
     assert counts["freed"] == counts["retired"] > 0
     assert time.monotonic() - started < 5

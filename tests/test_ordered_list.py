@@ -3,8 +3,9 @@
 import random
 
 from depq.atomics import AtomicCell
-from depq.items import MAX, MIN, Arena, Key, unpack_link
-from depq.ordered_list import ListPair, comes_before
+from depq.dual_depq import DualDepq
+from depq.items import MAX, MIN, Arena, Key, try_reserve, unpack_link
+from depq.ordered_list import ListPair, ListPq, comes_before
 from depq.sched import ControlledScheduler, explore_interleavings
 
 
@@ -20,6 +21,15 @@ def insert_keys(arena, lists, keys, end):
         lists.insert(idx, end)
         out.append(idx)
     return out
+
+
+def extract_claimed(arena, lists, end):
+    """Pop and claim as ``DualDepq``'s loop does, but without its sweep:
+    nodes the other end has claimed are skipped."""
+    while (got := lists.extract_first(end)) is not None:
+        if try_reserve(arena.item(got)):
+            return got
+    return None
 
 
 def walk_user_keys(lists, end):
@@ -126,7 +136,7 @@ def test_insert_racing_mark_explored_both_orders():
             lists.insert(new, MIN)
 
         def extractor(_state):
-            got = lists.extract_first(MIN, reserve=False)
+            got = lists.extract_first(MIN)
             return arena.item(got).user_key
 
         return (arena, lists, new), [("ins", inserter), ("ex", extractor)]
@@ -147,14 +157,14 @@ def test_insert_racing_mark_explored_both_orders():
 
 def test_extract_on_fresh_list_returns_empty():
     _, lists = make_pair()
-    assert lists.extract_first(MIN, reserve=False) is None
-    assert lists.extract_first(MAX, reserve=False) is None
+    assert lists.extract_first(MIN) is None
+    assert lists.extract_first(MAX) is None
 
 
 def test_extract_without_reserve_advances_last_deleted():
     arena, lists = make_pair()
     one, _two = insert_keys(arena, lists, [1, 2], MIN)
-    got = lists.extract_first(MIN, reserve=False)
+    got = lists.extract_first(MIN)
     assert got == one
     assert lists.last_deleted(MIN) == one
 
@@ -162,9 +172,9 @@ def test_extract_without_reserve_advances_last_deleted():
 def test_extract_skips_node_reserved_by_other_end():
     arena, lists = make_pair()
     one, two = insert_keys(arena, lists, [1, 2], MIN)
+    dual = DualDepq(arena, ListPq(lists, MIN), ListPq(lists, MAX))
     assert arena.item(one).reserved.test_and_set() == 0  # claimed elsewhere
-    got = lists.extract_first(MIN, reserve=True)
-    assert got == two
+    assert dual.extract_min() == 2
     assert arena.item(one).marked_into[MIN]
     assert arena.item(two).marked_into[MIN]
 
@@ -182,7 +192,7 @@ def test_sweep_head_noop_when_nothing_deleted():
 def test_sweep_head_after_one_extract_removes_dummy_only():
     arena, lists = make_pair()
     one, _ = insert_keys(arena, lists, [1, 2], MIN)
-    lists.extract_first(MIN, reserve=False)
+    lists.extract_first(MIN)
     removed = lists.sweep_head(MIN)
     assert removed == [lists.dummy]
     assert lists.head(MIN) == one
@@ -191,8 +201,8 @@ def test_sweep_head_after_one_extract_removes_dummy_only():
 def test_sweep_head_after_two_extracts():
     arena, lists = make_pair()
     one, two = insert_keys(arena, lists, [1, 2], MIN)
-    lists.extract_first(MIN, reserve=False)
-    lists.extract_first(MIN, reserve=False)
+    lists.extract_first(MIN)
+    lists.extract_first(MIN)
     removed = lists.sweep_head(MIN)
     assert removed == [lists.dummy, one]
     assert lists.head(MIN) == two
@@ -221,7 +231,7 @@ def test_audit_passes_after_random_quiescent_op_sequences():
                 lists.insert(idx, MAX)
             else:
                 end = MIN if roll < 0.8 else MAX
-                lists.extract_first(end, reserve=True)
+                extract_claimed(arena, lists, end)
                 lists.sweep_head(end)
         for end in (MIN, MAX):
             report = lists.audit(end)
@@ -233,7 +243,7 @@ def test_audit_second_last_branch_with_frozen_extractor():
     insert_keys(arena, lists, [1, 2], MIN)
     with ControlledScheduler() as sched:
         sched.freeze("ex", "ex-write-lastdel")
-        sched.spawn("ex", lists.extract_first, MIN, False)
+        sched.spawn("ex", lists.extract_first, MIN)
         sched.start()
         sched.wait_frozen("ex")
         strict = lists.audit(MIN)
@@ -272,7 +282,7 @@ def test_marked_words_never_change_afterwards():
             lists.insert(idx, MAX)
         else:
             end = rng.choice((MIN, MAX))
-            lists.extract_first(end, reserve=True)
+            extract_claimed(arena, lists, end)
             if rng.random() < 0.3:
                 lists.sweep_head(end)
         for (node, end), word in snapshots.items():
@@ -296,7 +306,7 @@ def test_unreachable_nodes_were_all_marked():
             lists.insert(idx, MAX)
         else:
             end = rng.choice((MIN, MAX))
-            lists.extract_first(end, reserve=True)
+            extract_claimed(arena, lists, end)
             lists.sweep_head(end)
     for end in (MIN, MAX):
         reachable = set(lists.walk(end))
@@ -328,17 +338,17 @@ def test_insert_makes_progress_only_when_others_succeed():
         completed_between = 0
         for _ in range(rounds):
             sched.run_until("slow", "ins-cas")   # poised with a stale expected word
-            before = lists.counters.snapshot()["insert_cas_failures"]
+            before = lists.insert_cas_failures
             sched.run_until("fast", "ins-cas")
             sched.grant("fast")                  # fast publishes first
             sched.wait_quiescent()
             completed_between += 1
             sched.grant("slow")                  # slow's publish now fails
             sched.run_until("slow", "ins-cas")   # it retraverses and re-poises
-            after = lists.counters.snapshot()["insert_cas_failures"]
+            after = lists.insert_cas_failures
             assert after == before + 1
         sched.run_to_completion("slow")
         sched.run_to_completion("fast")
-    assert lists.counters.snapshot()["insert_cas_failures"] == rounds
+    assert lists.insert_cas_failures == rounds
     assert completed_between == rounds
     assert walk_user_keys(lists, MIN) == sorted([100] + list(range(1, rounds + 1)))
