@@ -1,5 +1,5 @@
-"""Single-word atomic cells, exact per-thread counters, and the
-instrumentation hook used by the controlled scheduler.
+"""Single-word atomic cells, the spin lock, and the instrumentation hook
+used by the controlled scheduler.
 
 Every shared word in this package lives in an :class:`AtomicCell`.  Plain
 loads and stores of a Python attribute are already atomic under the GIL;
@@ -12,13 +12,17 @@ at that site before the operation executes.  This is what lets the test
 scheduler freeze a thread "immediately before its CAS" or explore every
 interleaving of two operations.  With no controller installed the check is
 a single global load, so production use pays almost nothing.
+
+Counts need no type of their own: every count in this package is a plain
+int, or a list of ints, that has one writer at a time (one end's consumer,
+say) or is bumped under a lock its writer holds anyway.  Both serializer
+modes keep their stats this way.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import Counter, defaultdict
 from typing import Any, Protocol
 
 
@@ -151,72 +155,3 @@ class AtomicCell:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AtomicCell({self._value!r})"
-
-
-class Counters:
-    """Exact event counters, sharded per thread.
-
-    The keyword arguments name the fields and give their zero values: an int
-    for a scalar, a list of ints for a fixed set of slots (one per end, say),
-    or ``{}`` for a histogram keyed by value.  Each thread increments its own
-    shard, a private copy of those fields, so an increment takes no lock.
-    A thread's shard outlives the thread.  ``snapshot`` sums the shards; it
-    is exact at quiescence or while the other threads are parked, which is
-    where counters are read.  Increments pass no pause site.
-
-    ``single_writer`` names lists of ints that their owner bumps inline, for
-    counts whose every slot has one writer at a time (one end's consumer,
-    say): a plain ``+=`` is then exact, and costs a fraction of ``add_at``.
-    ``snapshot`` copies them under their names.
-    """
-
-    def __init__(self, single_writer: dict[str, list[int]] | None = None,
-                 **fields: Any) -> None:
-        self._single_writer = single_writer or {}
-        self._fields = fields
-        self._shards: dict[int, dict[str, Any]] = {}
-        self._lock = threading.Lock()
-
-    def _new_shard(self) -> dict[str, Any]:
-        shard = {name: defaultdict(int) if isinstance(zero, dict) else
-                 list(zero) if isinstance(zero, list) else zero
-                 for name, zero in self._fields.items()}
-        with self._lock:
-            # Reached again after a KeyError for a bad field name: keep the
-            # thread's existing shard, so the error loses no counts.
-            return self._shards.setdefault(threading.get_ident(), shard)
-
-    def add(self, name: str, n: int = 1) -> None:
-        """Add ``n`` to a scalar field."""
-        try:
-            self._shards[threading.get_ident()][name] += n
-        except KeyError:
-            self._new_shard()[name] += n
-
-    def add_at(self, name: str, slot: Any, n: int = 1) -> None:
-        """Add ``n`` to one slot of a list field or one bucket of a histogram."""
-        try:
-            self._shards[threading.get_ident()][name][slot] += n
-        except KeyError:
-            self._new_shard()[name][slot] += n
-
-    def snapshot(self) -> dict[str, Any]:
-        """Every field summed over the shards; histograms sorted by key."""
-        with self._lock:
-            shards = list(self._shards.values())
-        out: dict[str, Any] = {}
-        for name, zero in self._fields.items():
-            parts = [shard[name] for shard in shards]
-            if isinstance(zero, dict):
-                total: Counter = Counter()
-                for part in parts:
-                    total.update(part)
-                out[name] = dict(sorted(total.items()))
-            elif isinstance(zero, list):
-                out[name] = [sum(col) for col in zip(zero, *parts)]
-            else:
-                out[name] = zero + sum(parts)
-        for name, slots in self._single_writer.items():
-            out[name] = list(slots)
-        return out
-

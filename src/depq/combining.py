@@ -1,10 +1,11 @@
 """Per-end serializers: one end's extractions run one at a time.
 
 ``make_serializer`` builds one of two kinds, chosen by mode.  Both take a
-per-request function ``apply`` and an optional ``finalize``, and both offer
-``announce(request)``, which returns ``apply(request)``, and ``stats``,
-whose snapshot has ``applied``, ``batches``, ``gauge_violations`` and a
-``batch_sizes`` histogram.
+per-request function ``apply``, an optional ``finalize`` and an optional
+``guard`` bracket, and both offer ``announce(request)``, which returns
+``apply(request)``.  Both keep the same :class:`BatchStats` in ``stats``:
+a histogram of batch sizes and a count of gauge violations, plain ints
+updated under a lock the serializer holds anyway, so they are exact.
 
 ``two-locks`` (:class:`EndLock`, the default): each caller takes the end's
 lock, runs its own request and then the finalizer, and releases.  Every
@@ -37,7 +38,7 @@ import time
 from collections import Counter
 from typing import Any, Callable, Iterable
 
-from .atomics import AtomicCell, Counters, SpinLock
+from .atomics import AtomicCell, SpinLock
 
 TWO_LOCKS = "two-locks"
 COMBINING = "combining"
@@ -47,6 +48,40 @@ MODES = (TWO_LOCKS, COMBINING)
 DEFAULT_MODE = TWO_LOCKS
 
 _SPIN_BEFORE_YIELD = 64
+
+
+class BatchStats:
+    """One serializer's batches: how many of each size, and how many times a
+    second combiner appeared (``gauge_violations``; always 0 under a lock).
+    The serializer updates them under its own lock."""
+
+    __slots__ = ("batch_sizes", "gauge_violations")
+
+    def __init__(self) -> None:
+        self.batch_sizes: dict[int, int] = {}
+        self.gauge_violations = 0
+
+    def record(self, size: int) -> None:
+        self.batch_sizes[size] = self.batch_sizes.get(size, 0) + 1
+
+    def snapshot(self) -> dict[str, Any]:
+        """Also ``applied`` and ``batches``, the histogram's two totals."""
+        sizes = dict(sorted(self.batch_sizes.items()))
+        return {"applied": sum(size * n for size, n in sizes.items()),
+                "batches": sum(sizes.values()),
+                "gauge_violations": self.gauge_violations, "batch_sizes": sizes}
+
+
+def _nothing() -> None:
+    pass
+
+
+class _NoGuard:
+    def enter(self) -> None:
+        pass
+
+    def exit(self) -> None:
+        pass
 
 
 class CombinerRecord:
@@ -62,24 +97,28 @@ class CombinerRecord:
 
 
 class Combiner:
-    """One combining instance serving one hotspot (one end of a queue)."""
+    """One combining instance serving one hotspot (one end of a queue).
+
+    Each announcer is inside ``guard`` for its whole call, so whichever
+    thread combines runs the batch inside its own bracket.
+    """
 
     def __init__(self, apply: Callable[[Any], Any],
                  finalize: Callable[[], None] | None = None,
-                 batch_cap: int = 64):
+                 batch_cap: int = 64, guard: Any = None):
         if batch_cap < 1:
             raise ValueError("batch_cap must be at least 1")
         self.batch_cap = batch_cap
         self._apply = apply
-        self._finalize = finalize
+        self._finalize = finalize or _nothing
+        self._guard = guard if guard is not None else _NoGuard()
+        # The records' RMW lock; ``stats`` is updated under it too.
         self._lock = threading.Lock()
         self._tail = AtomicCell(CombinerRecord(self._lock), self._lock)
         self._spare = threading.local()
         # Held by the active combiner: the at-most-one-combiner check.
         self._combining = threading.Lock()
-        # ``gauge_violations`` counts the times a second combiner appeared.
-        self.stats = Counters(applied=0, batches=0, gauge_violations=0,
-                              batch_sizes={})
+        self.stats = BatchStats()
 
     def _fresh_record(self) -> CombinerRecord:
         spare = getattr(self._spare, "rec", None)
@@ -89,24 +128,28 @@ class Combiner:
 
     def announce(self, request: Any) -> Any:
         """Submit a request; blocks until some combiner has applied it."""
-        fresh = self._fresh_record()
-        fresh.next_rec.store(None)
-        fresh.wait.store(1)
-        fresh.completed.store(0)
-        fresh.error = None
-        cell = self._tail.swap(fresh, site="cc-swap")
-        cell.request = request
-        cell.next_rec.store(fresh, site="cc-link")
-        # The received record is recycled as this thread's next fresh one.
-        self._spare.rec = cell
+        self._guard.enter()
+        try:
+            fresh = self._fresh_record()
+            fresh.next_rec.store(None)
+            fresh.wait.store(1)
+            fresh.completed.store(0)
+            fresh.error = None
+            cell = self._tail.swap(fresh, site="cc-swap")
+            cell.request = request
+            cell.next_rec.store(fresh, site="cc-link")
+            # The received record is recycled as this thread's next fresh one.
+            self._spare.rec = cell
 
-        spins = 0
-        while cell.wait.load(site="cc-spin"):
-            spins += 1
-            if spins % _SPIN_BEFORE_YIELD == 0:
-                time.sleep(0)
-        if not cell.completed.load(site="cc-completed"):
-            self._combine(cell)
+            spins = 0
+            while cell.wait.load(site="cc-spin"):
+                spins += 1
+                if spins % _SPIN_BEFORE_YIELD == 0:
+                    time.sleep(0)
+            if not cell.completed.load(site="cc-completed"):
+                self._combine(cell)
+        finally:
+            self._guard.exit()
         if cell.error is not None:
             raise cell.error
         return cell.result
@@ -119,9 +162,11 @@ class Combiner:
         even when the finalizer raises, so no later announce waits forever.
         """
         # Never blocks: a held lock means a second combiner, which is counted.
+        # Two combiners may count at once, hence the lock.
         owner = self._combining.acquire(False)
         if not owner:
-            self.stats.add("gauge_violations")
+            with self._lock:
+                self.stats.gauge_violations += 1
         rec = cell
         served = 0
         try:
@@ -137,60 +182,14 @@ class Combiner:
                 rec.completed.store(1, site="cc-set-completed")
                 rec.wait.store(0, site="cc-clear-wait")
                 rec = nxt
-            if self._finalize is not None:
-                self._finalize()
+            self._finalize()
         finally:
-            self.stats.add("applied", served)
-            self.stats.add("batches")
-            self.stats.add_at("batch_sizes", served)
+            with self._lock:
+                self.stats.record(served)
             if owner:
                 self._combining.release()
             # Handoff: whoever owns (or will receive) this record combines next.
             rec.wait.store(0, site="cc-handoff")
-
-
-class _GuardedCombiner(Combiner):
-    """Combining with each announcer inside ``guard`` for its whole call:
-    whichever thread combines runs the batch inside its own bracket."""
-
-    def __init__(self, guard: Any, *args: Any, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self._guard = guard
-
-    def announce(self, request: Any) -> Any:
-        self._guard.enter()
-        try:
-            return super().announce(request)
-        finally:
-            self._guard.exit()
-
-
-class _LockStats:
-    """Lock-mode stats: every call is a batch of one, so one count is all
-    there is to keep.  It is bumped under the end's lock, so a plain int is
-    exact.  The snapshot has the combiner's keys."""
-
-    __slots__ = ("calls",)
-
-    def __init__(self) -> None:
-        self.calls = 0
-
-    def snapshot(self) -> dict[str, Any]:
-        n = self.calls
-        return {"applied": n, "batches": n, "gauge_violations": 0,
-                "batch_sizes": {1: n} if n else {}}
-
-
-def _nothing() -> None:
-    pass
-
-
-class _NoGuard:
-    def enter(self) -> None:
-        pass
-
-    def exit(self) -> None:
-        pass
 
 
 class EndLock:
@@ -208,7 +207,7 @@ class EndLock:
         self._finalize = finalize or _nothing
         self._guard = guard if guard is not None else _NoGuard()
         self._lock = SpinLock()
-        self.stats = _LockStats()
+        self.stats = BatchStats()
 
     def announce(self, request: Any) -> Any:
         """Apply ``request``, then finalize.  An error from ``apply`` reaches
@@ -222,7 +221,7 @@ class EndLock:
                 self._finalize()
             finally:
                 self._guard.exit()
-                self.stats.calls += 1
+                self.stats.record(1)
                 self._lock.release()
 
 
@@ -239,9 +238,7 @@ def make_serializer(mode: str, apply: Callable[[Any], Any],
     if mode == TWO_LOCKS:
         return EndLock(apply, finalize, guard)
     if mode == COMBINING:
-        if guard is None:
-            return Combiner(apply, finalize, batch_cap)
-        return _GuardedCombiner(guard, apply, finalize, batch_cap)
+        return Combiner(apply, finalize, batch_cap, guard)
     raise ValueError(f"unknown serializer mode {mode!r}")
 
 

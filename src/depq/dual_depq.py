@@ -27,11 +27,27 @@ end's consumer, whose claim then failed; it then returns False.
 
 from __future__ import annotations
 
-from .atomics import Counters, checkpoint
+from .atomics import checkpoint
 # COMBINING and TWO_LOCKS are re-exported: callers name the modes from here.
 from .combining import COMBINING, TWO_LOCKS, batch_sizes, make_serializer  # noqa: F401
 from .items import (MAX, MIN, POISONED, Arena, PriorityQueue, is_reserved,
                     reclaimed_access, try_reserve)
+
+
+class CountReader:
+    """A build's ``counters``: ``snapshot()`` reads each ``(owner, name)``
+    attribute when called, copying lists, and keys it by ``name``.  Each is
+    a plain count (see :mod:`depq.atomics`), so the snapshot is exact at
+    quiescence."""
+
+    __slots__ = ("_fields",)
+
+    def __init__(self, *fields: tuple[object, str]) -> None:
+        self._fields = fields
+
+    def snapshot(self) -> dict:
+        values = {name: getattr(owner, name) for owner, name in self._fields}
+        return {name: list(v) if isinstance(v, list) else v for name, v in values.items()}
 
 
 class DualDepq:
@@ -48,10 +64,9 @@ class DualDepq:
         self.extract_successes = [0, 0]
 
     @property
-    def counters(self) -> Counters:
+    def counters(self) -> CountReader:
         """The per-end counts, built when read so construction skips it."""
-        return Counters(single_writer={"reserve_failures": self.reserve_failures,
-                                       "extract_successes": self.extract_successes})
+        return CountReader((self, "reserve_failures"), (self, "extract_successes"))
 
     def insert(self, user_key: int) -> None:
         index = self.arena.new_item(user_key)

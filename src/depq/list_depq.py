@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .atomics import checkpoint
 from .combining import DEFAULT_MODE
-from .dual_depq import DualDepq, MultiConsumerDepq
+from .dual_depq import CountReader, DualDepq, MultiConsumerDepq
 from .items import MAX, MIN, Arena
 from .ordered_list import AuditReport, ListPair, ListPq
 from .reclaim import DEFERRED, Reclaimer
@@ -51,9 +51,12 @@ class ListDepq(MultiConsumerDepq):
             self.reclaim.exit()
 
     @property
-    def counters(self) -> _Counts:
-        """The counts for ``snapshot()``, built when read."""
-        return _Counts(self.lists, self.inner)
+    def counters(self) -> CountReader:
+        """The claim loop's per-end counts, with the pair's per-end marks and
+        its failed insert CASes; built when read."""
+        dual, lists = self.inner, self.lists
+        return CountReader((dual, "reserve_failures"), (dual, "extract_successes"),
+                           (lists, "marks"), (lists, "insert_cas_failures"))
 
     def audit(self, end: int, mid_extract_ok: bool = False) -> AuditReport:
         return self.lists.audit(end, mid_extract_ok=mid_extract_ok)
@@ -66,17 +69,3 @@ class ListDepq(MultiConsumerDepq):
         super().close()
         self.reclaim.close()
 
-
-class _Counts:
-    """``ListDepq.counters``: the claim loop's per-end counts, with the
-    pair's per-end marks and its failed insert CASes."""
-
-    __slots__ = ("_lists", "_dual")
-
-    def __init__(self, lists: ListPair, dual: DualDepq):
-        self._lists = lists
-        self._dual = dual
-
-    def snapshot(self) -> dict:
-        return {**self._dual.counters.snapshot(), "marks": list(self._lists.marks),
-                "insert_cas_failures": self._lists.insert_cas_failures}

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import threading
 
-from .atomics import AtomicCell, Counters
-from .items import Arena
+from .atomics import AtomicCell
+from .items import POISONED, Arena
 
 _QUIESCENT = -1
 
@@ -44,10 +44,8 @@ class Reclaimer:
         self._buckets: dict[int, list[int]] = {}
         self._deferred: list[int] = []
         self._closed = False
-        # ``unlink_first`` has two writers (one per list) and no lock; the
-        # other two counts are bumped under ``_lock``, which is held there
-        # anyway.
-        self.counters = Counters(unlink_first=0)
+        # Bumped under ``_lock``, which is held there anyway.  First unlinks
+        # are not counted: the items' retire flags already hold that count.
         self._retired = 0
         self._freed = 0
 
@@ -63,7 +61,6 @@ class Reclaimer:
         """
         prior = self.arena.item(index).unlinked.fetch_add(1, site="unlink-flag")
         if prior == 0:
-            self.counters.add("unlink_first")
             return False
         if prior == 1:
             self._retire(index)
@@ -168,8 +165,12 @@ class Reclaimer:
 
     def snapshot(self) -> dict:
         """``unlink_first``, ``retired`` and ``freed`` counts, plus ``mode``
-        and the ``pending`` (retired, not yet freed) count."""
+        and the ``pending`` (retired, not yet freed) count.  Quiescent use
+        only: ``unlink_first`` is the retired items plus the live ones whose
+        retire flag shows one unlink."""
         with self._lock:
             retired, freed = self._retired, self._freed
-        return {"mode": self.mode, **self.counters.snapshot(), "retired": retired,
-                "freed": freed, "pending": self.pending()}
+        unlinked_once = sum(1 for item in self.arena.slots
+                            if item is not POISONED and item.unlinked.load() == 1)
+        return {"mode": self.mode, "unlink_first": retired + unlinked_once,
+                "retired": retired, "freed": freed, "pending": self.pending()}

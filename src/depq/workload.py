@@ -284,6 +284,8 @@ def run_stress(cfg: WorkloadConfig, windows: int, capture: str | None = None,
     ``.close()``.
     """
     cfg.validate()
+    if windows < 1:
+        raise ConfigError("windows must be at least 1")
     master = random.Random(cfg.seed)
     out: list[WindowResult] = []
     for index in range(windows):

@@ -87,6 +87,15 @@ def test_epoch_reclaim_on_a_dual_build_is_rejected(capsys, command, impl):
     assert "invalid configuration" in err
 
 
+@pytest.mark.parametrize("windows", ["0", "-3"])
+def test_stress_rejects_a_window_count_below_one(capsys, windows):
+    """Zero windows would check nothing and still report success."""
+    code, out, err = run_cli(capsys, "stress", "--windows", windows)
+    assert code == 2
+    assert "invalid configuration" in err
+    assert "linearizable" not in out
+
+
 def test_bench_rejects_ops_and_duration_together(capsys):
     code, _, err = run_cli(capsys, "bench", "--ops", "10", "--duration-ms", "10")
     assert code == 2

@@ -6,6 +6,7 @@ errors reaching only their own caller) has a check per property, run once
 per mode.
 """
 
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -127,6 +128,17 @@ def test_batch_cap_splits_into_two_batches_with_handoff():
 
 
 def check_exactly_once(mode):
+    """Also the stats' exactness: they are plain ints, so a lost update under
+    fast thread switching would show in the totals."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _check_exactly_once(mode)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def _check_exactly_once(mode):
     per_thread = 300
     n_threads = 8
     seen = []
@@ -154,8 +166,9 @@ def check_exactly_once(mode):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
 
+    assert not any(t.is_alive() for t in threads)
     assert not errors
     assert len(seen) == per_thread * n_threads
     assert len(set(seen)) == len(seen)        # exactly once, no duplicates
@@ -168,11 +181,11 @@ def check_exactly_once(mode):
     assert max(snap["batch_sizes"]) <= 16
 
 
-def test_concurrent_announces_apply_exactly_once(fast_switching):
+def test_concurrent_announces_apply_exactly_once():
     check_exactly_once(COMBINING)
 
 
-def test_concurrent_announces_apply_exactly_once_two_locks(fast_switching):
+def test_concurrent_announces_apply_exactly_once_two_locks():
     check_exactly_once(TWO_LOCKS)
 
 
