@@ -132,8 +132,8 @@ def cmd_lincheck(args: argparse.Namespace) -> int:
         print(f"cannot read history: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        result = check(events, max_completed=args.max_ops)
-    except ValueError as exc:  # malformed, or longer than --max-ops
+        result = check(events)
+    except ValueError as exc:  # malformed
         print(f"cannot check history: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(result.verdict.value)
@@ -182,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lin = sub.add_parser("lincheck", help="check a recorded history file")
     p_lin.add_argument("file")
-    p_lin.add_argument("--max-ops", type=int, default=20)
     p_lin.set_defaults(fn=cmd_lincheck)
 
     p_replay = sub.add_parser("replay", help="deterministically force a named scenario")

@@ -11,25 +11,37 @@ its operations that respects that real-time order and reproduces every
 completed operation's recorded result when replayed through the sequential
 semantics.  Operations still pending at the end of the history may be
 placed anywhere consistent with their invocation, or left out entirely.
-The search is depth-first, over an explicit stack, with memoization on (set
-of placed operations, multiset of keys currently stored); a state budget
-turns pathological histories into an explicit inconclusive verdict rather
-than a hang.
+The depth-first search places each thread's operations in order, so its
+state is how many of each thread's operations are placed plus what each
+placed pending extraction took.  That fixes the stored keys, so it is an
+exact memo key.  Each new state is charged its thread count against one
+state budget, which bounds time and memory and turns a pathological
+history into an explicit inconclusive verdict rather than a hang.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 import threading
+from bisect import insort
 from dataclasses import asdict, dataclass, replace
 
 from .atomics import AtomicCell
+from .oracle import SeqDepq, seq_apply
 
 #: Recorded result of an extraction that found the structure empty.
 EMPTY = "NONE"
 
 KINDS = ("Insert", "ExtractMin", "ExtractMax")
+
+# The response stamp of an operation that never responds.
+_NEVER = math.inf
+
+#: Each int field of a history line, and what else it may hold.
+_INT_FIELDS = {"thread": (), "arg": (None,), "result": (EMPTY, None),
+               "invoke": (), "response": (None,)}
 
 
 @dataclass
@@ -50,12 +62,18 @@ class Event:
 
     @staticmethod
     def from_json(line: str) -> "Event":
+        """Parse one history line; ``ValueError`` names a missing or bad field."""
         row = json.loads(line)
-        if row["kind"] not in KINDS:
-            raise ValueError(f"unknown kind {row['kind']!r}")
-        return Event(thread=row["thread"], kind=row["kind"], arg=row["arg"],
-                     result=row["result"], invoke=row["invoke"],
-                     response=row["response"])
+        if not isinstance(row, dict):
+            raise ValueError(f"not a JSON object: {line.strip()!r}")
+        if row.get("kind") not in KINDS:
+            raise ValueError(f"field 'kind' is missing or unknown: {row.get('kind')!r}")
+        for name, also in _INT_FIELDS.items():
+            if name not in row:
+                raise ValueError(f"field {name!r} is missing")
+            if type(row[name]) is not int and row[name] not in also:
+                raise ValueError(f"field {name!r} holds {row[name]!r}")
+        return Event(kind=row["kind"], **{name: row[name] for name in _INT_FIELDS})
 
 
 def write_history(events: list[Event], path: str) -> None:
@@ -143,32 +161,31 @@ class CheckResult:
         return self.verdict is Verdict.LINEARIZABLE
 
 
-def validate_history(events: list[Event]) -> None:
-    """Reject structurally malformed histories before searching."""
-    pending: dict[int, int] = {}
+def validate_history(events: list[Event]) -> list[list[int]]:
+    """Reject structurally malformed histories before searching; return
+    each thread's event positions in invocation order."""
     stamps: list[int] = []
-    for pos, ev in enumerate(events):
+    lines: dict[int, list[int]] = {}
+    for invoke, pos in sorted((ev.invoke, pos) for pos, ev in enumerate(events)):
+        ev = events[pos]
         if ev.kind not in KINDS:
             raise ValueError(f"event {pos}: unknown kind {ev.kind!r}")
         if ev.kind == "Insert" and ev.arg is None:
             raise ValueError(f"event {pos}: insert without a key")
-        if ev.response is not None and ev.response <= ev.invoke:
+        if ev.response is not None and ev.response <= invoke:
             raise ValueError(f"event {pos}: response not after invocation")
-        if ev.thread in pending:
-            raise ValueError(
-                f"thread {ev.thread} has overlapping operations "
-                f"(events {pending[ev.thread]} and {pos})")
-        if ev.response is None:
-            pending[ev.thread] = pos
-        stamps.append(ev.invoke)
+        stamps.append(invoke)
         if ev.response is not None:
             stamps.append(ev.response)
+        line = lines.setdefault(ev.thread, [])
+        prior = events[line[-1]].response if line else -_NEVER
+        if prior is None or prior > invoke:
+            raise ValueError(f"thread {ev.thread} has overlapping operations "
+                             f"(events {line[-1]} and {pos})")
+        line.append(pos)
     if len(set(stamps)) != len(stamps):
         raise ValueError("timestamps are not globally unique")
-
-
-def _op_of(ev: Event) -> tuple:
-    return (ev.kind, ev.arg)
+    return list(lines.values())
 
 
 def _expected(ev: Event):
@@ -178,60 +195,52 @@ def _expected(ev: Event):
     return None if ev.result == EMPTY else ev.result
 
 
-def check(events: list[Event], *, max_completed: int = 20,
-          state_budget: int = 500_000,
+def check(events: list[Event], *, state_budget: int = 500_000,
           initial_keys: tuple = ()) -> CheckResult:
     """Decide linearizability of a recorded history.
 
     ``initial_keys`` seeds the oracle for histories over a prefilled
     structure whose prefill was not recorded.
     """
-    validate_history(events)
-    n = len(events)
-    completed_mask = 0
-    for pos, ev in enumerate(events):
-        if ev.completed:
-            completed_mask |= 1 << pos
-    if completed_mask.bit_count() > max_completed:
-        raise ValueError(f"history has more than {max_completed} completed operations")
-
-    # preds[i]: completed operations that certainly finished before i began.
-    preds = [0] * n
-    for i, ev in enumerate(events):
-        for j, other in enumerate(events):
-            if other.completed and other.response < ev.invoke:
-                preds[i] |= 1 << j
-
-    from bisect import insort
+    lines = validate_history(events)
+    width = len(lines)
+    # Per thread: event positions and responses, closed by an "all placed" sentinel.
+    line_ops = [line + [None] for line in lines]
+    line_resp = [[_NEVER if events[i].response is None else events[i].response
+                  for i in line] + [_NEVER] for line in lines]
 
     keys = sorted(initial_keys)
     order: list[int] = []
+    placed = [0] * width        # per thread: how many operations are placed
+    took = [None] * width       # per thread: what its placed pending extraction took
 
-    def children(chosen: int):
-        """Place each operation that may go next, in event order: yield the
-        new set of placed operations with ``keys`` and ``order`` updated,
-        and undo the placement when resumed."""
-        for i in range(n):
-            bit = 1 << i
-            if chosen & bit or (preds[i] & chosen) != preds[i]:
+    def children(horizon):
+        """Place each thread's next operation if it was invoked before
+        ``horizon``: yield with the search state updated, and undo the
+        placement when resumed."""
+        for t, ops in enumerate(line_ops):
+            i = ops[placed[t]]
+            if i is None or events[i].invoke > horizon:
                 continue
             ev = events[i]
-            kind = ev.kind
-            if kind == "Insert":
-                insort(keys, ev.arg)
-                order.append(i)
-                yield chosen | bit
-                order.pop()
-                keys.remove(ev.arg)
-                continue
             popped = None
-            if keys:
-                popped = keys.pop(0) if kind == "ExtractMin" else keys.pop()
+            if ev.kind == "Insert":
+                insort(keys, ev.arg)
+            elif keys:
+                popped = keys.pop(0) if ev.kind == "ExtractMin" else keys.pop()
+            # An insert expects None, which is also what it popped.
             if not ev.completed or popped == _expected(ev):
+                placed[t] += 1
+                if not ev.completed:
+                    took[t] = popped
                 order.append(i)
-                yield chosen | bit
+                yield True
                 order.pop()
-            if popped is not None:
+                took[t] = None
+                placed[t] -= 1
+            if ev.kind == "Insert":
+                keys.remove(ev.arg)
+            elif popped is not None:
                 insort(keys, popped)
 
     # Depth-first search with an explicit stack of open states, so a long
@@ -239,29 +248,26 @@ def check(events: list[Event], *, max_completed: int = 20,
     # state holds its memo key and the generator of its remaining children;
     # a state whose children are all exhausted is memoized as failed.
     states = 0
-    failed: set[tuple[int, tuple]] = set()
-    stack: list[tuple[tuple[int, tuple], object]] = []
-    chosen = 0
-    found = False
+    failed: set[tuple[tuple, tuple]] = set()
+    stack: list[tuple[tuple[tuple, tuple], object]] = []
     while True:
-        if chosen & completed_mask == completed_mask:
-            found = True
+        # The earliest response among the unplaced completed operations:
+        # within a thread, the next operation responds first.
+        horizon = min(map(list.__getitem__, line_resp, placed), default=_NEVER)
+        if horizon == _NEVER:   # every completed operation is placed
             break
-        digest = (chosen, tuple(keys))
+        digest = (tuple(placed), tuple(took))
         if digest not in failed:
-            states += 1
+            states += width
             if states > state_budget:
                 return CheckResult(Verdict.SEARCH_BUDGET_EXCEEDED, None, states)
-            stack.append((digest, children(chosen)))
+            stack.append((digest, children(horizon)))
         while stack:
-            chosen = next(stack[-1][1], 0)   # 0: no child left
-            if chosen:
+            if next(stack[-1][1], False):
                 break
             failed.add(stack.pop()[0])
         else:
-            break
-    if not found:
-        return CheckResult(Verdict.NOT_LINEARIZABLE, None, states)
+            return CheckResult(Verdict.NOT_LINEARIZABLE, None, states)
     _assert_witness(events, order, initial_keys)
     return CheckResult(Verdict.LINEARIZABLE, order, states)
 
@@ -269,18 +275,17 @@ def check(events: list[Event], *, max_completed: int = 20,
 def _assert_witness(events: list[Event], order: list[int], initial_keys: tuple) -> None:
     """Replay a found witness through a fresh oracle; it must reproduce every
     completed result and respect real-time precedence."""
-    from .oracle import SeqDepq, seq_apply
-
     state = SeqDepq(initial_keys)
+    latest_invoke = -_NEVER
     for i in order:
-        _, result = seq_apply(state, _op_of(events[i]))
-        if events[i].completed and events[i].kind != "Insert":
-            assert result == _expected(events[i]), "witness replay mismatch"
-    for a_pos, a in enumerate(order):
-        for b in order[a_pos + 1:]:
-            resp = events[b].response
-            assert resp is None or resp >= events[a].invoke, \
-                "witness violates real-time order"
-    placed = {i for i in order}
+        ev = events[i]
+        _, result = seq_apply(state, (ev.kind, ev.arg))
+        if ev.completed:
+            assert result == _expected(ev), "witness replay mismatch"
+        # Nothing placed earlier may have been invoked after this responded.
+        assert ev.response is None or ev.response >= latest_invoke, \
+            "witness violates real-time order"
+        latest_invoke = max(latest_invoke, ev.invoke)
+    placed = set(order)
     for i, ev in enumerate(events):
         assert not ev.completed or i in placed, "witness dropped a completed operation"

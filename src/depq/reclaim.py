@@ -41,8 +41,8 @@ class Reclaimer:
         self._epoch = AtomicCell(0, self._lock)
         self._slots: dict[int, AtomicCell] = {}
         self._local = threading.local()
+        # Retired nodes by retire epoch; ``deferred`` mode stays at epoch 0.
         self._buckets: dict[int, list[int]] = {}
-        self._deferred: list[int] = []
         self._closed = False
         # Bumped under ``_lock``, which is held there anyway.  First unlinks
         # are not counted: the items' retire flags already hold that count.
@@ -70,10 +70,7 @@ class Reclaimer:
     def _retire(self, index: int) -> None:
         with self._lock:
             self._retired += 1
-            if self.mode == DEFERRED:
-                self._deferred.append(index)
-            else:
-                self._buckets.setdefault(self._epoch.load(), []).append(index)
+            self._buckets.setdefault(self._epoch.load(), []).append(index)
 
     # -- epoch machinery ---------------------------------------------------------
 
@@ -147,10 +144,7 @@ class Reclaimer:
             return
         self._closed = True
         with self._lock:
-            victims = list(self._deferred)
-            self._deferred.clear()
-            for bucket in self._buckets.values():
-                victims.extend(bucket)
+            victims = [idx for bucket in self._buckets.values() for idx in bucket]
             self._buckets.clear()
             self._freed += len(victims)
         self._free(victims)
@@ -161,7 +155,7 @@ class Reclaimer:
 
     def pending(self) -> int:
         with self._lock:
-            return len(self._deferred) + sum(len(b) for b in self._buckets.values())
+            return sum(len(b) for b in self._buckets.values())
 
     def snapshot(self) -> dict:
         """``unlink_first``, ``retired`` and ``freed`` counts, plus ``mode``

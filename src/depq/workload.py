@@ -248,6 +248,9 @@ def _keep_going(done: int, deadline: float | None, cfg: WorkloadConfig) -> bool:
 
 # -- stress windows ------------------------------------------------------------
 
+#: The most operations one stress window runs, prefill included.
+WINDOW_OPS = 12
+
 
 @dataclass
 class WindowResult:
@@ -272,13 +275,12 @@ class _FreshBuild:
 
 
 def run_stress(cfg: WorkloadConfig, windows: int, capture: str | None = None,
-               max_window_ops: int = 12,
                _target_factory=None) -> StressOutcome:
     """Run seeded, schedule-controlled windows; check each one.
 
-    Every window rebuilds a fresh small structure, runs 2-6 threads for a
-    dozen operations under the stepping scheduler's random walk, and checks
-    the recorded history.  Stops at the first non-linearizable window.
+    Every window rebuilds a fresh structure, runs 2-6 threads for at most
+    ``WINDOW_OPS`` operations under the stepping scheduler's random walk,
+    and checks the history.  Stops at the first non-linearizable window.
     ``_target_factory(cfg)``, if given, builds each window's target in
     place of a fresh build: an object with the queue as ``.depq`` and a
     ``.close()``.
@@ -294,7 +296,7 @@ def run_stress(cfg: WorkloadConfig, windows: int, capture: str | None = None,
         recorder = Recorder()
         recorded = recorder.wrap(target.depq)
 
-        budget = max_window_ops
+        budget = WINDOW_OPS
         n_prefill = wrng.randint(0, min(3, budget - 2))
         for _ in range(n_prefill):
             recorded.insert(wrng.randrange(8))

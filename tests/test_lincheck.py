@@ -7,13 +7,14 @@ the two must always agree.
 
 import random
 import threading
+import tracemalloc
 
 import pytest
 
 from helpers import ev, naive_check, random_history
 
-from depq.lincheck import (EMPTY, Event, Recorder, Verdict, check,
-                           read_history, validate_history, write_history)
+from depq.lincheck import (EMPTY, Event, Recorder, Verdict, _assert_witness,
+                           check, read_history, validate_history, write_history)
 
 
 # -- recorder -------------------------------------------------------------------
@@ -218,10 +219,43 @@ def test_initial_keys_seed_the_oracle():
     assert check(events, initial_keys=(4, 9)).verdict is Verdict.LINEARIZABLE
 
 
-def test_oversized_history_rejected():
-    events = [ev(t, "Insert", t, None, 2 * t, 2 * t + 1) for t in range(21)]
-    with pytest.raises(ValueError):
+def test_long_history_needs_no_cap():
+    events = [ev(0, "Insert", k, None, 2 * k, 2 * k + 1) for k in range(10**4)]
+    result = check(events)
+    assert result.verdict is Verdict.LINEARIZABLE
+    assert result.witness == list(range(10**4))
+
+
+def test_budget_bounds_time_and_memory_at_any_width():
+    # 2000 threads of one insert each, all overlapping: every state of the
+    # search is charged 2000, so the default budget stops it early.
+    n = 2000
+    events = [ev(t, "Insert", t, None, t, 10 * n + t) for t in range(n)]
+    tracemalloc.start()
+    try:
+        result = check(events)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.verdict is Verdict.SEARCH_BUDGET_EXCEEDED
+    assert peak < 50 * 2**20
+
+
+def test_overlapping_operations_of_one_thread_rejected():
+    # Both completed: the thread's second operation began before its first
+    # one returned.
+    events = [ev(0, "Insert", 0, None, 0, 3),
+              ev(0, "ExtractMin", None, 0, 1, 2)]
+    with pytest.raises(ValueError, match="overlapping"):
         check(events)
+
+
+def test_witness_check_catches_a_real_time_violation():
+    events = [ev(0, "Insert", 1, None, 0, 1),
+              ev(1, "Insert", 2, None, 2, 3)]
+    _assert_witness(events, [0, 1], ())
+    with pytest.raises(AssertionError, match="real-time"):
+        _assert_witness(events, [1, 0], ())
 
 
 # -- checker vs naive enumerator -------------------------------------------------
@@ -231,7 +265,7 @@ def test_long_sequential_history_needs_no_recursion():
     # 1500 levels of search, more than the default recursion limit allows a
     # recursive search.
     events = [ev(0, "Insert", k, None, 2 * k, 2 * k + 1) for k in range(1500)]
-    result = check(events, max_completed=2000)
+    result = check(events)
     assert result.verdict is Verdict.LINEARIZABLE
     assert result.witness == list(range(1500))
 
