@@ -57,12 +57,12 @@ class Item:
     list); its second increment signals the item is unreachable from both
     lists.  ``linked_into`` / ``marked_into`` are auditor bookkeeping tags,
     written only in the same step as the publish CAS / marking fetch-or.
-    ``towers[end]`` is the item's node in that end's list index, if it has
-    one (see :mod:`depq.ordered_list`).
+    ``tower`` is the item's node in the lists' index, one for both ends, if
+    it has one (see :mod:`depq.ordered_list`).
     """
 
     __slots__ = ("index", "key", "reserved", "unlinked", "link",
-                 "linked_into", "marked_into", "towers")
+                 "linked_into", "marked_into", "tower")
 
     def __init__(self, index: int, key: Key | None, lock: threading.Lock):
         self.index = index
@@ -73,7 +73,7 @@ class Item:
                      AtomicCell(pack_link(NONE_IDX, 0), lock))
         self.linked_into = [False, False]
         self.marked_into = [False, False]
-        self.towers = [None, None]
+        self.tower = None
 
     @property
     def user_key(self) -> int:

@@ -12,14 +12,15 @@ other end has already claimed is skipped.  The pop physically deletes the
 logically deleted prefix behind it and hands the unlinked nodes to a
 reclaimer, which retires a node once both lists have dropped it.  Each
 extraction runs inside the reclaimer's epoch, and each batch ends with an
-attempt to advance the epoch.  Insertions never touch the serializers:
-they link the new node into the ascending list first, then the descending
-one, concurrently with everything else.
+attempt to advance the epoch.  Insertions never touch the serializers: one
+pair insert links the new node into the ascending list first, then the
+descending one, concurrently with everything else.  It too runs inside the
+epoch, because the list starts its index search picks may be deleted and
+retired before it links the node.
 """
 
 from __future__ import annotations
 
-from .atomics import checkpoint
 from .combining import DEFAULT_MODE
 from .dual_depq import CountReader, DualDepq, MultiConsumerDepq
 from .items import MAX, MIN, Arena
@@ -43,10 +44,7 @@ class ListDepq(MultiConsumerDepq):
     def insert(self, user_key: int) -> None:
         self.reclaim.enter()
         try:
-            index = self.arena.new_item(user_key)
-            self.lists.insert(index, MIN)
-            checkpoint("between-list-inserts")
-            self.lists.insert(index, MAX)
+            self.lists.insert(self.arena.new_item(user_key))
         finally:
             self.reclaim.exit()
 

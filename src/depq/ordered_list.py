@@ -13,15 +13,23 @@ single-ended priority queue, whose pop also sweeps the deleted prefix; the
 generic construction of :mod:`depq.dual_depq` claims items over two.
 
 Insertion is lock-free: any number of threads may insert concurrently with
-each other and with the per-end consumer.  A failed insert CAS resumes the
+each other and with the per-end consumer.  One insert links its node into
+both lists, the ascending one first.  A failed insert CAS resumes the
 search from the node where it failed, never from the head, because nodes
 are only ever removed from the front.
 
-Each end also keeps a skiplist *index* above its list, in the manner of
-Lindén and Jonsson's skiplist priority queue.  The index holds only search
-hints: an insert searches it to find a node close before its slot and runs
-the list search above from there instead of from the head.  An index
-link may be lost to a race; that costs only speed, never correctness.
+Above the two lists sits one skiplist *index*, in the manner of Lindén and
+Jonsson's skiplist priority queue, ordered by key.  One index serves both
+ends although the lists' physical orders can drift apart: only the deleted
+prefixes drift (a key inserted after a deletion lands behind the deleted
+prefix, whatever its key), while each live suffix stays sorted by key.  So
+a tower whose node is still live on an end is a valid start on that end
+for any larger key (ascending) or any smaller key (descending).  Each
+tower has one dead flag per end, set by that end's consumer; it is unlinked
+only once both are set.  The index holds only search hints: one search
+finds a node close before the new key's slot on each list, and both list
+searches run from there instead of from the heads.  An index link may be
+lost to a race; that costs only speed, never correctness.
 
 Ordering invariants are runtime-checkable through :meth:`ListPair.audit`,
 which is meant to run at quiescent points or with other threads frozen by
@@ -32,12 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .atomics import AtomicCell
-from .items import (MAX, MIN, NONE_IDX, POISONED, Arena, Key, key_less,
+from .atomics import AtomicCell, checkpoint
+from .items import (MAX, MIN, NONE_IDX, POISONED, Arena, Item, Key, key_less,
                     pack_link, reclaimed_access, unpack_link)
 
 
-#: Index levels per end, above the list itself; tower heights are capped here.
+#: Index levels above the lists; tower heights are capped here.
 LEVELS = 24
 
 
@@ -53,21 +61,26 @@ def tower_height(uid: int) -> int:
 
 
 class IndexNode:
-    """One item's tower in one end's index.
+    """One item's tower in the pair's index.
 
     ``key`` and ``index`` copy the item's key and arena index, so a search
     compares keys without touching the item.  ``next[lvl]`` is the next
-    tower on index level ``lvl``, or None.  The end's consumer sets
-    ``dead`` when it logically deletes the item; from then on the item may
-    be reclaimed, so only towers read as not dead lead to their items.
+    tower on index level ``lvl``, or None.  ``min_dead`` and ``max_dead``
+    are one flag per end, each set only by that end's consumer when it
+    logically deletes the item; from then on the item may be reclaimed, so
+    a tower leads to its item as a start on one end only if it was read as
+    not dead on that end.  Two separate fields, so the two consumers never
+    overwrite each other's flag.  A tower dead on both ends is unlinked by
+    the searches that meet it.
     """
 
-    __slots__ = ("key", "index", "dead", "next")
+    __slots__ = ("key", "index", "min_dead", "max_dead", "next")
 
     def __init__(self, key: Key, index: int, height: int):
         self.key = key
         self.index = index
-        self.dead = False
+        self.min_dead = False
+        self.max_dead = False
         self.next: list[IndexNode | None] = [None] * height
 
 
@@ -79,7 +92,8 @@ def comes_before(a: Key, b: Key, end: int) -> bool:
 
 
 class ListPair:
-    """Two sorted lists over one arena, plus their deletion bookkeeping.
+    """Two sorted lists over one arena, the index above both, and their
+    deletion bookkeeping.
 
     Concurrency contract: ``insert`` from any thread; ``extract_first``,
     ``mark_successor`` and ``sweep_head`` from at most one thread per end at
@@ -105,11 +119,12 @@ class ListPair:
         lock = arena.rmw_lock
         self._head = [AtomicCell(dummy, lock), AtomicCell(dummy, lock)]
         self._last_deleted = [AtomicCell(dummy, lock), AtomicCell(dummy, lock)]
-        # Per end, the first tower on each index level.  Index links are
-        # plain references, changed by compare-and-swap under ``lock``.
+        # The first tower on each index level, and the number of levels in
+        # use.  Index links are plain references, changed by compare-and-swap
+        # under ``lock``; ``_top`` only grows, also under ``lock``.
         self._lock = lock
-        self._index: tuple[list[IndexNode | None], ...] = (
-            [None] * LEVELS, [None] * LEVELS)
+        self._index: list[IndexNode | None] = [None] * LEVELS
+        self._top = 0
 
     # -- accessors -----------------------------------------------------------
 
@@ -121,31 +136,40 @@ class ListPair:
 
     # -- operations ----------------------------------------------------------
 
-    def insert(self, index: int, end: int) -> None:
-        """Link a fresh node into the sorted position of one list.
+    def insert(self, index: int) -> None:
+        """Link a fresh node into both lists, the ascending one first.
 
-        The search starts from the last live index tower whose key sorts
-        before the new key, or from the head when there is none.  Retries
-        the publish CAS until it lands; each retry resumes from the node
-        whose link word changed underneath us.  Once published, the node's
-        own tower is linked into the index.
+        One index search yields both list starts (see ``_index_search``).
+        Each publish CAS is retried until it lands, resuming from the node
+        whose link word changed underneath it.  Once the node is on both
+        lists, its tower is linked into the index: no search may start from
+        a node that is not yet on the descending list.
         """
-        # The hot loop works on raw link words (see ``pack_link``) and on the
-        # arena's slots directly, checking for poison itself.
-        items = self.arena.slots
         node = self.arena.item(index)
         k = node.key
         assert k is not None
-        sorts_before_k = k.__gt__ if end == MIN else k.__lt__
-        published = pack_link(index, 0)
-        # The tower is attached before the publish CAS, so the consumer that
-        # deletes this node always finds it to mark dead.
+        # The tower is attached before the first publish, so the consumer
+        # that deletes this node on either end always finds it to mark.
         height = tower_height(k.uid)
-        tower = node.towers[end] = IndexNode(k, index, height) if height else None
-        preds: list = [None] * height
+        tower = node.tower = IndexNode(k, index, height) if height else None
+        preds = [self._index] * height
+        ascending, descending = self._index_search(k, preds)
+        self._publish(node, MIN, ascending, k.__gt__)
+        checkpoint("between-list-inserts")
+        self._publish(node, MAX, descending, k.__lt__)
+        if tower is not None:
+            self._link_tower(tower, preds)
+
+    def _publish(self, node: Item, end: int, start: IndexNode | None,
+                 sorts_before_k) -> None:
+        """Link ``node`` into one list, searching from ``start``'s item, or
+        from the head when ``start`` is None."""
+        # The hot loop works on raw link words (see ``pack_link``) and on the
+        # arena's slots directly, checking for poison itself.
+        items = self.arena.slots
+        published = pack_link(node.index, 0)
         # Read even when the index supplies the start, to keep the pause site.
         pred = self._head[end].load(site="ins-read-head")
-        start = self._index_search(end, sorts_before_k, preds)
         if start is not None:
             pred = start.index
         while True:
@@ -170,63 +194,74 @@ class ListPair:
             node.link[end].store(expected, site="ins-set-next")
             if pred_item.link[end].compare_and_swap(expected, published, site="ins-cas"):
                 node.linked_into[end] = True
-                if tower is not None:
-                    self._link_tower(tower, preds, sorts_before_k)
                 return
             with self._lock:
                 self.insert_cas_failures += 1
 
-    def _index_search(self, end: int, sorts_before_k, preds: list) -> IndexNode | None:
-        """Search one end's index top-down for the new key.
+    def _index_search(self, k: Key, preds: list) -> tuple[IndexNode | None,
+                                                         IndexNode | None]:
+        """Search the index top-down for key ``k``.
 
-        Returns the last tower passed (each read as not dead) whose key
-        sorts before the new key, or None.  Sets ``preds[lvl]`` to the
-        ``next`` list (the head list when None was passed) to link a new
-        tower into on level ``lvl``.  Unlinks every dead tower it meets.
-        Has no pause sites: the index is private to this layer.
+        Returns the two list starts.  The ascending one is the last tower
+        passed (key below ``k``) that was read as not dead on MIN.  The
+        descending one is the first level-0 tower above ``k`` if it was read
+        as not dead on MAX.  None for either means that list's head.  Sets
+        ``preds[lvl]`` to the ``next`` list (the head list when None was
+        passed) to link a new tower into on level ``lvl``.  Unlinks every
+        tower dead on both ends that it meets.  Starts at the highest level
+        in use; a stale read of it only starts the search lower.  Has no
+        pause sites: the index is private to this layer.
         """
         height = len(preds)
         lock = self._lock
-        start = None
-        links = self._index[end]
-        for lvl in range(LEVELS - 1, -1, -1):
+        ascending = nxt = None
+        links = self._index
+        for lvl in range(self._top - 1, -1, -1):
             nxt = links[lvl]
             while nxt is not None:
-                if nxt.dead:
+                if nxt.min_dead and nxt.max_dead:
                     # May undo a concurrent link into ``nxt``: only a hint lost.
                     with lock:
                         if links[lvl] is nxt:
                             links[lvl] = nxt.next[lvl]
                     nxt = links[lvl]
-                elif sorts_before_k(nxt.key):
-                    start = nxt
+                elif nxt.key < k:
+                    if not nxt.min_dead:
+                        ascending = nxt
                     links = nxt.next
                     nxt = links[lvl]
                 else:
                     break
             if lvl < height:
                 preds[lvl] = links
-        return start
+        # ``nxt`` is now the first level-0 tower above ``k``, or None.
+        if nxt is not None and nxt.max_dead:
+            nxt = None
+        return ascending, nxt
 
-    def _link_tower(self, tower: IndexNode, preds: list, sorts_before_k) -> None:
-        """Link a published node's tower into the index, bottom-up.
+    def _link_tower(self, tower: IndexNode, preds: list) -> None:
+        """Link a tower into the index, bottom-up, once its node is on both
+        lists; raise the top level when it links above it.
 
-        Stops as soon as the tower is dead: its node is deleted and a search
-        would only unlink it again.
+        Stops as soon as the tower is dead on both ends: a search would only
+        unlink it again.
         """
         lock = self._lock
+        k = tower.key
         for lvl, links in enumerate(preds):
             while True:
-                if tower.dead:
+                if tower.min_dead and tower.max_dead:
                     return
                 nxt = links[lvl]
-                if nxt is not None and sorts_before_k(nxt.key):
+                if nxt is not None and nxt.key < k:
                     links = nxt.next   # a tower linked here since the search
                     continue
                 tower.next[lvl] = nxt
                 with lock:
                     if links[lvl] is nxt:
                         links[lvl] = tower
+                        if lvl >= self._top:
+                            self._top = lvl + 1
                         break
 
     def mark_successor(self, index: int, end: int) -> int:
@@ -248,13 +283,16 @@ class ListPair:
         item = items[succ]
         if item is POISONED:
             raise reclaimed_access(succ)
-        # Auditor tag and index tombstone; written in the same step as the
-        # fetch-or above, and before sweep_head can hand the node to
-        # reclamation.
+        # Auditor tag and this end's index tombstone; written in the same
+        # step as the fetch-or above, and before sweep_head can hand the
+        # node to reclamation.  Each end writes only its own flag.
         item.marked_into[end] = True
-        tower = item.towers[end]
+        tower = item.tower
         if tower is not None:
-            tower.dead = True
+            if end == MIN:
+                tower.min_dead = True
+            else:
+                tower.max_dead = True
         self.marks[end] += 1
         return prior
 
@@ -318,11 +356,11 @@ class ListPair:
             node, _ = unpack_link(arena.item(node).link[end].load())
         return out
 
-    def index_walk(self, end: int, level: int = 0) -> list[IndexNode]:
-        """The towers on one index level of one end, in order, dead ones
-        included.  Stops after more towers than the arena has items."""
+    def index_walk(self, level: int = 0) -> list[IndexNode]:
+        """The towers on one index level, in order, dead ones included.
+        Stops after more towers than the arena has items."""
         out = []
-        node = self._index[end][level]
+        node = self._index[level]
         limit = len(self.arena) + 1
         while node is not None and len(out) <= limit:
             out.append(node)
@@ -426,32 +464,34 @@ class ListPair:
         return report
 
     def _audit_index(self, end: int, report: "AuditReport") -> None:
-        """Index levels sorted; live towers name live nodes; deleted nodes
-        have dead towers."""
+        """Keys strictly ascend on every index level; a tower live on this
+        end names an item linked into both lists and not deleted from this
+        one; a towered item deleted from this list has this end's flag set."""
         slots = self.arena.slots
+        dead_flag = "min_dead" if end == MIN else "max_dead"
         notes = []
         for level in range(LEVELS):
-            towers = self.index_walk(end, level)
+            towers = self.index_walk(level)
             if len(towers) > len(slots):
                 notes.append(f"index level {level} exceeds arena size: cycle suspected")
             for a, b in zip(towers, towers[1:]):
-                if not comes_before(a.key, b.key, end):
+                if not key_less(a.key, b.key):
                     notes.append(f"index level {level} out of order: {a.key} !< {b.key}")
             for tower in towers:
-                if tower.dead:
+                if getattr(tower, dead_flag):
                     continue
                 item = slots[tower.index]
                 if item is POISONED:
                     notes.append(f"live tower names reclaimed item {tower.index}")
-                elif not item.linked_into[end] or item.marked_into[end]:
-                    notes.append(f"live tower names item {tower.index}, "
-                                 "which is not a live node of this list")
+                elif not all(item.linked_into) or item.marked_into[end]:
+                    notes.append(f"tower live on this end names item {tower.index}, "
+                                 "which is not on both lists or is deleted from this one")
         for item in slots:
             if item is POISONED:
                 continue
-            tower = item.towers[end]
-            if tower is not None and not tower.dead and item.marked_into[end]:
-                notes.append(f"deleted item {item.index} has a live tower")
+            tower = item.tower
+            if tower is not None and not getattr(tower, dead_flag) and item.marked_into[end]:
+                notes.append(f"deleted item {item.index} has a tower live on this end")
         if notes:
             report.index_consistent = False
             report.notes += notes
@@ -516,7 +556,14 @@ class ListPq:
         self.reclaimer = reclaimer
 
     def pq_insert(self, index: int) -> None:
-        self.lists.insert(index, self.end)
+        """The ascending queue makes the pair insert, which links the node
+        into both lists; the descending queue shares that node, so it only
+        checks that the node is already on its list."""
+        if self.end == MIN:
+            self.lists.insert(index)
+        else:
+            assert self.lists.arena.item(index).linked_into[MAX], \
+                "descending insert before the ascending one"
 
     def pq_extract_first(self) -> int | None:
         got = self.lists.extract_first(self.end)

@@ -181,8 +181,8 @@ def run_index_start_reclaimed() -> ReplayOutcome:
     """Free an insert's index start node under it; the epoch must hold it.
 
     Keys 0, 10, ..., 70 are stored.  An insert of a key 5 above an inner
-    node S that has an index tower on the ascending side searches the
-    index, picks S as its start, and is frozen at its first list read.
+    node S that has an index tower searches the index, picks S as its
+    ascending start, and is frozen at its first list read.
     Both ends are then drained, so S is deleted from both lists, unlinked
     twice and retired, and the epoch is pushed as far as it will go.  S
     must stay allocated while the insert is inside its epoch, the insert
@@ -192,7 +192,7 @@ def run_index_start_reclaimed() -> ReplayOutcome:
     for key in range(0, 80, 10):
         d.insert(key)
     # Not the first or last key: sweeps keep each list's last deleted node.
-    start = next(t for t in d.lists.index_walk(MIN)
+    start = next(t for t in d.lists.index_walk()
                  if 0 < t.key.user_key < 70)
     key = start.key.user_key + 5   # S is the last tower before it
 

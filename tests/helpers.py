@@ -3,10 +3,12 @@ small randomized histories (optionally mutated into likely-wrong ones)."""
 
 import itertools
 
-from depq.items import MIN
+from depq.atomics import checkpoint
+from depq.items import MAX, MIN
 from depq.lincheck import EMPTY, Event
 from depq.list_depq import ListDepq
 from depq.oracle import SeqDepq
+from depq.ordered_list import IndexNode, tower_height
 
 
 class UnclaimedListDepq(ListDepq):
@@ -21,6 +23,31 @@ class UnclaimedListDepq(ListDepq):
         own = self.inner.min_pq if end == MIN else self.inner.max_pq
         index = own.pq_extract_first()
         return None if index is None else self.arena.item(index).user_key
+
+
+class EarlyTowerListDepq(ListDepq):
+    """Deliberately broken build for the index's mutation test: its pair
+    insert links the new tower before the descending publish, so another
+    insert can take a node that is not yet on the descending list as its
+    descending start."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.lists.insert = self._insert_tower_early
+
+    def _insert_tower_early(self, index):
+        lists = self.lists
+        node = self.arena.item(index)
+        k = node.key
+        height = tower_height(k.uid)
+        tower = node.tower = IndexNode(k, index, height) if height else None
+        preds = [lists._index] * height
+        ascending, descending = lists._index_search(k, preds)
+        lists._publish(node, MIN, ascending, k.__gt__)
+        if tower is not None:
+            lists._link_tower(tower, preds)
+        checkpoint("between-list-inserts")
+        lists._publish(node, MAX, descending, k.__lt__)
 
 
 def ev(thread, kind, arg, result, invoke, response):

@@ -1,5 +1,6 @@
-"""The per-end skiplist index over the shared-node lists: search length,
-audit claims, and real-thread runs of the build that uses it."""
+"""The skiplist index shared by both lists of a pair: search count and
+length, stale starts, audit claims, a mutation build, and real-thread runs
+of the build that uses it."""
 
 import random
 import sys
@@ -7,12 +8,15 @@ import threading
 import time
 from collections import Counter
 
+from helpers import EarlyTowerListDepq
+
 from depq import atomics
 from depq.combining import COMBINING
 from depq.items import MAX, MIN, Arena
 from depq.list_depq import ListDepq
 from depq.ordered_list import LEVELS, ListPair, tower_height
 from depq.reclaim import EPOCH
+from depq.sched import ControlledScheduler
 
 
 class _CountReads:
@@ -24,11 +28,6 @@ class _CountReads:
     def pause(self, site):
         if site == "ins-read-link":
             self.reads += 1
-
-
-def _insert(lists, index):
-    lists.insert(index, MIN)
-    lists.insert(index, MAX)
 
 
 def test_tower_heights_are_geometric():
@@ -46,12 +45,12 @@ def test_insert_search_reads_few_links_at_ten_thousand_keys():
     arena = Arena()
     lists = ListPair(arena)
     for _ in range(10_000):
-        _insert(lists, arena.new_item(rng.randrange(1 << 20)))
+        lists.insert(arena.new_item(rng.randrange(1 << 20)))
     counter = _CountReads()
     atomics.set_controller(counter)
     try:
         for _ in range(500):
-            _insert(lists, arena.new_item(rng.randrange(1 << 20)))
+            lists.insert(arena.new_item(rng.randrange(1 << 20)))
     finally:
         atomics.set_controller(None)
     mean = counter.reads / 1000
@@ -59,22 +58,127 @@ def test_insert_search_reads_few_links_at_ten_thousand_keys():
     assert lists.audit(MIN).ok and lists.audit(MAX).ok
 
 
+def test_one_index_search_per_pair_insert():
+    """One search serves both lists, and one tower per item serves both ends."""
+    rng = random.Random(0x1D5)
+    arena = Arena()
+    lists = ListPair(arena)
+    searches = []
+    search = lists._index_search
+
+    def counted(k, preds):
+        searches.append(k)
+        return search(k, preds)
+
+    lists._index_search = counted
+    keys = [rng.randrange(500) for _ in range(300)]
+    for key in keys:
+        lists.insert(arena.new_item(key))
+    assert len(searches) == len(keys)
+    towers = lists.index_walk()
+    assert towers and all(arena.item(t.index).tower is t for t in towers)
+    assert len({t.index for t in towers}) == len(towers)
+    assert [arena.item(i).user_key for i in lists.suffix(MIN)] == sorted(keys)
+    assert [arena.item(i).user_key for i in lists.suffix(MAX)] == sorted(keys, reverse=True)
+    assert lists.audit(MIN).ok and lists.audit(MAX).ok
+
+
+def test_stale_descending_start_is_held_by_the_epoch():
+    """An insert frozen between its two publishes, after its search chose a
+    descending start D, keeps D allocated while both ends are drained and D
+    is retired; the insert then lands, and D is freed only after it exits."""
+    d = ListDepq(reclaim_mode=EPOCH)
+    keys = list(range(0, 80, 10))
+    for key in keys:
+        d.insert(key)
+    # Not the first or last key: sweeps keep each list's last deleted node.
+    start = next(t for t in d.lists.index_walk() if 0 < t.key.user_key < 70)
+    key = start.key.user_key - 5   # D is the first tower above it
+    starts = []
+    search = d.lists._index_search
+
+    def recorded(k, preds):
+        starts.append(search(k, preds))
+        return starts[-1]
+
+    d.lists._index_search = recorded
+    returned = Counter()
+    with ControlledScheduler() as sched:
+        sched.freeze("ins", "between-list-inserts")
+        sched.spawn("ins", d.insert, key)
+        sched.start()
+        sched.wait_frozen("ins")   # on the ascending list only
+        assert starts[0][1] is start
+        for extract in (d.extract_min, d.extract_max):
+            while (got := extract()) is not None:
+                returned[got] += 1
+        assert d.arena.item(start.index).unlinked.load() == 2   # retired
+        for _ in range(6):
+            d.reclaim.try_advance()
+        assert not d.arena.is_poisoned(start.index)
+        sched.thaw("ins")
+        sched.join_worker("ins")
+    item = d.arena.item(len(d.arena) - 1)   # the last item made
+    assert item.key.user_key == key
+    assert item.linked_into == [True, True] and item.index in d.lists.walk(MAX)
+    assert d.audit(MIN).ok and d.audit(MAX).ok
+    assert Counter(keys + [key]) == returned + Counter(d.remaining_keys())
+    for _ in range(3):
+        d.reclaim.try_advance()
+    assert d.arena.is_poisoned(start.index)
+
+
+def _insert_racing_an_unlinked_tower(depq):
+    """Step an insert of 50 to between its two publishes, insert 40, whose
+    first index tower above would be 50's, finish 50 and drain from the max
+    end.  Returns (problems while 50 was between its publishes, keys
+    drained, keys left, problems at the end)."""
+    depq.insert(100)
+    with ControlledScheduler(stepping=True) as sched:
+        sched.spawn("ins50", depq.insert, 50)
+        sched.start()
+        sched.run_until("ins50", "between-list-inserts")
+        depq.insert(40)
+        mid = depq.problems()
+        sched.run_to_completion("ins50")
+    drained = []
+    while (got := depq.extract_max()) is not None:
+        drained.append(got)
+    return mid, drained, depq.remaining_keys(), depq.problems()
+
+
+def test_descending_start_is_never_a_node_off_the_descending_list():
+    d = ListDepq()
+    mid, drained, left, problems = _insert_racing_an_unlinked_tower(d)
+    assert any(t.key.user_key == 50 for t in d.lists.index_walk())   # 50 has a tower
+    assert mid == [] and drained == [100, 50, 40] and left == [] and problems == []
+
+
+def test_tower_linked_before_the_descending_publish_is_caught():
+    # Mutation test: 40 links itself behind 50 while 50 is not yet on the
+    # descending list; 50's own publish then cuts 40 off that list.
+    d = EarlyTowerListDepq()
+    mid, drained, left, problems = _insert_racing_an_unlinked_tower(d)
+    assert any("not on both lists" in p for p in mid)
+    assert drained == [100, 50] and left == [40]
+
+
 def _small_pair():
     arena = Arena()
     lists = ListPair(arena)
     for key in range(16):
-        _insert(lists, arena.new_item(key))
-    assert len(lists.index_walk(MIN)) >= 2
+        lists.insert(arena.new_item(key))
+    assert len(lists.index_walk()) >= 2
     return lists
 
 
 def test_audit_flags_a_live_tower_on_a_deleted_node():
     lists = _small_pair()
-    victim = lists.index_walk(MIN)[0]
+    victim = lists.index_walk()[0]
     while lists.extract_first(MIN) not in (victim.index, None):
         pass
-    assert victim.dead and lists.audit(MIN).ok
-    victim.dead = False   # as if the consumer had not marked it dead
+    assert victim.min_dead and lists.audit(MIN).ok
+    victim.min_dead = False   # as if the consumer had not marked it dead
     report = lists.audit(MIN)
     assert not report.index_consistent and not report.ok
     assert "[FAIL] index consistent" in report.describe()
@@ -82,7 +186,7 @@ def test_audit_flags_a_live_tower_on_a_deleted_node():
 
 def test_audit_flags_an_out_of_order_index_level():
     lists = _small_pair()
-    first, second = lists.index_walk(MAX)[:2]
+    first, second = lists.index_walk()[:2]
     first.key, second.key = second.key, first.key
     report = lists.audit(MAX)
     assert not report.index_consistent

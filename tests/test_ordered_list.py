@@ -14,11 +14,11 @@ def make_pair():
     return arena, ListPair(arena)
 
 
-def insert_keys(arena, lists, keys, end):
+def insert_keys(arena, lists, keys):
     out = []
     for k in keys:
         idx = arena.new_item(k)
-        lists.insert(idx, end)
+        lists.insert(idx)
         out.append(idx)
     return out
 
@@ -64,20 +64,20 @@ def test_comes_before_antisymmetric_across_ends():
 
 def test_insert_into_fresh_list():
     arena, lists = make_pair()
-    insert_keys(arena, lists, [3], MIN)
+    insert_keys(arena, lists, [3])
     assert walk_user_keys(lists, MIN) == [3]
 
 
 def test_insert_sequence_matches_sort_oracle():
     arena, lists = make_pair()
-    insert_keys(arena, lists, [2, 4, 3], MIN)
+    insert_keys(arena, lists, [2, 4, 3])
     assert walk_user_keys(lists, MIN) == sorted([2, 4, 3])
 
 
 def test_insert_into_max_list_matches_reverse_sort_oracle():
     arena, lists = make_pair()
-    insert_keys(arena, lists, [4, 2], MAX)
-    insert_keys(arena, lists, [3], MAX)
+    insert_keys(arena, lists, [4, 2])
+    insert_keys(arena, lists, [3])
     assert walk_user_keys(lists, MAX) == sorted([4, 2, 3], reverse=True)
 
 
@@ -88,8 +88,7 @@ def test_random_inserts_match_sort_oracle_both_ends():
         keys = [rng.randrange(40) for _ in range(rng.randrange(1, 30))]
         for k in keys:
             idx = arena.new_item(k)
-            lists.insert(idx, MIN)
-            lists.insert(idx, MAX)
+            lists.insert(idx)
         assert walk_user_keys(lists, MIN) == sorted(keys)
         assert walk_user_keys(lists, MAX) == sorted(keys, reverse=True)
         assert lists.audit(MIN).ok and lists.audit(MAX).ok
@@ -112,7 +111,7 @@ def test_fetch_or_idempotent_on_marked_word():
 
 def test_mark_successor_reports_deleted_node():
     arena, lists = make_pair()
-    (idx,) = insert_keys(arena, lists, [9], MIN)
+    (idx,) = insert_keys(arena, lists, [9])
     prior = lists.mark_successor(lists.dummy, MIN)
     succ, was_marked = unpack_link(prior)
     assert succ == idx and was_marked == 0
@@ -129,11 +128,11 @@ def test_insert_racing_mark_explored_both_orders():
     def factory():
         arena = Arena()
         lists = ListPair(arena)
-        lists.insert(arena.new_item(10), MIN)
+        lists.insert(arena.new_item(10))
         new = arena.new_item(5)
 
         def inserter(_state):
-            lists.insert(new, MIN)
+            lists.insert(new)
 
         def extractor(_state):
             got = lists.extract_first(MIN)
@@ -163,7 +162,7 @@ def test_extract_on_fresh_list_returns_empty():
 
 def test_extract_without_reserve_advances_last_deleted():
     arena, lists = make_pair()
-    one, _two = insert_keys(arena, lists, [1, 2], MIN)
+    one, _two = insert_keys(arena, lists, [1, 2])
     got = lists.extract_first(MIN)
     assert got == one
     assert lists.last_deleted(MIN) == one
@@ -171,7 +170,7 @@ def test_extract_without_reserve_advances_last_deleted():
 
 def test_extract_skips_node_reserved_by_other_end():
     arena, lists = make_pair()
-    one, two = insert_keys(arena, lists, [1, 2], MIN)
+    one, two = insert_keys(arena, lists, [1, 2])
     dual = DualDepq(arena, ListPq(lists, MIN), ListPq(lists, MAX))
     assert arena.item(one).reserved.test_and_set() == 0  # claimed elsewhere
     assert dual.extract_min() == 2
@@ -184,14 +183,14 @@ def test_extract_skips_node_reserved_by_other_end():
 
 def test_sweep_head_noop_when_nothing_deleted():
     arena, lists = make_pair()
-    insert_keys(arena, lists, [1], MIN)
+    insert_keys(arena, lists, [1])
     assert lists.sweep_head(MIN) == []
     assert lists.head(MIN) == lists.dummy
 
 
 def test_sweep_head_after_one_extract_removes_dummy_only():
     arena, lists = make_pair()
-    one, _ = insert_keys(arena, lists, [1, 2], MIN)
+    one, _ = insert_keys(arena, lists, [1, 2])
     lists.extract_first(MIN)
     removed = lists.sweep_head(MIN)
     assert removed == [lists.dummy]
@@ -200,7 +199,7 @@ def test_sweep_head_after_one_extract_removes_dummy_only():
 
 def test_sweep_head_after_two_extracts():
     arena, lists = make_pair()
-    one, two = insert_keys(arena, lists, [1, 2], MIN)
+    one, two = insert_keys(arena, lists, [1, 2])
     lists.extract_first(MIN)
     lists.extract_first(MIN)
     removed = lists.sweep_head(MIN)
@@ -227,8 +226,7 @@ def test_audit_passes_after_random_quiescent_op_sequences():
             roll = rng.random()
             if roll < 0.55:
                 idx = arena.new_item(rng.randrange(10))
-                lists.insert(idx, MIN)
-                lists.insert(idx, MAX)
+                lists.insert(idx)
             else:
                 end = MIN if roll < 0.8 else MAX
                 extract_claimed(arena, lists, end)
@@ -240,7 +238,7 @@ def test_audit_passes_after_random_quiescent_op_sequences():
 
 def test_audit_second_last_branch_with_frozen_extractor():
     arena, lists = make_pair()
-    insert_keys(arena, lists, [1, 2], MIN)
+    insert_keys(arena, lists, [1, 2])
     with ControlledScheduler() as sched:
         sched.freeze("ex", "ex-write-lastdel")
         sched.spawn("ex", lists.extract_first, MIN)
@@ -257,11 +255,11 @@ def test_audit_second_last_branch_with_frozen_extractor():
 
 def test_audit_quiescent_with_frozen_inserter_before_cas():
     arena, lists = make_pair()
-    insert_keys(arena, lists, [1, 3], MIN)
+    insert_keys(arena, lists, [1, 3])
     idx = arena.new_item(2)
     with ControlledScheduler() as sched:
         sched.freeze("ins", "ins-cas")
-        sched.spawn("ins", lists.insert, idx, MIN)
+        sched.spawn("ins", lists.insert, idx)
         sched.start()
         sched.wait_frozen("ins")
         report = lists.audit(MIN)
@@ -278,8 +276,7 @@ def test_marked_words_never_change_afterwards():
     for step in range(300):
         if rng.random() < 0.6:
             idx = arena.new_item(rng.randrange(30))
-            lists.insert(idx, MIN)
-            lists.insert(idx, MAX)
+            lists.insert(idx)
         else:
             end = rng.choice((MIN, MAX))
             extract_claimed(arena, lists, end)
@@ -302,8 +299,7 @@ def test_unreachable_nodes_were_all_marked():
     for _ in range(400):
         if rng.random() < 0.5:
             idx = arena.new_item(rng.randrange(25))
-            lists.insert(idx, MIN)
-            lists.insert(idx, MAX)
+            lists.insert(idx)
         else:
             end = rng.choice((MIN, MAX))
             extract_claimed(arena, lists, end)
@@ -324,11 +320,11 @@ def test_insert_makes_progress_only_when_others_succeed():
     rounds = 4
 
     def slow(_state):
-        lists.insert(slow_idx, MIN)
+        lists.insert(slow_idx)
 
     def fast(_state):
         for k in range(1, rounds + 1):
-            lists.insert(arena.new_item(k), MIN)
+            lists.insert(arena.new_item(k))
 
     sched = ControlledScheduler(stepping=True)
     with sched:
@@ -341,6 +337,8 @@ def test_insert_makes_progress_only_when_others_succeed():
             before = lists.insert_cas_failures
             sched.run_until("fast", "ins-cas")
             sched.grant("fast")                  # fast publishes first
+            sched.run_until("fast", "ins-cas")   # then on the descending list,
+            sched.grant("fast")                  # away from slow's edge
             sched.wait_quiescent()
             completed_between += 1
             sched.grant("slow")                  # slow's publish now fails
