@@ -56,8 +56,8 @@ class ListDepq(MultiConsumerDepq):
         return CountReader((dual, "reserve_failures"), (dual, "extract_successes"),
                            (lists, "marks"), (lists, "insert_cas_failures"))
 
-    def audit(self, end: int, mid_extract_ok: bool = False) -> AuditReport:
-        return self.lists.audit(end, mid_extract_ok=mid_extract_ok)
+    def audit(self, end: int) -> AuditReport:
+        return self.lists.audit(end)
 
     def stats(self) -> dict:
         return {**super().stats(), "insert_cas_failures": self.lists.insert_cas_failures,

@@ -8,6 +8,12 @@ live node by setting the mark bit in the link word of the previous node
 of the list.  Later the whole prefix is *physically deleted* in one step by
 advancing the head pointer.
 
+Each end keeps one pointer, its head.  The head is always a logically
+deleted node, and once a sweep has run it is the deleted prefix's last
+node.  The consumer finds that last node by following marked link words
+from the head, as in Lindén and Jonsson's deleted prefix; since every pop
+is swept, that walk takes no steps in practice.
+
 The lists never claim an item.  :class:`ListPq` makes one end a plain
 single-ended priority queue, whose pop also sweeps the deleted prefix; the
 generic construction of :mod:`depq.dual_depq` claims items over two.
@@ -95,9 +101,9 @@ class ListPair:
     """Two sorted lists over one arena, the index above both, and their
     deletion bookkeeping.
 
-    Concurrency contract: ``insert`` from any thread; ``extract_first``,
-    ``mark_successor`` and ``sweep_head`` from at most one thread per end at
-    a time (the combiner, or the sole consumer of a single-ended setup);
+    Concurrency contract: ``insert`` from any thread; ``extract_first`` and
+    ``sweep_head`` from at most one thread per end at a time (the
+    combiner, or the sole consumer of a single-ended setup);
     ``audit`` only while the structure is quiescent or other threads are
     frozen at instrumented sites.
     """
@@ -118,7 +124,6 @@ class ListPair:
         self.dummy = dummy
         lock = arena.rmw_lock
         self._head = [AtomicCell(dummy, lock), AtomicCell(dummy, lock)]
-        self._last_deleted = [AtomicCell(dummy, lock), AtomicCell(dummy, lock)]
         # The first tower on each index level, and the number of levels in
         # use.  Index links are plain references, changed by compare-and-swap
         # under ``lock``; ``_top`` only grows, also under ``lock``.
@@ -130,9 +135,6 @@ class ListPair:
 
     def head(self, end: int) -> int:
         return self._head[end].load()
-
-    def last_deleted(self, end: int) -> int:
-        return self._last_deleted[end].load()
 
     # -- operations ----------------------------------------------------------
 
@@ -168,9 +170,9 @@ class ListPair:
         # arena's slots directly, checking for poison itself.
         items = self.arena.slots
         published = pack_link(node.index, 0)
-        # Read even when the index supplies the start, to keep the pause site.
-        pred = self._head[end].load(site="ins-read-head")
-        if start is not None:
+        if start is None:
+            pred = self._head[end].load(site="ins-read-head")
+        else:
             pred = start.index
         while True:
             pred_item = items[pred]
@@ -264,25 +266,38 @@ class ListPair:
                             self._top = lvl + 1
                         break
 
-    def mark_successor(self, index: int, end: int) -> int:
-        """Logically delete the successor of node ``index`` on one list.
+    def extract_first(self, end: int) -> int | None:
+        """Logically delete the first live node of one list and return it, or
+        None if the list is empty.  The node may already be claimed by the
+        other end: claiming is the caller's step (see :mod:`depq.dual_depq`).
 
-        Caller must hold the consumer role for this end, ``index`` must be
-        the current last-deleted node and its link must name a successor.
-        Returns the prior link word; its successor field is the node that
-        just became logically deleted.
+        Consumer-only.  Follows the marked link words from the head to the
+        deleted prefix's last node, then marks that node's link with one
+        fetch-or; the successor it names is the node deleted.
         """
+        # Raw link words and inlined poison checks, as in ``insert``.
         items = self.arena.slots
-        pred = items[index]
-        if pred is POISONED:
-            raise reclaimed_access(index)
-        prior = pred.link[end].fetch_or(1, site="ex-mark")
+        last = self._head[end].load(site="ex-read-head")
+        while True:
+            last_item = items[last]
+            if last_item is POISONED:
+                raise reclaimed_access(last)
+            word = last_item.link[end].load(site="ex-read-lastnext")
+            if not word & 1:
+                break
+            last = (word >> 1) - 1   # still in the deleted prefix
+        if word <= 1:
+            # No successor.  Linearized at the link read above; a racing
+            # insert that lands afterwards does not invalidate the empty
+            # answer.
+            return None
+        prior = last_item.link[end].fetch_or(1, site="ex-mark")
         assert not prior & 1, "link was already marked: consumer contract broken"
         assert prior > 1, "marked an end-of-list link"
-        succ = (prior >> 1) - 1
-        item = items[succ]
+        target = (prior >> 1) - 1
+        item = items[target]
         if item is POISONED:
-            raise reclaimed_access(succ)
+            raise reclaimed_access(target)
         # Auditor tag and this end's index tombstone; written in the same
         # step as the fetch-or above, and before sweep_head can hand the
         # node to reclamation.  Each end writes only its own flag.
@@ -294,53 +309,34 @@ class ListPair:
             else:
                 tower.max_dead = True
         self.marks[end] += 1
-        return prior
-
-    def extract_first(self, end: int) -> int | None:
-        """Logically delete the first live node of one list and return it, or
-        None if the list is empty.  The node may already be claimed by the
-        other end: claiming is the caller's step (see :mod:`depq.dual_depq`).
-        """
-        # Raw link words and inlined poison checks, as in ``insert``.
-        items = self.arena.slots
-        last_deleted = self._last_deleted[end]
-        last = last_deleted.load(site="ex-read-lastdel")
-        last_item = items[last]
-        if last_item is POISONED:
-            raise reclaimed_access(last)
-        if last_item.link[end].load(site="ex-read-lastnext") <= 1:
-            # No successor.  Linearized at the link read above; a racing
-            # insert that lands afterwards does not invalidate the empty
-            # answer.
-            return None
-        target = (self.mark_successor(last, end) >> 1) - 1
-        last_deleted.store(target, site="ex-write-lastdel")
         return target
 
     def sweep_head(self, end: int) -> list[int]:
         """Physically delete the logically deleted prefix, except its last node.
 
-        Consumer-only.  Returns the unlinked node indices (oldest first) so
-        the caller can run them through reclamation.  Only the head write
-        pauses: the words read here change only by this end's consumer or,
-        being marked, never, so a pause before them would only multiply the
+        Consumer-only.  Walks from the head while the link words are marked
+        and moves the head to the first node whose word is not: the prefix's
+        last node.  Returns the unlinked node indices (oldest first) so the
+        caller can run them through reclamation.  Only the head write
+        pauses: a marked word never changes and only this end's consumer
+        sets a mark, so a pause before the reads would only multiply the
         interleavings a replay explores.
         """
         items = self.arena.slots
         head_cell = self._head[end]
         node = head_cell.load()
-        last = self._last_deleted[end].load()
         removed = []
-        while node != last:
-            removed.append(node)
+        while True:
             item = items[node]
             if item is POISONED:
                 raise reclaimed_access(node)
             word = item.link[end].load()
-            assert word & 1 and word > 1, "prefix walk left the deleted prefix"
+            if not word & 1:
+                break
+            removed.append(node)
             node = (word >> 1) - 1
         if removed:
-            head_cell.store(last, site="uh-write-head")
+            head_cell.store(node, site="uh-write-head")
         return removed
 
     # -- inspection ----------------------------------------------------------
@@ -371,9 +367,11 @@ class ListPair:
         """Node indices of the live suffix (after the deleted prefix), in
         list order, claimed nodes included."""
         arena = self.arena
+        word = arena.item(self._head[end].load()).link[end].load()
+        while word & 1:   # skip the deleted prefix
+            word = arena.item((word >> 1) - 1).link[end].load()
         out = []
-        node, _ = unpack_link(
-            arena.item(self._last_deleted[end].load()).link[end].load())
+        node, _ = unpack_link(word)
         while node != NONE_IDX:
             out.append(node)
             node, _ = unpack_link(arena.item(node).link[end].load())
@@ -385,14 +383,8 @@ class ListPair:
         return [item.key for item in items
                 if include_reserved or item.reserved.load() == 0]
 
-    def audit(self, end: int, mid_extract_ok: bool = False) -> "AuditReport":
-        """Check the structural invariants of one list.
-
-        ``mid_extract_ok`` widens the last-deleted check to also accept the
-        second-last node of the deleted prefix, which is the legal state of
-        a consumer frozen between its marking fetch-or and its last-deleted
-        write.
-        """
+    def audit(self, end: int) -> "AuditReport":
+        """Check the structural invariants of one list."""
         arena = self.arena
         report = AuditReport(end=end)
         limit = len(arena) + 2
@@ -433,7 +425,6 @@ class ListPair:
                 report.notes.append(
                     f"edge to position {pos + 1} mark bit disagrees with deletion tag")
 
-        prefix = [idx for (idx, _, tagged) in path if tagged]
         suffix = [idx for (idx, _, tagged) in path if not tagged]
 
         keys = [self.arena.item(i).key for i in suffix]
@@ -443,22 +434,9 @@ class ListPair:
                 report.suffix_sorted = False
                 report.notes.append(f"suffix out of order: {a} !< {b}")
 
-        last = self._last_deleted[end].load()
-        if not prefix:
-            report.last_deleted_ok = False
-            report.notes.append("no deleted prefix at all")
-        elif last == prefix[-1]:
-            pass
-        elif mid_extract_ok and len(prefix) >= 2 and last == prefix[-2]:
-            report.notes.append("last-deleted at second-last prefix node (extract in flight)")
-        else:
-            report.last_deleted_ok = False
-            report.notes.append(f"last-deleted {last} not at the prefix end {prefix[-1:]}" )
-
-        head = self._head[end].load()
-        if not (arena.item(head).marked_into[end] and arena.item(last).marked_into[end]):
-            report.heads_deleted = False
-            report.notes.append("head or last-deleted names a live node")
+        if not arena.item(self._head[end].load()).marked_into[end]:
+            report.head_deleted = False
+            report.notes.append("head names a live node")
 
         self._audit_index(end, report)
         return report
@@ -505,8 +483,7 @@ class AuditReport:
     finite: bool = True
     deleted_prefix: bool = True
     suffix_sorted: bool = True
-    last_deleted_ok: bool = True
-    heads_deleted: bool = True
+    head_deleted: bool = True
     index_consistent: bool = True
     path: list[tuple[int, int | None, bool]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
@@ -514,16 +491,14 @@ class AuditReport:
     @property
     def ok(self) -> bool:
         return (self.finite and self.deleted_prefix and self.suffix_sorted
-                and self.last_deleted_ok and self.heads_deleted
-                and self.index_consistent)
+                and self.head_deleted and self.index_consistent)
 
     def describe(self) -> str:
         claims = [
             ("finite list", self.finite),
             ("deleted nodes form a prefix", self.deleted_prefix),
             ("live suffix sorted", self.suffix_sorted),
-            ("last-deleted positioned", self.last_deleted_ok),
-            ("head/last-deleted logically deleted", self.heads_deleted),
+            ("head logically deleted", self.head_deleted),
             ("index consistent", self.index_consistent),
         ]
         lines = [f"audit end={self.end}"]

@@ -142,20 +142,20 @@ def test_invariant_auditor():
             assert d2.audit(MIN).ok and d2.audit(MAX).ok
             sched.thaw("ins")
 
-        # freeze point 2: an extractor held between its mark and its
-        # last-deleted write; the audit's wider last-deleted rule applies
+        # freeze point 2: an extractor held between its mark and its head
+        # write, where the head is still the prefix's second-last node
         d3 = ListDepq()
         for k in (1, 2):
             d3.insert(k)
         with ControlledScheduler() as sched:
-            sched.freeze("ex", "ex-write-lastdel")
+            sched.freeze("ex", "uh-write-head")
             sched.spawn("ex", d3.extract_min)
             sched.start()
             sched.wait_frozen("ex")
-            relaxed = d3.audit(MIN, mid_extract_ok=True)
-            assert relaxed.ok, relaxed.describe()
-            prefix = [idx for idx, _, tagged in relaxed.path if tagged]
-            assert d3.lists.last_deleted(MIN) == prefix[-2]
+            report = d3.audit(MIN)
+            assert report.ok, report.describe()
+            prefix = [idx for idx, _, tagged in report.path if tagged]
+            assert d3.lists.head(MIN) == prefix[-2]
             sched.thaw("ex")
 
 
@@ -349,7 +349,7 @@ def test_lock_freedom_smoke():
 
         with ControlledScheduler() as sched:
             sched.freeze("stuck-ins", "ins-cas")
-            sched.freeze("stuck-ex", "ex-write-lastdel")
+            sched.freeze("stuck-ex", "uh-write-head")
             sched.spawn("stuck-ins", d.insert, 5000)
             sched.spawn("stuck-ex", d.extract_min)
             sched.spawn("ins", busy_inserter)

@@ -5,6 +5,7 @@ import random
 import threading
 from collections import Counter
 
+import pytest
 from helpers import UnclaimedListDepq
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from depq.items import MAX, MIN
 from depq.lincheck import Recorder, Verdict, check
 from depq.list_depq import ListDepq
 from depq.oracle import SeqDepq
-from depq.reclaim import EPOCH
+from depq.reclaim import DEFERRED, EPOCH
 from depq.sched import ControlledScheduler
 from depq.workload import WorkloadConfig, run_stress
 
@@ -148,8 +149,30 @@ def test_one_finalize_per_batch():
     assert stats["batches"] == 1
     assert finishes == [MAX]    # the finalizer ran once, for the one batch
     assert stats["batch_sizes"] == {batch: 1}
-    # each pop swept the logically deleted prefix behind it
-    assert d.lists.head(MAX) == d.lists.last_deleted(MAX)
+    # each pop swept the logically deleted prefix behind it, so the head is
+    # the prefix's last node and its own word is unmarked
+    assert not d.arena.item(d.lists.head(MAX)).link[MAX].load() & 1
+
+
+@pytest.mark.parametrize("reclaim_mode", [DEFERRED, EPOCH])
+def test_every_extraction_leaves_the_head_the_only_deleted_node(reclaim_mode):
+    # Every pop is swept, so after each extraction both lists' deleted
+    # prefixes are exactly their heads, and the live suffix is the rest.
+    d = ListDepq(reclaim_mode=reclaim_mode)
+    rng = random.Random(0x4EAD)
+    extractions = 0
+    for _ in range(800):
+        if rng.random() < 0.5:
+            d.insert(rng.randrange(100))
+            continue
+        (d.extract_min if rng.random() < 0.5 else d.extract_max)()
+        extractions += 1
+        for end in (MIN, MAX):
+            walk = d.lists.walk(end)
+            tagged = [i for i in walk if d.arena.item(i).marked_into[end]]
+            assert tagged == walk[:1] == [d.lists.head(end)]
+            assert d.lists.suffix(end) == walk[1:]
+    assert extractions > 300
 
 
 def test_single_item_race_is_exclusive_in_every_interleaving():
@@ -270,7 +293,7 @@ def test_two_locks_broken_build_is_caught_by_stress_windows():
 
 def test_lock_freedom_smoke_frozen_threads_do_not_block_others():
     # One inserter frozen right before its publish CAS and one min-extractor
-    # frozen between its mark and its last-deleted write; inserts and
+    # frozen between its mark and its head write; inserts and
     # max-extractions keep completing.
     d = ListDepq()
     for k in range(1000, 1200):
@@ -290,7 +313,7 @@ def test_lock_freedom_smoke_frozen_threads_do_not_block_others():
 
     with ControlledScheduler() as sched:
         sched.freeze("stuck-ins", "ins-cas")
-        sched.freeze("stuck-ex", "ex-write-lastdel")
+        sched.freeze("stuck-ex", "uh-write-head")
         sched.spawn("stuck-ins", d.insert, 5000)
         sched.spawn("stuck-ex", d.extract_min)
         sched.spawn("ins", busy_inserter)
@@ -300,9 +323,10 @@ def test_lock_freedom_smoke_frozen_threads_do_not_block_others():
         sched.wait_frozen("stuck-ex")
         assert sched.join_worker("ins", timeout=10) == 1000
         assert sched.join_worker("max", timeout=10) == 1000
+        assert d.audit(MIN).ok and d.audit(MAX).ok   # with both still frozen
         sched.thaw("stuck-ins")
         sched.thaw("stuck-ex")
-    assert d.audit(MIN, mid_extract_ok=False).ok
+    assert d.audit(MIN).ok
     assert d.audit(MAX).ok
 
 

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from depq.atomics import AtomicCell
 from depq.dual_depq import DualDepq
 from depq.items import MAX, MIN, Arena, Key, try_reserve, unpack_link
@@ -109,14 +111,12 @@ def test_fetch_or_idempotent_on_marked_word():
     assert cell.load() == 0b1011
 
 
-def test_mark_successor_reports_deleted_node():
+def test_extract_first_reports_deleted_node():
     arena, lists = make_pair()
     (idx,) = insert_keys(arena, lists, [9])
-    prior = lists.mark_successor(lists.dummy, MIN)
-    succ, was_marked = unpack_link(prior)
-    assert succ == idx and was_marked == 0
-    _, now_marked = unpack_link(arena.item(lists.dummy).link[MIN].load())
-    assert now_marked == 1
+    assert unpack_link(arena.item(lists.dummy).link[MIN].load()) == (idx, 0)
+    assert lists.extract_first(MIN) == idx
+    assert unpack_link(arena.item(lists.dummy).link[MIN].load()) == (idx, 1)
     assert arena.item(idx).marked_into[MIN]
 
 
@@ -162,10 +162,14 @@ def test_extract_on_fresh_list_returns_empty():
 
 def test_extract_without_reserve_advances_last_deleted():
     arena, lists = make_pair()
-    one, _two = insert_keys(arena, lists, [1, 2])
+    one, two = insert_keys(arena, lists, [1, 2])
     got = lists.extract_first(MIN)
     assert got == one
-    assert lists.last_deleted(MIN) == one
+    # Not swept: the head stays on the sentinel, whose word names the node,
+    # marked; the node, now the prefix's last, keeps an unmarked word.
+    assert lists.head(MIN) == lists.dummy
+    assert unpack_link(arena.item(lists.dummy).link[MIN].load()) == (one, 1)
+    assert unpack_link(arena.item(one).link[MIN].load()) == (two, 0)
 
 
 def test_extract_skips_node_reserved_by_other_end():
@@ -197,14 +201,20 @@ def test_sweep_head_after_one_extract_removes_dummy_only():
     assert lists.head(MIN) == one
 
 
-def test_sweep_head_after_two_extracts():
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_sweep_head_after_k_extracts(k):
+    # k pops with no sweep between them; each follows the marked chain from
+    # the head, and one sweep then unlinks exactly k nodes.
     arena, lists = make_pair()
-    one, two = insert_keys(arena, lists, [1, 2])
-    lists.extract_first(MIN)
-    lists.extract_first(MIN)
+    nodes = insert_keys(arena, lists, range(1, k + 1))
+    for node in nodes:
+        assert lists.extract_first(MIN) == node
+    assert lists.extract_first(MIN) is None
     removed = lists.sweep_head(MIN)
-    assert removed == [lists.dummy, one]
-    assert lists.head(MIN) == two
+    assert removed == [lists.dummy] + nodes[:-1]
+    assert lists.head(MIN) == nodes[-1]
+    assert lists.suffix(MIN) == []
+    assert lists.sweep_head(MIN) == []
 
 
 # -- audits --------------------------------------------------------------------
@@ -236,21 +246,27 @@ def test_audit_passes_after_random_quiescent_op_sequences():
             assert report.ok, report.describe()
 
 
-def test_audit_second_last_branch_with_frozen_extractor():
+def test_strict_audit_with_frozen_pop():
+    # A pop frozen between its mark and its head write, the one state it
+    # leaves in between: the head is still the sentinel, the prefix's
+    # second-last node, and the audit passes.
     arena, lists = make_pair()
-    insert_keys(arena, lists, [1, 2])
+    one, two = insert_keys(arena, lists, [1, 2])
+    pq = ListPq(lists, MIN)
     with ControlledScheduler() as sched:
-        sched.freeze("ex", "ex-write-lastdel")
-        sched.spawn("ex", lists.extract_first, MIN)
+        sched.freeze("ex", "uh-write-head")
+        sched.spawn("ex", pq.pq_extract_first)
         sched.start()
         sched.wait_frozen("ex")
-        strict = lists.audit(MIN)
-        relaxed = lists.audit(MIN, mid_extract_ok=True)
-        assert not strict.last_deleted_ok          # mark done, write pending
-        assert relaxed.ok, relaxed.describe()
-        prefix = [idx for idx, _, tagged in relaxed.path if tagged]
-        assert lists.last_deleted(MIN) == prefix[-2]
+        report = lists.audit(MIN)
+        assert report.ok, report.describe()
+        prefix = [idx for idx, _, tagged in report.path if tagged]
+        assert prefix == [lists.dummy, one]
+        assert lists.head(MIN) == prefix[-2]
+        assert lists.suffix(MIN) == [two]
         sched.thaw("ex")
+    assert sched.result("ex") == one
+    assert lists.head(MIN) == one
 
 
 def test_audit_quiescent_with_frozen_inserter_before_cas():
