@@ -14,10 +14,17 @@ Worker threads pause at every instrumented shared-memory operation (see
   interleaving explorer below.
 
 A step is handed off with batons, locks created held, so each handoff
-wakes exactly one thread.  Every worker parks on its own baton, and
-``grant`` releases that one.  The driver waits on a baton of its own,
-released by whichever thread brings the count of running workers to zero:
-the last one to park or the last one to finish.
+wakes exactly one thread.  Every worker parks on its own baton, and a
+grant releases that one.  A walk (``drive``, ``run_until``,
+``run_to_completion``) installs a chooser on the scheduler.  Whichever
+worker brings the count of running workers to zero, the last one to park
+or the last one to finish, calls the chooser under the scheduler's lock
+and grants its pick itself, so a driven step costs one thread switch.
+The driver waits on a baton of its own, released only when the walk ends:
+no worker is left parked, the chooser returned None, or the chooser or
+the grant raised, in which case the driver re-raises the error.  Without
+a chooser, as for the scripted ``wait_quiescent`` / ``grant``, the last
+worker to stop releases the driver's baton at once.
 
 The scheduler only coordinates threads it spawned itself; the invoking
 thread's operations never pause, so fixtures can be built inline.
@@ -80,9 +87,13 @@ class ControlledScheduler:
         self._workers: dict[str, _Worker] = {}
         self._parked: dict[str, str] = {}      # name -> site (stepping mode)
         # Workers neither parked nor finished.  ``_driver`` is released each
-        # time this falls to zero and taken once per release.
+        # time this falls to zero with no walk to take the next step (see
+        # _step), and taken once per release.
         self._running = 0
         self._driver = _held_lock()
+        # The walk in progress: picks each step under ``_lock`` (see _step).
+        self._chooser: Callable[[tuple[str, ...]], str | None] | None = None
+        self._chooser_error: BaseException | None = None
         self._freezes: dict[str, _Freeze] = {}
         self._frozen: dict[str, str] = {}
         self._start = threading.Event()
@@ -143,8 +154,28 @@ class ControlledScheduler:
 
     def _count_stopped(self) -> None:
         self._running -= 1
-        if self._running == 0:
+        if self._running == 0 and not self._step():
             self._driver.release()
+
+    def _step(self) -> bool:
+        """Grant the installed chooser's pick; False, uninstalling it, ends the walk.
+
+        Called with ``_lock`` held and no worker running.  An error from the
+        chooser or the grant is kept for the driver to re-raise.
+        """
+        chooser = self._chooser
+        if chooser is None:
+            return False
+        runnable = tuple(sorted(self._parked))
+        try:
+            pick = chooser(runnable) if runnable else None
+            if pick is not None:
+                self._grant_parked(pick)
+                return True
+        except BaseException as exc:  # re-raised by the driver in _walk
+            self._chooser_error = exc
+        self._chooser = None
+        return False
 
     def join_worker(self, name: str, timeout: float = _DEFAULT_TIMEOUT) -> Any:
         """Wait for one worker to finish (it must not be frozen); returns its result."""
@@ -274,12 +305,17 @@ class ControlledScheduler:
                 if self._running == 0:
                     self._driver.acquire(blocking=False)    # unless it was taken below
                     return tuple(sorted(self._parked))
-            if not self._driver.acquire(timeout=deadline.remaining()):
-                with self._lock:
-                    if self._running:
-                        stuck = [n for n, w in self._workers.items()
-                                 if not w.done and n not in self._parked]
-                        raise ScheduleError(f"workers never parked: {stuck}")
+            self._await_driver(deadline)
+
+    def _await_driver(self, deadline: _Deadline) -> None:
+        """Take the driver's baton, released when no worker is left running."""
+        while not self._driver.acquire(timeout=deadline.remaining()):
+            with self._lock:
+                if self._running:
+                    self._chooser = None
+                    stuck = [n for n, w in self._workers.items()
+                             if not w.done and n not in self._parked]
+                    raise ScheduleError(f"workers never parked: {stuck}")
 
     def parked_site(self, name: str) -> str | None:
         with self._lock:
@@ -288,54 +324,70 @@ class ControlledScheduler:
     def grant(self, name: str) -> None:
         """Let ``name`` execute its pending operation and run to its next pause."""
         with self._lock:
-            if name not in self._parked:
-                raise ScheduleError(f"cannot grant {name!r}: not parked")
-            self._steps += 1
-            if self._steps > self._step_limit:
-                raise ScheduleError("step limit exceeded")
-            del self._parked[name]
-            self._count_running()
-            self._workers[name].baton.release()
+            self._grant_parked(name)
+
+    def _grant_parked(self, name: str) -> None:
+        if name not in self._parked:
+            raise ScheduleError(f"cannot grant {name!r}: not parked")
+        self._steps += 1
+        if self._steps > self._step_limit:
+            raise ScheduleError("step limit exceeded")
+        del self._parked[name]
+        self._count_running()
+        self._workers[name].baton.release()
+
+    def _walk(self, chooser: Callable[[tuple[str, ...]], str | None],
+              timeout: float) -> None:
+        """Step parked workers with ``chooser`` until the walk ends (see _step).
+
+        ``chooser`` runs under ``_lock`` in whichever thread stops last, so it
+        must not call back into the scheduler or reach a pause site.
+        """
+        deadline = _Deadline(timeout)
+        with self._lock:
+            self._chooser = chooser
+            # With every worker already parked, no worker will stop to take
+            # the first step, so the driver takes it.
+            walking = self._running > 0 or self._step()
+        if walking:
+            self._await_driver(deadline)
+        with self._lock:
+            error, self._chooser_error = self._chooser_error, None
+        if error is not None:
+            raise error
 
     def run_until(self, name: str, site: str, timeout: float = _DEFAULT_TIMEOUT) -> None:
         """Advance only ``name`` until it parks at ``site``."""
-        deadline = _Deadline(timeout)
-        while True:
-            self.wait_quiescent(timeout=deadline.remaining())
-            parked = self.parked_site(name)
-            if parked is None:
-                raise ScheduleError(f"{name!r} finished before reaching {site!r}")
-            if parked == site:
-                return
-            self.grant(name)
+        # Step ``name`` until it parks at ``site`` or is no longer parked.
+        self._walk(lambda _: name if self._parked.get(name, site) != site else None, timeout)
+        if self.parked_site(name) != site:
+            raise ScheduleError(f"{name!r} finished before reaching {site!r}")
 
     def run_to_completion(self, name: str, timeout: float = _DEFAULT_TIMEOUT) -> Any:
         """Advance only ``name`` until it finishes; returns its result."""
-        deadline = _Deadline(timeout)
-        while True:
-            self.wait_quiescent(timeout=deadline.remaining())
-            if self._workers[name].done:
-                return self.result(name)
-            self.grant(name)
+        self._walk(lambda _: name if name in self._parked else None, timeout)
+        return self.result(name)
 
     def drive(self, choose: Callable[[tuple[str, ...]], str],
               timeout: float = _DEFAULT_TIMEOUT) -> list[tuple[str, tuple[str, ...]]]:
         """Step all workers to completion, picking each step with ``choose``.
 
+        ``choose`` sees the parked workers' names, sorted, and runs in the
+        thread that parked or finished last, under the scheduler's lock.
         Returns the trace: one (chosen, runnable-set) entry per step.
         """
-        self.start()
         trace: list[tuple[str, tuple[str, ...]]] = []
-        deadline = _Deadline(timeout)
-        while True:
-            runnable = self.wait_quiescent(timeout=deadline.remaining())
-            if not runnable:
-                return trace
+
+        def step(runnable: tuple[str, ...]) -> str:
             pick = choose(runnable)
             if pick not in runnable:
                 raise ScheduleError(f"chooser picked {pick!r}, runnable {runnable}")
             trace.append((pick, runnable))
-            self.grant(pick)
+            return pick
+
+        self.start()
+        self._walk(step, timeout)
+        return trace
 
 
 class _Deadline:

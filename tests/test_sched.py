@@ -1,5 +1,7 @@
 """The controlled scheduler itself: freezing, stepping, exploration."""
 
+import random
+import sys
 import threading
 import time
 
@@ -139,22 +141,34 @@ def test_drive_with_seeded_walk_is_reproducible():
     assert any(run_with(s) != run_with(42) for s in (1, 2, 3, 4, 5))
 
 
-def test_exploration_counts_interleavings_of_independent_steps():
-    # two threads, two steps each: C(4, 2) = 6 interleavings
+def _explore_bumps(steps):
+    """Every interleaving of one worker per entry, bumping that many times."""
     def factory():
         cell = AtomicCell(0)
 
-        def body(_state):
-            cell.fetch_add(1, site="bump")
-            cell.fetch_add(1, site="bump")
+        def body(n):
+            def run(_state):
+                for _ in range(n):
+                    cell.fetch_add(1, site="bump")
+            return run
 
-        return cell, [("a", body), ("b", body)]
+        return cell, [(chr(ord("a") + i), body(n)) for i, n in enumerate(steps)]
 
     outcomes = list(explore_interleavings(factory))
-    assert len(outcomes) == 6
-    assert all(o.state.load() == 4 for o in outcomes)
-    schedules = {tuple(o.schedule) for o in outcomes}
-    assert len(schedules) == 6
+    assert all(o.state.load() == sum(steps) for o in outcomes)
+    assert len({tuple(o.schedule) for o in outcomes}) == len(outcomes)
+    return outcomes
+
+
+def test_exploration_counts_interleavings_of_independent_steps():
+    # two threads, two steps each: C(4, 2) = 6 interleavings
+    assert len(_explore_bumps((2, 2))) == 6
+
+
+def test_exploration_counts_interleavings_past_finished_workers():
+    # 6! / (1! 2! 3!) = 60: most schedules go on after a worker finishes,
+    # and the finishing worker picks the next step.
+    assert len(_explore_bumps((1, 2, 3))) == 60
 
 
 def test_exploration_finds_a_lost_update():
@@ -331,3 +345,88 @@ def test_stepped_worker_raising_before_its_first_pause():
     _assert_all_joined(threads)
     assert [pick for pick, _ in drove[0]] == ["ok"] * 2
     assert cell.load() == 2
+
+
+def _scripted_walk(sched, choose):
+    """The reference for ``drive``: a driver-thread wait_quiescent/grant loop."""
+    sched.start()
+    trace = []
+    while runnable := sched.wait_quiescent():
+        pick = choose(runnable)
+        trace.append((pick, runnable))
+        sched.grant(pick)
+    return trace
+
+
+def test_drive_matches_the_scripted_walk():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # preempt the workers between their pauses
+    try:
+        for seed in range(50):
+            rng = random.Random(seed)
+            steps = [rng.randint(1, 6) for _ in range(rng.randint(2, 4))]
+            runs = []
+            for walk in (lambda sched: sched.drive(random_walk(seed)),
+                         lambda sched: _scripted_walk(sched, random_walk(seed))):
+                cell = AtomicCell(0)
+                threads, finished = [], []
+                with ControlledScheduler(stepping=True) as sched:
+                    for i, n in enumerate(steps):
+                        sched.spawn(f"w{i}", _counting_body(cell, n, threads, finished))
+                    trace = walk(sched)
+                _assert_all_joined(threads)
+                runs.append((trace, cell.load(), finished))
+            driven, scripted = runs
+            assert driven == scripted, seed
+            assert len(driven[0]) == sum(steps)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_drive_step_limit():
+    cell = AtomicCell(0)
+    threads, finished = [], []
+    with ControlledScheduler(stepping=True, step_limit=3) as sched:
+        for name in ("a", "b"):
+            sched.spawn(name, _counting_body(cell, 4, threads, finished))
+        with pytest.raises(ScheduleError, match="^step limit exceeded$"):
+            sched.drive(random_walk(1))
+        assert cell.load() == 3
+    _assert_all_joined(threads)
+    assert cell.load() == 8             # released workers ran free to the end
+
+
+def test_drive_rejects_a_pick_outside_the_runnable_set():
+    cell = AtomicCell(0)
+    threads, finished = [], []
+    with ControlledScheduler(stepping=True) as sched:
+        for name in ("a", "b"):
+            sched.spawn(name, _counting_body(cell, 2, threads, finished))
+        with pytest.raises(ScheduleError,
+                           match=r"^chooser picked 'c', runnable \('a', 'b'\)$"):
+            sched.drive(lambda runnable: "c")
+        assert cell.load() == 0
+    _assert_all_joined(threads)
+    assert cell.load() == 4
+
+
+def test_drive_times_out_on_a_worker_blocked_between_pauses():
+    cell = AtomicCell(0)
+    threads, finished = [], []
+    gate = threading.Event()
+
+    def blocked():
+        threads.append(threading.current_thread())
+        gate.wait(timeout=10.0)
+        cell.fetch_add(1, site="bump")
+
+    with ControlledScheduler(stepping=True) as sched:
+        sched.spawn("a", _counting_body(cell, 2, threads, finished))
+        sched.spawn("stuck", blocked)
+        t0 = time.monotonic()
+        with pytest.raises(ScheduleError, match=r"^workers never parked: \['stuck'\]$"):
+            sched.drive(random_walk(2), timeout=0.3)
+        assert time.monotonic() - t0 < 5.0
+        gate.set()
+    _assert_all_joined(threads)
+    assert cell.load() == 3
