@@ -9,8 +9,11 @@ one ``pq_extract_first``, on a heap holding ``size`` entries in either
 order; the fresh item is made untimed before each round, so the heap stays
 at ``size``.  ``test_dual_heap_extraction`` times one dual-heap extraction
 through the combining wrapper (ends alternating) at 1000 live keys; an
-untimed insert before each round keeps the count there.  Only the public
-API is used.
+untimed insert before each round keeps the count there.
+``test_dual_heap_insert`` times one ``DualDepq.insert``, a fresh item and
+its two heap inserts, at 1000 live keys; an untimed extraction before each
+round (ends alternating) keeps the count there.  Only the public API is
+used.
 """
 
 import itertools
@@ -63,4 +66,21 @@ def test_dual_heap_extraction(benchmark):
 
     benchmark.pedantic(extract, setup=refill, rounds=20_000, warmup_rounds=200)
     assert len(d.remaining_keys()) == KEYS - 1
+    assert d.problems() == []
+
+
+def test_dual_heap_insert(benchmark):
+    arena = Arena()
+    d = DualDepq(arena, LockedHeapPq(arena), LockedHeapPq(arena, descending=True))
+    rng = random.Random(7)
+    for key in rng.sample(range(1 << 20), KEYS):
+        d.insert(key)
+    ends = itertools.cycle((d.extract_min, d.extract_max))
+
+    def drop_one():
+        assert next(ends)() is not None
+        return (rng.randrange(1 << 20),), {}
+
+    benchmark.pedantic(d.insert, setup=drop_one, rounds=20_000, warmup_rounds=200)
+    assert len(d.remaining_keys()) == KEYS
     assert d.problems() == []

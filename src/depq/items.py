@@ -50,15 +50,22 @@ def unpack_link(word: int) -> tuple[int, int]:
 
 
 class Item:
-    """A queue element: key, reservation flag, retire flag, two link words.
+    """A queue element: its key, its claim flag and its retire count.
 
     ``reserved`` arbitrates which end's extraction claims the item; it is
     set 0->1 at most once.  ``unlinked`` counts physical removals (one per
     list); its second increment signals the item is unreachable from both
-    lists.  ``linked_into`` / ``marked_into`` are auditor bookkeeping tags,
-    written only in the same step as the publish CAS / marking fetch-or.
-    ``tower`` is the item's node in the lists' index, one for both ends, if
-    it has one (see :mod:`depq.ordered_list`).
+    lists.  That is all the generic construction asks of an element, and
+    all :meth:`Arena.new_item` builds, so an item on the heaps carries
+    nothing else.
+
+    The list fields are declared here but set only by the lists, on a node
+    they link (see :meth:`depq.ordered_list.ListPair.insert`): ``link``,
+    one link word per end; ``linked_into`` / ``marked_into``, auditor
+    bookkeeping tags written only in the same step as the publish CAS /
+    marking fetch-or; ``tower``, the item's node in the lists' index, one
+    for both ends, or None.  Reading one on an item no list has taken
+    raises ``AttributeError``.
     """
 
     __slots__ = ("index", "key", "reserved", "unlinked", "link",
@@ -69,11 +76,6 @@ class Item:
         self.key = key  # None only for the sentinel dummy
         self.reserved = AtomicCell(0, lock)
         self.unlinked = AtomicCell(0, lock)
-        self.link = (AtomicCell(pack_link(NONE_IDX, 0), lock),
-                     AtomicCell(pack_link(NONE_IDX, 0), lock))
-        self.linked_into = [False, False]
-        self.marked_into = [False, False]
-        self.tower = None
 
     @property
     def user_key(self) -> int:

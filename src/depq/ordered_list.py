@@ -116,13 +116,14 @@ class ListPair:
         self.insert_cas_failures = 0
         dummy = arena.new_dummy()
         dummy_item = arena.item(dummy)
-        # The sentinel counts as logically deleted from the start.
-        dummy_item.marked_into[MIN] = True
-        dummy_item.marked_into[MAX] = True
-        dummy_item.linked_into[MIN] = True
-        dummy_item.linked_into[MAX] = True
-        self.dummy = dummy
         lock = arena.rmw_lock
+        # The sentinel is on both lists and counts as logically deleted
+        # from the start; it has no tower.
+        dummy_item.link = (AtomicCell(0, lock), AtomicCell(0, lock))
+        dummy_item.linked_into = [True, True]
+        dummy_item.marked_into = [True, True]
+        dummy_item.tower = None
+        self.dummy = dummy
         self._head = [AtomicCell(dummy, lock), AtomicCell(dummy, lock)]
         # The first tower on each index level, and the number of levels in
         # use.  Index links are plain references, changed by compare-and-swap
@@ -139,17 +140,27 @@ class ListPair:
     # -- operations ----------------------------------------------------------
 
     def insert(self, index: int) -> None:
-        """Link a fresh node into both lists, the ascending one first.
+        """Link a fresh item into both lists, the ascending one first.
 
-        One index search yields both list starts (see ``_index_search``).
-        Each publish CAS is retried until it lands, resuming from the node
-        whose link word changed underneath it.  Once the node is on both
-        lists, its tower is linked into the index: no search may start from
-        a node that is not yet on the descending list.
+        The item comes from :meth:`Arena.new_item` with only its key and
+        flags; the first step, before any pause site and before the node
+        can be published, gives it the list fields (see :class:`Item`):
+        two link words with no successor, both tags False, and its tower
+        if its height gives it one.  One index search yields both list
+        starts (see ``_index_search``).  Each publish CAS is retried until
+        it lands, resuming from the node whose link word changed underneath
+        it.  Once the node is on both lists, its tower is linked into the
+        index: no search may start from a node that is not yet on the
+        descending list.
         """
         node = self.arena.item(index)
         k = node.key
         assert k is not None
+        lock = self._lock
+        # A word of 0 is pack_link(NONE_IDX, 0): no successor, unmarked.
+        node.link = (AtomicCell(0, lock), AtomicCell(0, lock))
+        node.linked_into = [False, False]
+        node.marked_into = [False, False]
         # The tower is attached before the first publish, so the consumer
         # that deletes this node on either end always finds it to mark.
         height = tower_height(k.uid)

@@ -3,7 +3,7 @@ small randomized histories (optionally mutated into likely-wrong ones)."""
 
 import itertools
 
-from depq.atomics import checkpoint
+from depq.atomics import AtomicCell, checkpoint
 from depq.items import MAX, MIN
 from depq.lincheck import EMPTY, Event
 from depq.list_depq import ListDepq
@@ -39,6 +39,10 @@ class EarlyTowerListDepq(ListDepq):
         lists = self.lists
         node = self.arena.item(index)
         k = node.key
+        lock = lists._lock
+        node.link = (AtomicCell(0, lock), AtomicCell(0, lock))
+        node.linked_into = [False, False]
+        node.marked_into = [False, False]
         height = tower_height(k.uid)
         tower = node.tower = IndexNode(k, index, height) if height else None
         preds = [lists._index] * height

@@ -2,12 +2,14 @@
 
 import random
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from depq.items import (MAX, MIN, NONE_IDX, Arena, Key, is_reserved, key_less,
                         pack_link, try_reserve, unpack_link)
+from depq.ordered_list import ListPair, tower_height
 
 
 def test_new_item_starts_unreserved():
@@ -17,8 +19,49 @@ def test_new_item_starts_unreserved():
         assert item.key.user_key == k
         assert not is_reserved(item)
         assert item.unlinked.load() == 0
+
+
+def test_new_item_has_no_list_fields():
+    arena = Arena()
+    item = arena.item(arena.new_item(1))
+    for name in ("link", "linked_into", "marked_into", "tower"):
+        with pytest.raises(AttributeError):
+            getattr(item, name)
+
+
+def test_list_insert_gives_the_node_its_list_fields():
+    arena = Arena()
+    lists = ListPair(arena)
+    towered = 0
+    for k in range(8):
+        item = arena.item(arena.new_item(k))
+        lists.insert(item.index)
+        # Ascending keys: last on MIN, first on MAX.
         assert unpack_link(item.link[MIN].load()) == (NONE_IDX, 0)
-        assert unpack_link(item.link[MAX].load()) == (NONE_IDX, 0)
+        assert unpack_link(item.link[MAX].load()) == (NONE_IDX if k == 0 else item.index - 1, 0)
+        assert item.linked_into == [True, True]
+        assert item.marked_into == [False, False]
+        if tower_height(item.key.uid):
+            assert (item.tower.index, item.tower.key) == (item.index, item.key)
+            towered += 1
+        else:
+            assert item.tower is None
+    assert 0 < towered < 8
+
+
+def test_new_item_costs_under_450_bytes():
+    # Every object one new_item call allocates, the arena slot included.
+    count = 10_000
+    arena = Arena()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(count):
+            arena.new_item(k)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown / count < 450, grown / count
 
 
 def test_duplicate_user_keys_get_distinct_uids():
