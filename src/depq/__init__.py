@@ -4,7 +4,7 @@ priority queues, plus the machinery to validate it: per-end serializers
 checker, a sequential oracle, and a stress/bench CLI.
 """
 
-from .atomics import AtomicCell, SpinLock, checkpoint, set_controller
+from .atomics import AtomicCell, checkpoint, set_controller
 from .combining import COMBINING, TWO_LOCKS, Combiner, make_serializer
 from .dual_depq import DualDepq, make_multi_consumer
 from .items import MAX, MIN, Arena, Key, is_reserved, key_less, try_reserve
@@ -21,7 +21,7 @@ __all__ = [
     "COMBINING", "ControlledScheduler", "DEFERRED", "DualDepq", "EMPTY",
     "EPOCH", "Event", "Key", "ListDepq", "ListPair", "ListPq",
     "LockedHeapPq", "MAX", "MIN", "Recorder", "Reclaimer", "ScheduleError",
-    "SeqDepq", "SpinLock", "TWO_LOCKS", "Verdict", "check", "checkpoint",
+    "SeqDepq", "TWO_LOCKS", "Verdict", "check", "checkpoint",
     "comes_before", "explore_interleavings", "is_reserved", "key_less",
     "make_multi_consumer", "make_serializer", "read_history", "seq_apply",
     "set_controller", "try_reserve", "write_history",

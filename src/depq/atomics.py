@@ -1,5 +1,5 @@
-"""Single-word atomic cells, the spin lock, and the instrumentation hook
-used by the controlled scheduler.
+"""Single-word atomic cells and the instrumentation hook used by the
+controlled scheduler.
 
 Every shared word in this package lives in an :class:`AtomicCell`.  Plain
 loads and stores of a Python attribute are already atomic under the GIL;
@@ -13,6 +13,9 @@ scheduler freeze a thread "immediately before its CAS" or explore every
 interleaving of two operations.  With no controller installed the check is
 a single global load, so production use pays almost nothing.
 
+A thread about to wait for another, for an end's lock or its combining
+flag, pauses through :func:`wait` and names what keeps it waiting.
+
 Counts need no type of their own: every count in this package is a plain
 int, or a list of ints, that has one writer at a time (one end's consumer,
 say) or is bumped under a lock its writer holds anyway.  Both serializer
@@ -22,8 +25,7 @@ modes keep their stats this way.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
 
 class TraceController(Protocol):
@@ -55,42 +57,16 @@ def checkpoint(site: str) -> None:
         c.pause(site)
 
 
-class SpinLock:
-    """Mutual exclusion via non-blocking acquires with bounded spin then yield.
-
-    Each attempt is one ``threading.Lock.acquire(False)``, which is atomic
-    without a second lock around it.  Unlike a blocking acquire, a waiter
-    keeps reaching its pause site, so the controlled scheduler can still
-    step or freeze it; never hold this lock across a real blocking call.
-    """
-
-    def __init__(self) -> None:
-        lock = threading.Lock()
-        self._try_acquire = lock.acquire
-        self._release = lock.release
-
-    def acquire(self) -> None:
-        spins = 0
-        while True:
-            if _controller is not None:
-                _controller.pause("lock-acquire")
-            if self._try_acquire(False):
-                return
-            spins += 1
-            if spins % 64 == 0:
-                time.sleep(0)
-
-    def release(self) -> None:
-        if _controller is not None:
-            _controller.pause("lock-release")
-        self._release()
-
-    def __enter__(self) -> "SpinLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.release()
+def wait(site: str, blocked: Callable[[], Any]) -> None:
+    """Pause at ``site`` before a wait that cannot end while ``blocked()``
+    is true.  A controller with a ``wait`` method is told ``blocked``, which
+    must only read: the stepping scheduler calls it under its lock.  Callers
+    test ``_controller`` first, so without one a wait builds no callable."""
+    c = _controller
+    if hasattr(c, "wait"):
+        c.wait(site, blocked)
+    elif c is not None:
+        c.pause(site)
 
 
 class AtomicCell:

@@ -36,9 +36,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable
 
-from .atomics import AtomicCell, SpinLock
+from . import atomics
+from .atomics import AtomicCell, checkpoint
 
 TWO_LOCKS = "two-locks"
 COMBINING = "combining"
@@ -76,12 +78,7 @@ def _nothing() -> None:
     pass
 
 
-class _NoGuard:
-    def enter(self) -> None:
-        pass
-
-    def exit(self) -> None:
-        pass
+_NO_GUARD = SimpleNamespace(enter=_nothing, exit=_nothing)
 
 
 class CombinerRecord:
@@ -111,7 +108,7 @@ class Combiner:
         self.batch_cap = batch_cap
         self._apply = apply
         self._finalize = finalize or _nothing
-        self._guard = guard if guard is not None else _NoGuard()
+        self._guard = guard if guard is not None else _NO_GUARD
         # The records' RMW lock; ``stats`` is updated under it too.
         self._lock = threading.Lock()
         self._tail = AtomicCell(CombinerRecord(self._lock), self._lock)
@@ -142,7 +139,11 @@ class Combiner:
             self._spare.rec = cell
 
             spins = 0
-            while cell.wait.load(site="cc-spin"):
+            while True:
+                if atomics._controller is not None:
+                    atomics.wait("cc-spin", cell.wait.load)
+                if not cell.wait.load():
+                    break
                 spins += 1
                 if spins % _SPIN_BEFORE_YIELD == 0:
                     time.sleep(0)
@@ -195,9 +196,9 @@ class Combiner:
 class EndLock:
     """Lock mode: each caller runs its own request under the end's lock.
 
-    The lock is a :class:`~depq.atomics.SpinLock`, so the controlled
-    scheduler can step or freeze a waiter.  The caller enters ``guard``
-    only once it holds the lock, so a waiter holds no bracket.
+    A plain ``threading.Lock``, which a caller waits for at ``lock-acquire``
+    (see :func:`~depq.atomics.wait`).  The caller enters ``guard`` only once
+    it holds the lock, so a waiter holds no bracket.
     """
 
     def __init__(self, apply: Callable[[Any], Any],
@@ -205,13 +206,15 @@ class EndLock:
                  guard: Any = None):
         self._apply = apply
         self._finalize = finalize or _nothing
-        self._guard = guard if guard is not None else _NoGuard()
-        self._lock = SpinLock()
+        self._guard = guard if guard is not None else _NO_GUARD
+        self._lock = threading.Lock()
         self.stats = BatchStats()
 
     def announce(self, request: Any) -> Any:
         """Apply ``request``, then finalize.  An error from ``apply`` reaches
         the caller only after the finalizer has run and the lock is free."""
+        if atomics._controller is not None:
+            atomics.wait("lock-acquire", self._lock.locked)
         self._lock.acquire()
         try:
             self._guard.enter()
@@ -222,6 +225,7 @@ class EndLock:
             finally:
                 self._guard.exit()
                 self.stats.record(1)
+                checkpoint("lock-release")
                 self._lock.release()
 
 

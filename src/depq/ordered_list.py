@@ -204,7 +204,8 @@ class ListPair:
                 # honor their contract; retrying against it would spin forever.
                 raise AssertionError("end-of-list link is marked")
             expected = word & ~1
-            node.link[end].store(expected, site="ins-set-next")
+            # Unsited: no thread reads this word before the CAS publishes it.
+            node.link[end].store(expected)
             if pred_item.link[end].compare_and_swap(expected, published, site="ins-cas"):
                 node.linked_into[end] = True
                 return

@@ -11,7 +11,9 @@ Worker threads pause at every instrumented shared-memory operation (see
 * **stepping mode**: every registered thread parks at every site and a
   driver grants one step at a time.  Drivers include scripted runs
   (``run_until`` / ``grant``), a seeded random walk, and the exhaustive
-  interleaving explorer below.
+  interleaving explorer below.  A thread parked in :func:`depq.atomics.wait`
+  is disabled while its wait holds (CHESS): no chooser sees it, no ``grant``
+  may pick it, a walk with only such threads raises; free mode ignores it.
 
 A step is handed off with batons, locks created held, so each handoff
 wakes exactly one thread.  Every worker parks on its own baton, and a
@@ -86,6 +88,7 @@ class ControlledScheduler:
         self._names: dict[int, str] = {}       # thread ident -> worker name
         self._workers: dict[str, _Worker] = {}
         self._parked: dict[str, str] = {}      # name -> site (stepping mode)
+        self._waits: dict[str, Callable[[], Any]] = {}  # parked name -> blocked
         # Workers neither parked nor finished.  ``_driver`` is released each
         # time this falls to zero with no walk to take the next step (see
         # _step), and taken once per release.
@@ -167,7 +170,12 @@ class ControlledScheduler:
         if chooser is None:
             return False
         runnable = tuple(sorted(self._parked))
+        if self._waits:             # leave out the disabled workers
+            runnable = tuple(n for n in runnable if not (n in self._waits and self._waits[n]()))
         try:
+            if self._parked and not runnable:
+                waiters = ", ".join(f"{n!r} at {s!r}" for n, s in sorted(self._parked.items()))
+                raise ScheduleError(f"deadlock: every parked worker waits: {waiters}")
             pick = chooser(runnable) if runnable else None
             if pick is not None:
                 self._grant_parked(pick)
@@ -209,14 +217,18 @@ class ControlledScheduler:
 
     # -- instrumentation callback -------------------------------------------
 
-    def pause(self, site: str) -> None:
+    def pause(self, site: str, blocked: Callable[[], Any] | None = None) -> None:
         name = self._names.get(threading.get_ident())
         if name is None:
             return
         if self._stepping:
-            self._pause_stepping(name, site)
+            self._pause_stepping(name, site, blocked)
         else:
             self._pause_free(name, site)
+
+    def wait(self, site: str, blocked: Callable[[], Any]) -> None:
+        """Via ``pause``, so that a wrapper of ``pause`` sees waits too."""
+        self.pause(site, blocked)
 
     def _pause_free(self, name: str, site: str) -> None:
         rule = self._freezes.get(name)
@@ -232,12 +244,14 @@ class ControlledScheduler:
         with self._lock:
             self._frozen.pop(name, None)
 
-    def _pause_stepping(self, name: str, site: str) -> None:
+    def _pause_stepping(self, name: str, site: str, blocked: Callable[[], Any] | None) -> None:
         baton = self._workers[name].baton
         with self._lock:
             if not self._stepping:          # released while on its way here
                 return
             self._parked[name] = site
+            if blocked is not None:
+                self._waits[name] = blocked
             self._count_stopped()
         if baton.acquire(timeout=_DEFAULT_TIMEOUT):
             return
@@ -296,8 +310,8 @@ class ControlledScheduler:
 
         A granted worker leaves the parked set in the same step as its grant
         and counts as running until it parks again, so the names returned
-        are exactly the workers waiting for a grant.  A second call with no
-        grant in between returns at once.
+        are exactly the workers waiting for a grant, disabled ones too.  A
+        second call with no grant in between returns at once.
         """
         deadline = _Deadline(timeout)
         while True:
@@ -329,10 +343,14 @@ class ControlledScheduler:
     def _grant_parked(self, name: str) -> None:
         if name not in self._parked:
             raise ScheduleError(f"cannot grant {name!r}: not parked")
+        blocked = self._waits.get(name)
+        if blocked is not None and blocked():
+            raise ScheduleError(f"cannot grant {name!r}: it waits at {self._parked[name]!r}")
         self._steps += 1
         if self._steps > self._step_limit:
             raise ScheduleError("step limit exceeded")
         del self._parked[name]
+        self._waits.pop(name, None)
         self._count_running()
         self._workers[name].baton.release()
 
@@ -372,9 +390,9 @@ class ControlledScheduler:
               timeout: float = _DEFAULT_TIMEOUT) -> list[tuple[str, tuple[str, ...]]]:
         """Step all workers to completion, picking each step with ``choose``.
 
-        ``choose`` sees the parked workers' names, sorted, and runs in the
-        thread that parked or finished last, under the scheduler's lock.
-        Returns the trace: one (chosen, runnable-set) entry per step.
+        ``choose`` sees the parked workers' names, sorted, the disabled left
+        out, and runs in the thread that parked or finished last, under the
+        scheduler's lock.  Returns the trace: one (chosen, runnable) per step.
         """
         trace: list[tuple[str, tuple[str, ...]]] = []
 

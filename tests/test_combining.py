@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from depq.atomics import checkpoint
+from depq.atomics import checkpoint, set_controller
 from depq.combining import (COMBINING, TWO_LOCKS, Combiner, CombinerRecord,
                             make_serializer)
 from depq.sched import ControlledScheduler, random_walk
@@ -306,13 +306,17 @@ def test_raising_request_fails_only_its_own_caller_two_locks():
     assert snap["batch_sizes"] == {1: 4}
 
 
-def test_frozen_lock_holder_keeps_a_second_caller_spinning():
-    applied = []
+def test_frozen_lock_holder_keeps_a_second_caller_waiting():
+    applied, returned = [], []
 
     def apply(req):
         checkpoint("in-apply")
         applied.append(req)
         return req
+
+    def waiter():
+        returned.append(comb.announce("w"))
+        return returned[-1]
 
     comb = make_serializer(TWO_LOCKS, apply)
     with ControlledScheduler() as sched:
@@ -320,19 +324,37 @@ def test_frozen_lock_holder_keeps_a_second_caller_spinning():
         sched.spawn("holder", comb.announce, "h")
         sched.start()
         sched.wait_frozen("holder", timeout=5)
-        # The waiter reaches its acquire site again and again, and gets no
-        # further while the holder is frozen.
-        sched.freeze("waiter", "lock-acquire", hits=200)
-        sched.spawn("waiter", comb.announce, "w")
+        # Let the waiter past its pause site: it blocks in the lock's
+        # acquire and gets no further while the holder is frozen in ``apply``.
+        sched.freeze("waiter", "lock-acquire")
+        sched.spawn("waiter", waiter)
         sched.wait_frozen("waiter", timeout=5)
-        assert applied == []
         sched.thaw("waiter")
         time.sleep(0.05)
-        assert applied == [] and sched.is_frozen("holder")
+        assert applied == [] and returned == []
+        assert sched.is_frozen("holder")
         sched.thaw("holder")
         assert sched.join_worker("holder", timeout=10) == "h"
         assert sched.join_worker("waiter", timeout=10) == "w"
     assert applied == ["h", "w"]
+
+
+def test_a_controller_without_wait_sees_each_wait_as_a_pause():
+    class Sites:
+        def __init__(self):
+            self.seen = []
+
+        def pause(self, site):
+            self.seen.append(site)
+
+    sites = Sites()
+    set_controller(sites)
+    try:
+        for mode in (TWO_LOCKS, COMBINING):
+            assert make_serializer(mode, lambda r: r).announce(mode) == mode
+    finally:
+        set_controller(None)
+    assert sites.seen.count("lock-acquire") == sites.seen.count("cc-spin") == 1
 
 
 def check_fifo(spans, apply_seq):

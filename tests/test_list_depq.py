@@ -17,7 +17,7 @@ from depq.lincheck import Recorder, Verdict, check
 from depq.list_depq import ListDepq
 from depq.oracle import SeqDepq
 from depq.reclaim import DEFERRED, EPOCH
-from depq.sched import ControlledScheduler
+from depq.sched import ControlledScheduler, explore_interleavings
 from depq.workload import WorkloadConfig, run_stress
 
 
@@ -180,6 +180,23 @@ def test_single_item_race_is_exclusive_in_every_interleaving():
     assert outcome.ok, outcome.details
     assert outcome.details["winners_seen"] == ["max", "min"]
     assert outcome.details["interleavings"] > 100
+
+
+@pytest.mark.parametrize("mode, interleavings", [(TWO_LOCKS, 2), (COMBINING, 1150)])
+def test_two_min_consumers_explored_exhaustively_through_each_serializer(mode, interleavings):
+    # A waiter is disabled, not polled, so the exploration ends without a
+    # run cap: under the lock a waiter takes one step once the lock is free.
+    def factory():
+        d = ListDepq(mode=mode)
+        d.insert(1)
+        d.insert(2)
+        return d, [("a", lambda d: d.extract_min()), ("b", lambda d: d.extract_min())]
+
+    outcomes = list(explore_interleavings(factory))
+    for outcome in outcomes:
+        assert sorted(outcome.results.values()) == [1, 2], outcome.schedule
+        assert outcome.state.problems() == [], outcome.schedule
+    assert len({tuple(o.schedule) for o in outcomes}) == len(outcomes) == interleavings
 
 
 def test_twist_schedule_leaves_lists_non_opposite_but_working():

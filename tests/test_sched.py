@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from depq import atomics
 from depq.atomics import AtomicCell, checkpoint
 from depq.sched import (ControlledScheduler, ScheduleError,
                         explore_interleavings, random_walk)
@@ -430,3 +431,71 @@ def test_drive_times_out_on_a_worker_blocked_between_pauses():
         gate.set()
     _assert_all_joined(threads)
     assert cell.load() == 3
+
+
+# Declared waits: a worker parked through ``atomics.wait`` is disabled while
+# its condition holds.
+
+def _gated(gate, threads, finished):
+    def run():
+        threads.append(threading.current_thread())
+        atomics.wait("gated", gate.load)
+        finished.append(threading.current_thread().name)
+    return run
+
+
+def _opener(gate, threads):
+    def run():
+        threads.append(threading.current_thread())
+        gate.store(0, site="open")
+    return run
+
+
+def test_a_worker_whose_wait_holds_is_not_runnable():
+    gate = AtomicCell(1)
+    threads, finished = [], []
+    with ControlledScheduler(stepping=True) as sched:
+        sched.spawn("a", _gated(gate, threads, finished))
+        sched.spawn("b", _opener(gate, threads))
+        trace = sched.drive(lambda runnable: runnable[0])
+    _assert_all_joined(threads)
+    # "a" sorts first, yet the chooser sees it only once "b" has opened.
+    assert trace == [("b", ("b",)), ("a", ("a",))]
+    assert len(finished) == 1
+
+
+def test_scripted_grant_of_a_waiting_worker_raises():
+    gate = AtomicCell(1)
+    threads, finished = [], []
+    with ControlledScheduler(stepping=True, step_limit=2) as sched:
+        sched.spawn("a", _gated(gate, threads, finished))
+        sched.spawn("b", _opener(gate, threads))
+        sched.start()
+        assert sched.wait_quiescent() == ("a", "b")
+        with pytest.raises(ScheduleError, match=r"^cannot grant 'a': it waits at 'gated'$"):
+            sched.grant("a")
+        assert sched.parked_site("a") == "gated"
+        sched.grant("b")
+        assert sched.wait_quiescent() == ("a",)
+        sched.grant("a")                # the wait has cleared; no budget was spent
+        assert sched.wait_quiescent() == ()
+    _assert_all_joined(threads)
+    assert len(finished) == 1
+
+
+def test_drive_raises_at_once_when_every_parked_worker_waits():
+    cell, stuck = AtomicCell(0), AtomicCell(1)
+    threads, finished = [], []
+    with ControlledScheduler(stepping=True, step_limit=10**6) as sched:
+        sched.spawn("a", _gated(stuck, threads, finished))
+        sched.spawn("b", _gated(stuck, threads, finished))
+        sched.spawn("c", _counting_body(cell, 3, threads, finished))
+        t0 = time.monotonic()
+        with pytest.raises(ScheduleError, match=r"^deadlock: every parked worker waits: "
+                                                r"'a' at 'gated', 'b' at 'gated'$"):
+            sched.drive(random_walk(4))
+        assert time.monotonic() - t0 < 2.0
+        assert cell.load() == 3         # "c" ran to its end: three steps, not a million
+        assert sched.parked_site("a") == sched.parked_site("b") == "gated"
+    _assert_all_joined(threads)
+    assert len(finished) == 3           # released waiters ran free to the end
