@@ -1,10 +1,10 @@
-"""Layer microbenchmark of the stepping scheduler's handoff.
+"""Layer microbenchmark of the controlled scheduler's handoff.
 
 Run with the pytest-benchmark plugin, outside the tier-1 suite::
 
     PYTHONPATH=src taskset -c 0 python -m pytest microbench -q
 
-``test_step`` times one scripted stepping-mode step: a ``grant`` to one
+``test_step`` times one scripted step: a ``grant`` to one
 of two parked workers, which runs to its next pause site and parks again,
 and the driver's ``wait_quiescent`` that sees it parked, two thread
 switches.  ``test_driven_step`` times the steps of ``drive``, where the
@@ -38,7 +38,7 @@ def test_step(benchmark):
         while not stop:
             checkpoint("step")
 
-    sched = ControlledScheduler(stepping=True, step_limit=10**9)
+    sched = ControlledScheduler(step_limit=10**9)
     with sched:
         sched.spawn("a", worker)
         sched.spawn("b", worker)
@@ -66,7 +66,7 @@ def test_driven_step(benchmark):
         turn += 1
         return runnable[turn % len(runnable)]
 
-    sched = ControlledScheduler(stepping=True, step_limit=10**9)
+    sched = ControlledScheduler(step_limit=10**9)
     rounds = itertools.count()
 
     def park_two_workers():

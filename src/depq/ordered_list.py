@@ -38,7 +38,7 @@ searches run from there instead of from the heads.  An index link may be
 lost to a race; that costs only speed, never correctness.
 
 Ordering invariants are runtime-checkable through :meth:`ListPair.audit`,
-which is meant to run at quiescent points or with other threads frozen by
+which is meant to run at quiescent points or with other threads parked by
 the controlled scheduler.
 """
 
@@ -105,7 +105,7 @@ class ListPair:
     ``sweep_head`` from at most one thread per end at a time (the
     combiner, or the sole consumer of a single-ended setup);
     ``audit`` only while the structure is quiescent or other threads are
-    frozen at instrumented sites.
+    parked at instrumented sites.
     """
 
     def __init__(self, arena: Arena):

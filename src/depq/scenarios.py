@@ -58,14 +58,13 @@ def run_counterexample() -> ReplayOutcome:
     with ControlledScheduler() as sched:
         recorded.insert(1)
         recorded.insert(2)
-        sched.freeze("E1", "reserve")
         sched.spawn("E1", recorded.extract_min)
         sched.start()
-        sched.wait_frozen("E1")
+        sched.run_until("E1", "reserve")
         got_e2 = recorded.extract_min()
         got_e3 = recorded.extract_max()
         history = recorder.snapshot()
-        sched.thaw("E1")
+        sched.run_to_completion("E1")
 
     result = check(history)
     ok = (result.verdict is Verdict.NOT_LINEARIZABLE
@@ -111,17 +110,14 @@ def run_twist() -> ReplayOutcome:
     first_max = d.extract_max()    # logically deletes 5 on the descending side
 
     with ControlledScheduler() as sched:
-        sched.freeze("ins3", "between-list-inserts")
-        sched.freeze("ins4", "between-list-inserts")
         sched.spawn("ins3", d.insert, 3)
         sched.start()
-        sched.wait_frozen("ins3")      # 3 is on the ascending list only
+        sched.run_until("ins3", "between-list-inserts")  # on the ascending list only
         sched.spawn("ins4", d.insert, 4)
-        sched.wait_frozen("ins4")      # 4 is on the ascending list only
-        sched.thaw("ins3")
-        sched.join_worker("ins3")      # 3 completes its descending-list step
-        got_mid_max = d.extract_max()  # logically deletes 3 on the descending side
-        sched.thaw("ins4")             # 4 links in after the deleted prefix
+        sched.run_until("ins4", "between-list-inserts")  # on the ascending list only
+        sched.run_to_completion("ins3")  # 3 completes its descending-list step
+        got_mid_max = d.extract_max()    # logically deletes 3 on the descending side
+        sched.run_to_completion("ins4")  # 4 links in after the deleted prefix
 
     min_walk = _list_walk_keys(d.lists, MIN)
     max_walk = _list_walk_keys(d.lists, MAX)
@@ -182,11 +178,11 @@ def run_index_start_reclaimed() -> ReplayOutcome:
 
     Keys 0, 10, ..., 70 are stored.  An insert of a key 5 above an inner
     node S that has an index tower searches the index, picks S as its
-    ascending start, and is frozen at its first list read.
+    ascending start, and is parked at its first list read.
     Both ends are then drained, so S is deleted from both lists, unlinked
     twice and retired, and the epoch is pushed as far as it will go.  S
     must stay allocated while the insert is inside its epoch, the insert
-    must land once thawed, and S is freed only after the insert exits.
+    must land once it runs on, and S is freed only after the insert exits.
     """
     d = ListDepq(reclaim_mode=EPOCH)
     for key in range(0, 80, 10):
@@ -201,10 +197,9 @@ def run_index_start_reclaimed() -> ReplayOutcome:
     retired = held = False
     try:
         with ControlledScheduler() as sched:
-            sched.freeze("ins", "ins-read-link")
             sched.spawn("ins", d.insert, key)
             sched.start()
-            sched.wait_frozen("ins")   # its index search chose ``start``
+            sched.run_until("ins", "ins-read-link")  # its index search chose ``start``
             while (got := d.extract_min()) is not None:
                 drained.append(got)
             while d.extract_max() is not None:
@@ -213,8 +208,7 @@ def run_index_start_reclaimed() -> ReplayOutcome:
             for _ in range(6):
                 d.reclaim.try_advance()
             held = not d.arena.is_poisoned(start.index)
-            sched.thaw("ins")
-            sched.join_worker("ins")
+            sched.run_to_completion("ins")
     except ReclaimedAccessError as exc:
         error = exc
 

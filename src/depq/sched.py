@@ -1,19 +1,15 @@
 """Controlled scheduler for deterministic concurrency scenarios.
 
 Worker threads pause at every instrumented shared-memory operation (see
-:mod:`depq.atomics`).  The scheduler runs in one of two modes:
-
-* **free mode** (default): threads run at full speed; pause() only checks
-  freeze rules.  A freeze rule parks one thread the Nth time it reaches a
-  named site, which is how scenarios hold a thread "immediately before its
-  CAS" while everything else makes progress.
-
-* **stepping mode**: every registered thread parks at every site and a
-  driver grants one step at a time.  Drivers include scripted runs
-  (``run_until`` / ``grant``), a seeded random walk, and the exhaustive
-  interleaving explorer below.  A thread parked in :func:`depq.atomics.wait`
-  is disabled while its wait holds (CHESS): no chooser sees it, no ``grant``
-  may pick it, a walk with only such threads raises; free mode ignores it.
+:mod:`depq.atomics`).  Every thread the scheduler spawns parks at every
+site and runs only when granted a step, as in CHESS: no spawned thread
+ever runs uncontrolled.  Drivers include scripted runs (``run_until`` /
+``run_to_completion`` / ``grant``), a seeded random walk, and the
+exhaustive interleaving explorer below.  To hold a thread at a site while
+others act, run it there with ``run_until``; to let it finish, use
+``run_to_completion``.  A thread parked in :func:`depq.atomics.wait` is
+disabled while its wait holds: no chooser sees it, no ``grant`` may pick
+it, a walk with only such threads raises.
 
 A step is handed off with batons, locks created held, so each handoff
 wakes exactly one thread.  Every worker parks on its own baton, and a
@@ -28,8 +24,10 @@ the grant raised, in which case the driver re-raises the error.  Without
 a chooser, as for the scripted ``wait_quiescent`` / ``grant``, the last
 worker to stop releases the driver's baton at once.
 
-The scheduler only coordinates threads it spawned itself; the invoking
-thread's operations never pause, so fixtures can be built inline.
+Only spawned threads pause; the invoking thread and any plain
+``threading.Thread`` pass every site at once, so fixtures can be built
+inline and uncontrolled traffic can run beside parked workers.  Leaving
+the scheduler's ``with`` block releases every parked worker to run free.
 """
 
 from __future__ import annotations
@@ -48,6 +46,8 @@ class ScheduleError(RuntimeError):
 
 
 _DEFAULT_TIMEOUT = 20.0
+# How long an exit that an error ended waits for the released workers.
+_EXIT_GRACE = 1.0
 
 
 class _Worker:
@@ -69,25 +69,15 @@ def _held_lock() -> threading.Lock:
     return lock
 
 
-class _Freeze:
-    __slots__ = ("site", "hits", "parked", "release")
-
-    def __init__(self, site: str, hits: int):
-        self.site = site
-        self.hits = hits
-        self.parked = threading.Event()
-        self.release = threading.Event()
-
-
 class ControlledScheduler:
-    def __init__(self, stepping: bool = False, step_limit: int = 500_000):
-        self._stepping = stepping
+    def __init__(self, step_limit: int = 500_000):
+        self._stepping = True                  # False once released at exit
         self._step_limit = step_limit
         self._steps = 0
         self._lock = threading.Lock()
         self._names: dict[int, str] = {}       # thread ident -> worker name
         self._workers: dict[str, _Worker] = {}
-        self._parked: dict[str, str] = {}      # name -> site (stepping mode)
+        self._parked: dict[str, str] = {}      # name -> site
         self._waits: dict[str, Callable[[], Any]] = {}  # parked name -> blocked
         # Workers neither parked nor finished.  ``_driver`` is released each
         # time this falls to zero with no walk to take the next step (see
@@ -97,8 +87,6 @@ class ControlledScheduler:
         # The walk in progress: picks each step under ``_lock`` (see _step).
         self._chooser: Callable[[tuple[str, ...]], str | None] | None = None
         self._chooser_error: BaseException | None = None
-        self._freezes: dict[str, _Freeze] = {}
-        self._frozen: dict[str, str] = {}
         self._start = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
@@ -107,10 +95,19 @@ class ControlledScheduler:
         atomics.set_controller(self)
         return self
 
-    def __exit__(self, *exc: object) -> None:
+    def __exit__(self, exc_type: object, *_: object) -> None:
         try:
             self._release_everything()
-            self.join_all(timeout=_DEFAULT_TIMEOUT, reraise=exc == (None, None, None))
+            if exc_type is None:
+                self.join_all()
+            else:
+                # Keep the error that ended the block.  A released worker
+                # may never finish (one of a deadlock a walk reported, say),
+                # so it gets a short grace and no join error of its own.
+                try:
+                    self.join_all(timeout=_EXIT_GRACE, reraise=False)
+                except ScheduleError:
+                    pass
         finally:
             atomics.set_controller(None)
 
@@ -185,15 +182,6 @@ class ControlledScheduler:
         self._chooser = None
         return False
 
-    def join_worker(self, name: str, timeout: float = _DEFAULT_TIMEOUT) -> Any:
-        """Wait for one worker to finish (it must not be frozen); returns its result."""
-        worker = self._workers[name]
-        assert worker.thread is not None
-        worker.thread.join(timeout=timeout)
-        if worker.thread.is_alive():
-            raise ScheduleError(f"worker {name!r} did not finish")
-        return self.result(name)
-
     def join_all(self, timeout: float = _DEFAULT_TIMEOUT, reraise: bool = True) -> None:
         deadline = _Deadline(timeout)
         for worker in self._workers.values():
@@ -218,36 +206,17 @@ class ControlledScheduler:
     # -- instrumentation callback -------------------------------------------
 
     def pause(self, site: str, blocked: Callable[[], Any] | None = None) -> None:
+        """Park a spawned worker at ``site`` until it is granted a step.
+
+        ``blocked``, given for a declared wait, disables the worker while
+        it returns true.  Other threads return at once.
+        """
         name = self._names.get(threading.get_ident())
         if name is None:
             return
-        if self._stepping:
-            self._pause_stepping(name, site, blocked)
-        else:
-            self._pause_free(name, site)
-
-    def wait(self, site: str, blocked: Callable[[], Any]) -> None:
-        """Via ``pause``, so that a wrapper of ``pause`` sees waits too."""
-        self.pause(site, blocked)
-
-    def _pause_free(self, name: str, site: str) -> None:
-        rule = self._freezes.get(name)
-        if rule is None or rule.site != site or rule.parked.is_set():
-            return
-        rule.hits -= 1
-        if rule.hits > 0:
-            return
-        with self._lock:
-            self._frozen[name] = site
-        rule.parked.set()
-        rule.release.wait()
-        with self._lock:
-            self._frozen.pop(name, None)
-
-    def _pause_stepping(self, name: str, site: str, blocked: Callable[[], Any] | None) -> None:
         baton = self._workers[name].baton
         with self._lock:
-            if not self._stepping:          # released while on its way here
+            if not self._stepping:          # released at exit
                 return
             self._parked[name] = site
             if blocked is not None:
@@ -261,40 +230,12 @@ class ControlledScheduler:
                 raise ScheduleError(f"worker {name!r} starved waiting for a grant")
         baton.acquire()                     # granted just after the timeout
 
-    # -- freeze mode ---------------------------------------------------------
-
-    def freeze(self, name: str, site: str, hits: int = 1) -> None:
-        """Park ``name`` the ``hits``-th time it is about to execute ``site``.
-
-        The rule must be registered before the worker reaches the site; one
-        rule per worker is active at a time (a new freeze after thawing
-        replaces the spent rule).
-        """
-        if self._stepping:
-            raise ScheduleError("freeze rules apply to free mode only")
-        self._freezes[name] = _Freeze(site, hits)
-
-    def wait_frozen(self, name: str, timeout: float = _DEFAULT_TIMEOUT) -> None:
-        rule = self._find_freeze(name)
-        if not rule.parked.wait(timeout):
-            raise ScheduleError(f"worker {name!r} never reached its freeze point")
-
-    def thaw(self, name: str) -> None:
-        self._find_freeze(name).release.set()
-
-    def is_frozen(self, name: str) -> bool:
-        return name in self._frozen
-
-    def _find_freeze(self, name: str) -> _Freeze:
-        rule = self._freezes.get(name)
-        if rule is None:
-            raise ScheduleError(f"no freeze rule for worker {name!r}")
-        return rule
+    def wait(self, site: str, blocked: Callable[[], Any]) -> None:
+        """Via ``pause``, so that a wrapper of ``pause`` sees waits too."""
+        self.pause(site, blocked)
 
     def _release_everything(self) -> None:
-        # Unblock anything still parked so join_all can complete.
-        for rule in self._freezes.values():
-            rule.release.set()
+        # Let every worker run free, so that join_all can complete.
         with self._lock:
             self._stepping = False
             for name in self._parked:
@@ -303,7 +244,7 @@ class ControlledScheduler:
             self._parked.clear()
         self._start.set()
 
-    # -- stepping mode drivers ------------------------------------------------
+    # -- drivers ---------------------------------------------------------------
 
     def wait_quiescent(self, timeout: float = _DEFAULT_TIMEOUT) -> tuple[str, ...]:
         """Block until every live worker is parked; returns parked names sorted.
@@ -438,7 +379,7 @@ ThreadSpec = list[tuple[str, Callable[[Any], Any]]]
 def _run_once(factory: Callable[[], tuple[Any, ThreadSpec]],
               prefix: list[str], step_limit: int) -> RunOutcome:
     state, threads = factory()
-    sched = ControlledScheduler(stepping=True, step_limit=step_limit)
+    sched = ControlledScheduler(step_limit=step_limit)
     position = 0
 
     def choose(runnable: tuple[str, ...]) -> str:

@@ -324,7 +324,7 @@ def run_stress(cfg: WorkloadConfig, windows: int, capture: str | None = None,
                         recorded.extract_max()
             return run
 
-        sched = ControlledScheduler(stepping=True)
+        sched = ControlledScheduler()
         with sched:
             for t, plan in enumerate(plans):
                 sched.spawn(f"w{t}", body(plan), None)

@@ -1,7 +1,9 @@
-"""Shared test utilities: the brute-force checker oracle and a generator of
-small randomized histories (optionally mutated into likely-wrong ones)."""
+"""Shared test utilities: the brute-force checker oracle, a generator of
+small randomized histories (optionally mutated into likely-wrong ones),
+deliberately broken builds, and a runner for uncontrolled threads."""
 
 import itertools
+import threading
 
 from depq.atomics import AtomicCell, checkpoint
 from depq.items import MAX, MIN
@@ -141,3 +143,21 @@ def random_history(rng, max_ops=6, mutate=False):
         elif victim.completed:
             victim.result = rng.choice([EMPTY, 0, 1, 2, 3])
     return events
+
+
+def run_on_plain_threads(*fns, timeout=10.0):
+    """Run each of ``fns`` on its own plain thread, which no controlled
+    scheduler pauses; returns their results in order, None for any that
+    has not finished within ``timeout`` seconds of its join."""
+    results = [None] * len(fns)
+
+    def run(i, fn):
+        results[i] = fn()
+
+    threads = [threading.Thread(target=run, args=(i, fn), daemon=True)
+               for i, fn in enumerate(fns)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=timeout)
+    return results

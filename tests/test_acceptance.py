@@ -10,7 +10,7 @@ import time
 import zlib
 from collections import Counter
 
-from helpers import naive_check, random_history
+from helpers import naive_check, random_history, run_on_plain_threads
 
 from depq import scenarios
 from depq.combining import Combiner
@@ -102,7 +102,7 @@ def test_counterexample_is_rejected():
 
 def test_invariant_auditor():
     """Structure audits pass at 10^3 quiescent checkpoints under mixed
-    stress and at the two scheduler freeze points."""
+    stress and at the two scheduler park points."""
     with _Criterion("invariant-auditor", 120.0):
         d = ListDepq()
         rng = random.Random(0xAAD1)
@@ -130,33 +130,31 @@ def test_invariant_auditor():
                     violations += 1
         assert violations == 0
 
-        # freeze point 1: an inserter held immediately before its publish CAS
+        # park point 1: an inserter held immediately before its publish CAS
         d2 = ListDepq()
         for k in (1, 3):
             d2.insert(k)
         with ControlledScheduler() as sched:
-            sched.freeze("ins", "ins-cas")
             sched.spawn("ins", d2.insert, 2)
             sched.start()
-            sched.wait_frozen("ins")
+            sched.run_until("ins", "ins-cas")
             assert d2.audit(MIN).ok and d2.audit(MAX).ok
-            sched.thaw("ins")
+            sched.run_to_completion("ins")
 
-        # freeze point 2: an extractor held between its mark and its head
+        # park point 2: an extractor held between its mark and its head
         # write, where the head is still the prefix's second-last node
         d3 = ListDepq()
         for k in (1, 2):
             d3.insert(k)
         with ControlledScheduler() as sched:
-            sched.freeze("ex", "uh-write-head")
             sched.spawn("ex", d3.extract_min)
             sched.start()
-            sched.wait_frozen("ex")
+            sched.run_until("ex", "uh-write-head")
             report = d3.audit(MIN)
             assert report.ok, report.describe()
             prefix = [idx for idx, _, tagged in report.path if tagged]
             assert d3.lists.head(MIN) == prefix[-2]
-            sched.thaw("ex")
+            sched.run_to_completion("ex")
 
 
 def test_exclusivity_and_no_loss():
@@ -265,7 +263,7 @@ def test_combining_contract():
 
 def test_retire_protocol():
     """Exactly two unlink reports then one retirement per fully removed
-    node; a frozen reader pins the epoch and blocks deallocation."""
+    node; a parked reader pins the epoch and blocks deallocation."""
     with _Criterion("retire-protocol", 60.0):
         d = ListDepq(reclaim_mode=EPOCH)
         rng = random.Random(0x4E71)
@@ -305,15 +303,14 @@ def test_retire_protocol():
         assert (counts["unlink_first"] + counts["retired"]
                 == len(removed_per_end[0]) + len(removed_per_end[1]))
 
-        # frozen reader: an operation parked inside its epoch bracket pins it
+        # parked reader: an operation parked inside its epoch bracket pins it
         d2 = ListDepq(reclaim_mode=EPOCH)
         for k in range(8):
             d2.insert(k)
         with ControlledScheduler() as sched:
-            sched.freeze("reader", "between-list-inserts")
             sched.spawn("reader", d2.insert, 99)
             sched.start()
-            sched.wait_frozen("reader")
+            sched.run_until("reader", "between-list-inserts")
             while d2.extract_min() is not None:
                 pass
             d2.extract_max()   # second-list removals retire the claimed nodes
@@ -322,16 +319,15 @@ def test_retire_protocol():
                 d2.reclaim.try_advance()
             assert d2.reclaim.snapshot()["freed"] == freed_before == 0
             assert d2.reclaim.snapshot()["retired"] > 0
-            sched.thaw("reader")
-            sched.join_worker("reader")
+            sched.run_to_completion("reader")
         for _ in range(3):
             d2.reclaim.try_advance()
         assert d2.reclaim.snapshot()["freed"] > 0
 
 
 def test_lock_freedom_smoke():
-    """With one inserter frozen before its CAS and one extractor frozen
-    mid-removal, every other thread still completes 10^3 operations."""
+    """With one inserter parked before its CAS and one extractor parked
+    mid-removal, plain threads still complete 10^3 operations each."""
     with _Criterion("lock-freedom-smoke", 10.0):
         d = ListDepq()
         for k in range(2000, 2200):
@@ -348,19 +344,15 @@ def test_lock_freedom_smoke():
             return 1000
 
         with ControlledScheduler() as sched:
-            sched.freeze("stuck-ins", "ins-cas")
-            sched.freeze("stuck-ex", "uh-write-head")
             sched.spawn("stuck-ins", d.insert, 5000)
             sched.spawn("stuck-ex", d.extract_min)
-            sched.spawn("ins", busy_inserter)
-            sched.spawn("max", busy_max_extractor)
             sched.start()
-            sched.wait_frozen("stuck-ins")
-            sched.wait_frozen("stuck-ex")
-            assert sched.join_worker("ins", timeout=9) == 1000
-            assert sched.join_worker("max", timeout=9) == 1000
-            sched.thaw("stuck-ins")
-            sched.thaw("stuck-ex")
+            sched.run_until("stuck-ins", "ins-cas")
+            sched.run_until("stuck-ex", "uh-write-head")
+            assert run_on_plain_threads(busy_inserter, busy_max_extractor,
+                                        timeout=9) == [1000, 1000]
+            sched.run_to_completion("stuck-ins")
+            sched.run_to_completion("stuck-ex")
 
 
 def test_twist_replay():
@@ -375,7 +367,7 @@ def test_twist_replay():
 
 
 def test_index_start_reclaimed_replay():
-    """An insert frozen after choosing an index node as its search start
+    """An insert parked after choosing an index node as its search start
     keeps that node allocated while both ends extract and retire it; the
     insert then lands and the node is freed only after it exits."""
     with _Criterion("index-start-reclaimed", 2.0):

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from depq.atomics import checkpoint, set_controller
+from depq.atomics import set_controller
 from depq.combining import (COMBINING, TWO_LOCKS, Combiner, CombinerRecord,
                             make_serializer)
 from depq.sched import ControlledScheduler, random_walk
@@ -66,13 +66,16 @@ def _park_announcers(sched, comb, count, site="cc-spin"):
     """Spawn `count` workers announcing 0..count-1 and park each at `site`:
     by default right after its announcement is published (before it first
     checks its wait flag), forcing a known announcement order."""
+    sched.start()
     for i in range(count):
         name = f"t{i}"
-        sched.freeze(name, site)
         sched.spawn(name, comb.announce, i)
-        if i == 0:
-            sched.start()
-        sched.wait_frozen(name)
+        sched.run_until(name, site)
+
+
+def _finish_in_order(sched, names):
+    for name in names:
+        sched.run_to_completion(name)
 
 
 def test_scripted_batch_serves_all_in_announcement_order():
@@ -87,11 +90,7 @@ def test_scripted_batch_serves_all_in_announcement_order():
     with ControlledScheduler() as sched:
         _park_announcers(sched, comb, 8)
         # First announcer becomes combiner and serves the whole batch.
-        sched.thaw("t0")
-        sched.join_worker("t0")
-        for i in range(1, 8):
-            sched.thaw(f"t{i}")
-        sched.join_all()
+        _finish_in_order(sched, [f"t{i}" for i in range(8)])
         results = sched.results()
 
     assert applied == list(range(8))          # FIFO in announcement order
@@ -107,18 +106,12 @@ def test_batch_cap_splits_into_two_batches_with_handoff():
                     finalize=lambda: finalized.append(len(applied)), batch_cap=4)
     with ControlledScheduler() as sched:
         _park_announcers(sched, comb, 8)
-        sched.thaw("t0")
-        sched.join_worker("t0")               # combiner #1 serves t0..t3
+        sched.run_to_completion("t0")         # combiner #1 serves t0..t3
         assert applied == [0, 1, 2, 3]
-        for i in range(1, 4):
-            sched.thaw(f"t{i}")
-            sched.join_worker(f"t{i}")
-        sched.thaw("t4")                      # wakes as combiner #2
-        sched.join_worker("t4")
+        _finish_in_order(sched, ["t1", "t2", "t3"])
+        sched.run_to_completion("t4")         # wakes as combiner #2
         assert applied == list(range(8))
-        for i in range(5, 8):
-            sched.thaw(f"t{i}")
-        sched.join_all()
+        _finish_in_order(sched, ["t5", "t6", "t7"])
 
     snap = comb.stats.snapshot()
     assert snap["batches"] == 2
@@ -196,7 +189,7 @@ def check_terminates_under_fair_stepping(mode):
         finalized = []
         comb = make_serializer(mode, lambda r: r * 10,
                                finalize=lambda: finalized.append(1), batch_cap=2)
-        sched = ControlledScheduler(stepping=True, step_limit=50_000)
+        sched = ControlledScheduler(step_limit=50_000)
         with sched:
             for i in range(4):
                 sched.spawn(f"t{i}", comb.announce, i)
@@ -233,9 +226,7 @@ def test_raising_request_fails_only_its_own_caller():
     comb = Combiner(apply, finalize=lambda: finalized.append(1))
     with ControlledScheduler() as sched:
         _park_announcers(sched, SimpleNamespace(announce=announce), 3)
-        for i in range(3):
-            sched.thaw(f"t{i}")
-        sched.join_all()
+        _finish_in_order(sched, ["t0", "t1", "t2"])
         results = sched.results()
     assert results["t0"] == 0 and results["t2"] == 20
     assert str(results["t1"]) == "request 1 failed"
@@ -291,9 +282,7 @@ def test_raising_request_fails_only_its_own_caller_two_locks():
     with ControlledScheduler() as sched:
         _park_announcers(sched, SimpleNamespace(announce=announce), 3,
                          site="lock-acquire")
-        for i in range(3):
-            sched.thaw(f"t{i}")
-            sched.join_worker(f"t{i}", timeout=10)
+        _finish_in_order(sched, ["t0", "t1", "t2"])
         results = sched.results()
     assert results["t0"] == 0 and results["t2"] == 20
     error, finalized_before_raise = results["t1"]
@@ -307,36 +296,36 @@ def test_raising_request_fails_only_its_own_caller_two_locks():
 
 
 def test_frozen_lock_holder_keeps_a_second_caller_waiting():
-    applied, returned = [], []
+    # Plain threads, no scheduler: the waiter really blocks in the lock's
+    # acquire and gets no further while the holder is held inside ``apply``.
+    applied, returned = [], {}
+    in_apply, go_on = threading.Event(), threading.Event()
 
     def apply(req):
-        checkpoint("in-apply")
+        if req == "h":
+            in_apply.set()
+            go_on.wait(timeout=10)
         applied.append(req)
         return req
 
-    def waiter():
-        returned.append(comb.announce("w"))
-        return returned[-1]
+    def call(req):
+        returned[req] = comb.announce(req)
 
     comb = make_serializer(TWO_LOCKS, apply)
-    with ControlledScheduler() as sched:
-        sched.freeze("holder", "in-apply")
-        sched.spawn("holder", comb.announce, "h")
-        sched.start()
-        sched.wait_frozen("holder", timeout=5)
-        # Let the waiter past its pause site: it blocks in the lock's
-        # acquire and gets no further while the holder is frozen in ``apply``.
-        sched.freeze("waiter", "lock-acquire")
-        sched.spawn("waiter", waiter)
-        sched.wait_frozen("waiter", timeout=5)
-        sched.thaw("waiter")
-        time.sleep(0.05)
-        assert applied == [] and returned == []
-        assert sched.is_frozen("holder")
-        sched.thaw("holder")
-        assert sched.join_worker("holder", timeout=10) == "h"
-        assert sched.join_worker("waiter", timeout=10) == "w"
+    holder = threading.Thread(target=call, args=("h",), daemon=True)
+    waiter = threading.Thread(target=call, args=("w",), daemon=True)
+    holder.start()
+    assert in_apply.wait(timeout=5)
+    waiter.start()
+    time.sleep(0.05)
+    assert applied == [] and returned == {}
+    assert holder.is_alive() and waiter.is_alive()
+    go_on.set()
+    for thread in (holder, waiter):
+        thread.join(timeout=10)
+        assert not thread.is_alive()
     assert applied == ["h", "w"]
+    assert returned == {"h": "h", "w": "w"}
 
 
 def test_a_controller_without_wait_sees_each_wait_as_a_pause():

@@ -148,16 +148,13 @@ def test_claim_delete_races_other_end_pop():
     recorded = recorder.wrap(d)
     recorded.insert(7)
     with ControlledScheduler() as sched:
-        sched.freeze("min", "pq-delete")
         sched.spawn("min", recorded.extract_min)
         sched.start()
-        sched.wait_frozen("min")
+        sched.run_until("min", "pq-delete")
         assert recorded.extract_max() is None
         assert d.reserve_failures[MAX] == 1
         assert deletes == []
-        sched.thaw("min")
-        sched.join_all()
-        assert sched.result("min") == 7
+        assert sched.run_to_completion("min") == 7
     assert deletes == [False]
     assert d.min_pq.problems() == [] and d.max_pq.problems() == []
     assert len(d.min_pq) == len(d.max_pq) == 0
@@ -169,16 +166,15 @@ def test_insert_frozen_between_queues_is_visible_to_min_only():
     recorder = Recorder()
     recorded = recorder.wrap(d)
     with ControlledScheduler() as sched:
-        sched.freeze("ins", "between-pq-inserts")
         sched.spawn("ins", recorded.insert, 7)
         sched.start()
-        sched.wait_frozen("ins")
+        sched.run_until("ins", "between-pq-inserts")
         # the half-inserted key must never come out of the max end ...
         assert recorded.extract_max() is None
         # ... but the min end may already return it
         assert recorded.extract_min() == 7
         history = recorder.snapshot()
-        sched.thaw("ins")
+        sched.run_to_completion("ins")
     assert check(history).verdict is Verdict.LINEARIZABLE
 
 
@@ -228,7 +224,7 @@ def test_adversary_schedule_starves_one_extractor():
     # succeeding; retries grow linearly with adversary rounds.
     def run_rounds(rounds):
         d = heap_dual()
-        sched = ControlledScheduler(stepping=True)
+        sched = ControlledScheduler()
         stop = object()
 
         def victim(_state):

@@ -6,7 +6,7 @@ import threading
 from collections import Counter
 
 import pytest
-from helpers import UnclaimedListDepq
+from helpers import UnclaimedListDepq, run_on_plain_threads
 from hypothesis import given, settings, strategies as st
 
 from depq import scenarios
@@ -128,20 +128,14 @@ def test_one_finalize_per_batch():
     try_advance = d.reclaim.try_advance
     d.reclaim.try_advance = lambda: finishes.append(MAX) or try_advance()
     with ControlledScheduler() as sched:
+        sched.start()
         for i in range(batch):
-            name = f"x{i}"
-            sched.freeze(name, "cc-spin")
-            sched.spawn(name, d.extract_max)
-            if i == 0:
-                sched.start()
-            sched.wait_frozen(name)
+            sched.spawn(f"x{i}", d.extract_max)
+            sched.run_until(f"x{i}", "cc-spin")
         baseline = d.combiner_stats(MAX).snapshot()
         assert baseline["batches"] == 0
-        sched.thaw("x0")
-        sched.join_worker("x0")
-        for i in range(1, batch):
-            sched.thaw(f"x{i}")
-        sched.join_all()
+        for i in range(batch):      # x0 combines and serves the whole batch
+            sched.run_to_completion(f"x{i}")
         results = sched.results()
 
     assert sorted(results.values(), reverse=True) == [9, 8, 7, 6, 5]
@@ -309,9 +303,9 @@ def test_two_locks_broken_build_is_caught_by_stress_windows():
 
 
 def test_lock_freedom_smoke_frozen_threads_do_not_block_others():
-    # One inserter frozen right before its publish CAS and one min-extractor
-    # frozen between its mark and its head write; inserts and
-    # max-extractions keep completing.
+    # One inserter parked right before its publish CAS and one min-extractor
+    # parked between its mark and its head write; inserts and
+    # max-extractions on plain threads keep completing.
     d = ListDepq()
     for k in range(1000, 1200):
         d.insert(k)
@@ -329,20 +323,15 @@ def test_lock_freedom_smoke_frozen_threads_do_not_block_others():
         return done
 
     with ControlledScheduler() as sched:
-        sched.freeze("stuck-ins", "ins-cas")
-        sched.freeze("stuck-ex", "uh-write-head")
         sched.spawn("stuck-ins", d.insert, 5000)
         sched.spawn("stuck-ex", d.extract_min)
-        sched.spawn("ins", busy_inserter)
-        sched.spawn("max", busy_max_extractor)
         sched.start()
-        sched.wait_frozen("stuck-ins")
-        sched.wait_frozen("stuck-ex")
-        assert sched.join_worker("ins", timeout=10) == 1000
-        assert sched.join_worker("max", timeout=10) == 1000
-        assert d.audit(MIN).ok and d.audit(MAX).ok   # with both still frozen
-        sched.thaw("stuck-ins")
-        sched.thaw("stuck-ex")
+        sched.run_until("stuck-ins", "ins-cas")
+        sched.run_until("stuck-ex", "uh-write-head")
+        assert run_on_plain_threads(busy_inserter, busy_max_extractor) == [1000, 1000]
+        assert d.audit(MIN).ok and d.audit(MAX).ok   # with both still parked
+        sched.run_to_completion("stuck-ins")
+        sched.run_to_completion("stuck-ex")
     assert d.audit(MIN).ok
     assert d.audit(MAX).ok
 

@@ -84,7 +84,7 @@ def test_one_index_search_per_pair_insert():
 
 
 def test_stale_descending_start_is_held_by_the_epoch():
-    """An insert frozen between its two publishes, after its search chose a
+    """An insert parked between its two publishes, after its search chose a
     descending start D, keeps D allocated while both ends are drained and D
     is retired; the insert then lands, and D is freed only after it exits."""
     d = ListDepq(reclaim_mode=EPOCH)
@@ -104,10 +104,9 @@ def test_stale_descending_start_is_held_by_the_epoch():
     d.lists._index_search = recorded
     returned = Counter()
     with ControlledScheduler() as sched:
-        sched.freeze("ins", "between-list-inserts")
         sched.spawn("ins", d.insert, key)
         sched.start()
-        sched.wait_frozen("ins")   # on the ascending list only
+        sched.run_until("ins", "between-list-inserts")   # on the ascending list only
         assert starts[0][1] is start
         for extract in (d.extract_min, d.extract_max):
             while (got := extract()) is not None:
@@ -116,8 +115,7 @@ def test_stale_descending_start_is_held_by_the_epoch():
         for _ in range(6):
             d.reclaim.try_advance()
         assert not d.arena.is_poisoned(start.index)
-        sched.thaw("ins")
-        sched.join_worker("ins")
+        sched.run_to_completion("ins")
     item = d.arena.item(len(d.arena) - 1)   # the last item made
     assert item.key.user_key == key
     assert item.linked_into == [True, True] and item.index in d.lists.walk(MAX)
@@ -134,7 +132,7 @@ def _insert_racing_an_unlinked_tower(depq):
     end.  Returns (problems while 50 was between its publishes, keys
     drained, keys left, problems at the end)."""
     depq.insert(100)
-    with ControlledScheduler(stepping=True) as sched:
+    with ControlledScheduler() as sched:
         sched.spawn("ins50", depq.insert, 50)
         sched.start()
         sched.run_until("ins50", "between-list-inserts")

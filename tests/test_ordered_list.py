@@ -247,25 +247,23 @@ def test_audit_passes_after_random_quiescent_op_sequences():
 
 
 def test_strict_audit_with_frozen_pop():
-    # A pop frozen between its mark and its head write, the one state it
+    # A pop parked between its mark and its head write, the one state it
     # leaves in between: the head is still the sentinel, the prefix's
     # second-last node, and the audit passes.
     arena, lists = make_pair()
     one, two = insert_keys(arena, lists, [1, 2])
     pq = ListPq(lists, MIN)
     with ControlledScheduler() as sched:
-        sched.freeze("ex", "uh-write-head")
         sched.spawn("ex", pq.pq_extract_first)
         sched.start()
-        sched.wait_frozen("ex")
+        sched.run_until("ex", "uh-write-head")
         report = lists.audit(MIN)
         assert report.ok, report.describe()
         prefix = [idx for idx, _, tagged in report.path if tagged]
         assert prefix == [lists.dummy, one]
         assert lists.head(MIN) == prefix[-2]
         assert lists.suffix(MIN) == [two]
-        sched.thaw("ex")
-    assert sched.result("ex") == one
+        assert sched.run_to_completion("ex") == one
     assert lists.head(MIN) == one
 
 
@@ -274,14 +272,13 @@ def test_audit_quiescent_with_frozen_inserter_before_cas():
     insert_keys(arena, lists, [1, 3])
     idx = arena.new_item(2)
     with ControlledScheduler() as sched:
-        sched.freeze("ins", "ins-cas")
         sched.spawn("ins", lists.insert, idx)
         sched.start()
-        sched.wait_frozen("ins")
+        sched.run_until("ins", "ins-cas")
         report = lists.audit(MIN)
         assert report.ok, report.describe()
         assert idx not in lists.walk(MIN)  # not yet published
-        sched.thaw("ins")
+        sched.run_to_completion("ins")
     assert idx in lists.walk(MIN)
 
 
@@ -342,7 +339,7 @@ def test_insert_makes_progress_only_when_others_succeed():
         for k in range(1, rounds + 1):
             lists.insert(arena.new_item(k))
 
-    sched = ControlledScheduler(stepping=True)
+    sched = ControlledScheduler()
     with sched:
         sched.spawn("slow", slow, None)
         sched.spawn("fast", fast, None)

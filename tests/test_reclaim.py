@@ -162,18 +162,16 @@ def test_frozen_reader_blocks_deallocation():
         rec.exit()
 
     with ControlledScheduler() as sched:
-        sched.freeze("reader", "reader-active")
         sched.spawn("reader", reader)
         sched.start()
-        sched.wait_frozen("reader")
+        sched.run_until("reader", "reader-active")
         rec.on_unlink(idx)
         rec.on_unlink(idx)
         advanced = sum(1 for _ in range(5) if rec.try_advance())
         assert advanced <= 1              # stuck behind the reader's epoch
         assert rec.snapshot()["freed"] == 0
         assert not arena.is_poisoned(idx)
-        sched.thaw("reader")
-        sched.join_worker("reader")
+        sched.run_to_completion("reader")
     # The reader's exit makes the advances its epoch held back.
     assert arena.is_poisoned(idx)
     assert rec.snapshot()["freed"] == 1
@@ -187,18 +185,16 @@ def test_stalled_inserter_frees_what_its_epoch_held_back():
     for key in range(0, 80, 10):
         d.insert(key)
     with ControlledScheduler() as sched:
-        sched.freeze("ins", "ins-read-link")
         sched.spawn("ins", d.insert, 35)
         sched.start()
-        sched.wait_frozen("ins")
+        sched.run_until("ins", "ins-read-link")
         while d.extract_min() is not None:
             pass
         while d.extract_max() is not None:
             pass
         stalled = d.reclaim.snapshot()
         assert stalled["pending"] > 0
-        sched.thaw("ins")
-        sched.join_worker("ins")
+        sched.run_to_completion("ins")
     counts = d.reclaim.snapshot()
     assert counts["retired"] == stalled["retired"]
     assert counts["pending"] == 0

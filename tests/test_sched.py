@@ -1,4 +1,4 @@
-"""The controlled scheduler itself: freezing, stepping, exploration."""
+"""The controlled scheduler itself: stepping, walks, exploration."""
 
 import random
 import sys
@@ -9,6 +9,7 @@ import pytest
 
 from depq import atomics
 from depq.atomics import AtomicCell, checkpoint
+from depq.combining import TWO_LOCKS, make_serializer
 from depq.sched import (ControlledScheduler, ScheduleError,
                         explore_interleavings, random_walk)
 
@@ -22,29 +23,19 @@ def test_uninstalled_controller_costs_nothing():
 def test_unregistered_threads_pass_through():
     cell = AtomicCell(0)
     with ControlledScheduler() as sched:
-        sched.freeze("w", "bump")
-        # main thread is not a worker: no pausing
-        cell.fetch_add(1, site="bump")
-    assert cell.load() == 1
-
-
-def test_freeze_parks_at_nth_hit():
-    cell = AtomicCell(0)
-
-    def body():
-        for _ in range(5):
-            cell.fetch_add(1, site="bump")
-
-    with ControlledScheduler() as sched:
-        sched.freeze("w", "bump", hits=3)
-        sched.spawn("w", body)
+        sched.spawn("w", lambda: cell.fetch_add(1, site="bump"))
         sched.start()
-        sched.wait_frozen("w")
-        assert cell.load() == 2      # parked before the third bump
-        assert sched.is_frozen("w")
-        sched.thaw("w")
-        sched.join_worker("w")
-    assert cell.load() == 5
+        assert sched.wait_quiescent() == ("w",)
+        # neither the main thread nor a plain thread is a worker: no pausing
+        cell.fetch_add(1, site="bump")
+        plain = threading.Thread(target=cell.fetch_add, args=(1,), kwargs={"site": "bump"})
+        plain.start()
+        plain.join(timeout=5.0)
+        assert not plain.is_alive()
+        assert cell.load() == 2
+        assert sched.parked_site("w") == "bump"
+        sched.run_to_completion("w")
+    assert cell.load() == 3
 
 
 def test_worker_exception_surfaces_at_join():
@@ -67,11 +58,11 @@ def test_scheduler_context_always_releases_frozen_workers():
         cell.fetch_add(1, site="after")
 
     with ControlledScheduler() as sched:
-        sched.freeze("w", "bump")
         sched.spawn("w", body)
         sched.start()
-        sched.wait_frozen("w")
-        # no thaw: leaving the context must still unblock and join
+        sched.run_until("w", "after")
+        assert cell.load() == 1
+        # no run_to_completion: leaving the context must still unblock and join
     assert cell.load() == 2
 
 
@@ -82,7 +73,7 @@ def test_stepping_runs_exactly_one_op_per_grant():
         for _ in range(3):
             cell.fetch_add(1, site="bump")
 
-    sched = ControlledScheduler(stepping=True)
+    sched = ControlledScheduler()
     with sched:
         sched.spawn("w", body)
         sched.start()
@@ -105,7 +96,7 @@ def test_run_until_stops_at_site():
         checkpoint("c")
         trace.append("c")
 
-    sched = ControlledScheduler(stepping=True)
+    sched = ControlledScheduler()
     with sched:
         sched.spawn("w", body)
         sched.start()
@@ -131,7 +122,7 @@ def test_drive_with_seeded_walk_is_reproducible():
 
     def run_with(seed):
         log, bodies = factory()
-        sched = ControlledScheduler(stepping=True)
+        sched = ControlledScheduler()
         with sched:
             for name, fn in bodies:
                 sched.spawn(name, fn)
@@ -203,7 +194,7 @@ def test_max_runs_bounds_exploration():
 
 
 def test_grant_rejects_unparked_worker():
-    sched = ControlledScheduler(stepping=True)
+    sched = ControlledScheduler()
     with sched:
         sched.spawn("w", lambda: None)
         sched.start()
@@ -213,7 +204,7 @@ def test_grant_rejects_unparked_worker():
 
 
 def test_rejected_grant_uses_no_step_budget():
-    sched = ControlledScheduler(stepping=True, step_limit=1)
+    sched = ControlledScheduler(step_limit=1)
     with sched:
         sched.spawn("w", lambda: checkpoint("a"))
         sched.start()
@@ -258,7 +249,7 @@ def test_raising_chooser_releases_every_parked_worker():
         return runnable[0]
 
     with pytest.raises(ChooserError):
-        with ControlledScheduler(stepping=True) as sched:
+        with ControlledScheduler() as sched:
             for name in ("a", "b", "c"):
                 sched.spawn(name, _counting_body(cell, 4, threads, finished))
             sched.drive(choose)
@@ -270,7 +261,7 @@ def test_raising_chooser_releases_every_parked_worker():
 def test_repeated_wait_quiescent_and_mixed_scripted_drivers():
     cell = AtomicCell(0)
     threads, finished = [], []
-    sched = ControlledScheduler(stepping=True)
+    sched = ControlledScheduler()
     with sched:
         sched.spawn("a", _counting_body(cell, 3, threads, finished))
         sched.spawn("b", _counting_body(cell, 2, threads, finished))
@@ -295,7 +286,7 @@ def test_late_spawn_is_waited_for():
     # "a" parks before "b" exists; quiescence must then include "b".
     cell = AtomicCell(0)
     threads, finished = [], []
-    sched = ControlledScheduler(stepping=True)
+    sched = ControlledScheduler()
     with sched:
         sched.spawn("a", _counting_body(cell, 1, threads, finished))
         sched.start()
@@ -313,7 +304,7 @@ def test_late_spawn_is_waited_for():
 def test_drive_goes_on_after_shorter_workers_finish():
     cell = AtomicCell(0)
     threads, finished = [], []
-    with ControlledScheduler(stepping=True) as sched:
+    with ControlledScheduler() as sched:
         for name, steps in (("a", 1), ("b", 3), ("c", 5)):
             sched.spawn(name, _counting_body(cell, steps, threads, finished))
         trace = sched.drive(random_walk(7))
@@ -336,7 +327,7 @@ def test_stepped_worker_raising_before_its_first_pause():
         raise RuntimeError("before its first pause")
 
     with pytest.raises(RuntimeError, match="before its first pause"):
-        with ControlledScheduler(stepping=True) as sched:
+        with ControlledScheduler() as sched:
             sched.spawn("bad", boom)
             sched.spawn("ok", _counting_body(cell, 2, threads, finished))
             trace = sched.drive(random_walk(3))
@@ -371,7 +362,7 @@ def test_drive_matches_the_scripted_walk():
                          lambda sched: _scripted_walk(sched, random_walk(seed))):
                 cell = AtomicCell(0)
                 threads, finished = [], []
-                with ControlledScheduler(stepping=True) as sched:
+                with ControlledScheduler() as sched:
                     for i, n in enumerate(steps):
                         sched.spawn(f"w{i}", _counting_body(cell, n, threads, finished))
                     trace = walk(sched)
@@ -387,7 +378,7 @@ def test_drive_matches_the_scripted_walk():
 def test_drive_step_limit():
     cell = AtomicCell(0)
     threads, finished = [], []
-    with ControlledScheduler(stepping=True, step_limit=3) as sched:
+    with ControlledScheduler(step_limit=3) as sched:
         for name in ("a", "b"):
             sched.spawn(name, _counting_body(cell, 4, threads, finished))
         with pytest.raises(ScheduleError, match="^step limit exceeded$"):
@@ -400,7 +391,7 @@ def test_drive_step_limit():
 def test_drive_rejects_a_pick_outside_the_runnable_set():
     cell = AtomicCell(0)
     threads, finished = [], []
-    with ControlledScheduler(stepping=True) as sched:
+    with ControlledScheduler() as sched:
         for name in ("a", "b"):
             sched.spawn(name, _counting_body(cell, 2, threads, finished))
         with pytest.raises(ScheduleError,
@@ -421,7 +412,7 @@ def test_drive_times_out_on_a_worker_blocked_between_pauses():
         gate.wait(timeout=10.0)
         cell.fetch_add(1, site="bump")
 
-    with ControlledScheduler(stepping=True) as sched:
+    with ControlledScheduler() as sched:
         sched.spawn("a", _counting_body(cell, 2, threads, finished))
         sched.spawn("stuck", blocked)
         t0 = time.monotonic()
@@ -454,7 +445,7 @@ def _opener(gate, threads):
 def test_a_worker_whose_wait_holds_is_not_runnable():
     gate = AtomicCell(1)
     threads, finished = [], []
-    with ControlledScheduler(stepping=True) as sched:
+    with ControlledScheduler() as sched:
         sched.spawn("a", _gated(gate, threads, finished))
         sched.spawn("b", _opener(gate, threads))
         trace = sched.drive(lambda runnable: runnable[0])
@@ -467,7 +458,7 @@ def test_a_worker_whose_wait_holds_is_not_runnable():
 def test_scripted_grant_of_a_waiting_worker_raises():
     gate = AtomicCell(1)
     threads, finished = [], []
-    with ControlledScheduler(stepping=True, step_limit=2) as sched:
+    with ControlledScheduler(step_limit=2) as sched:
         sched.spawn("a", _gated(gate, threads, finished))
         sched.spawn("b", _opener(gate, threads))
         sched.start()
@@ -486,7 +477,7 @@ def test_scripted_grant_of_a_waiting_worker_raises():
 def test_drive_raises_at_once_when_every_parked_worker_waits():
     cell, stuck = AtomicCell(0), AtomicCell(1)
     threads, finished = [], []
-    with ControlledScheduler(stepping=True, step_limit=10**6) as sched:
+    with ControlledScheduler(step_limit=10**6) as sched:
         sched.spawn("a", _gated(stuck, threads, finished))
         sched.spawn("b", _gated(stuck, threads, finished))
         sched.spawn("c", _counting_body(cell, 3, threads, finished))
@@ -499,3 +490,32 @@ def test_drive_raises_at_once_when_every_parked_worker_waits():
         assert sched.parked_site("a") == sched.parked_site("b") == "gated"
     _assert_all_joined(threads)
     assert len(finished) == 3           # released waiters ran free to the end
+
+
+def test_exit_after_a_deadlock_raises_the_deadlock_at_once():
+    # Each lock-mode serializer applies a request by announcing it on the
+    # other: x holds a's lock and waits for b's, y the other way round.  The
+    # walk reports the deadlock; the workers it releases at exit never
+    # finish, and leaving the block must neither wait long for them nor
+    # replace the walk's error.
+    def apply_a(req):
+        checkpoint("in-a")
+        return b.announce(req)
+
+    def apply_b(req):
+        checkpoint("in-b")
+        return a.announce(req)
+
+    a = make_serializer(TWO_LOCKS, apply_a)
+    b = make_serializer(TWO_LOCKS, apply_b)
+    t0 = time.monotonic()
+    with pytest.raises(ScheduleError, match=r"^deadlock: every parked worker waits: "
+                                            r"'x' at 'lock-acquire', 'y' at 'lock-acquire'$"):
+        with ControlledScheduler() as sched:
+            sched.spawn("x", a.announce, "x")
+            sched.spawn("y", b.announce, "y")
+            sched.start()
+            sched.run_until("x", "in-a")
+            sched.run_until("y", "in-b")
+            sched.drive(random_walk(0))
+    assert time.monotonic() - t0 < 2.0
