@@ -8,8 +8,11 @@ Run with the pytest-benchmark plugin, outside the tier-1 suite::
 removal and the second one that retires it, in each reclaim mode; the fresh
 item is made untimed before each round.  Nothing advances the epoch, so
 every retired item stays pending.  ``test_epoch_bracket`` times one
-``enter`` + ``exit`` pair in epoch mode with no epoch advance pending.  Only
-the public API is used.
+``enter`` + ``exit`` pair in epoch mode with no epoch advance pending.
+``test_advance_frees`` times one successful ``try_advance`` in epoch mode
+that frees one item: each round first retires one item untimed, and one
+item retired an epoch earlier is already waiting.  Only the public API is
+used.
 """
 
 import pytest
@@ -46,3 +49,22 @@ def test_epoch_bracket(benchmark):
 
     benchmark(bracket)
     assert rec.snapshot()["freed"] == 0
+
+
+def test_advance_frees(benchmark):
+    arena = Arena()
+    rec = Reclaimer(arena, mode=EPOCH)
+
+    def retire():
+        index = arena.new_item(0)
+        rec.on_unlink(index)
+        rec.on_unlink(index)
+        return (), {}
+
+    retire()
+    assert rec.try_advance()        # epoch 1; the first item waits for epoch 2
+    assert benchmark.pedantic(rec.try_advance, setup=retire, rounds=ROUNDS,
+                              warmup_rounds=200) is True
+    counts = rec.snapshot()
+    assert counts["pending"] == 1   # each timed advance freed one item
+    assert counts["freed"] == counts["retired"] - 1 > 0

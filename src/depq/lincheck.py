@@ -26,7 +26,7 @@ import json
 import math
 import threading
 from bisect import insort
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .atomics import AtomicCell
 from .oracle import SeqDepq, seq_apply
@@ -118,7 +118,8 @@ class Recorder:
     def snapshot(self) -> list[Event]:
         """A consistent copy; events still pending stay pending in the copy."""
         with self._lock:
-            return [replace(ev) for ev in self._events]
+            return [Event(ev.thread, ev.kind, ev.arg, ev.result, ev.invoke, ev.response)
+                    for ev in self._events]
 
 
 class RecordedDepq:
@@ -244,28 +245,34 @@ def check(events: list[Event], *, state_budget: int = 500_000,
                 insort(keys, popped)
 
     # Depth-first search with an explicit stack of open states, so a long
-    # history cannot exhaust the interpreter's recursion limit.  Each open
-    # state holds its memo key and the generator of its remaining children;
-    # a state whose children are all exhausted is memoized as failed.
+    # history cannot exhaust the interpreter's recursion limit.  Two
+    # parallel stacks hold each open state's memo key and the generator of
+    # its remaining children; a state whose children are all exhausted is
+    # memoized as failed.  The memo key is one flat tuple, and no tuple
+    # pairs it with its generator: every object an open state keeps alive
+    # adds to the cyclic collector's work on a deep search.
     states = 0
-    failed: set[tuple[tuple, tuple]] = set()
-    stack: list[tuple[tuple[tuple, tuple], object]] = []
+    failed: set[tuple] = set()
+    open_digests: list[tuple] = []
+    open_children: list = []
     while True:
         # The earliest response among the unplaced completed operations:
         # within a thread, the next operation responds first.
         horizon = min(map(list.__getitem__, line_resp, placed), default=_NEVER)
         if horizon == _NEVER:   # every completed operation is placed
             break
-        digest = (tuple(placed), tuple(took))
+        digest = (*placed, *took)
         if digest not in failed:
             states += width
             if states > state_budget:
                 return CheckResult(Verdict.SEARCH_BUDGET_EXCEEDED, None, states)
-            stack.append((digest, children(horizon)))
-        while stack:
-            if next(stack[-1][1], False):
+            open_digests.append(digest)
+            open_children.append(children(horizon))
+        while open_children:
+            if next(open_children[-1], False):
                 break
-            failed.add(stack.pop()[0])
+            open_children.pop()
+            failed.add(open_digests.pop())
         else:
             return CheckResult(Verdict.NOT_LINEARIZABLE, None, states)
     _assert_witness(events, order, initial_keys)

@@ -8,10 +8,21 @@ set, proving the node is unreachable from both lists and may be retired.
 Retired nodes then wait out a grace period.  In ``deferred`` mode nothing
 is freed until the structure is closed (the default for correctness tests,
 so reclamation bugs cannot masquerade as algorithm bugs).  In ``epoch``
-mode every operation brackets itself with enter()/exit(); the global epoch
-advances only when no thread is still inside an older epoch, and buckets
-two epochs old are freed.  Freeing poisons the arena slot, so any late
-access trips an assertion.
+mode every operation brackets itself with enter()/exit(), and the global
+epoch advances only when no thread is still inside an older epoch.
+
+Retired nodes wait in three limbo lists, one per epoch modulo 3 (Fraser's
+scheme): a node retired in epoch ``e`` goes to ``limbo[e % 3]``.  The
+advance from ``c`` to ``c + 1`` swaps out ``limbo[(c - 1) % 3]``, the nodes
+retired two epochs before the new one, and frees them.  That is safe: the
+advance from ``c - 1`` to ``c`` happened after those nodes were retired,
+and this advance finds every active thread inside epoch ``c``, so each of
+them entered after the retire, when the node was already unreachable from
+both lists.  The compare-and-swap of the epoch and the swap of the list
+happen under one hold of the lock that retires also take.  Done apart, an
+advancer delayed between them could swap out a list that has since been
+refilled by retires two epochs newer.  Freeing poisons the arena slots
+after the lock is released, so any late access trips an assertion.
 """
 
 from __future__ import annotations
@@ -40,9 +51,11 @@ class Reclaimer:
         self._lock = threading.Lock()
         self._epoch = AtomicCell(0, self._lock)
         self._slots: dict[int, AtomicCell] = {}
+        self._active: tuple[AtomicCell, ...] = ()   # ``_slots``' values
         self._local = threading.local()
-        # Retired nodes by retire epoch; ``deferred`` mode stays at epoch 0.
-        self._buckets: dict[int, list[int]] = {}
+        # Retired nodes by retire epoch modulo 3; ``deferred`` mode stays at
+        # epoch 0, so it only fills ``_limbo[0]``.
+        self._limbo: list[list[int]] = [[], [], []]
         self._closed = False
         # Bumped under ``_lock``, which is held there anyway.  First unlinks
         # are not counted: the items' retire flags already hold that count.
@@ -70,7 +83,7 @@ class Reclaimer:
     def _retire(self, index: int) -> None:
         with self._lock:
             self._retired += 1
-            self._buckets.setdefault(self._epoch.load(), []).append(index)
+            self._limbo[self._epoch.load() % 3].append(index)
 
     # -- epoch machinery ---------------------------------------------------------
 
@@ -80,6 +93,7 @@ class Reclaimer:
         slot = self._local.slot = AtomicCell(_QUIESCENT, self._lock)
         with self._lock:
             self._slots[threading.get_ident()] = slot
+            self._active = tuple(self._slots.values())
         return slot
 
     def enter(self) -> None:
@@ -109,32 +123,29 @@ class Reclaimer:
     def try_advance(self) -> bool:
         """Advance the epoch if every active thread has observed it.
 
-        On success, frees the buckets that are now two epochs old.  With no
-        retired node waiting to be freed there is nothing to advance for.
+        On success, frees the nodes retired two epochs before the new one.
+        With no retired node waiting to be freed there is nothing to
+        advance for.
         """
-        if self.mode != EPOCH or not self._buckets:
+        if self.mode != EPOCH or self._retired == self._freed:
             return False
         current = self._epoch.load()
-        for slot in list(self._slots.values()):
+        for slot in self._active:
             seen = slot.load()
             if seen != _QUIESCENT and seen != current:
                 return False
-        if not self._epoch.compare_and_swap(current, current + 1):
-            return False
-        self._local.advanced_to = current + 1
-        self._free_older_than(current + 1 - 2)
-        return True
-
-    def _free_older_than(self, threshold: int) -> None:
-        # ``min`` over the epochs runs in one C call, so no retire can change
-        # the dict under it.
-        if min(self._buckets, default=threshold + 1) > threshold:
-            return
+        # The epoch's compare-and-swap and the limbo swap are one step.
         with self._lock:
-            ready = [e for e in self._buckets if e <= threshold]
-            victims = [idx for e in ready for idx in self._buckets.pop(e)]
+            if self._epoch.load() != current:
+                return False
+            self._epoch.store(current + 1)
+            oldest = (current - 1) % 3
+            victims = self._limbo[oldest]
+            self._limbo[oldest] = []
             self._freed += len(victims)
+        self._local.advanced_to = current + 1
         self._free(victims)
+        return True
 
     # -- teardown -----------------------------------------------------------------
 
@@ -144,18 +155,19 @@ class Reclaimer:
             return
         self._closed = True
         with self._lock:
-            victims = [idx for bucket in self._buckets.values() for idx in bucket]
-            self._buckets.clear()
+            victims = [idx for bucket in self._limbo for idx in bucket]
+            self._limbo[:] = [], [], []
             self._freed += len(victims)
         self._free(victims)
 
     def _free(self, victims: list[int]) -> None:
+        slots = self.arena.slots
         for idx in victims:
-            self.arena.poison(idx)
+            slots[idx] = POISONED
 
     def pending(self) -> int:
         with self._lock:
-            return sum(len(b) for b in self._buckets.values())
+            return sum(map(len, self._limbo))
 
     def snapshot(self) -> dict:
         """``unlink_first``, ``retired`` and ``freed`` counts, plus ``mode``

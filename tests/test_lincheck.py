@@ -101,6 +101,22 @@ def test_recorder_retains_pending_operation():
     t.join()
 
 
+def test_recorder_snapshot_copies_each_event():
+    """A pending event stays pending in the copy, and a copy changed later
+    (as ``finish`` changes a live event) leaves the recorder's own alone."""
+    rec = Recorder()
+    done = rec.begin("Insert", 4)
+    rec.finish(done, None)
+    pending = rec.begin("ExtractMin", None)
+    snap = rec.snapshot()
+    assert snap == [done, pending] and not snap[1].completed
+    assert snap[0] is not done and snap[1] is not pending
+    snap[0].arg = 5
+    snap[1].result, snap[1].response = 4, 99
+    assert (done.arg, pending.result, pending.response) == (4, None, None)
+    assert rec.snapshot() == [done, pending]
+
+
 # -- serialization ---------------------------------------------------------------
 
 

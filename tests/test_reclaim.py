@@ -6,6 +6,7 @@ import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from depq.atomics import checkpoint
 from depq.items import MAX, MIN, Arena
@@ -217,3 +218,81 @@ def test_close_is_idempotent():
     rec.close()
     rec.close()
     assert rec.snapshot()["freed"] == 1
+
+
+class _LimboModel:
+    """The freeing rule, single-threaded: a node retired at epoch ``e`` is
+    freed exactly when an advance reaches ``e + 2``, or at ``close``.  An
+    advance needs a node waiting and this thread outside the epoch or
+    inside the current one; ``exit`` retries it as ``Reclaimer.exit`` does."""
+
+    def __init__(self, mode):
+        self.mode = mode
+        self.epoch = 0
+        self.entered = self.advanced_to = None
+        self.waiting: dict[int, int] = {}   # index -> retire epoch
+        self.freed: set[int] = set()
+
+    def retire(self, index):
+        self.waiting[index] = self.epoch
+
+    def advance(self):
+        if (self.mode != EPOCH or not self.waiting
+                or self.entered not in (None, self.epoch)):
+            return False
+        self.epoch = self.advanced_to = self.epoch + 1
+        self._free(lambda retired_at: retired_at + 2 <= self.epoch)
+        return True
+
+    def enter(self):
+        self.entered = self.epoch
+
+    def exit(self):
+        entered, self.entered = self.entered, None
+        if entered != self.epoch and self.advanced_to != self.epoch and self.advance():
+            self.advance()
+
+    def close(self):
+        self._free(lambda retired_at: True)
+
+    def _free(self, ready):
+        for index, retired_at in list(self.waiting.items()):
+            if ready(retired_at):
+                del self.waiting[index]
+                self.freed.add(index)
+
+
+@pytest.mark.parametrize("mode", [EPOCH, DEFERRED])
+@settings(deadline=None)
+@given(steps=st.lists(st.sampled_from(["retire", "advance", "bracket"]), max_size=40),
+       close=st.booleans())
+def test_limbo_lists_free_what_the_model_frees(mode, steps, close):
+    """Random single-thread sequences of retires, advances, enter/exit
+    brackets and a final close: after every step the poisoned slots are
+    exactly the model's freed nodes."""
+    arena = Arena()
+    rec = Reclaimer(arena, mode=mode)
+    model = _LimboModel(mode)
+    retired = []
+    for step in steps + ["close"] * close:
+        if step == "retire":
+            idx = arena.new_item(len(retired))
+            rec.on_unlink(idx)
+            assert rec.on_unlink(idx)
+            retired.append(idx)
+            model.retire(idx)
+        elif step == "advance":
+            assert rec.try_advance() == model.advance()
+        elif step == "bracket" and model.entered is None:
+            rec.enter()
+            model.enter()
+        elif step == "bracket":
+            rec.exit()
+            model.exit()
+        else:
+            rec.close()
+            model.close()
+        assert {i for i in retired if arena.is_poisoned(i)} == model.freed
+        counts = rec.snapshot()
+        assert (counts["retired"], counts["freed"], counts["pending"]) == (
+            len(retired), len(model.freed), len(model.waiting))
