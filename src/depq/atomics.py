@@ -1,10 +1,14 @@
 """Single-word atomic cells and the instrumentation hook used by the
 controlled scheduler.
 
-Every shared word in this package lives in an :class:`AtomicCell`.  Plain
-loads and stores of a Python attribute are already atomic under the GIL;
-the read-modify-write operations (CAS, fetch-or, swap, ...) take a lock so
-they are atomic on any Python implementation.
+A long-lived shared word, such as a list head, the reclaimer's epoch or a
+combiner record's flag, lives in an :class:`AtomicCell`.  Plain loads and
+stores of a Python attribute are already atomic under the GIL; the
+read-modify-write operations (CAS, fetch-or, swap, ...) take a lock so they
+are atomic on any Python implementation.  The words of an item, one made
+per insert, are plain values instead, so an insert builds no cell: their
+read-modify-writes take the arena's lock themselves and pause through
+:func:`checkpoint` (see :class:`depq.items.Item`).
 
 Each operation optionally names a *site* (a short label for the calling
 code location).  When a controller is installed, the calling thread pauses
@@ -124,10 +128,6 @@ class AtomicCell:
             prior = self._value
             self._value = prior + delta
             return prior
-
-    def test_and_set(self, site: str | None = None) -> int:
-        """Set the low bit; returns the prior value (0 iff this call set it)."""
-        return self.fetch_or(1, site)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AtomicCell({self._value!r})"

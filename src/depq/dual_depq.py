@@ -56,6 +56,7 @@ class DualDepq:
     def __init__(self, arena: Arena, min_pq: PriorityQueue, max_pq: PriorityQueue):
         self.arena = arena
         self._slots = arena.slots
+        self._rmw_lock = arena.rmw_lock
         self.min_pq = min_pq
         self.max_pq = max_pq
         self._delete_claimed = min_pq.has_delete and max_pq.has_delete
@@ -87,7 +88,7 @@ class DualDepq:
         own = self.min_pq if end == MIN else self.max_pq
         other = self.max_pq if end == MIN else self.min_pq
         # Slot and key are read inline, as in the lists' hot loops.
-        slots = self._slots
+        slots, lock = self._slots, self._rmw_lock
         while True:
             index = own.pq_extract_first()
             if index is None:
@@ -95,7 +96,7 @@ class DualDepq:
             item = slots[index]
             if item is POISONED:
                 raise reclaimed_access(index)
-            if try_reserve(item):
+            if try_reserve(item, lock):
                 if self._delete_claimed:
                     other.pq_delete(index)
                 self.extract_successes[end] += 1

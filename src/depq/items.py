@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from typing import NamedTuple, Protocol, runtime_checkable
 
-from .atomics import AtomicCell
+from .atomics import checkpoint
 
 MIN = 0
 MAX = 1
@@ -61,21 +61,28 @@ class Item:
 
     The list fields are declared here but set only by the lists, on a node
     they link (see :meth:`depq.ordered_list.ListPair.insert`): ``link``,
-    one link word per end; ``linked_into`` / ``marked_into``, auditor
-    bookkeeping tags written only in the same step as the publish CAS /
-    marking fetch-or; ``tower``, the item's node in the lists' index, one
-    for both ends, or None.  Reading one on an item no list has taken
-    raises ``AttributeError``.
+    one raw link word per end (see :func:`pack_link`); ``linked_into`` /
+    ``marked_into``, auditor bookkeeping tags written only in the same step
+    as the publish CAS / marking fetch-or; ``tower``, the item's node in
+    the lists' index, one for both ends, or None.  Reading one on an item
+    no list has taken raises ``AttributeError``.
+
+    ``reserved``, ``unlinked`` and both link words are plain values, not
+    ``AtomicCell`` objects: a plain load or store is atomic under the GIL,
+    and every read-modify-write of one (the claim, the retire count's
+    increment, the publish CAS and the marking fetch-or) runs under the
+    arena's :attr:`~Arena.rmw_lock`.  Each read or read-modify-write that
+    has a pause site pauses there first, through ``checkpoint``.
     """
 
     __slots__ = ("index", "key", "reserved", "unlinked", "link",
                  "linked_into", "marked_into", "tower")
 
-    def __init__(self, index: int, key: Key | None, lock: threading.Lock):
+    def __init__(self, index: int, key: Key | None):
         self.index = index
         self.key = key  # None only for the sentinel dummy
-        self.reserved = AtomicCell(0, lock)
-        self.unlinked = AtomicCell(0, lock)
+        self.reserved = 0
+        self.unlinked = 0
 
     @property
     def user_key(self) -> int:
@@ -117,6 +124,7 @@ class Arena:
 
     @property
     def rmw_lock(self) -> threading.Lock:
+        """The lock of every read-modify-write of an item's shared words."""
         return self._lock
 
     @property
@@ -131,14 +139,15 @@ class Arena:
             uid = self._uid
             self._uid = uid + 1
             index = len(self._items)
-            self._items.append(Item(index, Key(user_key, uid), self._lock))
+            # ``tuple.__new__`` skips the named tuple's Python-level ``__new__``.
+            self._items.append(Item(index, tuple.__new__(Key, (user_key, uid))))
             return index
 
     def new_dummy(self) -> int:
         """Create a sentinel item whose key is never compared."""
         with self._lock:
             index = len(self._items)
-            self._items.append(Item(index, None, self._lock))
+            self._items.append(Item(index, None))
             return index
 
     def item(self, index: int) -> Item:
@@ -161,13 +170,21 @@ class Arena:
         return range(len(self._items))
 
 
-def try_reserve(item: Item) -> bool:
-    """Atomically claim an item; True iff this call flipped reserved 0->1."""
-    return item.reserved.test_and_set(site="reserve") == 0
+def try_reserve(item: Item, lock: threading.Lock) -> bool:
+    """Atomically claim an item; True iff this call flipped reserved 0->1.
+
+    ``lock`` is the rmw_lock of the item's arena.  Pauses at ``reserve``.
+    """
+    checkpoint("reserve")
+    with lock:
+        if item.reserved:
+            return False
+        item.reserved = 1
+        return True
 
 
 def is_reserved(item: Item) -> bool:
-    return item.reserved.load() != 0
+    return item.reserved != 0
 
 
 @runtime_checkable

@@ -119,7 +119,7 @@ class ListPair:
         lock = arena.rmw_lock
         # The sentinel is on both lists and counts as logically deleted
         # from the start; it has no tower.
-        dummy_item.link = (AtomicCell(0, lock), AtomicCell(0, lock))
+        dummy_item.link = [0, 0]
         dummy_item.linked_into = [True, True]
         dummy_item.marked_into = [True, True]
         dummy_item.tower = None
@@ -127,7 +127,8 @@ class ListPair:
         self._head = [AtomicCell(dummy, lock), AtomicCell(dummy, lock)]
         # The first tower on each index level, and the number of levels in
         # use.  Index links are plain references, changed by compare-and-swap
-        # under ``lock``; ``_top`` only grows, also under ``lock``.
+        # under ``lock``; ``_top`` only grows, also under ``lock``.  So are
+        # the items' link words: see :class:`~depq.items.Item`.
         self._lock = lock
         self._index: list[IndexNode | None] = [None] * LEVELS
         self._top = 0
@@ -156,9 +157,8 @@ class ListPair:
         node = self.arena.item(index)
         k = node.key
         assert k is not None
-        lock = self._lock
         # A word of 0 is pack_link(NONE_IDX, 0): no successor, unmarked.
-        node.link = (AtomicCell(0, lock), AtomicCell(0, lock))
+        node.link = [0, 0]
         node.linked_into = [False, False]
         node.marked_into = [False, False]
         # The tower is attached before the first publish, so the consumer
@@ -178,8 +178,10 @@ class ListPair:
         """Link ``node`` into one list, searching from ``start``'s item, or
         from the head when ``start`` is None."""
         # The hot loop works on raw link words (see ``pack_link``) and on the
-        # arena's slots directly, checking for poison itself.
+        # arena's slots directly, checking for poison itself.  Each read or
+        # CAS of a link word pauses at its site first, through ``checkpoint``.
         items = self.arena.slots
+        lock = self._lock
         published = pack_link(node.index, 0)
         if start is None:
             pred = self._head[end].load(site="ins-read-head")
@@ -189,7 +191,8 @@ class ListPair:
             pred_item = items[pred]
             if pred_item is POISONED:
                 raise reclaimed_access(pred)
-            word = pred_item.link[end].load(site="ins-read-link")
+            checkpoint("ins-read-link")
+            word = pred_item.link[end]
             while word > 1:  # names a successor
                 succ = (word >> 1) - 1
                 succ_item = items[succ]
@@ -198,18 +201,22 @@ class ListPair:
                 if not (word & 1 or sorts_before_k(succ_item.key)):
                     break
                 pred, pred_item = succ, succ_item
-                word = pred_item.link[end].load(site="ins-read-link")
+                checkpoint("ins-read-link")
+                word = pred_item.link[end]
             if word & 1:
                 # A marked end-of-list word is unreachable while consumers
                 # honor their contract; retrying against it would spin forever.
                 raise AssertionError("end-of-list link is marked")
             expected = word & ~1
             # Unsited: no thread reads this word before the CAS publishes it.
-            node.link[end].store(expected)
-            if pred_item.link[end].compare_and_swap(expected, published, site="ins-cas"):
-                node.linked_into[end] = True
-                return
-            with self._lock:
+            node.link[end] = expected
+            checkpoint("ins-cas")
+            pred_link = pred_item.link
+            with lock:
+                if pred_link[end] == expected:
+                    pred_link[end] = published
+                    node.linked_into[end] = True
+                    return
                 self.insert_cas_failures += 1
 
     def _index_search(self, k: Key, preds: list) -> tuple[IndexNode | None,
@@ -294,7 +301,8 @@ class ListPair:
             last_item = items[last]
             if last_item is POISONED:
                 raise reclaimed_access(last)
-            word = last_item.link[end].load(site="ex-read-lastnext")
+            checkpoint("ex-read-lastnext")
+            word = last_item.link[end]
             if not word & 1:
                 break
             last = (word >> 1) - 1   # still in the deleted prefix
@@ -303,7 +311,11 @@ class ListPair:
             # insert that lands afterwards does not invalidate the empty
             # answer.
             return None
-        prior = last_item.link[end].fetch_or(1, site="ex-mark")
+        checkpoint("ex-mark")
+        link = last_item.link
+        with self._lock:
+            prior = link[end]
+            link[end] = prior | 1
         assert not prior & 1, "link was already marked: consumer contract broken"
         assert prior > 1, "marked an end-of-list link"
         target = (prior >> 1) - 1
@@ -342,7 +354,7 @@ class ListPair:
             item = items[node]
             if item is POISONED:
                 raise reclaimed_access(node)
-            word = item.link[end].load()
+            word = item.link[end]
             if not word & 1:
                 break
             removed.append(node)
@@ -361,7 +373,7 @@ class ListPair:
         limit = len(arena) + 2
         while node != NONE_IDX and len(out) <= limit:
             out.append(node)
-            node, _ = unpack_link(arena.item(node).link[end].load())
+            node, _ = unpack_link(arena.item(node).link[end])
         return out
 
     def index_walk(self, level: int = 0) -> list[IndexNode]:
@@ -379,21 +391,21 @@ class ListPair:
         """Node indices of the live suffix (after the deleted prefix), in
         list order, claimed nodes included."""
         arena = self.arena
-        word = arena.item(self._head[end].load()).link[end].load()
+        word = arena.item(self._head[end].load()).link[end]
         while word & 1:   # skip the deleted prefix
-            word = arena.item((word >> 1) - 1).link[end].load()
+            word = arena.item((word >> 1) - 1).link[end]
         out = []
         node, _ = unpack_link(word)
         while node != NONE_IDX:
             out.append(node)
-            node, _ = unpack_link(arena.item(node).link[end].load())
+            node, _ = unpack_link(arena.item(node).link[end])
         return out
 
     def suffix_keys(self, end: int, include_reserved: bool = False) -> list[Key]:
         """Keys of the live suffix, in list order."""
         items = map(self.arena.item, self.suffix(end))
         return [item.key for item in items
-                if include_reserved or item.reserved.load() == 0]
+                if include_reserved or item.reserved == 0]
 
     def audit(self, end: int) -> "AuditReport":
         """Check the structural invariants of one list."""
@@ -414,7 +426,7 @@ class ListPair:
             item = arena.item(node)
             tagged = item.marked_into[end]
             path.append((node, None if item.key is None else item.key.user_key, tagged))
-            succ, marked = unpack_link(item.link[end].load())
+            succ, marked = unpack_link(item.link[end])
             if succ != NONE_IDX:
                 incoming_marked.append(bool(marked))
             node = succ

@@ -2,8 +2,8 @@
 
 A node physically removed from one list may still be reachable from the
 other, so removal alone never frees anything.  Each item carries a retire
-flag: the first removal's test-and-set arms it, the second one observes it
-set, proving the node is unreachable from both lists and may be retired.
+count: the first removal's increment arms it, the second one observes it
+at one, proving the node is unreachable from both lists and may be retired.
 
 Retired nodes then wait out a grace period.  In ``deferred`` mode nothing
 is freed until the structure is closed (the default for correctness tests,
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 
-from .atomics import AtomicCell
+from .atomics import AtomicCell, checkpoint
 from .items import POISONED, Arena
 
 _QUIESCENT = -1
@@ -47,6 +47,7 @@ class Reclaimer:
         if mode not in (DEFERRED, EPOCH):
             raise ValueError(f"unknown reclaim mode {mode!r}")
         self.arena = arena
+        self._rmw_lock = arena.rmw_lock    # the lock of the retire counts
         self.mode = mode
         self._lock = threading.Lock()
         self._epoch = AtomicCell(0, self._lock)
@@ -72,7 +73,11 @@ class Reclaimer:
         has been handed to the grace-period machinery.  A third call is a
         caller bug.
         """
-        prior = self.arena.item(index).unlinked.fetch_add(1, site="unlink-flag")
+        item = self.arena.item(index)
+        checkpoint("unlink-flag")
+        with self._rmw_lock:
+            prior = item.unlinked
+            item.unlinked = prior + 1
         if prior == 0:
             return False
         if prior == 1:
@@ -177,6 +182,6 @@ class Reclaimer:
         with self._lock:
             retired, freed = self._retired, self._freed
         unlinked_once = sum(1 for item in self.arena.slots
-                            if item is not POISONED and item.unlinked.load() == 1)
+                            if item is not POISONED and item.unlinked == 1)
         return {"mode": self.mode, "unlink_first": retired + unlinked_once,
                 "retired": retired, "freed": freed, "pending": self.pending()}

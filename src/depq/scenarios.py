@@ -204,7 +204,7 @@ def run_index_start_reclaimed() -> ReplayOutcome:
                 drained.append(got)
             while d.extract_max() is not None:
                 pass                   # deletes the claimed nodes on the max side
-            retired = d.arena.item(start.index).unlinked.load() == 2
+            retired = d.arena.item(start.index).unlinked == 2
             for _ in range(6):
                 d.reclaim.try_advance()
             held = not d.arena.is_poisoned(start.index)

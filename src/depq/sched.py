@@ -27,7 +27,9 @@ worker to stop releases the driver's baton at once.
 Only spawned threads pause; the invoking thread and any plain
 ``threading.Thread`` pass every site at once, so fixtures can be built
 inline and uncontrolled traffic can run beside parked workers.  Leaving
-the scheduler's ``with`` block releases every parked worker to run free.
+the scheduler's ``with`` block releases every parked worker to run free,
+except, when an error ends the block, a worker whose declared wait still
+holds: it stays parked and ends by its starvation timeout.
 """
 
 from __future__ import annotations
@@ -97,13 +99,14 @@ class ControlledScheduler:
 
     def __exit__(self, exc_type: object, *_: object) -> None:
         try:
-            self._release_everything()
+            self._release_everything(keep_waiters=exc_type is not None)
             if exc_type is None:
                 self.join_all()
             else:
                 # Keep the error that ended the block.  A released worker
-                # may never finish (one of a deadlock a walk reported, say),
-                # so it gets a short grace and no join error of its own.
+                # may never finish, and a waiter left parked ends only by
+                # its starvation timeout, so they get a short grace and no
+                # join error of their own.
                 try:
                     self.join_all(timeout=_EXIT_GRACE, reraise=False)
                 except ScheduleError:
@@ -234,14 +237,22 @@ class ControlledScheduler:
         """Via ``pause``, so that a wrapper of ``pause`` sees waits too."""
         self.pause(site, blocked)
 
-    def _release_everything(self) -> None:
-        # Let every worker run free, so that join_all can complete.
+    def _release_everything(self, keep_waiters: bool) -> None:
+        """Let every parked worker run free, so that join_all can complete.
+
+        With ``keep_waiters``, a worker whose declared wait still holds
+        stays parked: released, it would block for real, for good (one of
+        a deadlock a walk reported, say).  It ends by its starvation timeout.
+        """
         with self._lock:
             self._stepping = False
-            for name in self._parked:
+            for name in list(self._parked):
+                blocked = self._waits.get(name)
+                if keep_waiters and blocked is not None and blocked():
+                    continue
+                del self._parked[name]
                 self._count_running()
                 self._workers[name].baton.release()
-            self._parked.clear()
         self._start.set()
 
     # -- drivers ---------------------------------------------------------------

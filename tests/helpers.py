@@ -5,7 +5,7 @@ deliberately broken builds, and a runner for uncontrolled threads."""
 import itertools
 import threading
 
-from depq.atomics import AtomicCell, checkpoint
+from depq.atomics import checkpoint
 from depq.items import MAX, MIN
 from depq.lincheck import EMPTY, Event
 from depq.list_depq import ListDepq
@@ -41,8 +41,7 @@ class EarlyTowerListDepq(ListDepq):
         lists = self.lists
         node = self.arena.item(index)
         k = node.key
-        lock = lists._lock
-        node.link = (AtomicCell(0, lock), AtomicCell(0, lock))
+        node.link = [0, 0]
         node.linked_into = [False, False]
         node.marked_into = [False, False]
         height = tower_height(k.uid)

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from depq.dual_depq import (COMBINING, TWO_LOCKS, DualDepq, make_multi_consumer)
-from depq.items import MAX, MIN, Arena
+from depq.items import MAX, MIN, Arena, try_reserve
 from depq.lincheck import Recorder, Verdict, check
 from depq.oracle import LockedHeapPq, SeqDepq
 from depq.ordered_list import ListPair, ListPq
@@ -65,7 +65,7 @@ def test_pre_reserved_item_is_skipped(dual):
     for i in dual.arena.all_indices():
         item = dual.arena.item(i)
         if item.key is not None and item.key.user_key == 1:
-            assert item.reserved.test_and_set() == 0
+            assert try_reserve(item, dual.arena.rmw_lock)
     assert dual.extract_min() == 2
     assert dual.extract_min() is None
 
@@ -191,8 +191,8 @@ def test_reserve_failures_are_charged_to_other_end_successes(monkeypatch):
     calling_end = [MIN]
     real_try_reserve = dual_depq.try_reserve
 
-    def logged(item):
-        won = real_try_reserve(item)
+    def logged(item, lock):
+        won = real_try_reserve(item, lock)
         log.append((item.index, calling_end[0], won))
         return won
 
@@ -330,7 +330,7 @@ def test_multi_consumer_stress_accounting(mode, fast_switching):
 
     remaining = Counter(inner.arena.item(i).user_key
                         for i in inner.min_pq.contents()
-                        if inner.arena.item(i).reserved.load() == 0)
+                        if inner.arena.item(i).reserved == 0)
     assert inserted == returned + remaining
     # every claim failure at one end is covered by a success at the other
     counts = inner.counters.snapshot()

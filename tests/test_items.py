@@ -7,9 +7,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from depq.atomics import AtomicCell
 from depq.items import (MAX, MIN, NONE_IDX, Arena, Key, is_reserved, key_less,
                         pack_link, try_reserve, unpack_link)
 from depq.ordered_list import ListPair, tower_height
+from depq.reclaim import DEFERRED, EPOCH
+from depq.workload import BUILDS, WorkloadConfig
 
 
 def test_new_item_starts_unreserved():
@@ -18,7 +21,7 @@ def test_new_item_starts_unreserved():
         item = arena.item(arena.new_item(k))
         assert item.key.user_key == k
         assert not is_reserved(item)
-        assert item.unlinked.load() == 0
+        assert item.unlinked == 0
 
 
 def test_new_item_has_no_list_fields():
@@ -37,8 +40,8 @@ def test_list_insert_gives_the_node_its_list_fields():
         item = arena.item(arena.new_item(k))
         lists.insert(item.index)
         # Ascending keys: last on MIN, first on MAX.
-        assert unpack_link(item.link[MIN].load()) == (NONE_IDX, 0)
-        assert unpack_link(item.link[MAX].load()) == (NONE_IDX if k == 0 else item.index - 1, 0)
+        assert unpack_link(item.link[MIN]) == (NONE_IDX, 0)
+        assert unpack_link(item.link[MAX]) == (NONE_IDX if k == 0 else item.index - 1, 0)
         assert item.linked_into == [True, True]
         assert item.marked_into == [False, False]
         if tower_height(item.key.uid):
@@ -47,6 +50,26 @@ def test_list_insert_gives_the_node_its_list_fields():
         else:
             assert item.tower is None
     assert 0 < towered < 8
+
+
+@pytest.mark.parametrize("impl, reclaim_mode", [("list-depq", DEFERRED), ("list-depq", EPOCH),
+                                                 ("dual-heap", DEFERRED)])
+def test_an_insert_constructs_no_atomic_cell(monkeypatch, impl, reclaim_mode):
+    depq = BUILDS[impl](WorkloadConfig(impl=impl, reclaim_mode=reclaim_mode))
+    depq.insert(0)      # builds this thread's epoch slot, once per thread
+    built = []
+    real_init = AtomicCell.__init__
+
+    def counted(cell, *args, **kwargs):
+        built.append(cell)
+        real_init(cell, *args, **kwargs)
+
+    monkeypatch.setattr(AtomicCell, "__init__", counted)
+    for key in range(1, 50):
+        depq.insert(key)
+    monkeypatch.undo()
+    assert built == []
+    assert sorted(depq.remaining_keys()) == list(range(50))
 
 
 def test_new_item_costs_under_450_bytes():
@@ -83,9 +106,10 @@ def test_uids_strictly_increase_per_arena():
 def test_try_reserve_first_wins_second_loses():
     arena = Arena()
     item = arena.item(arena.new_item(1))
-    assert try_reserve(item) is True
-    assert try_reserve(item) is False
-    assert try_reserve(item) is False
+    lock = arena.rmw_lock
+    assert try_reserve(item, lock) is True
+    assert try_reserve(item, lock) is False
+    assert try_reserve(item, lock) is False
 
 
 def test_concurrent_reserve_has_exactly_one_winner():
@@ -97,7 +121,7 @@ def test_concurrent_reserve_has_exactly_one_winner():
     def racer(slot):
         mine = wins[slot]
         for item in items:
-            if item.reserved.test_and_set() == 0:
+            if try_reserve(item, arena.rmw_lock):
                 mine.append(item.index)
 
     threads = [threading.Thread(target=racer, args=(i,)) for i in range(4)]

@@ -111,7 +111,7 @@ def test_stale_descending_start_is_held_by_the_epoch():
         for extract in (d.extract_min, d.extract_max):
             while (got := extract()) is not None:
                 returned[got] += 1
-        assert d.arena.item(start.index).unlinked.load() == 2   # retired
+        assert d.arena.item(start.index).unlinked == 2   # retired
         for _ in range(6):
             d.reclaim.try_advance()
         assert not d.arena.is_poisoned(start.index)

@@ -29,7 +29,7 @@ def extract_claimed(arena, lists, end):
     """Pop and claim as ``DualDepq``'s loop does, but without its sweep:
     nodes the other end has claimed are skipped."""
     while (got := lists.extract_first(end)) is not None:
-        if try_reserve(arena.item(got)):
+        if try_reserve(arena.item(got), arena.rmw_lock):
             return got
     return None
 
@@ -114,9 +114,9 @@ def test_fetch_or_idempotent_on_marked_word():
 def test_extract_first_reports_deleted_node():
     arena, lists = make_pair()
     (idx,) = insert_keys(arena, lists, [9])
-    assert unpack_link(arena.item(lists.dummy).link[MIN].load()) == (idx, 0)
+    assert unpack_link(arena.item(lists.dummy).link[MIN]) == (idx, 0)
     assert lists.extract_first(MIN) == idx
-    assert unpack_link(arena.item(lists.dummy).link[MIN].load()) == (idx, 1)
+    assert unpack_link(arena.item(lists.dummy).link[MIN]) == (idx, 1)
     assert arena.item(idx).marked_into[MIN]
 
 
@@ -168,15 +168,15 @@ def test_extract_without_reserve_advances_last_deleted():
     # Not swept: the head stays on the sentinel, whose word names the node,
     # marked; the node, now the prefix's last, keeps an unmarked word.
     assert lists.head(MIN) == lists.dummy
-    assert unpack_link(arena.item(lists.dummy).link[MIN].load()) == (one, 1)
-    assert unpack_link(arena.item(one).link[MIN].load()) == (two, 0)
+    assert unpack_link(arena.item(lists.dummy).link[MIN]) == (one, 1)
+    assert unpack_link(arena.item(one).link[MIN]) == (two, 0)
 
 
 def test_extract_skips_node_reserved_by_other_end():
     arena, lists = make_pair()
     one, two = insert_keys(arena, lists, [1, 2])
     dual = DualDepq(arena, ListPq(lists, MIN), ListPq(lists, MAX))
-    assert arena.item(one).reserved.test_and_set() == 0  # claimed elsewhere
+    assert try_reserve(arena.item(one), arena.rmw_lock)  # claimed elsewhere
     assert dual.extract_min() == 2
     assert arena.item(one).marked_into[MIN]
     assert arena.item(two).marked_into[MIN]
@@ -296,10 +296,10 @@ def test_marked_words_never_change_afterwards():
             if rng.random() < 0.3:
                 lists.sweep_head(end)
         for (node, end), word in snapshots.items():
-            assert arena.item(node).link[end].load() == word
+            assert arena.item(node).link[end] == word
         for end in (MIN, MAX):
             for node in lists.walk(end):
-                word = arena.item(node).link[end].load()
+                word = arena.item(node).link[end]
                 if word & 1:
                     snapshots[(node, end)] = word
 

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from depq import atomics
+from depq import sched as sched_module
 from depq.atomics import AtomicCell, checkpoint
 from depq.combining import TWO_LOCKS, make_serializer
 from depq.sched import (ControlledScheduler, ScheduleError,
@@ -492,23 +493,25 @@ def test_drive_raises_at_once_when_every_parked_worker_waits():
     assert len(finished) == 3           # released waiters ran free to the end
 
 
-def test_exit_after_a_deadlock_raises_the_deadlock_at_once():
-    # Each lock-mode serializer applies a request by announcing it on the
-    # other: x holds a's lock and waits for b's, y the other way round.  The
-    # walk reports the deadlock; the workers it releases at exit never
-    # finish, and leaving the block must neither wait long for them nor
-    # replace the walk's error.
+def _run_opposite_order_deadlock():
+    """Each lock-mode serializer applies a request by announcing it on the
+    other: x holds a's lock and waits for b's, y the other way round.  The
+    walk reports the deadlock, which leaves the ``with`` block.  Returns
+    the two workers' threads."""
+    threads = []
+
     def apply_a(req):
+        threads.append(threading.current_thread())
         checkpoint("in-a")
         return b.announce(req)
 
     def apply_b(req):
+        threads.append(threading.current_thread())
         checkpoint("in-b")
         return a.announce(req)
 
     a = make_serializer(TWO_LOCKS, apply_a)
     b = make_serializer(TWO_LOCKS, apply_b)
-    t0 = time.monotonic()
     with pytest.raises(ScheduleError, match=r"^deadlock: every parked worker waits: "
                                             r"'x' at 'lock-acquire', 'y' at 'lock-acquire'$"):
         with ControlledScheduler() as sched:
@@ -518,4 +521,25 @@ def test_exit_after_a_deadlock_raises_the_deadlock_at_once():
             sched.run_until("x", "in-a")
             sched.run_until("y", "in-b")
             sched.drive(random_walk(0))
+    return threads
+
+
+def test_exit_after_a_deadlock_raises_the_deadlock_at_once():
+    # The workers of the deadlock stay parked until their starvation
+    # timeout: leaving the block must neither wait long for them nor replace
+    # the walk's error.
+    t0 = time.monotonic()
+    _run_opposite_order_deadlock()
     assert time.monotonic() - t0 < 2.0
+
+
+def test_waiters_left_at_an_error_exit_end_by_their_starvation_timeout(monkeypatch):
+    # Released, each would block in its Lock.acquire for good; left parked,
+    # each ends when its wait for a grant times out.
+    monkeypatch.setattr(sched_module, "_DEFAULT_TIMEOUT", 0.5)
+    threads = _run_opposite_order_deadlock()
+    assert sorted(t.name for t in threads) == ["depq-sched-x", "depq-sched-y"]
+    deadline = time.monotonic() + 5.0
+    for thread in threads:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in threads)
