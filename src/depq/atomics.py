@@ -18,7 +18,13 @@ interleaving of two operations.  With no controller installed the check is
 a single global load, so production use pays almost nothing.
 
 A thread about to wait for another, for an end's lock or its combining
-flag, pauses through :func:`wait` and names what keeps it waiting.
+flag, pauses through :func:`wait` and names what keeps it waiting; it is
+disabled until that clears.  A site goes only before an access that another
+enabled thread can race.  One that commutes with every other enabled
+thread's next access pauses nowhere: a read of a word only its own thread
+writes (a consumer's read of its end's head), or a write read only by
+threads disabled in a wait (an end lock's release, a combining record's
+flags).  A pause there multiplies an exploration's runs, not its outcomes.
 
 Counts need no type of their own: every count in this package is a plain
 int, or a list of ints, that has one writer at a time (one end's consumer,
@@ -40,22 +46,15 @@ _controller: TraceController | None = None
 
 
 def set_controller(controller: TraceController | None) -> None:
-    """Install (or clear) the global trace controller.
-
-    Only one controller may be active at a time; tests install one around
-    each scenario.
-    """
+    """Install (or clear) the global trace controller.  Only one may be
+    active at a time; tests install one around each scenario."""
     global _controller
     _controller = controller
 
 
 def checkpoint(site: str) -> None:
-    """A pure pause point with no associated memory operation.
-
-    Used where a scenario needs to freeze a thread between two operations
-    that live in different modules (e.g. between the two underlying
-    priority-queue inserts of one logical insert).
-    """
+    """A pause point with no memory operation of its own: between two
+    operations, or before an access to a plain word such as an item's."""
     c = _controller
     if c is not None:
         c.pause(site)

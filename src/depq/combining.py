@@ -40,7 +40,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Iterable
 
 from . import atomics
-from .atomics import AtomicCell, checkpoint
+from .atomics import AtomicCell
 
 TWO_LOCKS = "two-locks"
 COMBINING = "combining"
@@ -147,7 +147,7 @@ class Combiner:
                 spins += 1
                 if spins % _SPIN_BEFORE_YIELD == 0:
                     time.sleep(0)
-            if not cell.completed.load(site="cc-completed"):
+            if not cell.completed.load():
                 self._combine(cell)
         finally:
             self._guard.exit()
@@ -180,8 +180,8 @@ class Combiner:
                 except Exception as exc:
                     rec.error = exc
                 served += 1
-                rec.completed.store(1, site="cc-set-completed")
-                rec.wait.store(0, site="cc-clear-wait")
+                rec.completed.store(1)
+                rec.wait.store(0)
                 rec = nxt
             self._finalize()
         finally:
@@ -190,7 +190,7 @@ class Combiner:
             if owner:
                 self._combining.release()
             # Handoff: whoever owns (or will receive) this record combines next.
-            rec.wait.store(0, site="cc-handoff")
+            rec.wait.store(0)
 
 
 class EndLock:
@@ -225,7 +225,6 @@ class EndLock:
             finally:
                 self._guard.exit()
                 self.stats.record(1)
-                checkpoint("lock-release")
                 self._lock.release()
 
 

@@ -89,10 +89,13 @@ class DualDepq:
         other = self.max_pq if end == MIN else self.min_pq
         # Slot and key are read inline, as in the lists' hot loops.
         slots, lock = self._slots, self._rmw_lock
+        index = None
         while True:
-            index = own.pq_extract_first()
+            prior, index = index, own.pq_extract_first()
             if index is None:
                 return None
+            if index == prior:   # a claimed item was not deleted from its queue
+                raise AssertionError(f"{('min', 'max')[end]} end popped index {index} twice")
             item = slots[index]
             if item is POISONED:
                 raise reclaimed_access(index)

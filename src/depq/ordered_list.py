@@ -296,7 +296,7 @@ class ListPair:
         """
         # Raw link words and inlined poison checks, as in ``insert``.
         items = self.arena.slots
-        last = self._head[end].load(site="ex-read-head")
+        last = self._head[end].load()
         while True:
             last_item = items[last]
             if last_item is POISONED:
@@ -342,9 +342,8 @@ class ListPair:
         and moves the head to the first node whose word is not: the prefix's
         last node.  Returns the unlinked node indices (oldest first) so the
         caller can run them through reclamation.  Only the head write
-        pauses: a marked word never changes and only this end's consumer
-        sets a mark, so a pause before the reads would only multiply the
-        interleavings a replay explores.
+        pauses (see :mod:`depq.atomics`): a marked word never changes and
+        only this end's consumer sets a mark.
         """
         items = self.arena.slots
         head_cell = self._head[end]

@@ -85,6 +85,30 @@ def test_random_traffic_matches_oracle(dual):
             assert dual.extract_max() == oracle.extract_max()
 
 
+class StuckQueue:
+    """Breaks the queue contract: every pop returns the same index, claimed
+    or not, as a list would if extraction left its mark bit clear."""
+
+    has_delete = False
+
+    def __init__(self, index):
+        self.index = index
+
+    def pq_extract_first(self):
+        return self.index
+
+
+def test_a_queue_that_pops_a_claimed_index_again_fails_the_claim_loop():
+    arena = Arena()
+    index = arena.new_item(5)
+    assert try_reserve(arena.item(index), arena.rmw_lock)
+    dual = DualDepq(arena, StuckQueue(index), StuckQueue(index))
+    with pytest.raises(AssertionError, match=f"min end popped index {index} twice"):
+        dual.extract_min()
+    with pytest.raises(AssertionError, match=f"max end popped index {index} twice"):
+        dual.extract_max()
+
+
 def test_dual_list_never_calls_pq_delete(monkeypatch):
     # Lists advertise no delete, so a claim leaves the other list alone.
     def refuse(self, index):
