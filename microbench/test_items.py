@@ -1,4 +1,4 @@
-"""Layer microbenchmarks of ``Arena.new_item`` and ``AtomicCell``.
+"""Layer microbenchmarks of ``Arena.new_item`` and of a shared word's access.
 
 Run with the pytest-benchmark plugin, outside the tier-1 suite::
 
@@ -8,23 +8,26 @@ Run with the pytest-benchmark plugin, outside the tier-1 suite::
 round, on an arena that grows by one item per call.  It records in
 ``extra_info["bytes_per_item"]`` the memory that ``BYTES_ITEMS`` calls
 allocate per item on a fresh arena, as ``tracemalloc`` counts it (the
-arena's slot included).  ``test_cell``
-times one uncontended ``AtomicCell`` operation, ``CELL_ITERATIONS`` to a
-round, with no trace controller installed: a ``load``, a
-``compare_and_swap`` that succeeds, and a ``fetch_or``; none changes the
-cell's value.  Only the public API is used.
+arena's slot included).  ``test_word``
+times one uncontended access to a shared word, as :mod:`depq.atomics` sets
+it out, ``WORD_ITERATIONS`` to a round, with no trace controller
+installed: a sited read (``checkpoint`` and a list index) and a sited
+compare-and-swap of an item's link word under the arena's ``rmw_lock``
+that succeeds without changing the word.  Each is one Python call.  Only
+the public API is used.
 """
 
 import tracemalloc
 
 import pytest
 
-from depq.atomics import AtomicCell
-from depq.items import Arena
+from depq.atomics import checkpoint
+from depq.items import MIN, Arena
+from depq.ordered_list import ListPair
 
 ROUNDS = 20_000
 ITERATIONS = 10
-CELL_ITERATIONS = 100
+WORD_ITERATIONS = 100
 BYTES_ITEMS = 10_000
 
 
@@ -48,11 +51,32 @@ def test_new_item(benchmark):
     assert arena.item(len(arena) - 1).key.user_key == 5
 
 
-@pytest.mark.parametrize("op, args", [("load", ()), ("compare_and_swap", (7, 7)),
-                                      ("fetch_or", (1,))],
-                         ids=["load", "compare_and_swap", "fetch_or"])
-def test_cell(benchmark, op, args):
-    cell = AtomicCell(7)
-    benchmark.pedantic(getattr(cell, op), args=args, rounds=ROUNDS // CELL_ITERATIONS,
-                       iterations=CELL_ITERATIONS, warmup_rounds=2)
-    assert cell.load() == 7
+def sited_read(words: list, end: int):
+    checkpoint("ins-read-link")
+    return words[end]
+
+
+def sited_cas(words: list, end: int, expected: int, new: int, lock) -> bool:
+    checkpoint("ins-cas")
+    with lock:
+        if words[end] == expected:
+            words[end] = new
+            return True
+        return False
+
+
+@pytest.mark.parametrize("op", ["sited_read", "sited_cas"])
+def test_word(benchmark, op):
+    arena = Arena()
+    lists = ListPair(arena)
+    index = arena.new_item(7)
+    lists.insert(index)
+    link = arena.item(index).link
+    word = link[MIN]
+    fn, args, expected = {
+        "sited_read": (sited_read, (link, MIN), word),
+        "sited_cas": (sited_cas, (link, MIN, word, word, arena.rmw_lock), True)}[op]
+    result = benchmark.pedantic(fn, args=args, rounds=ROUNDS // WORD_ITERATIONS,
+                                iterations=WORD_ITERATIONS, warmup_rounds=2)
+    assert result == expected
+    assert link[MIN] == word

@@ -4,7 +4,7 @@ priority queues, plus the machinery to validate it: per-end serializers
 checker, a sequential oracle, and a stress/bench CLI.
 """
 
-from .atomics import AtomicCell, checkpoint, set_controller
+from .atomics import checkpoint, set_controller
 from .combining import COMBINING, TWO_LOCKS, Combiner, make_serializer
 from .dual_depq import DualDepq, make_multi_consumer
 from .items import MAX, MIN, Arena, Key, is_reserved, key_less, try_reserve
@@ -17,7 +17,7 @@ from .reclaim import DEFERRED, EPOCH, Reclaimer
 from .sched import ControlledScheduler, ScheduleError, explore_interleavings
 
 __all__ = [
-    "Arena", "AtomicCell", "AuditReport", "CheckResult", "Combiner",
+    "Arena", "AuditReport", "CheckResult", "Combiner",
     "COMBINING", "ControlledScheduler", "DEFERRED", "DualDepq", "EMPTY",
     "EPOCH", "Event", "Key", "ListDepq", "ListPair", "ListPq",
     "LockedHeapPq", "MAX", "MIN", "Recorder", "Reclaimer", "ScheduleError",

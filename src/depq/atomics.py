@@ -1,21 +1,20 @@
-"""Single-word atomic cells and the instrumentation hook used by the
-controlled scheduler.
+"""Pause points for the controlled scheduler, and the one rule every shared
+word of this package follows.
 
-A long-lived shared word, such as a list head, the reclaimer's epoch or a
-combiner record's flag, lives in an :class:`AtomicCell`.  Plain loads and
-stores of a Python attribute are already atomic under the GIL; the
-read-modify-write operations (CAS, fetch-or, swap, ...) take a lock so they
-are atomic on any Python implementation.  The words of an item, one made
-per insert, are plain values instead, so an insert builds no cell: their
-read-modify-writes take the arena's lock themselves and pause through
-:func:`checkpoint` (see :class:`depq.items.Item`).
+A shared word (an item's link word or claim flag, a list head, the
+reclaimer's epoch, a combiner record's flag, a count) is a plain value,
+an attribute or an int in a list, whose load or store is atomic under the
+GIL.  An access with a pause *site*, a short label for the calling code
+location, is :func:`checkpoint` and then the plain read or write.  A
+read-modify-write (a publish CAS, a mark, a claim, an epoch advance, a
+combiner's tail swap, the increment of a count with more than one writer)
+runs under a lock the structure already holds, such as the arena's
+``rmw_lock``, so it is atomic on any Python implementation.
 
-Each operation optionally names a *site* (a short label for the calling
-code location).  When a controller is installed, the calling thread pauses
-at that site before the operation executes.  This is what lets the test
-scheduler freeze a thread "immediately before its CAS" or explore every
-interleaving of two operations.  With no controller installed the check is
-a single global load, so production use pays almost nothing.
+When a controller is installed, the calling thread pauses at each site
+before the access, so a test scheduler can freeze a thread "immediately
+before its CAS" or explore every interleaving of two operations.  With no
+controller installed the check is a single global load.
 
 A thread about to wait for another, for an end's lock or its combining
 flag, pauses through :func:`wait` and names what keeps it waiting; it is
@@ -25,11 +24,6 @@ thread's next access pauses nowhere: a read of a word only its own thread
 writes (a consumer's read of its end's head), or a write read only by
 threads disabled in a wait (an end lock's release, a combining record's
 flags).  A pause there multiplies an exploration's runs, not its outcomes.
-
-Counts need no type of their own: every count in this package is a plain
-int, or a list of ints, that has one writer at a time (one end's consumer,
-say) or is bumped under a lock its writer holds anyway.  Both serializer
-modes keep their stats this way.
 """
 
 from __future__ import annotations
@@ -54,7 +48,7 @@ def set_controller(controller: TraceController | None) -> None:
 
 def checkpoint(site: str) -> None:
     """A pause point with no memory operation of its own: between two
-    operations, or before an access to a plain word such as an item's."""
+    operations, or before an access to a shared word."""
     c = _controller
     if c is not None:
         c.pause(site)
@@ -73,14 +67,16 @@ def wait(site: str, blocked: Callable[[], Any]) -> None:
 
 
 class AtomicCell:
-    """One atomically updatable word holding an arbitrary value."""
+    """One word with its own lock.  No module of this package uses it, as
+    every shared word follows the rule above; the benchmark tracer
+    (``benchmarks/depqbench/trace.py``) imports it and patches its four
+    read-modify-writes.  Delete it once the tracer counts locks instead."""
 
     __slots__ = ("_value", "_lock")
 
-    def __init__(self, value: Any = 0, lock: threading.Lock | None = None):
+    def __init__(self, value: Any = 0):
         self._value = value
-        # RMW lock; may be shared between many cells of one structure.
-        self._lock = lock if lock is not None else threading.Lock()
+        self._lock = threading.Lock()
 
     def load(self, site: str | None = None) -> Any:
         if site is not None and _controller is not None:
@@ -127,6 +123,3 @@ class AtomicCell:
             prior = self._value
             self._value = prior + delta
             return prior
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AtomicCell({self._value!r})"

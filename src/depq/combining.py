@@ -40,7 +40,6 @@ from types import SimpleNamespace
 from typing import Any, Callable, Iterable
 
 from . import atomics
-from .atomics import AtomicCell
 
 TWO_LOCKS = "two-locks"
 COMBINING = "combining"
@@ -84,13 +83,13 @@ _NO_GUARD = SimpleNamespace(enter=_nothing, exit=_nothing)
 class CombinerRecord:
     __slots__ = ("request", "result", "error", "wait", "completed", "next_rec")
 
-    def __init__(self, lock: threading.Lock):
+    def __init__(self) -> None:
         self.request: Any = None
         self.result: Any = None
         self.error: Exception | None = None
-        self.wait = AtomicCell(0, lock)
-        self.completed = AtomicCell(0, lock)
-        self.next_rec = AtomicCell(None, lock)
+        self.wait = 0
+        self.completed = 0
+        self.next_rec: CombinerRecord | None = None
 
 
 class Combiner:
@@ -109,45 +108,43 @@ class Combiner:
         self._apply = apply
         self._finalize = finalize or _nothing
         self._guard = guard if guard is not None else _NO_GUARD
-        # The records' RMW lock; ``stats`` is updated under it too.
+        # The tail's swap runs under this lock; ``stats`` is updated under it too.
         self._lock = threading.Lock()
-        self._tail = AtomicCell(CombinerRecord(self._lock), self._lock)
+        self._tail = CombinerRecord()
         self._spare = threading.local()
         # Held by the active combiner: the at-most-one-combiner check.
         self._combining = threading.Lock()
         self.stats = BatchStats()
 
-    def _fresh_record(self) -> CombinerRecord:
-        spare = getattr(self._spare, "rec", None)
-        if spare is None:
-            spare = CombinerRecord(self._lock)
-        return spare
-
     def announce(self, request: Any) -> Any:
         """Submit a request; blocks until some combiner has applied it."""
         self._guard.enter()
         try:
-            fresh = self._fresh_record()
-            fresh.next_rec.store(None)
-            fresh.wait.store(1)
-            fresh.completed.store(0)
+            fresh = getattr(self._spare, "rec", None) or CombinerRecord()
+            fresh.next_rec = None
+            fresh.wait = 1
+            fresh.completed = 0
             fresh.error = None
-            cell = self._tail.swap(fresh, site="cc-swap")
+            atomics.checkpoint("cc-swap")
+            with self._lock:
+                cell = self._tail
+                self._tail = fresh
             cell.request = request
-            cell.next_rec.store(fresh, site="cc-link")
+            atomics.checkpoint("cc-link")
+            cell.next_rec = fresh
             # The received record is recycled as this thread's next fresh one.
             self._spare.rec = cell
 
             spins = 0
             while True:
                 if atomics._controller is not None:
-                    atomics.wait("cc-spin", cell.wait.load)
-                if not cell.wait.load():
+                    atomics.wait("cc-spin", lambda: cell.wait)
+                if not cell.wait:
                     break
                 spins += 1
                 if spins % _SPIN_BEFORE_YIELD == 0:
                     time.sleep(0)
-            if not cell.completed.load():
+            if not cell.completed:
                 self._combine(cell)
         finally:
             self._guard.exit()
@@ -172,7 +169,8 @@ class Combiner:
         served = 0
         try:
             while served < self.batch_cap:
-                nxt = rec.next_rec.load(site="cc-read-next")
+                atomics.checkpoint("cc-read-next")
+                nxt = rec.next_rec
                 if nxt is None:
                     break
                 try:
@@ -180,8 +178,8 @@ class Combiner:
                 except Exception as exc:
                     rec.error = exc
                 served += 1
-                rec.completed.store(1)
-                rec.wait.store(0)
+                rec.completed = 1
+                rec.wait = 0
                 rec = nxt
             self._finalize()
         finally:
@@ -190,7 +188,7 @@ class Combiner:
             if owner:
                 self._combining.release()
             # Handoff: whoever owns (or will receive) this record combines next.
-            rec.wait.store(0)
+            rec.wait = 0
 
 
 class EndLock:

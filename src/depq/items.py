@@ -67,12 +67,12 @@ class Item:
     the lists' index, one for both ends, or None.  Reading one on an item
     no list has taken raises ``AttributeError``.
 
-    ``reserved``, ``unlinked`` and both link words are plain values, not
-    ``AtomicCell`` objects: a plain load or store is atomic under the GIL,
-    and every read-modify-write of one (the claim, the retire count's
-    increment, the publish CAS and the marking fetch-or) runs under the
-    arena's :attr:`~Arena.rmw_lock`.  Each read or read-modify-write that
-    has a pause site pauses there first, through ``checkpoint``.
+    ``reserved``, ``unlinked`` and both link words are plain values, as
+    :mod:`depq.atomics` sets out: every read-modify-write of one (the claim,
+    the retire count's increment, the publish CAS and the marking fetch-or)
+    runs under the arena's :attr:`~Arena.rmw_lock`.  Each read or
+    read-modify-write that has a pause site pauses there first, through
+    ``checkpoint``.
     """
 
     __slots__ = ("index", "key", "reserved", "unlinked", "link",

@@ -22,13 +22,13 @@ history into an explicit inconclusive verdict rather than a hang.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 import threading
 from bisect import insort
 from dataclasses import asdict, dataclass
 
-from .atomics import AtomicCell
 from .oracle import SeqDepq, seq_apply
 
 #: Recorded result of an extraction that found the structure empty.
@@ -91,7 +91,7 @@ class Recorder:
     """Wraps a queue so every operation emits a timestamped event."""
 
     def __init__(self) -> None:
-        self._clock = AtomicCell(0)
+        self._clock = itertools.count()   # ``next`` is atomic under the GIL
         self._lock = threading.Lock()
         self._events: list[Event] = []
         self._thread_ids: dict[int, int] = {}
@@ -103,14 +103,14 @@ class Recorder:
 
     def begin(self, kind: str, arg: int | None) -> Event:
         ev = Event(thread=self._thread_id(), kind=kind, arg=arg, result=None,
-                   invoke=self._clock.fetch_add(1), response=None)
+                   invoke=next(self._clock), response=None)
         with self._lock:
             self._events.append(ev)
         return ev
 
     def finish(self, ev: Event, result: int | str | None) -> None:
         ev.result = result
-        ev.response = self._clock.fetch_add(1)
+        ev.response = next(self._clock)
 
     def wrap(self, depq) -> "RecordedDepq":
         return RecordedDepq(depq, self)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .atomics import AtomicCell, checkpoint
+from .atomics import checkpoint
 from .items import (MAX, MIN, NONE_IDX, POISONED, Arena, Item, Key, key_less,
                     pack_link, reclaimed_access, unpack_link)
 
@@ -116,7 +116,6 @@ class ListPair:
         self.insert_cas_failures = 0
         dummy = arena.new_dummy()
         dummy_item = arena.item(dummy)
-        lock = arena.rmw_lock
         # The sentinel is on both lists and counts as logically deleted
         # from the start; it has no tower.
         dummy_item.link = [0, 0]
@@ -124,19 +123,19 @@ class ListPair:
         dummy_item.marked_into = [True, True]
         dummy_item.tower = None
         self.dummy = dummy
-        self._head = [AtomicCell(dummy, lock), AtomicCell(dummy, lock)]
+        self._head = [dummy, dummy]
         # The first tower on each index level, and the number of levels in
         # use.  Index links are plain references, changed by compare-and-swap
-        # under ``lock``; ``_top`` only grows, also under ``lock``.  So are
+        # under ``_lock``; ``_top`` only grows, also under ``_lock``.  So are
         # the items' link words: see :class:`~depq.items.Item`.
-        self._lock = lock
+        self._lock = arena.rmw_lock
         self._index: list[IndexNode | None] = [None] * LEVELS
         self._top = 0
 
     # -- accessors -----------------------------------------------------------
 
     def head(self, end: int) -> int:
-        return self._head[end].load()
+        return self._head[end]
 
     # -- operations ----------------------------------------------------------
 
@@ -184,7 +183,8 @@ class ListPair:
         lock = self._lock
         published = pack_link(node.index, 0)
         if start is None:
-            pred = self._head[end].load(site="ins-read-head")
+            checkpoint("ins-read-head")
+            pred = self._head[end]
         else:
             pred = start.index
         while True:
@@ -296,7 +296,7 @@ class ListPair:
         """
         # Raw link words and inlined poison checks, as in ``insert``.
         items = self.arena.slots
-        last = self._head[end].load()
+        last = self._head[end]
         while True:
             last_item = items[last]
             if last_item is POISONED:
@@ -346,8 +346,7 @@ class ListPair:
         only this end's consumer sets a mark.
         """
         items = self.arena.slots
-        head_cell = self._head[end]
-        node = head_cell.load()
+        node = self._head[end]
         removed = []
         while True:
             item = items[node]
@@ -359,7 +358,8 @@ class ListPair:
             removed.append(node)
             node = (word >> 1) - 1
         if removed:
-            head_cell.store(node, site="uh-write-head")
+            checkpoint("uh-write-head")
+            self._head[end] = node
         return removed
 
     # -- inspection ----------------------------------------------------------
@@ -368,7 +368,7 @@ class ListPair:
         """All node indices reachable from the head, in list order."""
         arena = self.arena
         out = []
-        node = self._head[end].load()
+        node = self._head[end]
         limit = len(arena) + 2
         while node != NONE_IDX and len(out) <= limit:
             out.append(node)
@@ -390,7 +390,7 @@ class ListPair:
         """Node indices of the live suffix (after the deleted prefix), in
         list order, claimed nodes included."""
         arena = self.arena
-        word = arena.item(self._head[end].load()).link[end]
+        word = arena.item(self._head[end]).link[end]
         while word & 1:   # skip the deleted prefix
             word = arena.item((word >> 1) - 1).link[end]
         out = []
@@ -412,7 +412,7 @@ class ListPair:
         report = AuditReport(end=end)
         limit = len(arena) + 2
 
-        node = self._head[end].load()
+        node = self._head[end]
         path: list[tuple[int, int | None, bool]] = []
         seen = 0
         incoming_marked: list[bool] = []  # incoming_marked[i]: edge path[i] -> path[i+1]
@@ -457,7 +457,7 @@ class ListPair:
                 report.suffix_sorted = False
                 report.notes.append(f"suffix out of order: {a} !< {b}")
 
-        if not arena.item(self._head[end].load()).marked_into[end]:
+        if not arena.item(self._head[end]).marked_into[end]:
             report.head_deleted = False
             report.notes.append("head names a live node")
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 
-from .atomics import AtomicCell, checkpoint
+from .atomics import checkpoint
 from .items import POISONED, Arena
 
 _QUIESCENT = -1
@@ -50,9 +50,9 @@ class Reclaimer:
         self._rmw_lock = arena.rmw_lock    # the lock of the retire counts
         self.mode = mode
         self._lock = threading.Lock()
-        self._epoch = AtomicCell(0, self._lock)
-        self._slots: dict[int, AtomicCell] = {}
-        self._active: tuple[AtomicCell, ...] = ()   # ``_slots``' values
+        self._epoch = 0                    # written only under ``_lock``
+        self._slots: dict[int, list[int]] = {}
+        self._active: tuple[list[int], ...] = ()   # ``_slots``' values
         self._local = threading.local()
         # Retired nodes by retire epoch modulo 3; ``deferred`` mode stays at
         # epoch 0, so it only fills ``_limbo[0]``.
@@ -88,14 +88,15 @@ class Reclaimer:
     def _retire(self, index: int) -> None:
         with self._lock:
             self._retired += 1
-            self._limbo[self._epoch.load() % 3].append(index)
+            self._limbo[self._epoch % 3].append(index)
 
     # -- epoch machinery ---------------------------------------------------------
 
-    def _new_slot(self) -> AtomicCell:
-        """Give this thread its epoch slot: cached in a thread-local for
-        ``enter``/``exit``, registered in ``_slots`` for ``try_advance``."""
-        slot = self._local.slot = AtomicCell(_QUIESCENT, self._lock)
+    def _new_slot(self) -> list[int]:
+        """Give this thread its epoch slot, a one-element list only it
+        writes: cached in a thread-local for ``enter``/``exit``, registered
+        in ``_slots`` for ``try_advance``."""
+        slot = self._local.slot = [_QUIESCENT]
         with self._lock:
             self._slots[threading.get_ident()] = slot
             self._active = tuple(self._slots.values())
@@ -105,7 +106,9 @@ class Reclaimer:
         """Mark this thread active in the current epoch."""
         if self.mode == EPOCH:
             slot = getattr(self._local, "slot", None) or self._new_slot()
-            slot.store(self._epoch.load(), site="epoch-enter")
+            epoch = self._epoch
+            checkpoint("epoch-enter")
+            slot[0] = epoch
 
     def exit(self) -> None:
         """Leave the epoch.
@@ -118,9 +121,10 @@ class Reclaimer:
         """
         if self.mode == EPOCH:
             slot = getattr(self._local, "slot", None) or self._new_slot()
-            entered = slot.load()
-            slot.store(_QUIESCENT, site="epoch-exit")
-            epoch = self._epoch.load()
+            entered = slot[0]
+            checkpoint("epoch-exit")
+            slot[0] = _QUIESCENT
+            epoch = self._epoch
             if (entered != epoch and getattr(self._local, "advanced_to", None) != epoch
                     and self.try_advance()):
                 self.try_advance()
@@ -134,16 +138,16 @@ class Reclaimer:
         """
         if self.mode != EPOCH or self._retired == self._freed:
             return False
-        current = self._epoch.load()
+        current = self._epoch
         for slot in self._active:
-            seen = slot.load()
+            seen = slot[0]
             if seen != _QUIESCENT and seen != current:
                 return False
         # The epoch's compare-and-swap and the limbo swap are one step.
         with self._lock:
-            if self._epoch.load() != current:
+            if self._epoch != current:
                 return False
-            self._epoch.store(current + 1)
+            self._epoch = current + 1
             oldest = (current - 1) % 3
             victims = self._limbo[oldest]
             self._limbo[oldest] = []

@@ -12,11 +12,15 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from helpers import run_on_plain_threads
 
 from depq.atomics import set_controller
 from depq.combining import (COMBINING, TWO_LOCKS, Combiner, CombinerRecord,
                             make_serializer)
 from depq.sched import ControlledScheduler, random_walk
+
+#: Seconds a test that runs announces on plain threads waits for them.
+BOUND_S = 20
 
 
 def test_batch_cap_must_be_positive():
@@ -52,13 +56,21 @@ def test_overlapping_combine_passes_count_a_gauge_violation():
     def apply(req):
         if req == "nest":
             # A second pass, on a spare record with nothing linked behind it.
-            comb._combine(CombinerRecord(threading.Lock()))
+            comb._combine(CombinerRecord())
         return req
 
+    def announce_both():
+        nested = comb.announce("nest")
+        return nested, comb.stats.snapshot()["gauge_violations"], comb.announce("after")
+
     comb = Combiner(apply)
-    assert comb.announce("nest") == "nest"
-    assert comb.stats.snapshot()["gauge_violations"] == 1
-    assert comb.announce("after") == "after"
+    # On a plain thread under a bound, so a lost handoff fails, not hangs.
+    [outcome] = run_on_plain_threads(announce_both, timeout=BOUND_S)
+    assert outcome is not None, f"an announce still waits after {BOUND_S} s"
+    nested, violations, after = outcome
+    assert nested == "nest"
+    assert violations == 1
+    assert after == "after"
     assert comb.stats.snapshot()["gauge_violations"] == 1
 
 
@@ -155,13 +167,15 @@ def _check_exactly_once(mode):
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
+    threads = [threading.Thread(target=worker, args=(t,), daemon=True)
+               for t in range(n_threads)]
     for t in threads:
         t.start()
+    deadline = time.monotonic() + BOUND_S    # shared, so a hang fails within it
     for t in threads:
-        t.join(timeout=60)
+        t.join(timeout=max(0.0, deadline - time.monotonic()))
 
-    assert not any(t.is_alive() for t in threads)
+    assert not any(t.is_alive() for t in threads), f"announces still run after {BOUND_S} s"
     assert not errors
     assert len(seen) == per_thread * n_threads
     assert len(set(seen)) == len(seen)        # exactly once, no duplicates

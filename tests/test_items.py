@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from depq.atomics import AtomicCell
+from depq.combining import MODES
 from depq.items import (MAX, MIN, NONE_IDX, Arena, Key, is_reserved, key_less,
                         pack_link, try_reserve, unpack_link)
+from depq.lincheck import Recorder
 from depq.ordered_list import ListPair, tower_height
 from depq.reclaim import DEFERRED, EPOCH
 from depq.workload import BUILDS, WorkloadConfig
@@ -52,11 +54,12 @@ def test_list_insert_gives_the_node_its_list_fields():
     assert 0 < towered < 8
 
 
-@pytest.mark.parametrize("impl, reclaim_mode", [("list-depq", DEFERRED), ("list-depq", EPOCH),
-                                                 ("dual-heap", DEFERRED)])
-def test_an_insert_constructs_no_atomic_cell(monkeypatch, impl, reclaim_mode):
-    depq = BUILDS[impl](WorkloadConfig(impl=impl, reclaim_mode=reclaim_mode))
-    depq.insert(0)      # builds this thread's epoch slot, once per thread
+@pytest.mark.parametrize("impl, mode, reclaim_mode", [
+    (impl, mode, reclaim_mode) for impl in BUILDS for mode in MODES
+    for reclaim_mode in (DEFERRED, EPOCH) if impl == "list-depq" or reclaim_mode == DEFERRED])
+def test_no_build_constructs_an_atomic_cell(monkeypatch, impl, mode, reclaim_mode):
+    """Every shared word is a plain value (see :mod:`depq.atomics`): neither
+    the build, nor its operations, nor a recorder around them makes a cell."""
     built = []
     real_init = AtomicCell.__init__
 
@@ -65,11 +68,14 @@ def test_an_insert_constructs_no_atomic_cell(monkeypatch, impl, reclaim_mode):
         real_init(cell, *args, **kwargs)
 
     monkeypatch.setattr(AtomicCell, "__init__", counted)
-    for key in range(1, 50):
+    depq = BUILDS[impl](WorkloadConfig(impl=impl, mode=mode, reclaim_mode=reclaim_mode))
+    for key in range(50):
         depq.insert(key)
+    assert (depq.extract_min(), depq.extract_max()) == (0, 49)
+    assert Recorder().wrap(depq).extract_min() == 1
     monkeypatch.undo()
     assert built == []
-    assert sorted(depq.remaining_keys()) == list(range(50))
+    assert sorted(depq.remaining_keys()) == list(range(2, 49))
 
 
 def test_new_item_costs_under_450_bytes():

@@ -75,7 +75,7 @@ def test_try_advance_with_nothing_retired_keeps_the_epoch():
     rec.enter()
     rec.exit()
     assert rec.try_advance() is False
-    assert rec._epoch.load() == 0
+    assert rec._epoch == 0
     # Once a node awaits freeing, the epoch moves as before.
     idx = arena.new_item(1)
     rec.enter()
@@ -88,7 +88,7 @@ def test_try_advance_with_nothing_retired_keeps_the_epoch():
     assert arena.is_poisoned(idx)
     assert rec.snapshot()["freed"] == 1
     assert rec.try_advance() is False
-    assert rec._epoch.load() == 2
+    assert rec._epoch == 2
 
 
 def test_epoch_reclamation_completes_after_real_thread_bursts():

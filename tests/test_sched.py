@@ -1,5 +1,7 @@
-"""The controlled scheduler itself: stepping, walks, exploration."""
+"""The controlled scheduler itself: stepping, walks, exploration; and the
+pause schedule it drives through each build."""
 
+import hashlib
 import random
 import sys
 import threading
@@ -10,9 +12,11 @@ import pytest
 from depq import atomics
 from depq import sched as sched_module
 from depq.atomics import AtomicCell, checkpoint
-from depq.combining import TWO_LOCKS, make_serializer
+from depq.combining import COMBINING, TWO_LOCKS, make_serializer
+from depq.reclaim import DEFERRED, EPOCH
 from depq.sched import (ControlledScheduler, ScheduleError,
                         explore_interleavings, random_walk)
+from depq.workload import WorkloadConfig, run_stress
 
 
 def test_uninstalled_controller_costs_nothing():
@@ -543,3 +547,34 @@ def test_waiters_left_at_an_error_exit_end_by_their_starvation_timeout(monkeypat
     for thread in threads:
         thread.join(timeout=max(0.0, deadline - time.monotonic()))
     assert not any(t.is_alive() for t in threads)
+
+
+PAUSE_SCHEDULES = {
+    ("list-depq", TWO_LOCKS, DEFERRED): "508762893f32fc4b",
+    ("list-depq", TWO_LOCKS, EPOCH): "d2b6eabcb8cc2e49",
+    ("list-depq", COMBINING, DEFERRED): "6e84402c494042e7",
+    ("list-depq", COMBINING, EPOCH): "c7847cd2acf8400e",
+    ("dual-heap", TWO_LOCKS, DEFERRED): "06f003a016d6744b",
+    ("dual-heap", COMBINING, DEFERRED): "4a84113ea2af8e9b",
+}
+
+
+@pytest.mark.parametrize("impl, mode, reclaim_mode", list(PAUSE_SCHEDULES))
+def test_stress_windows_keep_their_pause_schedule(monkeypatch, impl, mode, reclaim_mode):
+    """The drive traces of 50 seeded stress windows, hashed.  A trace names
+    each step's thread and the threads parked with it, so a pause site
+    added, removed or moved past another thread's access changes the hash;
+    a change to how a word is stored, with every site kept, does not."""
+    traces = []
+    drive = ControlledScheduler.drive
+
+    def recorded(sched, *args, **kwargs):
+        trace = drive(sched, *args, **kwargs)
+        traces.append(trace)
+        return trace
+
+    monkeypatch.setattr(ControlledScheduler, "drive", recorded)
+    run_stress(WorkloadConfig(impl, mode, reclaim_mode=reclaim_mode, seed=7), windows=50)
+    assert len(traces) == 50
+    digest = hashlib.sha256(repr(traces).encode()).hexdigest()[:16]
+    assert digest == PAUSE_SCHEDULES[impl, mode, reclaim_mode]
