@@ -50,7 +50,8 @@ def unpack_link(word: int) -> tuple[int, int]:
 
 
 class Item:
-    """A queue element: its key, its claim flag and its retire count.
+    """A queue element: its key, its claim flag and its retire count.  Its
+    arena index is not stored: callers reach an item through it.
 
     ``reserved`` arbitrates which end's extraction claims the item; it is
     set 0->1 at most once.  ``unlinked`` counts physical removals (one per
@@ -62,10 +63,11 @@ class Item:
     The list fields are declared here but set only by the lists, on a node
     they link (see :meth:`depq.ordered_list.ListPair.insert`): ``link``,
     one raw link word per end (see :func:`pack_link`); ``linked_into`` /
-    ``marked_into``, auditor bookkeeping tags written only in the same step
-    as the publish CAS / marking fetch-or; ``tower``, the item's node in
-    the lists' index, one for both ends, or None.  Reading one on an item
-    no list has taken raises ``AttributeError``.
+    ``marked_into``, one tag per end written only in the same step as the
+    publish CAS / marking fetch-or.  ``marked_into`` is the node's one
+    deletion record: the auditor reads it, and the item's index tower, if
+    it has one, holds the same list as its dead flags.  Reading one on an
+    item no list has taken raises ``AttributeError``.
 
     ``reserved``, ``unlinked`` and both link words are plain values, as
     :mod:`depq.atomics` sets out: every read-modify-write of one (the claim,
@@ -75,11 +77,10 @@ class Item:
     ``checkpoint``.
     """
 
-    __slots__ = ("index", "key", "reserved", "unlinked", "link",
-                 "linked_into", "marked_into", "tower")
+    __slots__ = ("key", "reserved", "unlinked", "link", "linked_into",
+                 "marked_into")
 
-    def __init__(self, index: int, key: Key | None):
-        self.index = index
+    def __init__(self, key: Key | None):
         self.key = key  # None only for the sentinel dummy
         self.reserved = 0
         self.unlinked = 0
@@ -90,7 +91,7 @@ class Item:
         return self.key.user_key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Item({self.index}, key={self.key})"
+        return f"Item(key={self.key})"
 
 
 class _Poisoned:
@@ -140,15 +141,14 @@ class Arena:
             self._uid = uid + 1
             index = len(self._items)
             # ``tuple.__new__`` skips the named tuple's Python-level ``__new__``.
-            self._items.append(Item(index, tuple.__new__(Key, (user_key, uid))))
+            self._items.append(Item(tuple.__new__(Key, (user_key, uid))))
             return index
 
     def new_dummy(self) -> int:
         """Create a sentinel item whose key is never compared."""
         with self._lock:
-            index = len(self._items)
-            self._items.append(Item(index, None))
-            return index
+            self._items.append(Item(None))
+            return len(self._items) - 1
 
     def item(self, index: int) -> Item:
         it = self._items[index]

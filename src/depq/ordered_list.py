@@ -30,12 +30,13 @@ ends although the lists' physical orders can drift apart: only the deleted
 prefixes drift (a key inserted after a deletion lands behind the deleted
 prefix, whatever its key), while each live suffix stays sorted by key.  So
 a tower whose node is still live on an end is a valid start on that end
-for any larger key (ascending) or any smaller key (descending).  Each
-tower has one dead flag per end, set by that end's consumer; it is unlinked
-only once both are set.  The index holds only search hints: one search
-finds a node close before the new key's slot on each list, and both list
-searches run from there instead of from the heads.  An index link may be
-lost to a race; that costs only speed, never correctness.
+for any larger key (ascending) or any smaller key (descending).  A
+tower's dead flags are its item's deletion tags, one per end, so the
+consumer's one tag store kills the tower on that end too; a tower is
+unlinked only once both are set.  The index holds only search hints: one
+search finds a node close before the new key's slot on each list, and both
+list searches run from there instead of from the heads.  An index link may
+be lost to a race; that costs only speed, never correctness.
 
 Ordering invariants are runtime-checkable through :meth:`ListPair.audit`,
 which is meant to run at quiescent points or with other threads parked by
@@ -47,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .atomics import checkpoint
-from .items import (MAX, MIN, NONE_IDX, POISONED, Arena, Item, Key, key_less,
+from .items import (MAX, MIN, NONE_IDX, POISONED, Arena, Key, key_less,
                     pack_link, reclaimed_access, unpack_link)
 
 
@@ -71,22 +72,21 @@ class IndexNode:
 
     ``key`` and ``index`` copy the item's key and arena index, so a search
     compares keys without touching the item.  ``next[lvl]`` is the next
-    tower on index level ``lvl``, or None.  ``min_dead`` and ``max_dead``
-    are one flag per end, each set only by that end's consumer when it
-    logically deletes the item; from then on the item may be reclaimed, so
-    a tower leads to its item as a start on one end only if it was read as
-    not dead on that end.  Two separate fields, so the two consumers never
-    overwrite each other's flag.  A tower dead on both ends is unlinked by
-    the searches that meet it.
+    tower on index level ``lvl``, or None.  ``dead`` is the item's own
+    ``marked_into`` list, not a copy: ``dead[end]`` turns True when that
+    end's consumer logically deletes the item, and the list outlives the
+    item's reclamation.  From that store on the item may be reclaimed, so a
+    tower leads to its item as a start on one end only if it was read as
+    not dead on that end.  A tower dead on both ends is unlinked by the
+    searches that meet it.
     """
 
-    __slots__ = ("key", "index", "min_dead", "max_dead", "next")
+    __slots__ = ("key", "index", "dead", "next")
 
-    def __init__(self, key: Key, index: int, height: int):
+    def __init__(self, key: Key, index: int, dead: list[bool], height: int):
         self.key = key
         self.index = index
-        self.min_dead = False
-        self.max_dead = False
+        self.dead = dead
         self.next: list[IndexNode | None] = [None] * height
 
 
@@ -121,7 +121,6 @@ class ListPair:
         dummy_item.link = [0, 0]
         dummy_item.linked_into = [True, True]
         dummy_item.marked_into = [True, True]
-        dummy_item.tower = None
         self.dummy = dummy
         self._head = [dummy, dummy]
         # The first tower on each index level, and the number of levels in
@@ -145,13 +144,13 @@ class ListPair:
         The item comes from :meth:`Arena.new_item` with only its key and
         flags; the first step, before any pause site and before the node
         can be published, gives it the list fields (see :class:`Item`):
-        two link words with no successor, both tags False, and its tower
-        if its height gives it one.  One index search yields both list
-        starts (see ``_index_search``).  Each publish CAS is retried until
-        it lands, resuming from the node whose link word changed underneath
-        it.  Once the node is on both lists, its tower is linked into the
-        index: no search may start from a node that is not yet on the
-        descending list.
+        two link words with no successor and both tags False.  Its tower,
+        if its height gives it one, shares the deletion tags.  One index
+        search yields both list starts (see ``_index_search``).  Each
+        publish CAS is retried until it lands, resuming from the node whose
+        link word changed underneath it.  Once the node is on both lists,
+        its tower is linked into the index: no search may start from a node
+        that is not yet on the descending list.
         """
         node = self.arena.item(index)
         k = node.key
@@ -159,29 +158,28 @@ class ListPair:
         # A word of 0 is pack_link(NONE_IDX, 0): no successor, unmarked.
         node.link = [0, 0]
         node.linked_into = [False, False]
-        node.marked_into = [False, False]
-        # The tower is attached before the first publish, so the consumer
-        # that deletes this node on either end always finds it to mark.
+        dead = node.marked_into = [False, False]
         height = tower_height(k.uid)
-        tower = node.tower = IndexNode(k, index, height) if height else None
+        tower = IndexNode(k, index, dead, height) if height else None
         preds = [self._index] * height
         ascending, descending = self._index_search(k, preds)
-        self._publish(node, MIN, ascending, k.__gt__)
+        self._publish(index, MIN, ascending, k.__gt__)
         checkpoint("between-list-inserts")
-        self._publish(node, MAX, descending, k.__lt__)
+        self._publish(index, MAX, descending, k.__lt__)
         if tower is not None:
             self._link_tower(tower, preds)
 
-    def _publish(self, node: Item, end: int, start: IndexNode | None,
+    def _publish(self, index: int, end: int, start: IndexNode | None,
                  sorts_before_k) -> None:
-        """Link ``node`` into one list, searching from ``start``'s item, or
-        from the head when ``start`` is None."""
+        """Link the item at ``index`` into one list, searching from
+        ``start``'s item, or from the head when ``start`` is None."""
         # The hot loop works on raw link words (see ``pack_link``) and on the
         # arena's slots directly, checking for poison itself.  Each read or
         # CAS of a link word pauses at its site first, through ``checkpoint``.
         items = self.arena.slots
+        node = items[index]
         lock = self._lock
-        published = pack_link(node.index, 0)
+        published = pack_link(index, 0)
         if start is None:
             checkpoint("ins-read-head")
             pred = self._head[end]
@@ -240,14 +238,15 @@ class ListPair:
         for lvl in range(self._top - 1, -1, -1):
             nxt = links[lvl]
             while nxt is not None:
-                if nxt.min_dead and nxt.max_dead:
+                dead = nxt.dead
+                if dead[MIN] and dead[MAX]:
                     # May undo a concurrent link into ``nxt``: only a hint lost.
                     with lock:
                         if links[lvl] is nxt:
                             links[lvl] = nxt.next[lvl]
                     nxt = links[lvl]
                 elif nxt.key < k:
-                    if not nxt.min_dead:
+                    if not dead[MIN]:
                         ascending = nxt
                     links = nxt.next
                     nxt = links[lvl]
@@ -256,7 +255,7 @@ class ListPair:
             if lvl < height:
                 preds[lvl] = links
         # ``nxt`` is now the first level-0 tower above ``k``, or None.
-        if nxt is not None and nxt.max_dead:
+        if nxt is not None and nxt.dead[MAX]:
             nxt = None
         return ascending, nxt
 
@@ -269,9 +268,10 @@ class ListPair:
         """
         lock = self._lock
         k = tower.key
+        dead = tower.dead
         for lvl, links in enumerate(preds):
             while True:
-                if tower.min_dead and tower.max_dead:
+                if dead[MIN] and dead[MAX]:
                     return
                 nxt = links[lvl]
                 if nxt is not None and nxt.key < k:
@@ -292,7 +292,8 @@ class ListPair:
 
         Consumer-only.  Follows the marked link words from the head to the
         deleted prefix's last node, then marks that node's link with one
-        fetch-or; the successor it names is the node deleted.
+        fetch-or; the successor it names is the node deleted, and its tag
+        for this end, which is also its tower's dead flag, is set.
         """
         # Raw link words and inlined poison checks, as in ``insert``.
         items = self.arena.slots
@@ -322,16 +323,9 @@ class ListPair:
         item = items[target]
         if item is POISONED:
             raise reclaimed_access(target)
-        # Auditor tag and this end's index tombstone; written in the same
-        # step as the fetch-or above, and before sweep_head can hand the
-        # node to reclamation.  Each end writes only its own flag.
+        # Set in the same step as the fetch-or above, before sweep_head can
+        # hand the node to reclamation.  Each end writes only its own entry.
         item.marked_into[end] = True
-        tower = item.tower
-        if tower is not None:
-            if end == MIN:
-                tower.min_dead = True
-            else:
-                tower.max_dead = True
         self.marks[end] += 1
         return target
 
@@ -388,17 +382,20 @@ class ListPair:
 
     def suffix(self, end: int) -> list[int]:
         """Node indices of the live suffix (after the deleted prefix), in
-        list order, claimed nodes included."""
+        list order, claimed nodes included.  A walk longer than the arena,
+        a cycle, raises ``AssertionError`` naming the end."""
         arena = self.arena
-        word = arena.item(self._head[end]).link[end]
-        while word & 1:   # skip the deleted prefix
-            word = arena.item((word >> 1) - 1).link[end]
         out = []
-        node, _ = unpack_link(word)
-        while node != NONE_IDX:
-            out.append(node)
-            node, _ = unpack_link(arena.item(node).link[end])
-        return out
+        word = arena.item(self._head[end]).link[end]
+        for _ in range(len(arena)):
+            if word <= 1:   # no successor
+                return out
+            node = (word >> 1) - 1
+            if out or not word & 1:   # past the deleted prefix
+                out.append(node)
+            word = arena.item(node).link[end]
+        raise AssertionError(f"{('min', 'max')[end]} list walk exceeds the "
+                             "arena size: cycle suspected")
 
     def suffix_keys(self, end: int, include_reserved: bool = False) -> list[Key]:
         """Keys of the live suffix, in list order."""
@@ -465,12 +462,12 @@ class ListPair:
         return report
 
     def _audit_index(self, end: int, report: "AuditReport") -> None:
-        """Keys strictly ascend on every index level; a tower live on this
-        end names an item linked into both lists and not deleted from this
-        one; a towered item deleted from this list has this end's flag set."""
+        """Keys strictly ascend on every index level; a tower of an
+        unreclaimed item reads that item's deletion tags as its dead flags;
+        a tower live on this end names an item linked into both lists."""
         slots = self.arena.slots
-        dead_flag = "min_dead" if end == MIN else "max_dead"
         notes = []
+        linked: dict[IndexNode, None] = {}   # each tower once, in level order
         for level in range(LEVELS):
             towers = self.index_walk(level)
             if len(towers) > len(slots):
@@ -478,21 +475,18 @@ class ListPair:
             for a, b in zip(towers, towers[1:]):
                 if not key_less(a.key, b.key):
                     notes.append(f"index level {level} out of order: {a.key} !< {b.key}")
-            for tower in towers:
-                if getattr(tower, dead_flag):
-                    continue
-                item = slots[tower.index]
-                if item is POISONED:
-                    notes.append(f"live tower names reclaimed item {tower.index}")
-                elif not all(item.linked_into) or item.marked_into[end]:
-                    notes.append(f"tower live on this end names item {tower.index}, "
-                                 "which is not on both lists or is deleted from this one")
-        for item in slots:
+            linked.update(dict.fromkeys(towers))
+        for tower in linked:
+            item = slots[tower.index]
             if item is POISONED:
-                continue
-            tower = item.tower
-            if tower is not None and not getattr(tower, dead_flag) and item.marked_into[end]:
-                notes.append(f"deleted item {item.index} has a tower live on this end")
+                if not tower.dead[end]:
+                    notes.append(f"live tower names reclaimed item {tower.index}")
+            elif tower.dead is not item.marked_into:
+                notes.append(f"tower of item {tower.index} does not read its "
+                             "deletion tags")
+            elif not tower.dead[end] and not all(item.linked_into):
+                notes.append(f"tower live on this end names item {tower.index}, "
+                             "which is not on both lists")
         if notes:
             report.index_consistent = False
             report.notes += notes

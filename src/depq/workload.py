@@ -221,10 +221,15 @@ def run_bench(cfg: WorkloadConfig) -> RunReport:
         ops[kind] += calls
         (inserted if kind == "insert" else returned).update(keys)
 
-    remaining = Counter(depq.remaining_keys())
-    accounting_ok = inserted == returned + remaining
-
+    # Audit first: a list that fails it may be cyclic, and then counting its
+    # keys raises, which the report's notes record.
     notes = depq.problems()
+    try:
+        remaining = Counter(depq.remaining_keys())
+    except AssertionError as exc:
+        notes.append(str(exc))
+        remaining = None
+    accounting_ok = remaining is not None and inserted == returned + remaining
     stats = depq.stats()
     throughput = {k: (v / wall if wall > 0 else 0.0) for k, v in ops.items()}
     report = RunReport(

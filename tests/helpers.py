@@ -43,16 +43,16 @@ class EarlyTowerListDepq(ListDepq):
         k = node.key
         node.link = [0, 0]
         node.linked_into = [False, False]
-        node.marked_into = [False, False]
+        dead = node.marked_into = [False, False]
         height = tower_height(k.uid)
-        tower = node.tower = IndexNode(k, index, height) if height else None
+        tower = IndexNode(k, index, dead, height) if height else None
         preds = [lists._index] * height
         ascending, descending = lists._index_search(k, preds)
-        lists._publish(node, MIN, ascending, k.__gt__)
+        lists._publish(index, MIN, ascending, k.__gt__)
         if tower is not None:
             lists._link_tower(tower, preds)
         checkpoint("between-list-inserts")
-        lists._publish(node, MAX, descending, k.__lt__)
+        lists._publish(index, MAX, descending, k.__lt__)
 
 
 def ev(thread, kind, arg, result, invoke, response):

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output formats, file round-trips."""
 
+import hashlib
 import itertools
 import json
 import threading
@@ -8,6 +9,7 @@ import pytest
 
 from helpers import UnclaimedListDepq
 
+from depq import scenarios
 from depq.cli import main
 from depq.lincheck import Event, write_history
 from depq.workload import RunReport, WorkloadConfig, run_bench, run_stress
@@ -223,6 +225,23 @@ def test_replay_commands(capsys):
         code, out, _ = run_cli(capsys, "replay", name)
         assert code == 0, out
         assert f"replay {name}: ok" in out
+
+
+#: The first 16 hex digits of ``sha256(describe())`` for each replay, the
+#: text ``depq replay`` prints.  A pause site added, removed or moved on a
+#: replayed path, or any changed detail, changes the text.
+REPLAY_OUTPUTS = {
+    "counterexample": "f026c9f5df9ff915",
+    "twist": "5bee21c96dcc71be",
+    "single-item-race": "f8fb1e2b121641a8",
+    "index-start-reclaimed": "b33505ad41f2ba86",
+}
+
+
+@pytest.mark.parametrize("name", list(REPLAY_OUTPUTS))
+def test_replay_output_is_pinned(name):
+    text = scenarios.run(name).describe()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == REPLAY_OUTPUTS[name], text
 
 
 def test_replay_single_item_race(capsys):

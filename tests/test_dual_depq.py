@@ -209,7 +209,7 @@ def test_counterexample_schedule_rejected_by_checker():
 
 
 def test_reserve_failures_are_charged_to_other_end_successes(monkeypatch):
-    # Log every reservation attempt as (item index, end, won).
+    # Log every reservation attempt as (item key, end, won).
     d = heap_dual()
     log = []
     calling_end = [MIN]
@@ -217,7 +217,7 @@ def test_reserve_failures_are_charged_to_other_end_successes(monkeypatch):
 
     def logged(item, lock):
         won = real_try_reserve(item, lock)
-        log.append((item.index, calling_end[0], won))
+        log.append((item.key, calling_end[0], won))
         return won
 
     monkeypatch.setattr(dual_depq, "try_reserve", logged)
@@ -232,13 +232,13 @@ def test_reserve_failures_are_charged_to_other_end_successes(monkeypatch):
         else:
             d.extract_max()
     winners = {}
-    for pos, (idx, end, won) in enumerate(log):
+    for pos, (key, end, won) in enumerate(log):
         if won:
-            winners[idx] = (pos, end)
-    for pos, (idx, end, won) in enumerate(log):
+            winners[key] = (pos, end)
+    for pos, (key, end, won) in enumerate(log):
         if not won:
-            assert idx in winners, "failed claim with no winner"
-            win_pos, win_end = winners[idx]
+            assert key in winners, "failed claim with no winner"
+            win_pos, win_end = winners[key]
             assert win_pos < pos, "claim failed before anyone succeeded"
             assert win_end != end, "winner was not the opposite end"
 

@@ -2,10 +2,12 @@
 ``problems``, ``stats`` and ``close``."""
 
 import pytest
+from helpers import run_on_plain_threads
 
 from depq import workload
 from depq.combining import MODES
-from depq.items import MIN
+from depq.items import MIN, pack_link
+from depq.list_depq import ListDepq
 from depq.workload import IMPLS, WorkloadConfig, run_bench
 
 STATS_KEYS = {"reserve_failures", "insert_cas_failures", "retired", "batch_sizes"}
@@ -77,6 +79,45 @@ def test_live_node_tagged_deleted_is_reported(impl):
     problems = depq.problems()
     assert problems and "deleted nodes form a prefix" in problems[0]
     depq.close()
+
+
+def test_a_cyclic_list_fails_fast_and_loudly(monkeypatch):
+    # The walks run on daemon threads, so one that never ends fails the test
+    # after 5 s instead of hanging the suite; ``finally`` then ends it.
+    made = []
+
+    def cyclic(cfg=None):
+        """A 5-key list-depq whose last MIN link points back at its first
+        live node, so the MIN list never ends."""
+        depq = ListDepq()
+        for key in range(5):
+            depq.insert(key)
+        first, *_, last = depq.lists.suffix(MIN)
+        link = depq.arena.item(last).link
+        link[MIN] = pack_link(first, 0)
+        made.append(link)
+        return depq
+
+    cycle = "min list walk exceeds the arena size: cycle suspected"
+    try:
+        depq = cyclic()
+        assert "[FAIL] finite list" in depq.problems()[0]
+
+        def count_keys():
+            with pytest.raises(AssertionError) as raised:
+                depq.remaining_keys()
+            return str(raised.value)
+
+        assert run_on_plain_threads(count_keys, timeout=5.0) == [cycle]
+        monkeypatch.setitem(workload.BUILDS, "list-depq", cyclic)
+        cfg = WorkloadConfig(impl="list-depq", threads_insert=0, threads_min=0,
+                             threads_max=1, ops_per_thread=1)
+        [report] = run_on_plain_threads(lambda: run_bench(cfg), timeout=5.0)
+        assert not report.audit_ok and not report.accounting_ok
+        assert "[FAIL] finite list" in report.notes[0] and report.notes[-1] == cycle
+    finally:
+        for link in made:
+            link[MIN] = 0   # no successor: the list ends again
 
 
 @pytest.mark.parametrize("mode", MODES)

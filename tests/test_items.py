@@ -29,7 +29,7 @@ def test_new_item_starts_unreserved():
 def test_new_item_has_no_list_fields():
     arena = Arena()
     item = arena.item(arena.new_item(1))
-    for name in ("link", "linked_into", "marked_into", "tower"):
+    for name in ("link", "linked_into", "marked_into"):
         with pytest.raises(AttributeError):
             getattr(item, name)
 
@@ -39,18 +39,21 @@ def test_list_insert_gives_the_node_its_list_fields():
     lists = ListPair(arena)
     towered = 0
     for k in range(8):
-        item = arena.item(arena.new_item(k))
-        lists.insert(item.index)
+        index = arena.new_item(k)
+        item = arena.item(index)
+        lists.insert(index)
         # Ascending keys: last on MIN, first on MAX.
         assert unpack_link(item.link[MIN]) == (NONE_IDX, 0)
-        assert unpack_link(item.link[MAX]) == (NONE_IDX if k == 0 else item.index - 1, 0)
+        assert unpack_link(item.link[MAX]) == (NONE_IDX if k == 0 else index - 1, 0)
         assert item.linked_into == [True, True]
         assert item.marked_into == [False, False]
+        towers = [t for t in lists.index_walk() if t.index == index]
         if tower_height(item.key.uid):
-            assert (item.tower.index, item.tower.key) == (item.index, item.key)
+            (tower,) = towers   # its dead flags are the item's tags, not a copy
+            assert tower.key == item.key and tower.dead is item.marked_into
             towered += 1
         else:
-            assert item.tower is None
+            assert towers == []
     assert 0 < towered < 8
 
 
@@ -121,14 +124,14 @@ def test_try_reserve_first_wins_second_loses():
 def test_concurrent_reserve_has_exactly_one_winner():
     # 10^4 items, several threads race a test-and-set on each.
     arena = Arena()
-    items = [arena.item(arena.new_item(i)) for i in range(10_000)]
+    indices = [arena.new_item(i) for i in range(10_000)]
     wins = [[] for _ in range(4)]
 
     def racer(slot):
         mine = wins[slot]
-        for item in items:
-            if try_reserve(item, arena.rmw_lock):
-                mine.append(item.index)
+        for index in indices:
+            if try_reserve(arena.item(index), arena.rmw_lock):
+                mine.append(index)
 
     threads = [threading.Thread(target=racer, args=(i,)) for i in range(4)]
     for t in threads:
@@ -136,7 +139,7 @@ def test_concurrent_reserve_has_exactly_one_winner():
     for t in threads:
         t.join()
     total = sum(len(w) for w in wins)
-    assert total == len(items)
+    assert total == len(indices)
     claimed = set()
     for w in wins:
         for idx in w:

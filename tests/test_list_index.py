@@ -59,7 +59,8 @@ def test_insert_search_reads_few_links_at_ten_thousand_keys():
 
 
 def test_one_index_search_per_pair_insert():
-    """One search serves both lists, and one tower per item serves both ends."""
+    """One search serves both lists, and one tower per item serves both ends,
+    reading the item's own deletion tags as its dead flags."""
     rng = random.Random(0x1D5)
     arena = Arena()
     lists = ListPair(arena)
@@ -76,7 +77,7 @@ def test_one_index_search_per_pair_insert():
         lists.insert(arena.new_item(key))
     assert len(searches) == len(keys)
     towers = lists.index_walk()
-    assert towers and all(arena.item(t.index).tower is t for t in towers)
+    assert towers and all(t.dead is arena.item(t.index).marked_into for t in towers)
     assert len({t.index for t in towers}) == len(towers)
     assert [arena.item(i).user_key for i in lists.suffix(MIN)] == sorted(keys)
     assert [arena.item(i).user_key for i in lists.suffix(MAX)] == sorted(keys, reverse=True)
@@ -116,9 +117,10 @@ def test_stale_descending_start_is_held_by_the_epoch():
             d.reclaim.try_advance()
         assert not d.arena.is_poisoned(start.index)
         sched.run_to_completion("ins")
-    item = d.arena.item(len(d.arena) - 1)   # the last item made
+    last = len(d.arena) - 1   # the last item made
+    item = d.arena.item(last)
     assert item.key.user_key == key
-    assert item.linked_into == [True, True] and item.index in d.lists.walk(MAX)
+    assert item.linked_into == [True, True] and last in d.lists.walk(MAX)
     assert d.audit(MIN).ok and d.audit(MAX).ok
     assert Counter(keys + [key]) == returned + Counter(d.remaining_keys())
     for _ in range(3):
@@ -175,8 +177,9 @@ def test_audit_flags_a_live_tower_on_a_deleted_node():
     victim = lists.index_walk()[0]
     while lists.extract_first(MIN) not in (victim.index, None):
         pass
-    assert victim.min_dead and lists.audit(MIN).ok
-    victim.min_dead = False   # as if the consumer had not marked it dead
+    assert victim.dead == [True, False] and lists.audit(MIN).ok
+    # A tower with flags of its own, which the consumer's tag store missed.
+    victim.dead = [False, False]
     report = lists.audit(MIN)
     assert not report.index_consistent and not report.ok
     assert "[FAIL] index consistent" in report.describe()

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from depq.atomics import AtomicCell
 from depq.dual_depq import DualDepq
 from depq.items import MAX, MIN, Arena, Key, try_reserve, unpack_link
 from depq.ordered_list import ListPair, ListPq, comes_before
@@ -99,16 +98,27 @@ def test_random_inserts_match_sort_oracle_both_ends():
 # -- marking -------------------------------------------------------------------
 
 
-def test_fetch_or_returns_prior_word_and_sets_bit():
-    cell = AtomicCell(0b1010)
-    assert cell.fetch_or(1) == 0b1010
-    assert cell.load() == 0b1011
+def test_pop_marks_the_predecessor_link_naming_the_returned_index():
+    for end in (MIN, MAX):
+        arena, lists = make_pair()
+        low, high = insert_keys(arena, lists, [1, 2])
+        other = arena.item(lists.dummy).link[1 - end]
+        got = lists.extract_first(end)
+        assert got == (low, high)[end]
+        assert unpack_link(arena.item(lists.dummy).link[end]) == (got, 1)
+        assert arena.item(lists.dummy).link[1 - end] == other   # not this end's word
 
 
-def test_fetch_or_idempotent_on_marked_word():
-    cell = AtomicCell(0b1011)
-    assert cell.fetch_or(1) == 0b1011
-    assert cell.load() == 0b1011
+def test_next_pop_follows_the_marked_word_and_marks_the_next_node():
+    arena, lists = make_pair()
+    one, two, three = insert_keys(arena, lists, [1, 2, 3])
+    assert lists.extract_first(MIN) == one
+    marked = arena.item(lists.dummy).link[MIN]
+    assert lists.extract_first(MIN) == two
+    assert arena.item(lists.dummy).link[MIN] == marked   # left as it was
+    assert unpack_link(arena.item(one).link[MIN]) == (two, 1)
+    assert unpack_link(arena.item(two).link[MIN]) == (three, 0)
+    assert [arena.item(i).marked_into[MIN] for i in (one, two, three)] == [True, True, False]
 
 
 def test_extract_first_reports_deleted_node():

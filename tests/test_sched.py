@@ -11,7 +11,7 @@ import pytest
 
 from depq import atomics
 from depq import sched as sched_module
-from depq.atomics import AtomicCell, checkpoint
+from depq.atomics import checkpoint
 from depq.combining import COMBINING, TWO_LOCKS, make_serializer
 from depq.reclaim import DEFERRED, EPOCH
 from depq.sched import (ControlledScheduler, ScheduleError,
@@ -19,21 +19,49 @@ from depq.sched import (ControlledScheduler, ScheduleError,
 from depq.workload import WorkloadConfig, run_stress
 
 
+class Word:
+    """A shared word kept as :mod:`depq.atomics` sets out: a plain value,
+    whose sited access is ``checkpoint`` and then the plain read or write,
+    and whose read-modify-write runs under a lock."""
+
+    _lock = threading.Lock()
+
+    def __init__(self, value=0):
+        self.value = value
+
+    def load(self, site=None):
+        if site is not None:
+            checkpoint(site)
+        return self.value
+
+    def store(self, value, site):
+        checkpoint(site)
+        self.value = value
+
+    def add(self, delta, site):
+        """Add ``delta``; returns the prior value."""
+        checkpoint(site)
+        with self._lock:
+            prior = self.value
+            self.value = prior + delta
+            return prior
+
+
 def test_uninstalled_controller_costs_nothing():
-    cell = AtomicCell(0)
-    assert cell.fetch_add(1, site="x") == 0
+    cell = Word(0)
+    assert cell.add(1, site="x") == 0
     assert cell.load(site="y") == 1
 
 
 def test_unregistered_threads_pass_through():
-    cell = AtomicCell(0)
+    cell = Word(0)
     with ControlledScheduler() as sched:
-        sched.spawn("w", lambda: cell.fetch_add(1, site="bump"))
+        sched.spawn("w", lambda: cell.add(1, site="bump"))
         sched.start()
         assert sched.wait_quiescent() == ("w",)
         # neither the main thread nor a plain thread is a worker: no pausing
-        cell.fetch_add(1, site="bump")
-        plain = threading.Thread(target=cell.fetch_add, args=(1,), kwargs={"site": "bump"})
+        cell.add(1, site="bump")
+        plain = threading.Thread(target=cell.add, args=(1,), kwargs={"site": "bump"})
         plain.start()
         plain.join(timeout=5.0)
         assert not plain.is_alive()
@@ -56,11 +84,11 @@ def test_worker_exception_surfaces_at_join():
 
 
 def test_scheduler_context_always_releases_frozen_workers():
-    cell = AtomicCell(0)
+    cell = Word(0)
 
     def body():
-        cell.fetch_add(1, site="bump")
-        cell.fetch_add(1, site="after")
+        cell.add(1, site="bump")
+        cell.add(1, site="after")
 
     with ControlledScheduler() as sched:
         sched.spawn("w", body)
@@ -72,11 +100,11 @@ def test_scheduler_context_always_releases_frozen_workers():
 
 
 def test_stepping_runs_exactly_one_op_per_grant():
-    cell = AtomicCell(0)
+    cell = Word(0)
 
     def body():
         for _ in range(3):
-            cell.fetch_add(1, site="bump")
+            cell.add(1, site="bump")
 
     sched = ControlledScheduler()
     with sched:
@@ -113,13 +141,13 @@ def test_run_until_stops_at_site():
 
 def test_drive_with_seeded_walk_is_reproducible():
     def factory():
-        cell = AtomicCell(0)
+        cell = Word(0)
         log = []
 
         def body(tag):
             def run():
                 for _ in range(4):
-                    cell.fetch_add(1, site="bump")
+                    cell.add(1, site="bump")
                     log.append(tag)
             return run
 
@@ -141,12 +169,12 @@ def test_drive_with_seeded_walk_is_reproducible():
 def _explore_bumps(steps):
     """Every interleaving of one worker per entry, bumping that many times."""
     def factory():
-        cell = AtomicCell(0)
+        cell = Word(0)
 
         def body(n):
             def run(_state):
                 for _ in range(n):
-                    cell.fetch_add(1, site="bump")
+                    cell.add(1, site="bump")
             return run
 
         return cell, [(chr(ord("a") + i), body(n)) for i, n in enumerate(steps)]
@@ -172,7 +200,7 @@ def test_exploration_finds_a_lost_update():
     # read-modify-write split into an instrumented read and an instrumented
     # write loses updates in some interleavings; exploration must find one.
     def factory():
-        cell = AtomicCell(0)
+        cell = Word(0)
 
         def body(_state):
             v = cell.load(site="read")
@@ -186,11 +214,11 @@ def test_exploration_finds_a_lost_update():
 
 def test_max_runs_bounds_exploration():
     def factory():
-        cell = AtomicCell(0)
+        cell = Word(0)
 
         def body(_state):
             for _ in range(5):
-                cell.fetch_add(1, site="bump")
+                cell.add(1, site="bump")
 
         return cell, [("a", body), ("b", body), ("c", body)]
 
@@ -227,7 +255,7 @@ def _counting_body(cell, steps, threads, finished):
     def run():
         threads.append(threading.current_thread())
         for _ in range(steps):
-            cell.fetch_add(1, site="bump")
+            cell.add(1, site="bump")
         finished.append(threading.current_thread().name)
     return run
 
@@ -239,7 +267,7 @@ def _assert_all_joined(threads, timeout=5.0):
 
 
 def test_raising_chooser_releases_every_parked_worker():
-    cell = AtomicCell(0)
+    cell = Word(0)
     threads, finished = [], []
     picks = []
 
@@ -264,7 +292,7 @@ def test_raising_chooser_releases_every_parked_worker():
 
 
 def test_repeated_wait_quiescent_and_mixed_scripted_drivers():
-    cell = AtomicCell(0)
+    cell = Word(0)
     threads, finished = [], []
     sched = ControlledScheduler()
     with sched:
@@ -289,7 +317,7 @@ def test_repeated_wait_quiescent_and_mixed_scripted_drivers():
 
 def test_late_spawn_is_waited_for():
     # "a" parks before "b" exists; quiescence must then include "b".
-    cell = AtomicCell(0)
+    cell = Word(0)
     threads, finished = [], []
     sched = ControlledScheduler()
     with sched:
@@ -307,7 +335,7 @@ def test_late_spawn_is_waited_for():
 
 
 def test_drive_goes_on_after_shorter_workers_finish():
-    cell = AtomicCell(0)
+    cell = Word(0)
     threads, finished = [], []
     with ControlledScheduler() as sched:
         for name, steps in (("a", 1), ("b", 3), ("c", 5)):
@@ -323,7 +351,7 @@ def test_drive_goes_on_after_shorter_workers_finish():
 
 
 def test_stepped_worker_raising_before_its_first_pause():
-    cell = AtomicCell(0)
+    cell = Word(0)
     threads, finished = [], []
     drove = []
 
@@ -365,7 +393,7 @@ def test_drive_matches_the_scripted_walk():
             runs = []
             for walk in (lambda sched: sched.drive(random_walk(seed)),
                          lambda sched: _scripted_walk(sched, random_walk(seed))):
-                cell = AtomicCell(0)
+                cell = Word(0)
                 threads, finished = [], []
                 with ControlledScheduler() as sched:
                     for i, n in enumerate(steps):
@@ -381,7 +409,7 @@ def test_drive_matches_the_scripted_walk():
 
 
 def test_drive_step_limit():
-    cell = AtomicCell(0)
+    cell = Word(0)
     threads, finished = [], []
     with ControlledScheduler(step_limit=3) as sched:
         for name in ("a", "b"):
@@ -394,7 +422,7 @@ def test_drive_step_limit():
 
 
 def test_drive_rejects_a_pick_outside_the_runnable_set():
-    cell = AtomicCell(0)
+    cell = Word(0)
     threads, finished = [], []
     with ControlledScheduler() as sched:
         for name in ("a", "b"):
@@ -408,14 +436,14 @@ def test_drive_rejects_a_pick_outside_the_runnable_set():
 
 
 def test_drive_times_out_on_a_worker_blocked_between_pauses():
-    cell = AtomicCell(0)
+    cell = Word(0)
     threads, finished = [], []
     gate = threading.Event()
 
     def blocked():
         threads.append(threading.current_thread())
         gate.wait(timeout=10.0)
-        cell.fetch_add(1, site="bump")
+        cell.add(1, site="bump")
 
     with ControlledScheduler() as sched:
         sched.spawn("a", _counting_body(cell, 2, threads, finished))
@@ -448,7 +476,7 @@ def _opener(gate, threads):
 
 
 def test_a_worker_whose_wait_holds_is_not_runnable():
-    gate = AtomicCell(1)
+    gate = Word(1)
     threads, finished = [], []
     with ControlledScheduler() as sched:
         sched.spawn("a", _gated(gate, threads, finished))
@@ -461,7 +489,7 @@ def test_a_worker_whose_wait_holds_is_not_runnable():
 
 
 def test_scripted_grant_of_a_waiting_worker_raises():
-    gate = AtomicCell(1)
+    gate = Word(1)
     threads, finished = [], []
     with ControlledScheduler(step_limit=2) as sched:
         sched.spawn("a", _gated(gate, threads, finished))
@@ -480,7 +508,7 @@ def test_scripted_grant_of_a_waiting_worker_raises():
 
 
 def test_drive_raises_at_once_when_every_parked_worker_waits():
-    cell, stuck = AtomicCell(0), AtomicCell(1)
+    cell, stuck = Word(0), Word(1)
     threads, finished = [], []
     with ControlledScheduler(step_limit=10**6) as sched:
         sched.spawn("a", _gated(stuck, threads, finished))
