@@ -42,7 +42,6 @@ def test_step(benchmark):
     with sched:
         sched.spawn("a", worker)
         sched.spawn("b", worker)
-        sched.start()
         assert sched.wait_quiescent() == ("a", "b")
         names = itertools.cycle(("a", "b"))
 
@@ -79,7 +78,6 @@ def test_driven_step(benchmark):
         return len(sched.drive(alternate))
 
     with sched:
-        sched.start()
         done = benchmark.pedantic(steps, setup=park_two_workers,
                                   rounds=ROUNDS // DRIVEN_STEPS, warmup_rounds=2)
         assert done == DRIVEN_STEPS

@@ -33,7 +33,7 @@ from typing import Any, Callable, Protocol
 
 
 class TraceController(Protocol):
-    def pause(self, site: str) -> None: ...
+    def pause(self, site: str, blocked: Callable[[], Any] | None = None) -> None: ...
 
 
 _controller: TraceController | None = None
@@ -56,14 +56,12 @@ def checkpoint(site: str) -> None:
 
 def wait(site: str, blocked: Callable[[], Any]) -> None:
     """Pause at ``site`` before a wait that cannot end while ``blocked()``
-    is true.  A controller with a ``wait`` method is told ``blocked``, which
-    must only read: the stepping scheduler calls it under its lock.  Callers
+    is true.  The controller's ``pause`` is told ``blocked``, which must
+    only read: the stepping scheduler calls it under its lock.  Callers
     test ``_controller`` first, so without one a wait builds no callable."""
     c = _controller
-    if hasattr(c, "wait"):
-        c.wait(site, blocked)
-    elif c is not None:
-        c.pause(site)
+    if c is not None:
+        c.pause(site, blocked)
 
 
 class AtomicCell:

@@ -26,8 +26,8 @@ from .combining import DEFAULT_MODE, MODES
 from .lincheck import Verdict, check, read_history
 from .reclaim import DEFERRED, EPOCH
 from .sched import ScheduleError
-from .workload import (IMPLS, ConfigError, RunReport, WorkerError,
-                       WorkloadConfig, run_bench, run_stress)
+from .workload import (IMPLS, ConfigError, WorkerError, WorkloadConfig,
+                       run_bench, run_stress)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,8 +35,6 @@ EXIT_AUDIT = 3
 EXIT_NOT_LINEARIZABLE = 4
 EXIT_SCHEDULE = 5
 EXIT_WORKER = 6
-
-_CSV_HELP = "csv columns: " + ",".join(RunReport.CSV_COLUMNS)
 
 
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
@@ -89,11 +87,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         traceback.print_exception(exc.__cause__, file=sys.stderr)
         print(f"bench FAILED: {exc}", file=sys.stderr)
         return EXIT_WORKER
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(",".join(RunReport.CSV_COLUMNS))
-        print(report.to_csv_row())
+    print(json.dumps(report.to_dict(), indent=2))
     code = EXIT_OK
     if not report.audit_ok:
         print("post-run audit FAILED", file=sys.stderr)
@@ -160,14 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="depq",
         description="Benchmark, stress-test, and replay the double-ended "
-                    "priority queue builds.",
-        epilog=_CSV_HELP)
+                    "priority queue builds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bench = sub.add_parser("bench", help="run a workload and report counters",
-                             epilog=_CSV_HELP)
+    p_bench = sub.add_parser("bench", help="run a workload and report counters")
     _add_workload_args(p_bench)
-    p_bench.add_argument("--format", default="json", choices=("json", "csv"))
     p_bench.set_defaults(fn=cmd_bench)
 
     p_stress = sub.add_parser(

@@ -156,18 +156,11 @@ class Arena:
             raise reclaimed_access(index)
         return it  # type: ignore[return-value]
 
-    def poison(self, index: int) -> None:
-        """Deallocate a slot; later access raises ReclaimedAccessError."""
-        self._items[index] = POISONED
-
     def is_poisoned(self, index: int) -> bool:
         return self._items[index] is POISONED
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def all_indices(self) -> range:
-        return range(len(self._items))
 
 
 def try_reserve(item: Item, lock: threading.Lock) -> bool:

@@ -358,16 +358,27 @@ class ListPair:
 
     # -- inspection ----------------------------------------------------------
 
-    def walk(self, end: int) -> list[int]:
-        """All node indices reachable from the head, in list order."""
+    def _links(self, end: int) -> tuple[list[int], list[int]]:
+        """The node indices reachable from the head, in list order, and the
+        mark bit of the link that reaches each (0 for the head).  A walk
+        longer than the arena, a cycle, raises ``AssertionError`` naming
+        the end."""
         arena = self.arena
-        out = []
-        node = self._head[end]
-        limit = len(arena) + 2
-        while node != NONE_IDX and len(out) <= limit:
-            out.append(node)
-            node, _ = unpack_link(arena.item(node).link[end])
-        return out
+        nodes, marks = [], []
+        node, marked = self._head[end], 0
+        for _ in range(len(arena)):
+            nodes.append(node)
+            marks.append(marked)
+            node, marked = unpack_link(arena.item(node).link[end])
+            if node == NONE_IDX:
+                return nodes, marks
+        raise AssertionError(f"{('min', 'max')[end]} list walk exceeds the "
+                             "arena size: cycle suspected")
+
+    def walk(self, end: int) -> list[int]:
+        """All node indices reachable from the head, in list order.  Raises
+        on a cycle, as ``_links`` does."""
+        return self._links(end)[0]
 
     def index_walk(self, level: int = 0) -> list[IndexNode]:
         """The towers on one index level, in order, dead ones included.
@@ -381,21 +392,14 @@ class ListPair:
         return out
 
     def suffix(self, end: int) -> list[int]:
-        """Node indices of the live suffix (after the deleted prefix), in
-        list order, claimed nodes included.  A walk longer than the arena,
-        a cycle, raises ``AssertionError`` naming the end."""
-        arena = self.arena
-        out = []
-        word = arena.item(self._head[end]).link[end]
-        for _ in range(len(arena)):
-            if word <= 1:   # no successor
-                return out
-            node = (word >> 1) - 1
-            if out or not word & 1:   # past the deleted prefix
-                out.append(node)
-            word = arena.item(node).link[end]
-        raise AssertionError(f"{('min', 'max')[end]} list walk exceeds the "
-                             "arena size: cycle suspected")
+        """Node indices of the live suffix, in list order, claimed nodes
+        included: the walk past the head and the nodes reached over marked
+        links after it.  Raises on a cycle, as ``_links`` does."""
+        nodes, marks = self._links(end)
+        live = 1
+        while live < len(nodes) and marks[live]:
+            live += 1
+        return nodes[live:]
 
     def suffix_keys(self, end: int, include_reserved: bool = False) -> list[Key]:
         """Keys of the live suffix, in list order."""
@@ -407,30 +411,19 @@ class ListPair:
         """Check the structural invariants of one list."""
         arena = self.arena
         report = AuditReport(end=end)
-        limit = len(arena) + 2
-
-        node = self._head[end]
-        path: list[tuple[int, int | None, bool]] = []
-        seen = 0
-        incoming_marked: list[bool] = []  # incoming_marked[i]: edge path[i] -> path[i+1]
-        while node != NONE_IDX:
-            seen += 1
-            if seen > limit:
-                report.finite = False
-                report.notes.append("walk exceeded arena size: cycle suspected")
-                break
-            item = arena.item(node)
-            tagged = item.marked_into[end]
-            path.append((node, None if item.key is None else item.key.user_key, tagged))
-            succ, marked = unpack_link(item.link[end])
-            if succ != NONE_IDX:
-                incoming_marked.append(bool(marked))
-            node = succ
-        report.path = path
+        try:
+            nodes, marks = self._links(end)
+        except AssertionError as exc:
+            report.finite = False
+            report.notes.append(str(exc))
+            nodes, marks = [], []
+        items = [arena.item(node) for node in nodes]
+        tags = [item.marked_into[end] for item in items]
+        report.path = [(node, None if item.key is None else item.key.user_key, tagged)
+                       for node, item, tagged in zip(nodes, items, tags)]
 
         # Deleted nodes must form a prefix, and the deletion tags must agree
         # with the mark bits on the edges inside the walk.
-        tags = [tagged for (_, _, tagged) in path]
         in_prefix = True
         for pos, tagged in enumerate(tags):
             if tagged and not in_prefix:
@@ -438,16 +431,13 @@ class ListPair:
                 report.notes.append(f"deleted node at position {pos} after live nodes")
             if not tagged:
                 in_prefix = False
-        for pos, marked in enumerate(incoming_marked):
-            # Edge path[pos] -> path[pos+1]; marked iff the target is deleted.
-            if pos + 1 < len(tags) and marked != tags[pos + 1]:
+            # The edge into this node is marked iff the node is deleted.
+            if pos and bool(marks[pos]) != tagged:
                 report.deleted_prefix = False
                 report.notes.append(
-                    f"edge to position {pos + 1} mark bit disagrees with deletion tag")
+                    f"edge to position {pos} mark bit disagrees with deletion tag")
 
-        suffix = [idx for (idx, _, tagged) in path if not tagged]
-
-        keys = [self.arena.item(i).key for i in suffix]
+        keys = [item.key for item, tagged in zip(items, tags) if not tagged]
         for a, b in zip(keys, keys[1:]):
             assert a is not None and b is not None
             if not comes_before(a, b, end):

@@ -59,7 +59,6 @@ def run_counterexample() -> ReplayOutcome:
         recorded.insert(1)
         recorded.insert(2)
         sched.spawn("E1", recorded.extract_min)
-        sched.start()
         sched.run_until("E1", "reserve")
         got_e2 = recorded.extract_min()
         got_e3 = recorded.extract_max()
@@ -111,7 +110,6 @@ def run_twist() -> ReplayOutcome:
 
     with ControlledScheduler() as sched:
         sched.spawn("ins3", d.insert, 3)
-        sched.start()
         sched.run_until("ins3", "between-list-inserts")  # on the ascending list only
         sched.spawn("ins4", d.insert, 4)
         sched.run_until("ins4", "between-list-inserts")  # on the ascending list only
@@ -198,7 +196,6 @@ def run_index_start_reclaimed() -> ReplayOutcome:
     try:
         with ControlledScheduler() as sched:
             sched.spawn("ins", d.insert, key)
-            sched.start()
             sched.run_until("ins", "ins-read-link")  # its index search chose ``start``
             while (got := d.extract_min()) is not None:
                 drained.append(got)

@@ -1,15 +1,16 @@
 """Controlled scheduler for deterministic concurrency scenarios.
 
 Worker threads pause at every instrumented shared-memory operation (see
-:mod:`depq.atomics`).  Every thread the scheduler spawns parks at every
-site and runs only when granted a step, as in CHESS: no spawned thread
-ever runs uncontrolled.  Drivers include scripted runs (``run_until`` /
-``run_to_completion`` / ``grant``), a seeded random walk, and the
-exhaustive interleaving explorer below.  To hold a thread at a site while
-others act, run it there with ``run_until``; to let it finish, use
-``run_to_completion``.  A thread parked in :func:`depq.atomics.wait` is
-disabled while its wait holds: no chooser sees it, no ``grant`` may pick
-it, a walk with only such threads raises.
+:mod:`depq.atomics`).  ``spawn`` starts a worker at once, and it runs
+to its first pause; from its first pause on, it parks at every site and
+runs only when granted a step, as in CHESS.  Drivers include scripted
+runs (``run_until`` / ``run_to_completion`` / ``grant``), a seeded random
+walk, and the exhaustive interleaving explorer below.  To hold a thread
+at a site while others act, run it there with ``run_until``; to let it
+finish, use ``run_to_completion``.  A wait (:func:`depq.atomics.wait`)
+enters through ``pause`` with the condition that blocks it, and the
+worker is disabled while that holds: no chooser sees it, no ``grant``
+may pick it, a walk with only such threads raises.
 
 A step is handed off with batons, locks created held, so each handoff
 wakes exactly one thread.  Every worker parks on its own baton, and a
@@ -48,6 +49,8 @@ class ScheduleError(RuntimeError):
 
 
 _DEFAULT_TIMEOUT = 20.0
+# The step budget of each run an exploration makes.
+_EXPLORE_STEP_LIMIT = 100_000
 # How long an exit that an error ended waits for the released workers.
 _EXIT_GRACE = 1.0
 
@@ -89,7 +92,6 @@ class ControlledScheduler:
         # The walk in progress: picks each step under ``_lock`` (see _step).
         self._chooser: Callable[[tuple[str, ...]], str | None] | None = None
         self._chooser_error: BaseException | None = None
-        self._start = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -126,12 +128,7 @@ class ControlledScheduler:
         worker.thread = thread
         thread.start()
 
-    def start(self) -> None:
-        """Release all spawned workers (they block until this is called)."""
-        self._start.set()
-
     def _run_worker(self, worker: _Worker) -> None:
-        self._start.wait()
         ident = threading.get_ident()
         with self._lock:
             self._names[ident] = worker.name
@@ -233,10 +230,6 @@ class ControlledScheduler:
                 raise ScheduleError(f"worker {name!r} starved waiting for a grant")
         baton.acquire()                     # granted just after the timeout
 
-    def wait(self, site: str, blocked: Callable[[], Any]) -> None:
-        """Via ``pause``, so that a wrapper of ``pause`` sees waits too."""
-        self.pause(site, blocked)
-
     def _release_everything(self, keep_waiters: bool) -> None:
         """Let every parked worker run free, so that join_all can complete.
 
@@ -253,7 +246,6 @@ class ControlledScheduler:
                 del self._parked[name]
                 self._count_running()
                 self._workers[name].baton.release()
-        self._start.set()
 
     # -- drivers ---------------------------------------------------------------
 
@@ -355,7 +347,6 @@ class ControlledScheduler:
             trace.append((pick, runnable))
             return pick
 
-        self.start()
         self._walk(step, timeout)
         return trace
 
@@ -388,9 +379,9 @@ ThreadSpec = list[tuple[str, Callable[[Any], Any]]]
 
 
 def _run_once(factory: Callable[[], tuple[Any, ThreadSpec]],
-              prefix: list[str], step_limit: int) -> RunOutcome:
+              prefix: list[str]) -> RunOutcome:
     state, threads = factory()
-    sched = ControlledScheduler(step_limit=step_limit)
+    sched = ControlledScheduler(step_limit=_EXPLORE_STEP_LIMIT)
     position = 0
 
     def choose(runnable: tuple[str, ...]) -> str:
@@ -414,8 +405,7 @@ def _run_once(factory: Callable[[], tuple[Any, ThreadSpec]],
 
 
 def explore_interleavings(factory: Callable[[], tuple[Any, ThreadSpec]],
-                          max_runs: int | None = None,
-                          step_limit: int = 100_000) -> Iterator[RunOutcome]:
+                          max_runs: int | None = None) -> Iterator[RunOutcome]:
     """Exhaustively enumerate interleavings of the given threads.
 
     ``factory`` builds fresh shared state plus named thread bodies for every
@@ -427,7 +417,7 @@ def explore_interleavings(factory: Callable[[], tuple[Any, ThreadSpec]],
     alternatives: list[list[str]] = []
     runs = 0
     while True:
-        outcome = _run_once(factory, prefix, step_limit)
+        outcome = _run_once(factory, prefix)
         runs += 1
         yield outcome
         if max_runs is not None and runs >= max_runs:

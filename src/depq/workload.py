@@ -107,26 +107,10 @@ class RunReport:
     accounting_ok: bool
     notes: list[str] = field(default_factory=list)
 
-    CSV_COLUMNS = ("schema", "impl", "mode", "seed", "wall_time_s",
-                   "insert_ops", "extract_min_ops", "extract_max_ops",
-                   "insert_per_s", "extract_min_per_s", "extract_max_per_s",
-                   "failed_reserve", "failed_insert_cas", "retired_nodes",
-                   "audit_ok", "accounting_ok")
-
     def to_dict(self) -> dict:
         out = asdict(self)
         out["batch_sizes"] = {str(k): v for k, v in self.batch_sizes.items()}
         return out
-
-    def to_csv_row(self) -> str:
-        """One row in ``CSV_COLUMNS`` order."""
-        kinds = ("insert", "extract_min", "extract_max")
-        row = (self.schema, self.impl, self.mode, self.seed, f"{self.wall_time_s:.6f}",
-               *(self.ops[k] for k in kinds),
-               *(f"{self.throughput[k]:.1f}" for k in kinds),
-               self.retries["failed_reserve"], self.retries["failed_insert_cas"],
-               self.retired_nodes, int(self.audit_ok), int(self.accounting_ok))
-        return ",".join(map(str, row))
 
 
 class WorkerError(RuntimeError):

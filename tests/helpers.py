@@ -1,9 +1,10 @@
 """Shared test utilities: the brute-force checker oracle, a generator of
 small randomized histories (optionally mutated into likely-wrong ones),
-deliberately broken builds, and a runner for uncontrolled threads."""
+deliberately broken builds, and a bounded runner for uncontrolled threads."""
 
 import itertools
 import threading
+import time
 
 from depq.atomics import checkpoint
 from depq.items import MAX, MIN
@@ -144,19 +145,30 @@ def random_history(rng, max_ops=6, mutate=False):
     return events
 
 
+def join_threads(threads, timeout=10.0):
+    """Join ``threads`` within ``timeout`` seconds in all; fails, naming
+    each thread still running, if any is.  Make them daemons, so that one
+    left running cannot hold up the interpreter's exit."""
+    deadline = time.monotonic() + timeout
+    for thread in threads:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    running = [thread.name for thread in threads if thread.is_alive()]
+    assert not running, f"still running after {timeout} s: {running}"
+
+
 def run_on_plain_threads(*fns, timeout=10.0):
-    """Run each of ``fns`` on its own plain thread, which no controlled
-    scheduler pauses; returns their results in order, None for any that
-    has not finished within ``timeout`` seconds of its join."""
+    """Run each of ``fns`` on its own plain daemon thread, which no
+    controlled scheduler pauses, and join them with ``join_threads``;
+    returns their results in order, None for any that raised."""
     results = [None] * len(fns)
 
     def run(i, fn):
         results[i] = fn()
 
-    threads = [threading.Thread(target=run, args=(i, fn), daemon=True)
+    threads = [threading.Thread(target=run, args=(i, fn), name=f"plain-{i}: {fn!r}",
+                                daemon=True)
                for i, fn in enumerate(fns)]
     for thread in threads:
         thread.start()
-    for thread in threads:
-        thread.join(timeout=timeout)
+    join_threads(threads, timeout)
     return results

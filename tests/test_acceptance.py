@@ -9,6 +9,7 @@ import threading
 import time
 import zlib
 from collections import Counter
+from functools import partial
 
 from helpers import naive_check, random_history, run_on_plain_threads
 
@@ -119,12 +120,7 @@ def test_invariant_auditor():
                     else:
                         d.extract_max()
 
-            threads = [threading.Thread(target=burst, args=(rng.getrandbits(32),))
-                       for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            run_on_plain_threads(*(partial(burst, rng.getrandbits(32)) for _ in range(4)))
             for end in (MIN, MAX):
                 if not d.audit(end).ok:
                     violations += 1
@@ -136,7 +132,6 @@ def test_invariant_auditor():
             d2.insert(k)
         with ControlledScheduler() as sched:
             sched.spawn("ins", d2.insert, 2)
-            sched.start()
             sched.run_until("ins", "ins-cas")
             assert d2.audit(MIN).ok and d2.audit(MAX).ok
             sched.run_to_completion("ins")
@@ -148,7 +143,6 @@ def test_invariant_auditor():
             d3.insert(k)
         with ControlledScheduler() as sched:
             sched.spawn("ex", d3.extract_min)
-            sched.start()
             sched.run_until("ex", "uh-write-head")
             report = d3.audit(MIN)
             assert report.ok, report.describe()
@@ -184,11 +178,7 @@ def test_exclusivity_and_no_loss():
             with lock:
                 results[slot] = (inserted, returned)
 
-        threads = [threading.Thread(target=mixed, args=(s,)) for s in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        run_on_plain_threads(*(partial(mixed, s) for s in range(8)))
 
         inserted = Counter()
         returned = Counter()
@@ -237,11 +227,7 @@ def test_combining_contract():
             with span_lock:
                 spans.update(local)
 
-        threads = [threading.Thread(target=worker, args=(b,)) for b in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        run_on_plain_threads(*(partial(worker, b) for b in range(8)))
 
         snap = comb.stats.snapshot()
         assert snap["gauge_violations"] == 0
@@ -279,12 +265,7 @@ def test_retire_protocol():
                 else:
                     d.extract_max()
 
-        threads = [threading.Thread(target=mixed, args=(rng.getrandbits(32),))
-                   for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        run_on_plain_threads(*(partial(mixed, rng.getrandbits(32)) for _ in range(4)))
         while d.extract_min() is not None:
             pass
         d.extract_min()   # once more to trigger a final batch sweep
@@ -292,9 +273,9 @@ def test_retire_protocol():
 
         removed_per_end = []
         for end in (MIN, MAX):
-            linked = {i for i in d.arena.all_indices()
+            linked = {i for i in range(len(d.arena))
                       if not d.arena.is_poisoned(i) and d.arena.item(i).linked_into[end]}
-            linked |= {i for i in d.arena.all_indices() if d.arena.is_poisoned(i)}
+            linked |= {i for i in range(len(d.arena)) if d.arena.is_poisoned(i)}
             reachable = set(d.lists.walk(end))
             removed_per_end.append(linked - reachable)
         both = removed_per_end[0] & removed_per_end[1]
@@ -309,7 +290,6 @@ def test_retire_protocol():
             d2.insert(k)
         with ControlledScheduler() as sched:
             sched.spawn("reader", d2.insert, 99)
-            sched.start()
             sched.run_until("reader", "between-list-inserts")
             while d2.extract_min() is not None:
                 pass
@@ -346,7 +326,6 @@ def test_lock_freedom_smoke():
         with ControlledScheduler() as sched:
             sched.spawn("stuck-ins", d.insert, 5000)
             sched.spawn("stuck-ex", d.extract_min)
-            sched.start()
             sched.run_until("stuck-ins", "ins-cas")
             sched.run_until("stuck-ex", "uh-write-head")
             assert run_on_plain_threads(busy_inserter, busy_max_extractor,

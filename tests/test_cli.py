@@ -36,7 +36,7 @@ def test_bench_json_report(capsys):
 @pytest.mark.parametrize("mode", ["two-locks", "combining"])
 def test_bench_list_depq_reports_the_requested_mode(capsys, mode):
     code, out, _ = run_cli(capsys, "bench", "--impl", "list-depq", "--mode", mode,
-                           "--ops", "100", "--seed", "3", "--format", "json")
+                           "--ops", "100", "--seed", "3")
     assert code == 0
     report = json.loads(out)
     assert report["mode"] == mode
@@ -44,15 +44,6 @@ def test_bench_list_depq_reports_the_requested_mode(capsys, mode):
     assert sum(report["batch_sizes"].values()) > 0
     if mode == "two-locks":
         assert report["batch_sizes"] == {"1": extractions}
-
-
-def test_bench_csv_report(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--impl", "dual-heap",
-                           "--mode", "two-locks", "--ops", "100", "--format", "csv")
-    assert code == 0
-    header, row = out.strip().splitlines()
-    assert header == ",".join(RunReport.CSV_COLUMNS)
-    assert len(row.split(",")) == len(RunReport.CSV_COLUMNS)
 
 
 def test_report_json_key_order_and_values():

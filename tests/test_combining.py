@@ -9,10 +9,11 @@ per mode.
 import sys
 import threading
 import time
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
-from helpers import run_on_plain_threads
+from helpers import join_threads, run_on_plain_threads
 
 from depq.atomics import set_controller
 from depq.combining import (COMBINING, TWO_LOCKS, Combiner, CombinerRecord,
@@ -66,7 +67,7 @@ def test_overlapping_combine_passes_count_a_gauge_violation():
     comb = Combiner(apply)
     # On a plain thread under a bound, so a lost handoff fails, not hangs.
     [outcome] = run_on_plain_threads(announce_both, timeout=BOUND_S)
-    assert outcome is not None, f"an announce still waits after {BOUND_S} s"
+    assert outcome is not None, "announce_both raised"
     nested, violations, after = outcome
     assert nested == "nest"
     assert violations == 1
@@ -78,7 +79,6 @@ def _park_announcers(sched, comb, count, site="cc-spin"):
     """Spawn `count` workers announcing 0..count-1 and park each at `site`:
     by default right after its announcement is published (before it first
     checks its wait flag), forcing a known announcement order."""
-    sched.start()
     for i in range(count):
         name = f"t{i}"
         sched.spawn(name, comb.announce, i)
@@ -171,11 +171,7 @@ def _check_exactly_once(mode):
                for t in range(n_threads)]
     for t in threads:
         t.start()
-    deadline = time.monotonic() + BOUND_S    # shared, so a hang fails within it
-    for t in threads:
-        t.join(timeout=max(0.0, deadline - time.monotonic()))
-
-    assert not any(t.is_alive() for t in threads), f"announces still run after {BOUND_S} s"
+    join_threads(threads, BOUND_S)    # a shared bound, so a hang fails within it
     assert not errors
     assert len(seen) == per_thread * n_threads
     assert len(set(seen)) == len(seen)        # exactly once, no duplicates
@@ -346,9 +342,12 @@ def test_a_controller_without_wait_sees_each_wait_as_a_pause():
     class Sites:
         def __init__(self):
             self.seen = []
+            self.waits = []
 
-        def pause(self, site):
+        def pause(self, site, blocked=None):
             self.seen.append(site)
+            if blocked is not None:
+                self.waits.append(site)
 
     sites = Sites()
     set_controller(sites)
@@ -358,6 +357,7 @@ def test_a_controller_without_wait_sees_each_wait_as_a_pause():
     finally:
         set_controller(None)
     assert sites.seen.count("lock-acquire") == sites.seen.count("cc-spin") == 1
+    assert sorted(sites.waits) == ["cc-spin", "lock-acquire"]
 
 
 def check_fifo(spans, apply_seq):
@@ -402,11 +402,7 @@ def check_fifo_order(mode):
             with span_lock:
                 spans[req] = (t0, t1)
 
-    threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_on_plain_threads(*(partial(worker, t) for t in range(6)))
 
     assert len(apply_seq) == 6 * 200
     check_fifo(spans, apply_seq)

@@ -3,8 +3,10 @@
 import random
 import threading
 from collections import Counter
+from functools import partial
 
 import pytest
+from helpers import run_on_plain_threads
 
 from depq.dual_depq import (COMBINING, TWO_LOCKS, DualDepq, make_multi_consumer)
 from depq.items import MAX, MIN, Arena, try_reserve
@@ -62,7 +64,7 @@ def test_pre_reserved_item_is_skipped(dual):
     for k in (1, 2):
         dual.insert(k)
     # claim the smaller item behind the queue's back
-    for i in dual.arena.all_indices():
+    for i in range(len(dual.arena)):
         item = dual.arena.item(i)
         if item.key is not None and item.key.user_key == 1:
             assert try_reserve(item, dual.arena.rmw_lock)
@@ -173,7 +175,6 @@ def test_claim_delete_races_other_end_pop():
     recorded.insert(7)
     with ControlledScheduler() as sched:
         sched.spawn("min", recorded.extract_min)
-        sched.start()
         sched.run_until("min", "pq-delete")
         assert recorded.extract_max() is None
         assert d.reserve_failures[MAX] == 1
@@ -191,7 +192,6 @@ def test_insert_frozen_between_queues_is_visible_to_min_only():
     recorded = recorder.wrap(d)
     with ControlledScheduler() as sched:
         sched.spawn("ins", recorded.insert, 7)
-        sched.start()
         sched.run_until("ins", "between-pq-inserts")
         # the half-inserted key must never come out of the max end ...
         assert recorded.extract_max() is None
@@ -262,7 +262,6 @@ def test_adversary_schedule_starves_one_extractor():
         with sched:
             sched.spawn("victim", victim, None)
             sched.spawn("adversary", adversary, None)
-            sched.start()
             for _ in range(rounds):
                 # adversary inserts a key and immediately claims it ...
                 sched.run_until("adversary", "pq-insert")
@@ -344,13 +343,9 @@ def test_multi_consumer_stress_accounting(mode, fast_switching):
         with lock:
             returned.update(mine)
 
-    threads = ([threading.Thread(target=inserter, args=(s,)) for s in (1, 2)]
-               + [threading.Thread(target=extractor, args=(MIN,)) for _ in range(4)]
-               + [threading.Thread(target=extractor, args=(MAX,)) for _ in range(4)])
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_on_plain_threads(*[partial(inserter, s) for s in (1, 2)],
+                         *[partial(extractor, MIN) for _ in range(4)],
+                         *[partial(extractor, MAX) for _ in range(4)])
 
     remaining = Counter(inner.arena.item(i).user_key
                         for i in inner.min_pq.contents()

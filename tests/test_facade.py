@@ -103,12 +103,16 @@ def test_a_cyclic_list_fails_fast_and_loudly(monkeypatch):
         depq = cyclic()
         assert "[FAIL] finite list" in depq.problems()[0]
 
-        def count_keys():
-            with pytest.raises(AssertionError) as raised:
-                depq.remaining_keys()
-            return str(raised.value)
+        def raised_by(walk):
+            def run():
+                with pytest.raises(AssertionError) as raised:
+                    walk()
+                return str(raised.value)
+            return run
 
-        assert run_on_plain_threads(count_keys, timeout=5.0) == [cycle]
+        assert run_on_plain_threads(raised_by(depq.remaining_keys),
+                                    raised_by(lambda: depq.lists.walk(MIN)),
+                                    timeout=5.0) == [cycle, cycle]
         monkeypatch.setitem(workload.BUILDS, "list-depq", cyclic)
         cfg = WorkloadConfig(impl="list-depq", threads_insert=0, threads_min=0,
                              threads_max=1, ops_per_thread=1)

@@ -1,16 +1,17 @@
 """Key model, item creation, and the reservation flag."""
 
 import random
-import threading
 import tracemalloc
+from functools import partial
 
 import pytest
+from helpers import run_on_plain_threads
 from hypothesis import given, strategies as st
 
 from depq.atomics import AtomicCell
 from depq.combining import MODES
-from depq.items import (MAX, MIN, NONE_IDX, Arena, Key, is_reserved, key_less,
-                        pack_link, try_reserve, unpack_link)
+from depq.items import (MAX, MIN, NONE_IDX, POISONED, Arena, Key, is_reserved,
+                        key_less, pack_link, try_reserve, unpack_link)
 from depq.lincheck import Recorder
 from depq.ordered_list import ListPair, tower_height
 from depq.reclaim import DEFERRED, EPOCH
@@ -133,11 +134,7 @@ def test_concurrent_reserve_has_exactly_one_winner():
             if try_reserve(arena.item(index), arena.rmw_lock):
                 mine.append(index)
 
-    threads = [threading.Thread(target=racer, args=(i,)) for i in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_on_plain_threads(*(partial(racer, i) for i in range(4)))
     total = sum(len(w) for w in wins)
     assert total == len(indices)
     claimed = set()
@@ -191,6 +188,6 @@ def test_link_word_packing_roundtrip():
 def test_poisoned_slot_access_raises():
     arena = Arena()
     idx = arena.new_item(1)
-    arena.poison(idx)
+    arena.slots[idx] = POISONED     # as the reclaimer frees a slot
     with pytest.raises(AssertionError):
         arena.item(idx)

@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import ev, naive_check, random_history
+from helpers import ev, join_threads, naive_check, random_history, run_on_plain_threads
 
 from depq.lincheck import (EMPTY, Event, Recorder, Verdict, _assert_witness,
                            check, read_history, validate_history, write_history)
@@ -70,11 +70,7 @@ def test_recorder_overlapping_threads_interleave_stamps():
         barrier.wait()
         wrapped.extract_min()
 
-    threads = [threading.Thread(target=worker) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_on_plain_threads(worker, worker)
     events = rec.snapshot()
     assert len(events) == 2
     assert {e.thread for e in events} == {0, 1}
@@ -92,13 +88,13 @@ def test_recorder_retains_pending_operation():
             release.wait()
 
     wrapped = rec.wrap(Blocking())
-    t = threading.Thread(target=wrapped.insert, args=(9,))
+    t = threading.Thread(target=wrapped.insert, args=(9,), daemon=True)
     t.start()
-    started.wait()
+    assert started.wait(timeout=10.0)
     snap = rec.snapshot()
     assert len(snap) == 1 and snap[0].response is None and snap[0].result is None
     release.set()
-    t.join()
+    join_threads([t])
 
 
 def test_recorder_snapshot_copies_each_event():

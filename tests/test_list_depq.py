@@ -4,6 +4,7 @@ serialized per end."""
 import random
 import threading
 from collections import Counter
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -106,13 +107,7 @@ def test_insert_concurrent_with_extracts_audits_clean(fast_switching):
         for _ in range(100):
             op()
 
-    threads = [threading.Thread(target=inserter),
-               threading.Thread(target=extractor, args=(MIN,)),
-               threading.Thread(target=extractor, args=(MAX,))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_on_plain_threads(inserter, partial(extractor, MIN), partial(extractor, MAX))
     assert d.audit(MIN).ok and d.audit(MAX).ok
 
 
@@ -128,7 +123,6 @@ def test_one_finalize_per_batch():
     try_advance = d.reclaim.try_advance
     d.reclaim.try_advance = lambda: finishes.append(MAX) or try_advance()
     with ControlledScheduler() as sched:
-        sched.start()
         for i in range(batch):
             sched.spawn(f"x{i}", d.extract_max)
             sched.run_until(f"x{i}", "cc-spin")
@@ -245,13 +239,9 @@ def test_exclusivity_and_no_loss_under_stress(fast_switching):
         with lock:
             returned.update(mine)
 
-    threads = ([threading.Thread(target=inserter, args=(s,)) for s in (11, 22, 33)]
-               + [threading.Thread(target=extractor, args=(MIN,)) for _ in range(2)]
-               + [threading.Thread(target=extractor, args=(MAX,)) for _ in range(2)])
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_on_plain_threads(*[partial(inserter, s) for s in (11, 22, 33)],
+                         *[partial(extractor, MIN) for _ in range(2)],
+                         *[partial(extractor, MAX) for _ in range(2)])
 
     remaining = Counter(d.remaining_keys())
     assert inserted == returned + remaining          # no loss
@@ -276,7 +266,7 @@ def test_retire_counts_match_double_unlinks():
     d.extract_max()
     removed_per_end = []
     for end in (MIN, MAX):
-        linked = {i for i in d.arena.all_indices()
+        linked = {i for i in range(len(d.arena))
                   if d.arena.item(i).linked_into[end]}
         reachable = set(d.lists.walk(end))
         removed_per_end.append(linked - reachable)
@@ -344,7 +334,6 @@ def test_lock_freedom_smoke_frozen_threads_do_not_block_others():
     with ControlledScheduler() as sched:
         sched.spawn("stuck-ins", d.insert, 5000)
         sched.spawn("stuck-ex", d.extract_min)
-        sched.start()
         sched.run_until("stuck-ins", "ins-cas")
         sched.run_until("stuck-ex", "uh-write-head")
         assert run_on_plain_threads(busy_inserter, busy_max_extractor) == [1000, 1000]

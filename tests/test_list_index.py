@@ -25,7 +25,7 @@ class _CountReads:
     def __init__(self):
         self.reads = 0
 
-    def pause(self, site):
+    def pause(self, site, blocked=None):
         if site == "ins-read-link":
             self.reads += 1
 
@@ -106,7 +106,6 @@ def test_stale_descending_start_is_held_by_the_epoch():
     returned = Counter()
     with ControlledScheduler() as sched:
         sched.spawn("ins", d.insert, key)
-        sched.start()
         sched.run_until("ins", "between-list-inserts")   # on the ascending list only
         assert starts[0][1] is start
         for extract in (d.extract_min, d.extract_max):
@@ -136,7 +135,6 @@ def _insert_racing_an_unlinked_tower(depq):
     depq.insert(100)
     with ControlledScheduler() as sched:
         sched.spawn("ins50", depq.insert, 50)
-        sched.start()
         sched.run_until("ins50", "between-list-inserts")
         depq.insert(40)
         mid = depq.problems()

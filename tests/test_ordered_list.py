@@ -265,7 +265,6 @@ def test_strict_audit_with_frozen_pop():
     pq = ListPq(lists, MIN)
     with ControlledScheduler() as sched:
         sched.spawn("ex", pq.pq_extract_first)
-        sched.start()
         sched.run_until("ex", "uh-write-head")
         report = lists.audit(MIN)
         assert report.ok, report.describe()
@@ -283,7 +282,6 @@ def test_audit_quiescent_with_frozen_inserter_before_cas():
     idx = arena.new_item(2)
     with ControlledScheduler() as sched:
         sched.spawn("ins", lists.insert, idx)
-        sched.start()
         sched.run_until("ins", "ins-cas")
         report = lists.audit(MIN)
         assert report.ok, report.describe()
@@ -329,7 +327,7 @@ def test_unreachable_nodes_were_all_marked():
             lists.sweep_head(end)
     for end in (MIN, MAX):
         reachable = set(lists.walk(end))
-        for i in arena.all_indices():
+        for i in range(len(arena)):
             item = arena.item(i)
             if item.linked_into[end] and i not in reachable:
                 assert item.marked_into[end]
@@ -353,7 +351,6 @@ def test_insert_makes_progress_only_when_others_succeed():
     with sched:
         sched.spawn("slow", slow, None)
         sched.spawn("fast", fast, None)
-        sched.start()
         completed_between = 0
         for _ in range(rounds):
             sched.run_until("slow", "ins-cas")   # poised with a stale expected word

@@ -164,7 +164,6 @@ def test_frozen_reader_blocks_deallocation():
 
     with ControlledScheduler() as sched:
         sched.spawn("reader", reader)
-        sched.start()
         sched.run_until("reader", "reader-active")
         rec.on_unlink(idx)
         rec.on_unlink(idx)
@@ -187,7 +186,6 @@ def test_stalled_inserter_frees_what_its_epoch_held_back():
         d.insert(key)
     with ControlledScheduler() as sched:
         sched.spawn("ins", d.insert, 35)
-        sched.start()
         sched.run_until("ins", "ins-read-link")
         while d.extract_min() is not None:
             pass

@@ -8,6 +8,7 @@ import threading
 import time
 
 import pytest
+from helpers import join_threads
 
 from depq import atomics
 from depq import sched as sched_module
@@ -57,7 +58,6 @@ def test_unregistered_threads_pass_through():
     cell = Word(0)
     with ControlledScheduler() as sched:
         sched.spawn("w", lambda: cell.add(1, site="bump"))
-        sched.start()
         assert sched.wait_quiescent() == ("w",)
         # neither the main thread nor a plain thread is a worker: no pausing
         cell.add(1, site="bump")
@@ -79,7 +79,6 @@ def test_worker_exception_surfaces_at_join():
     with pytest.raises(RuntimeError, match="kaput"):
         with sched:
             sched.spawn("w", boom)
-            sched.start()
             sched.join_all()
 
 
@@ -92,7 +91,6 @@ def test_scheduler_context_always_releases_frozen_workers():
 
     with ControlledScheduler() as sched:
         sched.spawn("w", body)
-        sched.start()
         sched.run_until("w", "after")
         assert cell.load() == 1
         # no run_to_completion: leaving the context must still unblock and join
@@ -109,7 +107,6 @@ def test_stepping_runs_exactly_one_op_per_grant():
     sched = ControlledScheduler()
     with sched:
         sched.spawn("w", body)
-        sched.start()
         sched.wait_quiescent()
         for expected in range(3):
             assert cell.load() == expected
@@ -132,7 +129,6 @@ def test_run_until_stops_at_site():
     sched = ControlledScheduler()
     with sched:
         sched.spawn("w", body)
-        sched.start()
         sched.run_until("w", "c")
         assert trace == ["a", "b"]
         sched.run_to_completion("w")
@@ -230,7 +226,6 @@ def test_grant_rejects_unparked_worker():
     sched = ControlledScheduler()
     with sched:
         sched.spawn("w", lambda: None)
-        sched.start()
         sched.wait_quiescent()
         with pytest.raises(ScheduleError):
             sched.grant("nobody")
@@ -240,7 +235,6 @@ def test_rejected_grant_uses_no_step_budget():
     sched = ControlledScheduler(step_limit=1)
     with sched:
         sched.spawn("w", lambda: checkpoint("a"))
-        sched.start()
         sched.wait_quiescent()
         with pytest.raises(ScheduleError, match="cannot grant"):
             sched.grant("nobody")
@@ -258,12 +252,6 @@ def _counting_body(cell, steps, threads, finished):
             cell.add(1, site="bump")
         finished.append(threading.current_thread().name)
     return run
-
-
-def _assert_all_joined(threads, timeout=5.0):
-    for t in threads:
-        t.join(timeout=timeout)
-    assert [t.name for t in threads if t.is_alive()] == []
 
 
 def test_raising_chooser_releases_every_parked_worker():
@@ -286,7 +274,7 @@ def test_raising_chooser_releases_every_parked_worker():
             for name in ("a", "b", "c"):
                 sched.spawn(name, _counting_body(cell, 4, threads, finished))
             sched.drive(choose)
-    _assert_all_joined(threads)
+    join_threads(threads, timeout=5.0)
     assert len(finished) == 3           # released workers ran free to the end
     assert cell.load() == 12
 
@@ -298,7 +286,6 @@ def test_repeated_wait_quiescent_and_mixed_scripted_drivers():
     with sched:
         sched.spawn("a", _counting_body(cell, 3, threads, finished))
         sched.spawn("b", _counting_body(cell, 2, threads, finished))
-        sched.start()
         first = sched.wait_quiescent()
         t0 = time.monotonic()
         assert sched.wait_quiescent(timeout=5.0) == first == ("a", "b")
@@ -311,7 +298,7 @@ def test_repeated_wait_quiescent_and_mixed_scripted_drivers():
         assert cell.load() == 3
         assert sched.wait_quiescent() == ("a",)
         sched.run_to_completion("a")
-    _assert_all_joined(threads)
+    join_threads(threads, timeout=5.0)
     assert cell.load() == 5
 
 
@@ -322,7 +309,6 @@ def test_late_spawn_is_waited_for():
     sched = ControlledScheduler()
     with sched:
         sched.spawn("a", _counting_body(cell, 1, threads, finished))
-        sched.start()
         deadline = time.monotonic() + 5.0
         while sched.parked_site("a") is None:
             assert time.monotonic() < deadline, "a never parked"
@@ -330,7 +316,7 @@ def test_late_spawn_is_waited_for():
         sched.spawn("b", _counting_body(cell, 1, threads, finished))
         assert sched.wait_quiescent() == ("a", "b")
         sched.drive(random_walk(0))
-    _assert_all_joined(threads)
+    join_threads(threads, timeout=5.0)
     assert cell.load() == 2
 
 
@@ -341,7 +327,7 @@ def test_drive_goes_on_after_shorter_workers_finish():
         for name, steps in (("a", 1), ("b", 3), ("c", 5)):
             sched.spawn(name, _counting_body(cell, steps, threads, finished))
         trace = sched.drive(random_walk(7))
-    _assert_all_joined(threads)
+    join_threads(threads, timeout=5.0)
     assert cell.load() == 9
     assert len(trace) == 1 + 3 + 5      # one grant per bump
     sizes = [len(runnable) for _, runnable in trace]
@@ -367,14 +353,13 @@ def test_stepped_worker_raising_before_its_first_pause():
             drove.append(trace)
             with pytest.raises(RuntimeError, match="before its first pause"):
                 sched.results()
-    _assert_all_joined(threads)
+    join_threads(threads, timeout=5.0)
     assert [pick for pick, _ in drove[0]] == ["ok"] * 2
     assert cell.load() == 2
 
 
 def _scripted_walk(sched, choose):
     """The reference for ``drive``: a driver-thread wait_quiescent/grant loop."""
-    sched.start()
     trace = []
     while runnable := sched.wait_quiescent():
         pick = choose(runnable)
@@ -399,7 +384,7 @@ def test_drive_matches_the_scripted_walk():
                     for i, n in enumerate(steps):
                         sched.spawn(f"w{i}", _counting_body(cell, n, threads, finished))
                     trace = walk(sched)
-                _assert_all_joined(threads)
+                join_threads(threads, timeout=5.0)
                 runs.append((trace, cell.load(), finished))
             driven, scripted = runs
             assert driven == scripted, seed
@@ -417,7 +402,7 @@ def test_drive_step_limit():
         with pytest.raises(ScheduleError, match="^step limit exceeded$"):
             sched.drive(random_walk(1))
         assert cell.load() == 3
-    _assert_all_joined(threads)
+    join_threads(threads, timeout=5.0)
     assert cell.load() == 8             # released workers ran free to the end
 
 
@@ -431,7 +416,7 @@ def test_drive_rejects_a_pick_outside_the_runnable_set():
                            match=r"^chooser picked 'c', runnable \('a', 'b'\)$"):
             sched.drive(lambda runnable: "c")
         assert cell.load() == 0
-    _assert_all_joined(threads)
+    join_threads(threads, timeout=5.0)
     assert cell.load() == 4
 
 
@@ -453,7 +438,7 @@ def test_drive_times_out_on_a_worker_blocked_between_pauses():
             sched.drive(random_walk(2), timeout=0.3)
         assert time.monotonic() - t0 < 5.0
         gate.set()
-    _assert_all_joined(threads)
+    join_threads(threads, timeout=5.0)
     assert cell.load() == 3
 
 
@@ -482,7 +467,7 @@ def test_a_worker_whose_wait_holds_is_not_runnable():
         sched.spawn("a", _gated(gate, threads, finished))
         sched.spawn("b", _opener(gate, threads))
         trace = sched.drive(lambda runnable: runnable[0])
-    _assert_all_joined(threads)
+    join_threads(threads, timeout=5.0)
     # "a" sorts first, yet the chooser sees it only once "b" has opened.
     assert trace == [("b", ("b",)), ("a", ("a",))]
     assert len(finished) == 1
@@ -494,7 +479,6 @@ def test_scripted_grant_of_a_waiting_worker_raises():
     with ControlledScheduler(step_limit=2) as sched:
         sched.spawn("a", _gated(gate, threads, finished))
         sched.spawn("b", _opener(gate, threads))
-        sched.start()
         assert sched.wait_quiescent() == ("a", "b")
         with pytest.raises(ScheduleError, match=r"^cannot grant 'a': it waits at 'gated'$"):
             sched.grant("a")
@@ -503,7 +487,7 @@ def test_scripted_grant_of_a_waiting_worker_raises():
         assert sched.wait_quiescent() == ("a",)
         sched.grant("a")                # the wait has cleared; no budget was spent
         assert sched.wait_quiescent() == ()
-    _assert_all_joined(threads)
+    join_threads(threads, timeout=5.0)
     assert len(finished) == 1
 
 
@@ -521,7 +505,7 @@ def test_drive_raises_at_once_when_every_parked_worker_waits():
         assert time.monotonic() - t0 < 2.0
         assert cell.load() == 3         # "c" ran to its end: three steps, not a million
         assert sched.parked_site("a") == sched.parked_site("b") == "gated"
-    _assert_all_joined(threads)
+    join_threads(threads, timeout=5.0)
     assert len(finished) == 3           # released waiters ran free to the end
 
 
@@ -549,7 +533,6 @@ def _run_opposite_order_deadlock():
         with ControlledScheduler() as sched:
             sched.spawn("x", a.announce, "x")
             sched.spawn("y", b.announce, "y")
-            sched.start()
             sched.run_until("x", "in-a")
             sched.run_until("y", "in-b")
             sched.drive(random_walk(0))
