@@ -37,11 +37,18 @@ EXIT_SCHEDULE = 5
 EXIT_WORKER = 6
 
 
-def _add_workload_args(p: argparse.ArgumentParser) -> None:
+def _add_build_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--impl", default="list-depq", choices=IMPLS)
     p.add_argument("--mode", default=DEFAULT_MODE, choices=MODES,
                    help="per-end serialization of extractions: a lock per end, "
                         "or the paper's combining")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--batch-cap", type=int, default=64)
+    p.add_argument("--reclaim", default=DEFERRED, choices=(DEFERRED, EPOCH),
+                   help="epoch applies to list-depq only")
+
+
+def _add_traffic_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads-insert", type=int, default=2)
     p.add_argument("--threads-min", type=int, default=1)
     p.add_argument("--threads-max", type=int, default=1)
@@ -50,35 +57,24 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ops", type=int, default=None,
                    help="operations per thread (mutually exclusive with --duration-ms)")
     p.add_argument("--duration-ms", type=int, default=None)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--batch-cap", type=int, default=64)
-    p.add_argument("--reclaim", default=DEFERRED, choices=(DEFERRED, EPOCH),
-                   help="epoch applies to list-depq only")
 
 
-def _config(args: argparse.Namespace, default_ops: int | None = 1000) -> WorkloadConfig:
-    ops = args.ops
-    if ops is None and args.duration_ms is None:
-        ops = default_ops
-    return WorkloadConfig(
-        impl=args.impl,
-        mode=args.mode,
-        threads_insert=args.threads_insert,
-        threads_min=args.threads_min,
-        threads_max=args.threads_max,
-        prefill=args.prefill,
-        key_range=args.key_range,
-        ops_per_thread=ops,
-        duration_ms=args.duration_ms,
-        seed=args.seed,
-        batch_cap=args.batch_cap,
-        reclaim_mode=args.reclaim,
-    )
+def _config(args: argparse.Namespace, **traffic) -> WorkloadConfig:
+    """The build the options name; ``traffic`` sets the other fields."""
+    return WorkloadConfig(impl=args.impl, mode=args.mode, seed=args.seed,
+                          batch_cap=args.batch_cap, reclaim_mode=args.reclaim,
+                          **traffic)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    ops = args.ops
+    if ops is None and args.duration_ms is None:
+        ops = 1000
     try:
-        cfg = _config(args)
+        cfg = _config(args, threads_insert=args.threads_insert,
+                      threads_min=args.threads_min, threads_max=args.threads_max,
+                      prefill=args.prefill, key_range=args.key_range,
+                      ops_per_thread=ops, duration_ms=args.duration_ms)
         report = run_bench(cfg)
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
@@ -102,8 +98,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_stress(args: argparse.Namespace) -> int:
     try:
-        cfg = _config(args, default_ops=1)
-        outcome = run_stress(cfg, windows=args.windows, capture=args.capture)
+        outcome = run_stress(_config(args), windows=args.windows, capture=args.capture)
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -158,13 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bench = sub.add_parser("bench", help="run a workload and report counters")
-    _add_workload_args(p_bench)
+    _add_build_args(p_bench)
+    _add_traffic_args(p_bench)
     p_bench.set_defaults(fn=cmd_bench)
 
     p_stress = sub.add_parser(
         "stress", help="run checked concurrent windows; nonzero exit on a "
                        "non-linearizable history")
-    _add_workload_args(p_stress)
+    _add_build_args(p_stress)
     p_stress.add_argument("--windows", type=int, default=500)
     p_stress.add_argument("--capture", default=None, metavar="FILE",
                           help="record each window's history to FILE "

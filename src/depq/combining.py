@@ -1,15 +1,14 @@
 """Per-end serializers: one end's extractions run one at a time.
 
 ``make_serializer`` builds one of two kinds, chosen by mode.  Both take a
-per-request function ``apply``, an optional ``finalize`` and an optional
-``guard`` bracket, and both offer ``announce(request)``, which returns
-``apply(request)``.  Both keep the same :class:`BatchStats` in ``stats``:
-a histogram of batch sizes and a count of gauge violations, plain ints
-updated under a lock the serializer holds anyway, so they are exact.
+per-request function ``apply`` and offer ``announce(request)``, which
+returns ``apply(request)``.  Both keep the same :class:`BatchStats` in
+``stats``: a histogram of batch sizes and a count of gauge violations,
+plain ints updated under a lock the serializer holds anyway, so they are
+exact.
 
 ``two-locks`` (:class:`EndLock`, the default): each caller takes the end's
-lock, runs its own request and then the finalizer, and releases.  Every
-call is a batch of one.
+lock, runs its own request and releases.  Every call is a batch of one.
 
 ``combining`` (:class:`Combiner`): the combining scheme of the paper, after
 CC-Synch.  Threads announce a request by swapping a fresh record into the
@@ -18,17 +17,15 @@ cell.  They publish the request into that cell, link the fresh record
 behind it, and spin locally on the cell's wait flag.  The thread whose wait
 flag clears with the completed flag still unset becomes the combiner: it
 walks the record chain in FIFO order applying up to ``batch_cap`` requests,
-runs the batch finalizer once, and hands the combiner role to the next
-record by clearing its wait flag.  Combining pays off only when announcers
-run in parallel; under CPython's GIL its batches are almost always 1, which
-is why the lock is the default.
+and hands the combiner role to the next record by clearing its wait flag.
+Combining pays off only when announcers run in parallel; under CPython's
+GIL its batches are almost always 1, which is why the lock is the default.
 
 Consequences relied on elsewhere in this package, in both modes: at most
-one thread runs an end's requests at a time, requests are served exactly
-once, and the finalizer runs after a batch's last request and before the
-next batch.  The finalizer is therefore the right place for once-per-batch
-maintenance; ``list-depq`` uses it to try to advance the reclaimer's
-epoch.  A request that raises fails only its own caller.
+one thread runs an end's requests at a time, each request is served
+exactly once, and a request that raises fails only its own caller.  What
+a request needs around it, such as ``list-depq``'s epoch bracket, is part
+of ``apply``, and runs on whichever thread serves it.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from types import SimpleNamespace
 from typing import Any, Callable, Iterable
 
 from . import atomics
@@ -73,13 +69,6 @@ class BatchStats:
                 "gauge_violations": self.gauge_violations, "batch_sizes": sizes}
 
 
-def _nothing() -> None:
-    pass
-
-
-_NO_GUARD = SimpleNamespace(enter=_nothing, exit=_nothing)
-
-
 class CombinerRecord:
     __slots__ = ("request", "result", "error", "wait", "completed", "next_rec")
 
@@ -95,19 +84,15 @@ class CombinerRecord:
 class Combiner:
     """One combining instance serving one hotspot (one end of a queue).
 
-    Each announcer is inside ``guard`` for its whole call, so whichever
-    thread combines runs the batch inside its own bracket.
+    Each request is applied by the combiner of its batch, which may be
+    another announcer's thread.
     """
 
-    def __init__(self, apply: Callable[[Any], Any],
-                 finalize: Callable[[], None] | None = None,
-                 batch_cap: int = 64, guard: Any = None):
+    def __init__(self, apply: Callable[[Any], Any], batch_cap: int = 64):
         if batch_cap < 1:
             raise ValueError("batch_cap must be at least 1")
         self.batch_cap = batch_cap
         self._apply = apply
-        self._finalize = finalize or _nothing
-        self._guard = guard if guard is not None else _NO_GUARD
         # The tail's swap runs under this lock; ``stats`` is updated under it too.
         self._lock = threading.Lock()
         self._tail = CombinerRecord()
@@ -118,36 +103,32 @@ class Combiner:
 
     def announce(self, request: Any) -> Any:
         """Submit a request; blocks until some combiner has applied it."""
-        self._guard.enter()
-        try:
-            fresh = getattr(self._spare, "rec", None) or CombinerRecord()
-            fresh.next_rec = None
-            fresh.wait = 1
-            fresh.completed = 0
-            fresh.error = None
-            atomics.checkpoint("cc-swap")
-            with self._lock:
-                cell = self._tail
-                self._tail = fresh
-            cell.request = request
-            atomics.checkpoint("cc-link")
-            cell.next_rec = fresh
-            # The received record is recycled as this thread's next fresh one.
-            self._spare.rec = cell
+        fresh = getattr(self._spare, "rec", None) or CombinerRecord()
+        fresh.next_rec = None
+        fresh.wait = 1
+        fresh.completed = 0
+        fresh.error = None
+        atomics.checkpoint("cc-swap")
+        with self._lock:
+            cell = self._tail
+            self._tail = fresh
+        cell.request = request
+        atomics.checkpoint("cc-link")
+        cell.next_rec = fresh
+        # The received record is recycled as this thread's next fresh one.
+        self._spare.rec = cell
 
-            spins = 0
-            while True:
-                if atomics._controller is not None:
-                    atomics.wait("cc-spin", lambda: cell.wait)
-                if not cell.wait:
-                    break
-                spins += 1
-                if spins % _SPIN_BEFORE_YIELD == 0:
-                    time.sleep(0)
-            if not cell.completed:
-                self._combine(cell)
-        finally:
-            self._guard.exit()
+        spins = 0
+        while True:
+            if atomics._controller is not None:
+                atomics.wait("cc-spin", lambda: cell.wait)
+            if not cell.wait:
+                break
+            spins += 1
+            if spins % _SPIN_BEFORE_YIELD == 0:
+                time.sleep(0)
+        if not cell.completed:
+            self._combine(cell)
         if cell.error is not None:
             raise cell.error
         return cell.result
@@ -157,7 +138,7 @@ class Combiner:
 
         A request that raises has its exception stored in its record, for
         its own caller to raise; the batch goes on.  The role is handed on
-        even when the finalizer raises, so no later announce waits forever.
+        even when the pass is cut short, so no later announce waits forever.
         """
         # Never blocks: a held lock means a second combiner, which is counted.
         # Two combiners may count at once, hence the lock.
@@ -181,7 +162,6 @@ class Combiner:
                 rec.completed = 1
                 rec.wait = 0
                 rec = nxt
-            self._finalize()
         finally:
             with self._lock:
                 self.stats.record(served)
@@ -195,51 +175,35 @@ class EndLock:
     """Lock mode: each caller runs its own request under the end's lock.
 
     A plain ``threading.Lock``, which a caller waits for at ``lock-acquire``
-    (see :func:`~depq.atomics.wait`).  The caller enters ``guard`` only once
-    it holds the lock, so a waiter holds no bracket.
+    (see :func:`~depq.atomics.wait`).
     """
 
-    def __init__(self, apply: Callable[[Any], Any],
-                 finalize: Callable[[], None] | None = None,
-                 guard: Any = None):
+    def __init__(self, apply: Callable[[Any], Any]):
         self._apply = apply
-        self._finalize = finalize or _nothing
-        self._guard = guard if guard is not None else _NO_GUARD
         self._lock = threading.Lock()
         self.stats = BatchStats()
 
     def announce(self, request: Any) -> Any:
-        """Apply ``request``, then finalize.  An error from ``apply`` reaches
-        the caller only after the finalizer has run and the lock is free."""
+        """Apply ``request``.  An error from ``apply`` reaches the caller
+        only once the lock is free."""
         if atomics._controller is not None:
             atomics.wait("lock-acquire", self._lock.locked)
         self._lock.acquire()
         try:
-            self._guard.enter()
             return self._apply(request)
         finally:
-            try:
-                self._finalize()
-            finally:
-                self._guard.exit()
-                self.stats.record(1)
-                self._lock.release()
+            self.stats.record(1)
+            self._lock.release()
 
 
-def make_serializer(mode: str, apply: Callable[[Any], Any],
-                    finalize: Callable[[], None] | None = None,
-                    batch_cap: int = 64, guard: Any = None):
-    """One end's serializer in ``mode``; ``batch_cap`` applies to combining.
-
-    ``guard`` is a bracket, such as a reclaimer's epoch, with ``enter()`` and
-    ``exit()``: each caller is inside it while its request can run.
-    """
+def make_serializer(mode: str, apply: Callable[[Any], Any], batch_cap: int = 64):
+    """One end's serializer in ``mode``; ``batch_cap`` applies to combining."""
     if batch_cap < 1:
         raise ValueError("batch_cap must be at least 1")
     if mode == TWO_LOCKS:
-        return EndLock(apply, finalize, guard)
+        return EndLock(apply)
     if mode == COMBINING:
-        return Combiner(apply, finalize, batch_cap, guard)
+        return Combiner(apply, batch_cap)
     raise ValueError(f"unknown serializer mode {mode!r}")
 
 

@@ -129,15 +129,22 @@ class DualDepq:
 
 class MultiConsumerDepq:
     """Multi-consumer wrapper: each end's extractions go through that end's
-    serializer, which gets ``guard`` and ``finalize`` (see
-    :func:`~depq.combining.make_serializer`)."""
+    serializer (see :func:`~depq.combining.make_serializer`), which applies
+    ``_extraction(end)`` to each request."""
 
-    def __init__(self, inner: DualDepq, mode: str, batch_cap: int = 64,
-                 guard=None, finalize=None):
+    def __init__(self, inner: DualDepq, mode: str, batch_cap: int = 64):
         self.inner = inner
-        self._ends = (
-            make_serializer(mode, lambda _req: inner.extract_min(), finalize, batch_cap, guard),
-            make_serializer(mode, lambda _req: inner.extract_max(), finalize, batch_cap, guard))
+        self._ends = (make_serializer(mode, self._extraction(MIN), batch_cap),
+                      make_serializer(mode, self._extraction(MAX), batch_cap))
+
+    def _extraction(self, end: int):
+        """The function ``end``'s serializer applies to each request.  It
+        looks ``inner``'s extraction up at each call, so a wrapped one (a
+        tracer's, say) is the one that runs."""
+        inner = self.inner
+        if end == MIN:
+            return lambda _req: inner.extract_min()
+        return lambda _req: inner.extract_max()
 
     def insert(self, user_key: int) -> None:
         self.inner.insert(user_key)

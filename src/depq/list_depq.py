@@ -11,7 +11,8 @@ An extraction pops its own end's first live node and claims it; a node the
 other end has already claimed is skipped.  The pop physically deletes the
 logically deleted prefix behind it and hands the unlinked nodes to a
 reclaimer, which retires a node once both lists have dropped it.  Each
-extraction runs inside the reclaimer's epoch, and each batch ends with an
+extraction runs inside the reclaimer's epoch, entered by whichever thread
+serves it (the end's lock holder, or the combiner), and ends with an
 attempt to advance the epoch.  Insertions never touch the serializers: one
 pair insert links the new node into the ascending list first, then the
 descending one, concurrently with everything else.  It too runs inside the
@@ -35,11 +36,22 @@ class ListDepq(MultiConsumerDepq):
         self.lists = lists = ListPair(arena)
         self.reclaim = reclaim = Reclaimer(arena, mode=reclaim_mode)
         dual = DualDepq(arena, ListPq(lists, MIN, reclaim), ListPq(lists, MAX, reclaim))
-        # Under the lock a caller enters the epoch only once it holds the
-        # lock.  ``try_advance`` is looked up per batch, so a wrapped one
-        # (a tracer's, say) is the one that runs.
-        super().__init__(dual, mode, batch_cap, guard=reclaim,
-                         finalize=lambda: reclaim.try_advance())
+        super().__init__(dual, mode, batch_cap)
+
+    def _extraction(self, end: int):
+        """Each extraction inside the epoch, as ``insert`` is, then an
+        attempt to advance it.  Every call is looked up when it runs."""
+        inner, reclaim = self.inner, self.reclaim
+        name = ("extract_min", "extract_max")[end]
+
+        def bracketed(_req):
+            reclaim.enter()
+            try:
+                return getattr(inner, name)()
+            finally:
+                reclaim.exit()
+                reclaim.try_advance()
+        return bracketed
 
     def insert(self, user_key: int) -> None:
         self.reclaim.enter()

@@ -159,11 +159,16 @@ def join_threads(threads, timeout=10.0):
 def run_on_plain_threads(*fns, timeout=10.0):
     """Run each of ``fns`` on its own plain daemon thread, which no
     controlled scheduler pauses, and join them with ``join_threads``;
-    returns their results in order, None for any that raised."""
+    returns their results in order.  If any raised, fails with the first
+    error raised, naming its thread."""
     results = [None] * len(fns)
+    errors = []
 
     def run(i, fn):
-        results[i] = fn()
+        try:
+            results[i] = fn()
+        except BaseException as exc:
+            errors.append((threading.current_thread().name, exc))
 
     threads = [threading.Thread(target=run, args=(i, fn), name=f"plain-{i}: {fn!r}",
                                 daemon=True)
@@ -171,4 +176,7 @@ def run_on_plain_threads(*fns, timeout=10.0):
     for thread in threads:
         thread.start()
     join_threads(threads, timeout)
+    if errors:
+        name, exc = errors[0]
+        raise AssertionError(f"{name} raised {exc!r}") from exc
     return results

@@ -1,9 +1,9 @@
-"""The per-end serializers: batching, FIFO service, handoff, finalizers.
+"""The per-end serializers: batching, FIFO service, handoff, errors.
 
 The combining engine's batching tests run on ``combining`` only.  The
 contract both modes share (exactly once, FIFO, termination under stepping,
-errors reaching only their own caller) has a check per property, run once
-per mode.
+errors reaching only their own caller) has a test per property,
+parametrized over the modes.
 """
 
 import sys
@@ -16,7 +16,7 @@ import pytest
 from helpers import join_threads, run_on_plain_threads
 
 from depq.atomics import set_controller
-from depq.combining import (COMBINING, TWO_LOCKS, Combiner, CombinerRecord,
+from depq.combining import (COMBINING, MODES, TWO_LOCKS, Combiner, CombinerRecord,
                             make_serializer)
 from depq.sched import ControlledScheduler, random_walk
 
@@ -32,10 +32,8 @@ def test_batch_cap_must_be_positive():
 
 
 def test_single_caller_serves_itself_and_finalizes_once():
-    finalized = []
-    comb = Combiner(lambda r: r * 2, finalize=lambda: finalized.append(1))
+    comb = Combiner(lambda r: r * 2)
     assert comb.announce(21) == 42
-    assert finalized == [1]
     snap = comb.stats.snapshot()
     assert snap["applied"] == 1
     assert snap["batches"] == 1
@@ -67,7 +65,6 @@ def test_overlapping_combine_passes_count_a_gauge_violation():
     comb = Combiner(apply)
     # On a plain thread under a bound, so a lost handoff fails, not hangs.
     [outcome] = run_on_plain_threads(announce_both, timeout=BOUND_S)
-    assert outcome is not None, "announce_both raised"
     nested, violations, after = outcome
     assert nested == "nest"
     assert violations == 1
@@ -97,8 +94,7 @@ def test_scripted_batch_serves_all_in_announcement_order():
         applied.append(req)
         return req
 
-    finalized = []
-    comb = Combiner(apply, finalize=lambda: finalized.append(len(applied)))
+    comb = Combiner(apply)
     with ControlledScheduler() as sched:
         _park_announcers(sched, comb, 8)
         # First announcer becomes combiner and serves the whole batch.
@@ -107,19 +103,17 @@ def test_scripted_batch_serves_all_in_announcement_order():
 
     assert applied == list(range(8))          # FIFO in announcement order
     assert results == {f"t{i}": i for i in range(8)}
-    assert finalized == [8]                   # one finalize, after last apply
-    assert comb.stats.snapshot()["batch_sizes"] == {8: 1}
+    assert comb.stats.snapshot()["batch_sizes"] == {8: 1}   # one batch
 
 
 def test_batch_cap_splits_into_two_batches_with_handoff():
     applied = []
-    finalized = []
-    comb = Combiner(lambda r: applied.append(r) or r,
-                    finalize=lambda: finalized.append(len(applied)), batch_cap=4)
+    comb = Combiner(lambda r: applied.append(r) or r, batch_cap=4)
     with ControlledScheduler() as sched:
         _park_announcers(sched, comb, 8)
         sched.run_to_completion("t0")         # combiner #1 serves t0..t3
         assert applied == [0, 1, 2, 3]
+        assert comb.stats.snapshot()["batch_sizes"] == {4: 1}
         _finish_in_order(sched, ["t1", "t2", "t3"])
         sched.run_to_completion("t4")         # wakes as combiner #2
         assert applied == list(range(8))
@@ -127,12 +121,12 @@ def test_batch_cap_splits_into_two_batches_with_handoff():
 
     snap = comb.stats.snapshot()
     assert snap["batches"] == 2
-    assert finalized == [4, 8]                # once per batch, after its last apply
     assert snap["batch_sizes"] == {4: 2}
     assert snap["gauge_violations"] == 0
 
 
-def check_exactly_once(mode):
+@pytest.mark.parametrize("mode", MODES)
+def test_concurrent_announces_apply_exactly_once(mode):
     """Also the stats' exactness: they are plain ints, so a lost update under
     fast thread switching would show in the totals."""
     old = sys.getswitchinterval()
@@ -154,9 +148,7 @@ def _check_exactly_once(mode):
             seen.append(req)
         return req
 
-    finalized = []
-    comb = make_serializer(mode, apply, finalize=lambda: finalized.append(1),
-                           batch_cap=16)
+    comb = make_serializer(mode, apply, batch_cap=16)
     errors = []
 
     def worker(base):
@@ -177,28 +169,18 @@ def _check_exactly_once(mode):
     assert len(set(seen)) == len(seen)        # exactly once, no duplicates
     snap = comb.stats.snapshot()
     assert snap["applied"] == per_thread * n_threads
-    assert len(finalized) == snap["batches"]
     assert snap["gauge_violations"] == 0
     assert sum(size * count for size, count in snap["batch_sizes"].items()) \
         == per_thread * n_threads
     assert max(snap["batch_sizes"]) <= 16
 
 
-def test_concurrent_announces_apply_exactly_once():
-    check_exactly_once(COMBINING)
-
-
-def test_concurrent_announces_apply_exactly_once_two_locks():
-    check_exactly_once(TWO_LOCKS)
-
-
-def check_terminates_under_fair_stepping(mode):
+@pytest.mark.parametrize("mode", MODES)
+def test_every_announce_terminates_under_fair_stepping(mode):
     # No lost wakeups: drive four announcers to completion with a seeded
     # random walk over every instrumented step, spins included.
     for seed in (1, 2, 3):
-        finalized = []
-        comb = make_serializer(mode, lambda r: r * 10,
-                               finalize=lambda: finalized.append(1), batch_cap=2)
+        comb = make_serializer(mode, lambda r: r * 10, batch_cap=2)
         sched = ControlledScheduler(step_limit=50_000)
         with sched:
             for i in range(4):
@@ -207,20 +189,14 @@ def check_terminates_under_fair_stepping(mode):
             assert sched.results() == {f"t{i}": i * 10 for i in range(4)}
         snap = comb.stats.snapshot()
         assert snap["applied"] == 4
-        assert len(finalized) == snap["batches"]
+        assert snap["batches"] >= 2           # at most two requests per batch
 
 
-def test_every_announce_terminates_under_fair_stepping():
-    check_terminates_under_fair_stepping(COMBINING)
-
-
-def test_every_announce_terminates_under_fair_stepping_two_locks():
-    check_terminates_under_fair_stepping(TWO_LOCKS)
-
-
-def test_raising_request_fails_only_its_own_caller():
-    # Three parked announcers; t1's request raises inside t0's batch.  The
-    # exception reaches t1 alone, the batch goes on, the role is handed off.
+@pytest.mark.parametrize("mode", MODES)
+def test_raising_request_fails_only_its_own_caller(mode):
+    # Three parked announcers; t1's request raises, inside t0's batch under
+    # combining, in its own batch under the lock.  The exception reaches t1
+    # alone, once the batches before it are done; the rest are still served.
     def apply(req):
         if req == 1:
             raise ValueError("request 1 failed")
@@ -230,79 +206,26 @@ def test_raising_request_fails_only_its_own_caller():
         try:
             return comb.announce(req)
         except ValueError as exc:
-            return exc
+            return exc, comb.stats.snapshot()["batches"]
 
-    finalized = []
-    comb = Combiner(apply, finalize=lambda: finalized.append(1))
+    comb = make_serializer(mode, apply)
+    site = "cc-spin" if mode == COMBINING else "lock-acquire"
     with ControlledScheduler() as sched:
-        _park_announcers(sched, SimpleNamespace(announce=announce), 3)
+        _park_announcers(sched, SimpleNamespace(announce=announce), 3, site=site)
         _finish_in_order(sched, ["t0", "t1", "t2"])
         results = sched.results()
     assert results["t0"] == 0 and results["t2"] == 20
-    assert str(results["t1"]) == "request 1 failed"
-    assert finalized == [1]                   # one batch served all three
-    assert comb.announce(4) == 40             # a later announce still works
-    assert comb.stats.snapshot()["applied"] == 4
-
-
-def check_raising_finalizer_releases(mode):
-    calls = []
-
-    def finalize():
-        calls.append(1)
-        if len(calls) == 1:
-            raise RuntimeError("finalizer failed")
-
-    comb = make_serializer(mode, lambda r: r, finalize=finalize)
-    with pytest.raises(RuntimeError, match="finalizer failed"):
-        comb.announce(1)
-    # Without the handoff (or the release) this announce would spin forever.
-    later = []
-    waiter = threading.Thread(target=lambda: later.append(comb.announce(2)), daemon=True)
-    waiter.start()
-    waiter.join(timeout=10)
-    assert later == [2]
-    assert comb.stats.snapshot()["batches"] == 2
-
-
-def test_raising_finalizer_still_hands_off():
-    check_raising_finalizer_releases(COMBINING)
-
-
-def test_raising_finalizer_still_releases_the_lock():
-    check_raising_finalizer_releases(TWO_LOCKS)
-
-
-def test_raising_request_fails_only_its_own_caller_two_locks():
-    # Three announcers parked before the lock, let through one at a time.
-    # t1's error reaches t1 once its finalizer has run and the lock is free.
-    def apply(req):
-        if req == 1:
-            raise ValueError("request 1 failed")
-        return req * 10
-
-    def announce(req):
-        try:
-            return comb.announce(req)
-        except ValueError as exc:
-            return exc, len(finalized)
-
-    finalized = []
-    comb = make_serializer(TWO_LOCKS, apply, finalize=lambda: finalized.append(1))
-    with ControlledScheduler() as sched:
-        _park_announcers(sched, SimpleNamespace(announce=announce), 3,
-                         site="lock-acquire")
-        _finish_in_order(sched, ["t0", "t1", "t2"])
-        results = sched.results()
-    assert results["t0"] == 0 and results["t2"] == 20
-    error, finalized_before_raise = results["t1"]
+    error, batches_before_raise = results["t1"]
     assert str(error) == "request 1 failed"
-    assert finalized_before_raise == 2        # t0's finalizer and t1's own
-    assert finalized == [1, 1, 1]             # every call is its own batch
-    assert comb.announce(4) == 40
+    assert comb.announce(4) == 40             # a later announce still works
     snap = comb.stats.snapshot()
-    assert snap["applied"] == snap["batches"] == 4
-    assert snap["batch_sizes"] == {1: 4}
+    assert snap["applied"] == 4
+    if mode == COMBINING:                     # one batch served all three
+        assert batches_before_raise == 1
+        assert snap["batch_sizes"] == {1: 1, 3: 1}
+    else:                                     # every call is its own batch
+        assert batches_before_raise == 2
+        assert snap["batch_sizes"] == {1: 4}
 
 
 def test_frozen_lock_holder_keeps_a_second_caller_waiting():
@@ -374,7 +297,8 @@ def check_fifo(spans, apply_seq):
             f"request applied after {req} completed before it was invoked")
 
 
-def check_fifo_order(mode):
+@pytest.mark.parametrize("mode", MODES)
+def test_fifo_respects_completion_order(fast_switching, mode):
     clock = threading.Lock()
     stamp = [0]
 
@@ -406,11 +330,3 @@ def check_fifo_order(mode):
 
     assert len(apply_seq) == 6 * 200
     check_fifo(spans, apply_seq)
-
-
-def test_fifo_respects_completion_order(fast_switching):
-    check_fifo_order(COMBINING)
-
-
-def test_fifo_respects_completion_order_two_locks(fast_switching):
-    check_fifo_order(TWO_LOCKS)

@@ -111,17 +111,20 @@ def test_insert_concurrent_with_extracts_audits_clean(fast_switching):
     assert d.audit(MIN).ok and d.audit(MAX).ok
 
 
-def test_one_finalize_per_batch():
-    # Park a batch of extract-max requests, let one combiner serve them all,
-    # and count the finalizer's calls of try_advance: one per batch, not one
-    # per request.
+def test_the_combiner_brackets_each_request():
+    # Park a batch of extract-max requests and let x0 combine them all: x0
+    # enters the epoch and tries to advance it once per request it serves,
+    # and the parked announcers call neither.
     batch = 5
     d = ListDepq(mode=COMBINING)
     for k in range(10):
         d.insert(k)
-    finishes = []
-    try_advance = d.reclaim.try_advance
-    d.reclaim.try_advance = lambda: finishes.append(MAX) or try_advance()
+    callers = {"enter": [], "try_advance": []}
+    for name, seen in callers.items():
+        def recorded(original=getattr(d.reclaim, name), seen=seen):
+            seen.append(threading.current_thread().name)
+            return original()
+        setattr(d.reclaim, name, recorded)
     with ControlledScheduler() as sched:
         for i in range(batch):
             sched.spawn(f"x{i}", d.extract_max)
@@ -134,9 +137,9 @@ def test_one_finalize_per_batch():
 
     assert sorted(results.values(), reverse=True) == [9, 8, 7, 6, 5]
     stats = d.combiner_stats(MAX).snapshot()
-    assert stats["batches"] == 1
-    assert finishes == [MAX]    # the finalizer ran once, for the one batch
     assert stats["batch_sizes"] == {batch: 1}
+    assert callers == {"enter": ["depq-sched-x0"] * batch,
+                       "try_advance": ["depq-sched-x0"] * batch}
     # each pop swept the logically deleted prefix behind it, so the head is
     # the prefix's last node and its own word is unmarked
     assert not d.arena.item(d.lists.head(MAX)).link[MAX] & 1

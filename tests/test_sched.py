@@ -8,7 +8,7 @@ import threading
 import time
 
 import pytest
-from helpers import join_threads
+from helpers import join_threads, run_on_plain_threads
 
 from depq import atomics
 from depq import sched as sched_module
@@ -80,6 +80,17 @@ def test_worker_exception_surfaces_at_join():
         with sched:
             sched.spawn("w", boom)
             sched.join_all()
+
+
+def test_a_plain_thread_worker_that_raises_fails_its_call():
+    # The uncontrolled counterpart: the call fails only once every worker
+    # is joined, and names the thread that raised.
+    def fails():
+        assert 1 == 2
+
+    with pytest.raises(AssertionError, match="plain-1") as raised:
+        run_on_plain_threads(lambda: 1, fails)
+    assert isinstance(raised.value.__cause__, AssertionError)
 
 
 def test_scheduler_context_always_releases_frozen_workers():
@@ -564,7 +575,7 @@ PAUSE_SCHEDULES = {
     ("list-depq", TWO_LOCKS, DEFERRED): "508762893f32fc4b",
     ("list-depq", TWO_LOCKS, EPOCH): "d2b6eabcb8cc2e49",
     ("list-depq", COMBINING, DEFERRED): "6e84402c494042e7",
-    ("list-depq", COMBINING, EPOCH): "c7847cd2acf8400e",
+    ("list-depq", COMBINING, EPOCH): "de4081419c6b145b",
     ("dual-heap", TWO_LOCKS, DEFERRED): "06f003a016d6744b",
     ("dual-heap", COMBINING, DEFERRED): "4a84113ea2af8e9b",
 }
@@ -585,7 +596,9 @@ def test_stress_windows_keep_their_pause_schedule(monkeypatch, impl, mode, recla
         return trace
 
     monkeypatch.setattr(ControlledScheduler, "drive", recorded)
-    run_stress(WorkloadConfig(impl, mode, reclaim_mode=reclaim_mode, seed=7), windows=50)
+    outcome = run_stress(WorkloadConfig(impl, mode, reclaim_mode=reclaim_mode, seed=7),
+                         windows=50)
+    assert outcome.failed is None
     assert len(traces) == 50
     digest = hashlib.sha256(repr(traces).encode()).hexdigest()[:16]
     assert digest == PAUSE_SCHEDULES[impl, mode, reclaim_mode]
