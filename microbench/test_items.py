@@ -13,8 +13,12 @@ times one uncontended access to a shared word, as :mod:`depq.atomics` sets
 it out, ``WORD_ITERATIONS`` to a round, with no trace controller
 installed: a sited read (``checkpoint`` and a list index) and a sited
 compare-and-swap of an item's link word under the arena's ``rmw_lock``
-that succeeds without changing the word.  Each is one Python call.  Only
-the public API is used.
+that succeeds without changing the word.  Each is one Python call.
+``test_lock_idiom`` times one uncontended critical section around a list
+store, ``WORD_ITERATIONS`` to a round, taken as ``with lock:`` or as
+``lock.acquire()`` and ``try``/``finally: lock.release()``, the idiom of
+every per-operation lock in the package; the gap between the two is the
+price of ``with`` per lock.  Only the public API is used.
 """
 
 import tracemalloc
@@ -58,11 +62,14 @@ def sited_read(words: list, end: int):
 
 def sited_cas(words: list, end: int, expected: int, new: int, lock) -> bool:
     checkpoint("ins-cas")
-    with lock:
+    lock.acquire()
+    try:
         if words[end] == expected:
             words[end] = new
             return True
         return False
+    finally:
+        lock.release()
 
 
 @pytest.mark.parametrize("op", ["sited_read", "sited_cas"])
@@ -80,3 +87,26 @@ def test_word(benchmark, op):
                                 iterations=WORD_ITERATIONS, warmup_rounds=2)
     assert result == expected
     assert link[MIN] == word
+
+
+def store_with(words: list, value: int, lock) -> None:
+    with lock:
+        words[0] = value
+
+
+def store_acquire(words: list, value: int, lock) -> None:
+    lock.acquire()
+    try:
+        words[0] = value
+    finally:
+        lock.release()
+
+
+@pytest.mark.parametrize("idiom", ["with", "acquire"])
+def test_lock_idiom(benchmark, idiom):
+    fn = {"with": store_with, "acquire": store_acquire}[idiom]
+    words = [0]
+    lock = Arena().rmw_lock
+    benchmark.pedantic(fn, args=(words, 3, lock), rounds=ROUNDS // WORD_ITERATIONS,
+                       iterations=WORD_ITERATIONS, warmup_rounds=2)
+    assert words == [3] and not lock.locked()

@@ -11,6 +11,18 @@ combiner's tail swap, the increment of a count with more than one writer)
 runs under a lock the structure already holds, such as the arena's
 ``rmw_lock``, so it is atomic on any Python implementation.
 
+Each lock on a per-operation path is taken as ``lock.acquire()``, then
+``try:`` around the critical section and ``finally: lock.release()``, not
+as ``with lock:``.  Both release on any exit, but on CPython 3.11 ``with``
+also pays for a context manager's enter and exit, most of the price of an
+uncontended lock: in ``microbench/test_items.py::test_lock_idiom``, one
+critical section around a list store took a median of 232-236 ns with
+``with`` and 138-139 ns with ``acquire`` (three runs pinned to one CPU of a
+2-core VM).  Code off those paths (quiescent inspection, the combiner's
+rare gauge-violation count) keeps ``with``.  No pause site lies inside a
+critical section, so a thread parked by the scheduler never holds a lock;
+``ListPair.audit`` fails on an ``rmw_lock`` held at a quiescent point.
+
 When a controller is installed, the calling thread pauses at each site
 before the access, so a test scheduler can freeze a thread "immediately
 before its CAS" or explore every interleaving of two operations.  With no

@@ -109,9 +109,13 @@ class Combiner:
         fresh.completed = 0
         fresh.error = None
         atomics.checkpoint("cc-swap")
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             cell = self._tail
             self._tail = fresh
+        finally:
+            lock.release()
         cell.request = request
         atomics.checkpoint("cc-link")
         cell.next_rec = fresh
@@ -163,8 +167,12 @@ class Combiner:
                 rec.wait = 0
                 rec = nxt
         finally:
-            with self._lock:
+            lock = self._lock
+            lock.acquire()
+            try:
                 self.stats.record(served)
+            finally:
+                lock.release()
             if owner:
                 self._combining.release()
             # Handoff: whoever owns (or will receive) this record combines next.

@@ -136,13 +136,17 @@ class Arena:
 
     def new_item(self, user_key: int) -> int:
         """Create a fresh item with the next uid; returns its index."""
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             uid = self._uid
             self._uid = uid + 1
             index = len(self._items)
             # ``tuple.__new__`` skips the named tuple's Python-level ``__new__``.
             self._items.append(Item(tuple.__new__(Key, (user_key, uid))))
             return index
+        finally:
+            lock.release()
 
     def new_dummy(self) -> int:
         """Create a sentinel item whose key is never compared."""
@@ -169,11 +173,14 @@ def try_reserve(item: Item, lock: threading.Lock) -> bool:
     ``lock`` is the rmw_lock of the item's arena.  Pauses at ``reserve``.
     """
     checkpoint("reserve")
-    with lock:
+    lock.acquire()
+    try:
         if item.reserved:
             return False
         item.reserved = 1
         return True
+    finally:
+        lock.release()
 
 
 def is_reserved(item: Item) -> bool:

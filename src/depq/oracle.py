@@ -102,13 +102,19 @@ class LockedHeapPq:
     def pq_insert(self, index: int) -> None:
         checkpoint("pq-insert")
         entry = self._entry(index)
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             heappush(self._heap, entry)
             self._live.add(index)
+        finally:
+            lock.release()
 
     def pq_extract_first(self) -> int | None:
         checkpoint("pq-extract")
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             heap, live = self._heap, self._live
             while heap:
                 index = heappop(heap)[2]
@@ -118,10 +124,14 @@ class LockedHeapPq:
                         self._drop_dead()
                     return index
             return None
+        finally:
+            lock.release()
 
     def pq_delete(self, index: int) -> bool:
         checkpoint("pq-delete")
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             live = self._live
             if index not in live:
                 return False
@@ -129,6 +139,8 @@ class LockedHeapPq:
             if len(self._heap) > 2 * len(live) + _SLACK:
                 self._drop_dead()
             return True
+        finally:
+            lock.release()
 
     def __len__(self) -> int:
         return len(self._live)

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 from .atomics import checkpoint
 from .items import (MAX, MIN, NONE_IDX, POISONED, Arena, Key, key_less,
-                    pack_link, reclaimed_access, unpack_link)
+                    reclaimed_access, unpack_link)
 
 
 #: Index levels above the lists; tower heights are capped here.
@@ -110,6 +110,8 @@ class ListPair:
 
     def __init__(self, arena: Arena):
         self.arena = arena
+        # The slot list itself, for the hot loops (see ``Arena.slots``).
+        self._slots = arena.slots
         # Per-end counts, each bumped only by its end's consumer.
         self.marks = [0, 0]
         # Bumped by any inserter, under ``_lock``, on the rare failed CAS.
@@ -152,7 +154,7 @@ class ListPair:
         its tower is linked into the index: no search may start from a node
         that is not yet on the descending list.
         """
-        node = self.arena.item(index)
+        node = self._slots[index]
         k = node.key
         assert k is not None
         # A word of 0 is pack_link(NONE_IDX, 0): no successor, unmarked.
@@ -163,23 +165,25 @@ class ListPair:
         tower = IndexNode(k, index, dead, height) if height else None
         preds = [self._index] * height
         ascending, descending = self._index_search(k, preds)
-        self._publish(index, MIN, ascending, k.__gt__)
+        self._publish(index, MIN, ascending, k)
         checkpoint("between-list-inserts")
-        self._publish(index, MAX, descending, k.__lt__)
+        self._publish(index, MAX, descending, k)
         if tower is not None:
             self._link_tower(tower, preds)
 
     def _publish(self, index: int, end: int, start: IndexNode | None,
-                 sorts_before_k) -> None:
-        """Link the item at ``index`` into one list, searching from
-        ``start``'s item, or from the head when ``start`` is None."""
+                 k: Key) -> None:
+        """Link the item at ``index``, whose key is ``k``, into one list,
+        searching from ``start``'s item, or from the head when ``start`` is
+        None."""
         # The hot loop works on raw link words (see ``pack_link``) and on the
         # arena's slots directly, checking for poison itself.  Each read or
         # CAS of a link word pauses at its site first, through ``checkpoint``.
-        items = self.arena.slots
+        items = self._slots
         node = items[index]
         lock = self._lock
-        published = pack_link(index, 0)
+        ascending = end == MIN
+        published = (index + 1) << 1   # pack_link(index, 0)
         if start is None:
             checkpoint("ins-read-head")
             pred = self._head[end]
@@ -196,7 +200,8 @@ class ListPair:
                 succ_item = items[succ]
                 if succ_item is POISONED:
                     raise reclaimed_access(succ)
-                if not (word & 1 or sorts_before_k(succ_item.key)):
+                if not (word & 1 or (succ_item.key < k if ascending
+                                     else succ_item.key > k)):
                     break
                 pred, pred_item = succ, succ_item
                 checkpoint("ins-read-link")
@@ -210,12 +215,15 @@ class ListPair:
             node.link[end] = expected
             checkpoint("ins-cas")
             pred_link = pred_item.link
-            with lock:
+            lock.acquire()
+            try:
                 if pred_link[end] == expected:
                     pred_link[end] = published
                     node.linked_into[end] = True
                     return
                 self.insert_cas_failures += 1
+            finally:
+                lock.release()
 
     def _index_search(self, k: Key, preds: list) -> tuple[IndexNode | None,
                                                          IndexNode | None]:
@@ -241,9 +249,12 @@ class ListPair:
                 dead = nxt.dead
                 if dead[MIN] and dead[MAX]:
                     # May undo a concurrent link into ``nxt``: only a hint lost.
-                    with lock:
+                    lock.acquire()
+                    try:
                         if links[lvl] is nxt:
                             links[lvl] = nxt.next[lvl]
+                    finally:
+                        lock.release()
                     nxt = links[lvl]
                 elif nxt.key < k:
                     if not dead[MIN]:
@@ -278,12 +289,15 @@ class ListPair:
                     links = nxt.next   # a tower linked here since the search
                     continue
                 tower.next[lvl] = nxt
-                with lock:
+                lock.acquire()
+                try:
                     if links[lvl] is nxt:
                         links[lvl] = tower
                         if lvl >= self._top:
                             self._top = lvl + 1
                         break
+                finally:
+                    lock.release()
 
     def extract_first(self, end: int) -> int | None:
         """Logically delete the first live node of one list and return it, or
@@ -296,7 +310,7 @@ class ListPair:
         for this end, which is also its tower's dead flag, is set.
         """
         # Raw link words and inlined poison checks, as in ``insert``.
-        items = self.arena.slots
+        items = self._slots
         last = self._head[end]
         while True:
             last_item = items[last]
@@ -314,9 +328,13 @@ class ListPair:
             return None
         checkpoint("ex-mark")
         link = last_item.link
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             prior = link[end]
             link[end] = prior | 1
+        finally:
+            lock.release()
         assert not prior & 1, "link was already marked: consumer contract broken"
         assert prior > 1, "marked an end-of-list link"
         target = (prior >> 1) - 1
@@ -339,7 +357,7 @@ class ListPair:
         pauses (see :mod:`depq.atomics`): a marked word never changes and
         only this end's consumer sets a mark.
         """
-        items = self.arena.slots
+        items = self._slots
         node = self._head[end]
         removed = []
         while True:
@@ -449,13 +467,18 @@ class ListPair:
             report.notes.append("head names a live node")
 
         self._audit_index(end, report)
+        # No pause site lies inside a critical section, so a thread parked
+        # or done never holds the lock: a held one is a missed release.
+        if self._lock.locked():
+            report.index_consistent = False
+            report.notes.append("rmw_lock held at a quiescent point")
         return report
 
     def _audit_index(self, end: int, report: "AuditReport") -> None:
         """Keys strictly ascend on every index level; a tower of an
         unreclaimed item reads that item's deletion tags as its dead flags;
         a tower live on this end names an item linked into both lists."""
-        slots = self.arena.slots
+        slots = self._slots
         notes = []
         linked: dict[IndexNode, None] = {}   # each tower once, in level order
         for level in range(LEVELS):

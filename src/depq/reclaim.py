@@ -75,9 +75,13 @@ class Reclaimer:
         """
         item = self.arena.item(index)
         checkpoint("unlink-flag")
-        with self._rmw_lock:
+        lock = self._rmw_lock
+        lock.acquire()
+        try:
             prior = item.unlinked
             item.unlinked = prior + 1
+        finally:
+            lock.release()
         if prior == 0:
             return False
         if prior == 1:
@@ -86,9 +90,13 @@ class Reclaimer:
         raise RetireProtocolError(f"item {index} unlinked {prior + 1} times")
 
     def _retire(self, index: int) -> None:
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             self._retired += 1
             self._limbo[self._epoch % 3].append(index)
+        finally:
+            lock.release()
 
     # -- epoch machinery ---------------------------------------------------------
 
@@ -144,7 +152,9 @@ class Reclaimer:
             if seen != _QUIESCENT and seen != current:
                 return False
         # The epoch's compare-and-swap and the limbo swap are one step.
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             if self._epoch != current:
                 return False
             self._epoch = current + 1
@@ -152,6 +162,8 @@ class Reclaimer:
             victims = self._limbo[oldest]
             self._limbo[oldest] = []
             self._freed += len(victims)
+        finally:
+            lock.release()
         self._local.advanced_to = current + 1
         self._free(victims)
         return True

@@ -49,11 +49,11 @@ class EarlyTowerListDepq(ListDepq):
         tower = IndexNode(k, index, dead, height) if height else None
         preds = [lists._index] * height
         ascending, descending = lists._index_search(k, preds)
-        lists._publish(index, MIN, ascending, k.__gt__)
+        lists._publish(index, MIN, ascending, k)
         if tower is not None:
             lists._link_tower(tower, preds)
         checkpoint("between-list-inserts")
-        lists._publish(index, MAX, descending, k.__lt__)
+        lists._publish(index, MAX, descending, k)
 
 
 def ev(thread, kind, arg, result, invoke, response):

@@ -348,19 +348,29 @@ def test_lock_freedom_smoke_frozen_threads_do_not_block_others():
 
 
 class CountingLock:
-    """A lock that counts its acquisitions through ``with``."""
+    """A lock that counts its acquisitions, through ``acquire`` or ``with``."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.acquisitions = 0
 
+    def acquire(self, blocking=True):
+        got = self._lock.acquire(blocking)
+        self.acquisitions += got
+        return got
+
+    def release(self):
+        self._lock.release()
+
+    def locked(self):
+        return self._lock.locked()
+
     def __enter__(self):
-        self._lock.acquire()
-        self.acquisitions += 1
+        self.acquire()
         return self
 
     def __exit__(self, *exc):
-        self._lock.release()
+        self.release()
 
 
 @pytest.mark.parametrize("mode, bound", [(TWO_LOCKS, 4.0), (COMBINING, 5.0)],
@@ -396,3 +406,53 @@ def test_uncontended_extraction_costs_four_atomic_rmws(monkeypatch, mode, bound)
     counts = [lock.acquisitions - start for lock, start in zip(locks, before)]
     assert sum(counts) / 400 <= bound, counts
     assert d.audit(MIN).ok and d.audit(MAX).ok
+
+
+def test_uncontended_insert_costs_four_locked_rmws(monkeypatch):
+    """``new_item``'s uid, the two publish CASes and about one tower link
+    (tower heights are geometric with mean 1), each under the arena's
+    rmw_lock: about 4.0 per insert into a queue of 1000 keys."""
+    monkeypatch.setattr(items, "threading", SimpleNamespace(Lock=CountingLock))
+    d = ListDepq(reclaim_mode=EPOCH)
+    monkeypatch.undo()
+    lock = d.arena.rmw_lock
+    keys = random.Random(0x1A5).sample(range(1 << 20), 2000)
+    for key in keys[:1000]:
+        d.insert(key)
+    before = lock.acquisitions
+    for key in keys[1000:]:
+        d.insert(key)
+    assert (lock.acquisitions - before) / 1000 <= 4.5, lock.acquisitions - before
+    assert d.audit(MIN).ok and d.audit(MAX).ok
+
+
+@pytest.mark.parametrize("op", ["publish", "mark"])
+def test_an_error_inside_a_critical_section_releases_the_lock(op):
+    """A link word whose read raises under the rmw_lock: in the insert's
+    publish CAS, or in the extraction's mark.  The error reaches the
+    caller, the lock is free afterwards, and a lock held at a quiescent
+    point fails the audit."""
+    d = ListDepq()
+    d.insert(5)
+    lock = d.arena.rmw_lock
+
+    class FailsUnderTheLock(list):
+        def __getitem__(self, end):
+            if lock.locked():
+                raise RuntimeError("link read failed under the lock")
+            return super().__getitem__(end)
+
+    dummy = d.arena.item(d.lists.dummy)
+    dummy.link = FailsUnderTheLock(dummy.link)
+    with pytest.raises(RuntimeError, match="under the lock"):
+        d.insert(3) if op == "publish" else d.extract_min()
+    assert not lock.locked()
+    dummy.link = list(dummy.link)
+    assert d.audit(MIN).ok and d.audit(MAX).ok
+    lock.acquire()
+    try:
+        report = d.audit(MIN)
+    finally:
+        lock.release()
+    assert not report.ok and not report.index_consistent
+    assert "rmw_lock held at a quiescent point" in report.notes
