@@ -24,8 +24,8 @@ GIL its batches are almost always 1, which is why the lock is the default.
 Consequences relied on elsewhere in this package, in both modes: at most
 one thread runs an end's requests at a time, each request is served
 exactly once, and a request that raises fails only its own caller.  What
-a request needs around it, such as ``list-depq``'s epoch bracket, is part
-of ``apply``, and runs on whichever thread serves it.
+a request needs around it is part of ``apply``, and runs on whichever
+thread serves it.
 """
 
 from __future__ import annotations

@@ -129,22 +129,14 @@ class DualDepq:
 
 class MultiConsumerDepq:
     """Multi-consumer wrapper: each end's extractions go through that end's
-    serializer (see :func:`~depq.combining.make_serializer`), which applies
-    ``_extraction(end)`` to each request."""
+    serializer (see :func:`~depq.combining.make_serializer`)."""
 
     def __init__(self, inner: DualDepq, mode: str, batch_cap: int = 64):
         self.inner = inner
-        self._ends = (make_serializer(mode, self._extraction(MIN), batch_cap),
-                      make_serializer(mode, self._extraction(MAX), batch_cap))
-
-    def _extraction(self, end: int):
-        """The function ``end``'s serializer applies to each request.  It
-        looks ``inner``'s extraction up at each call, so a wrapped one (a
-        tracer's, say) is the one that runs."""
-        inner = self.inner
-        if end == MIN:
-            return lambda _req: inner.extract_min()
-        return lambda _req: inner.extract_max()
+        # Each extraction is looked up when it runs, so a wrapped one (a
+        # tracer's, say) is the one that runs.
+        self._ends = (make_serializer(mode, lambda _req: inner.extract_min(), batch_cap),
+                      make_serializer(mode, lambda _req: inner.extract_max(), batch_cap))
 
     def insert(self, user_key: int) -> None:
         self.inner.insert(user_key)

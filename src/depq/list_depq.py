@@ -9,15 +9,16 @@ by default, or a combiner) in front of it.
 
 An extraction pops its own end's first live node and claims it; a node the
 other end has already claimed is skipped.  The pop physically deletes the
-logically deleted prefix behind it and hands the unlinked nodes to a
-reclaimer, which retires a node once both lists have dropped it.  Each
-extraction runs inside the reclaimer's epoch, entered by whichever thread
-serves it (the end's lock holder, or the combiner), and ends with an
-attempt to advance the epoch.  Insertions never touch the serializers: one
-pair insert links the new node into the ascending list first, then the
-descending one, concurrently with everything else.  It too runs inside the
-epoch, because the list starts its index search picks may be deleted and
-retired before it links the node.
+logically deleted prefix behind it, hands the unlinked nodes to a
+reclaimer, which retires a node once both lists have dropped it, and then
+tries to advance the reclaimer's epoch.  Extractions run outside the
+epoch: an end's consumer reads only nodes still linked on its own list
+(the node it pops stays the head until its next pop), and only its own
+sweep unlinks them there, so none of them can be retired under it.
+Insertions never touch the serializers: one pair insert links the new node
+into the ascending list first, then the descending one, concurrently with
+everything else.  It runs inside the epoch, because the list starts its
+index search picks may be deleted and retired before it links the node.
 """
 
 from __future__ import annotations
@@ -37,21 +38,6 @@ class ListDepq(MultiConsumerDepq):
         self.reclaim = reclaim = Reclaimer(arena, mode=reclaim_mode)
         dual = DualDepq(arena, ListPq(lists, MIN, reclaim), ListPq(lists, MAX, reclaim))
         super().__init__(dual, mode, batch_cap)
-
-    def _extraction(self, end: int):
-        """Each extraction inside the epoch, as ``insert`` is, then an
-        attempt to advance it.  Every call is looked up when it runs."""
-        inner, reclaim = self.inner, self.reclaim
-        name = ("extract_min", "extract_max")[end]
-
-        def bracketed(_req):
-            reclaim.enter()
-            try:
-                return getattr(inner, name)()
-            finally:
-                reclaim.exit()
-                reclaim.try_advance()
-        return bracketed
 
     def insert(self, user_key: int) -> None:
         self.reclaim.enter()

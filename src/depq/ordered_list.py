@@ -550,7 +550,9 @@ class ListPq:
     The sole consumer doubles as the sweeper: each extraction physically
     deletes the logically deleted prefix behind it, otherwise inserts would
     wade through an ever-growing dead prefix.  This is the one place that
-    sweeps.  Nodes it unlinks go to the reclaimer when one is attached.
+    sweeps.  Nodes it unlinks go to the reclaimer when one is attached,
+    and each pop then tries to advance the reclaimer's epoch, so the path
+    that retires nodes also frees them.
     """
 
     has_delete = False
@@ -573,9 +575,11 @@ class ListPq:
     def pq_extract_first(self) -> int | None:
         got = self.lists.extract_first(self.end)
         removed = self.lists.sweep_head(self.end)
-        if self.reclaimer is not None:
+        reclaimer = self.reclaimer
+        if reclaimer is not None:
             for index in removed:
-                self.reclaimer.on_unlink(index)
+                reclaimer.on_unlink(index)
+            reclaimer.try_advance()
         return got
 
     def pq_delete(self, index: int) -> bool:

@@ -8,8 +8,19 @@ at one, proving the node is unreachable from both lists and may be retired.
 Retired nodes then wait out a grace period.  In ``deferred`` mode nothing
 is freed until the structure is closed (the default for correctness tests,
 so reclamation bugs cannot masquerade as algorithm bugs).  In ``epoch``
-mode every operation brackets itself with enter()/exit(), and the global
-epoch advances only when no thread is still inside an older epoch.
+mode an operation that may hold a node another thread can retire brackets
+itself with enter()/exit(), and the global epoch advances only when no
+thread is still inside an older epoch.
+
+A path needs the bracket if it reads a node on a list it does not sweep,
+or if its pop is itself the unlink.  In ``list-depq`` only an insert does
+so: it walks from an index tower whose node both ends may unlink and
+retire meanwhile.  An extraction does not.  An end's consumer reads only
+nodes still linked on its own list (the node it pops stays the head until
+its next pop), and only its own sweep unlinks from that list, so no node
+it reads has had its second unlink.  A delete that unlinks a claimed node
+from the other end's list would need the bracket, and so would a heap pop,
+which unlinks the node it returns.
 
 Retired nodes wait in three limbo lists, one per epoch modulo 3 (Fraser's
 scheme): a node retired in epoch ``e`` goes to ``limbo[e % 3]``.  The
@@ -122,10 +133,10 @@ class Reclaimer:
         """Leave the epoch.
 
         If another thread advanced the epoch while this one was inside, this
-        one may be what holds that thread's next advance back, and no
-        extraction may come to retry it (the extractors can be done).  So it
-        tries to advance itself, twice, which frees everything retired so
-        far.  Any other exit pays one comparison for this.
+        one may be what holds that thread's next advance back, and no pop
+        may come to retry it (the extractors can be done).  So it tries to
+        advance itself, twice, which frees everything retired so far.  Any
+        other exit pays one comparison for this.
         """
         if self.mode == EPOCH:
             slot = getattr(self._local, "slot", None) or self._new_slot()

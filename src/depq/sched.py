@@ -404,8 +404,7 @@ def _run_once(factory: Callable[[], tuple[Any, ThreadSpec]],
     return RunOutcome(state=state, results=results, trace=trace)
 
 
-def explore_interleavings(factory: Callable[[], tuple[Any, ThreadSpec]],
-                          max_runs: int | None = None) -> Iterator[RunOutcome]:
+def explore_interleavings(factory: Callable[[], tuple[Any, ThreadSpec]]) -> Iterator[RunOutcome]:
     """Exhaustively enumerate interleavings of the given threads.
 
     ``factory`` builds fresh shared state plus named thread bodies for every
@@ -415,13 +414,9 @@ def explore_interleavings(factory: Callable[[], tuple[Any, ThreadSpec]],
     """
     prefix: list[str] = []
     alternatives: list[list[str]] = []
-    runs = 0
     while True:
         outcome = _run_once(factory, prefix)
-        runs += 1
         yield outcome
-        if max_runs is not None and runs >= max_runs:
-            return
         trace = outcome.trace
         for i in range(len(alternatives), len(trace)):
             pick, runnable = trace[i]

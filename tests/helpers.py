@@ -28,6 +28,27 @@ class UnclaimedListDepq(ListDepq):
         return None if index is None else self.arena.item(index).user_key
 
 
+class EagerUnlinkListDepq(ListDepq):
+    """Deliberately broken build for the reclamation test: its ascending
+    queue reports each node it pops as unlinked at once, though the node
+    stays the ascending list's head until that end's next pop.  So the
+    other end's sweep can retire the node, and the epoch free it, while
+    the ascending consumer still holds it.  The descending queue is left
+    whole, so draining that end does not unlink a node a third time."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        queue, on_unlink = self.inner.min_pq, self.reclaim.on_unlink
+        pop = queue.pq_extract_first
+
+        def pop_and_unlink():
+            index = pop()
+            if index is not None:
+                on_unlink(index)
+            return index
+        queue.pq_extract_first = pop_and_unlink
+
+
 class EarlyTowerListDepq(ListDepq):
     """Deliberately broken build for the index's mutation test: its pair
     insert links the new tower before the descending publish, so another

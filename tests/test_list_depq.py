@@ -8,12 +8,12 @@ from functools import partial
 from types import SimpleNamespace
 
 import pytest
-from helpers import UnclaimedListDepq, run_on_plain_threads
+from helpers import EagerUnlinkListDepq, UnclaimedListDepq, run_on_plain_threads
 from hypothesis import given, settings, strategies as st
 
 from depq import items, scenarios
 from depq.combining import COMBINING, TWO_LOCKS
-from depq.items import MAX, MIN
+from depq.items import MAX, MIN, ReclaimedAccessError
 from depq.lincheck import Recorder, Verdict, check
 from depq.list_depq import ListDepq
 from depq.oracle import SeqDepq
@@ -111,10 +111,10 @@ def test_insert_concurrent_with_extracts_audits_clean(fast_switching):
     assert d.audit(MIN).ok and d.audit(MAX).ok
 
 
-def test_the_combiner_brackets_each_request():
+def test_the_combiner_advances_the_epoch_once_per_request():
     # Park a batch of extract-max requests and let x0 combine them all: x0
-    # enters the epoch and tries to advance it once per request it serves,
-    # and the parked announcers call neither.
+    # tries to advance the epoch once per request it serves, the parked
+    # announcers never do, and no extraction enters the epoch.
     batch = 5
     d = ListDepq(mode=COMBINING)
     for k in range(10):
@@ -138,11 +138,51 @@ def test_the_combiner_brackets_each_request():
     assert sorted(results.values(), reverse=True) == [9, 8, 7, 6, 5]
     stats = d.combiner_stats(MAX).snapshot()
     assert stats["batch_sizes"] == {batch: 1}
-    assert callers == {"enter": ["depq-sched-x0"] * batch,
-                       "try_advance": ["depq-sched-x0"] * batch}
+    assert callers == {"enter": [], "try_advance": ["depq-sched-x0"] * batch}
     # each pop swept the logically deleted prefix behind it, so the head is
     # the prefix's last node and its own word is unmarked
     assert not d.arena.item(d.lists.head(MAX)).link[MAX] & 1
+
+
+def _park_a_min_extraction_and_drain_max_past_its_node(d):
+    """Park a MIN extraction at ``reserve`` on the node T it popped.  From
+    this thread, insert a key below T's and drain the MAX end past T, so
+    that end's sweep unlinks T, then push the epoch as far as it will go.
+    T is still the MIN list's head, so it must stay allocated with that one
+    unlink.  Returns the extraction's result."""
+    for key in (1, 2, 3):
+        d.insert(key)
+    with ControlledScheduler() as sched:
+        sched.spawn("min", d.extract_min)
+        sched.run_until("min", "reserve")
+        t = d.lists.head(MIN)
+        assert d.arena.item(t).user_key == 1
+        d.insert(0)
+        drained = []
+        while (got := d.extract_max()) is not None:
+            drained.append(got)
+        assert drained == [3, 2, 1, 0]
+        for _ in range(6):
+            d.reclaim.try_advance()
+        assert d.reclaim.snapshot()["freed"] > 0    # the epoch did advance
+        assert d.arena.item(t).unlinked <= 1        # raises if T was freed
+        return sched.run_to_completion("min")
+
+
+def test_a_node_an_extraction_holds_is_not_retired_without_its_epoch():
+    # Extractions run outside the epoch: no node a consumer holds has had
+    # its second unlink, because only its own sweep unlinks from its list.
+    d = ListDepq(reclaim_mode=EPOCH)
+    assert _park_a_min_extraction_and_drain_max_past_its_node(d) is None
+    assert d.problems() == []
+
+
+def test_a_pop_that_unlinks_its_node_at_once_is_caught():
+    # Mutation test: with the popped node counted as unlinked at the pop,
+    # the MAX sweep retires it and the epoch frees it under its consumer.
+    d = EagerUnlinkListDepq(reclaim_mode=EPOCH)
+    with pytest.raises(ReclaimedAccessError):
+        _park_a_min_extraction_and_drain_max_past_its_node(d)
 
 
 @pytest.mark.parametrize("reclaim_mode", [DEFERRED, EPOCH])
@@ -173,12 +213,28 @@ def test_single_item_race_is_exclusive_in_every_interleaving():
     assert outcome.details["interleavings"] == 70
 
 
-@pytest.mark.parametrize("mode, interleavings", [(TWO_LOCKS, 2), (COMBINING, 200)])
-def test_two_min_consumers_explored_exhaustively_through_each_serializer(mode, interleavings):
+def _recording_enters(d):
+    """Make ``d.reclaim.enter`` record its calling thread in ``d.entered``."""
+    enter, d.entered = d.reclaim.enter, []
+
+    def recorded():
+        d.entered.append(threading.current_thread().name)
+        enter()
+    d.reclaim.enter = recorded
+    return d
+
+
+@pytest.mark.parametrize(
+    "mode, interleavings, reclaim_mode",
+    [(TWO_LOCKS, 2, DEFERRED), (COMBINING, 200, DEFERRED),
+     (TWO_LOCKS, 2, EPOCH), (COMBINING, 200, EPOCH)],
+    ids=["two-locks-2", "combining-200", "two-locks-2-epoch", "combining-200-epoch"])
+def test_two_min_consumers_explored_exhaustively_through_each_serializer(
+        mode, interleavings, reclaim_mode):
     # A waiter is disabled, not polled, so the exploration ends without a
     # run cap: under the lock a waiter takes one step once the lock is free.
     def factory():
-        d = ListDepq(mode=mode)
+        d = _recording_enters(ListDepq(mode=mode, reclaim_mode=reclaim_mode))
         d.insert(1)
         d.insert(2)
         return d, [("a", lambda d: d.extract_min()), ("b", lambda d: d.extract_min())]
@@ -187,6 +243,8 @@ def test_two_min_consumers_explored_exhaustively_through_each_serializer(mode, i
     for outcome in outcomes:
         assert sorted(outcome.results.values()) == [1, 2], outcome.schedule
         assert outcome.state.problems() == [], outcome.schedule
+        # one epoch per insert, on this thread, and none in an extraction
+        assert outcome.state.entered == [threading.current_thread().name] * 2
     assert len({tuple(o.schedule) for o in outcomes}) == len(outcomes) == interleavings
     # Either consumer may get 1, and a combiner may serve both requests.
     batches = [{1: 2}, {2: 1}] if mode == COMBINING else [{1: 2}]
@@ -195,18 +253,20 @@ def test_two_min_consumers_explored_exhaustively_through_each_serializer(mode, i
 
 
 def test_one_min_and_one_max_consumer_explored_exhaustively():
-    def factory():
-        d = ListDepq(mode=TWO_LOCKS, reclaim_mode=DEFERRED)
-        d.insert(1)
-        d.insert(2)
-        return d, [("min", lambda d: d.extract_min()), ("max", lambda d: d.extract_max())]
+    for reclaim_mode in (DEFERRED, EPOCH):
+        def factory():
+            d = _recording_enters(ListDepq(mode=TWO_LOCKS, reclaim_mode=reclaim_mode))
+            d.insert(1)
+            d.insert(2)
+            return d, [("min", lambda d: d.extract_min()), ("max", lambda d: d.extract_max())]
 
-    runs = 0
-    for outcome in explore_interleavings(factory):
-        runs += 1
-        assert outcome.results == {"min": 1, "max": 2}, outcome.schedule
-        assert outcome.state.problems() == [], outcome.schedule
-    assert runs == 924
+        runs = 0
+        for outcome in explore_interleavings(factory):
+            runs += 1
+            assert outcome.results == {"min": 1, "max": 2}, (reclaim_mode, outcome.schedule)
+            assert outcome.state.problems() == [], (reclaim_mode, outcome.schedule)
+            assert outcome.state.entered == [threading.current_thread().name] * 2
+        assert runs == 924, reclaim_mode
 
 
 def test_twist_schedule_leaves_lists_non_opposite_but_working():
@@ -254,6 +314,7 @@ def test_exclusivity_and_no_loss_under_stress(fast_switching):
     fails, wins = counts["reserve_failures"], counts["extract_successes"]
     assert fails[MIN] <= wins[MAX]
     assert fails[MAX] <= wins[MIN]
+    assert d.reclaim.snapshot()["freed"] > 0   # freed by the pops, before close
 
 
 def test_retire_counts_match_double_unlinks():
