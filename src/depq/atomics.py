@@ -25,8 +25,26 @@ critical section, so a thread parked by the scheduler never holds a lock;
 
 When a controller is installed, the calling thread pauses at each site
 before the access, so a test scheduler can freeze a thread "immediately
-before its CAS" or explore every interleaving of two operations.  With no
-controller installed the check is a single global load.
+before its CAS" or explore every interleaving of two operations.
+
+With no controller installed a site costs nothing, because it is not
+there.  Each function that calls ``checkpoint`` is registered once, at
+import, with the :func:`sited` decorator, which builds its *twin*: the same
+source compiled again with its ``checkpoint(...)`` statements removed, on
+the same lines and columns, so a traceback from the twin points at the
+source.  The function runs its twin until :func:`set_controller` installs
+a controller, which swaps every registered function's ``__code__`` to the
+sited code; clearing the controller swaps the twins back.  So the source
+stays the one instrumented text and no production path tests a switch.  A
+wrapper of a registered function (a tracer's span, say) calls the same
+function object, so it reaches the sited code under a controller too.  A
+running frame keeps the code it started with, so installing a controller
+while another thread runs the structure stays a caller bug.  In
+``microbench/test_harness.py``, an insert + extract pair on an epoch-mode
+``ListDepq`` at 1000 keys took a median of 7.3-7.5 us with the twins and
+8.2-8.5 us under a pause that returns at once (three runs pinned to one
+CPU of a 2-core VM).  The :func:`wait` sites keep their test of
+``_controller`` in both codes.
 
 A thread about to wait for another, for an end's lock or its combining
 flag, pauses through :func:`wait` and names what keeps it waiting; it is
@@ -40,7 +58,11 @@ flags).  A pause there multiplies an exploration's runs, not its outcomes.
 
 from __future__ import annotations
 
+import __future__
+import ast
+import inspect
 import threading
+from types import CodeType, FunctionType
 from typing import Any, Callable, Protocol
 
 
@@ -49,21 +71,79 @@ class TraceController(Protocol):
 
 
 _controller: TraceController | None = None
+#: Each registered function with its sited code and its twin.
+_sited: list[tuple[FunctionType, CodeType, CodeType]] = []
 
 
 def set_controller(controller: TraceController | None) -> None:
     """Install (or clear) the global trace controller.  Only one may be
-    active at a time; tests install one around each scenario."""
+    active at a time; tests install one around each scenario.  Every
+    function registered with :func:`sited` runs its sited code while one
+    is installed and its twin otherwise."""
     global _controller
     _controller = controller
+    for fn, sited_code, twin in _sited:
+        fn.__code__ = twin if controller is None else sited_code
 
 
 def checkpoint(site: str) -> None:
     """A pause point with no memory operation of its own: between two
-    operations, or before an access to a shared word."""
+    operations, or before an access to a shared word.  A package function
+    that calls it is registered with :func:`sited`, so with no controller
+    installed it runs a twin without the call.  An unregistered caller (a
+    test's helper) pays for the call and one global load."""
     c = _controller
     if c is not None:
         c.pause(site)
+
+
+def _strip_checkpoints(tree: ast.AST) -> None:
+    """Drop each ``checkpoint(...)`` statement, whether the name is bare or
+    an attribute (``atomics.checkpoint``).  A block whose only statement it
+    was would fail to compile: keep a site beside the access it guards."""
+    for node in ast.walk(tree):
+        for name in ("body", "orelse", "finalbody"):
+            stmts = getattr(node, name, None)
+            if isinstance(stmts, list):
+                setattr(node, name, [stmt for stmt in stmts if not _is_checkpoint(stmt)])
+
+
+def _is_checkpoint(stmt: ast.AST) -> bool:
+    if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)):
+        return False
+    func = stmt.value.func
+    return (isinstance(func, ast.Name) and func.id == "checkpoint"
+            or isinstance(func, ast.Attribute) and func.attr == "checkpoint")
+
+
+def sited(fn: FunctionType) -> FunctionType:
+    """Register ``fn``, a function that calls :func:`checkpoint`, and build
+    its twin: its source compiled again with the ``checkpoint(...)``
+    statements removed, on the same lines and columns.  Raises if the twin
+    does not have ``fn``'s free variables.  Returns ``fn``, which runs the
+    twin until a controller is installed."""
+    code = fn.__code__
+    # Read past ``linecache``, which would keep every sited module's text.
+    with open(code.co_filename, encoding="utf-8") as fh:
+        source = "".join(inspect.getblock(fh.readlines()[code.co_firstlineno - 1:]))
+    # Pad to the source's first line; an indented method is parsed as the
+    # body of an ``if``, so its columns stay the source's too.
+    if source[0].isspace():
+        source = "\n" * (code.co_firstlineno - 2) + "if 1:\n" + source
+    else:
+        source = "\n" * (code.co_firstlineno - 1) + source
+    tree = ast.parse(source, code.co_filename)
+    _strip_checkpoints(tree)
+    module = compile(tree, code.co_filename, "exec", dont_inherit=True,
+                     flags=code.co_flags & __future__.annotations.compiler_flag)
+    twin = next(c for c in module.co_consts if isinstance(c, CodeType))
+    if twin.co_freevars != code.co_freevars:
+        raise TypeError(f"{fn.__qualname__}: the twin's free variables "
+                        f"{twin.co_freevars} differ from {code.co_freevars}")
+    _sited.append((fn, code, twin))
+    if _controller is None:
+        fn.__code__ = twin
+    return fn
 
 
 def wait(site: str, blocked: Callable[[], Any]) -> None:

@@ -101,6 +101,7 @@ class Combiner:
         self._combining = threading.Lock()
         self.stats = BatchStats()
 
+    @atomics.sited
     def announce(self, request: Any) -> Any:
         """Submit a request; blocks until some combiner has applied it."""
         fresh = getattr(self._spare, "rec", None) or CombinerRecord()
@@ -137,6 +138,7 @@ class Combiner:
             raise cell.error
         return cell.result
 
+    @atomics.sited
     def _combine(self, cell: CombinerRecord) -> None:
         """Serve a batch starting at this thread's own record, then hand off.
 

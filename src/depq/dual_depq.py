@@ -27,7 +27,7 @@ end's consumer, whose claim then failed; it then returns False.
 
 from __future__ import annotations
 
-from .atomics import checkpoint
+from .atomics import checkpoint, sited
 # COMBINING and TWO_LOCKS are re-exported: callers name the modes from here.
 from .combining import COMBINING, TWO_LOCKS, batch_sizes, make_serializer  # noqa: F401
 from .items import (MAX, MIN, POISONED, Arena, PriorityQueue, is_reserved,
@@ -69,6 +69,7 @@ class DualDepq:
         """The per-end counts, built when read so construction skips it."""
         return CountReader((self, "reserve_failures"), (self, "extract_successes"))
 
+    @sited
     def insert(self, user_key: int) -> None:
         index = self.arena.new_item(user_key)
         self.min_pq.pq_insert(index)

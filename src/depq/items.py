@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from typing import NamedTuple, Protocol, runtime_checkable
 
-from .atomics import checkpoint
+from .atomics import checkpoint, sited
 
 MIN = 0
 MAX = 1
@@ -167,6 +167,7 @@ class Arena:
         return len(self._items)
 
 
+@sited
 def try_reserve(item: Item, lock: threading.Lock) -> bool:
     """Atomically claim an item; True iff this call flipped reserved 0->1.
 

@@ -16,7 +16,7 @@ from bisect import insort
 from collections import Counter
 from heapq import heapify, heappop, heappush
 
-from .atomics import checkpoint
+from .atomics import checkpoint, sited
 from .items import Arena
 
 
@@ -99,6 +99,7 @@ class LockedHeapPq:
             return (-key.user_key, -key.uid, index)
         return (key.user_key, key.uid, index)
 
+    @sited
     def pq_insert(self, index: int) -> None:
         checkpoint("pq-insert")
         entry = self._entry(index)
@@ -110,6 +111,7 @@ class LockedHeapPq:
         finally:
             lock.release()
 
+    @sited
     def pq_extract_first(self) -> int | None:
         checkpoint("pq-extract")
         lock = self._lock
@@ -127,6 +129,7 @@ class LockedHeapPq:
         finally:
             lock.release()
 
+    @sited
     def pq_delete(self, index: int) -> bool:
         checkpoint("pq-delete")
         lock = self._lock

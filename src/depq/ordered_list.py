@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .atomics import checkpoint
+from .atomics import checkpoint, sited
 from .items import (MAX, MIN, NONE_IDX, POISONED, Arena, Key, key_less,
                     reclaimed_access, unpack_link)
 
@@ -140,6 +140,7 @@ class ListPair:
 
     # -- operations ----------------------------------------------------------
 
+    @sited
     def insert(self, index: int) -> None:
         """Link a fresh item into both lists, the ascending one first.
 
@@ -171,6 +172,7 @@ class ListPair:
         if tower is not None:
             self._link_tower(tower, preds)
 
+    @sited
     def _publish(self, index: int, end: int, start: IndexNode | None,
                  k: Key) -> None:
         """Link the item at ``index``, whose key is ``k``, into one list,
@@ -299,6 +301,7 @@ class ListPair:
                 finally:
                     lock.release()
 
+    @sited
     def extract_first(self, end: int) -> int | None:
         """Logically delete the first live node of one list and return it, or
         None if the list is empty.  The node may already be claimed by the
@@ -347,6 +350,7 @@ class ListPair:
         self.marks[end] += 1
         return target
 
+    @sited
     def sweep_head(self, end: int) -> list[int]:
         """Physically delete the logically deleted prefix, except its last node.
 

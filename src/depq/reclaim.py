@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import threading
 
-from .atomics import checkpoint
-from .items import POISONED, Arena
+from .atomics import checkpoint, sited
+from .items import POISONED, Arena, reclaimed_access
 
 _QUIESCENT = -1
 
@@ -58,6 +58,7 @@ class Reclaimer:
         if mode not in (DEFERRED, EPOCH):
             raise ValueError(f"unknown reclaim mode {mode!r}")
         self.arena = arena
+        self._items = arena.slots          # read inline, as ``ListPair._slots``
         self._rmw_lock = arena.rmw_lock    # the lock of the retire counts
         self.mode = mode
         self._lock = threading.Lock()
@@ -76,6 +77,7 @@ class Reclaimer:
 
     # -- retire-bit protocol ---------------------------------------------------
 
+    @sited
     def on_unlink(self, index: int) -> bool:
         """Record one physical removal of a node from one list.
 
@@ -84,7 +86,9 @@ class Reclaimer:
         has been handed to the grace-period machinery.  A third call is a
         caller bug.
         """
-        item = self.arena.item(index)
+        item = self._items[index]
+        if item is POISONED:
+            raise reclaimed_access(index)
         checkpoint("unlink-flag")
         lock = self._rmw_lock
         lock.acquire()
@@ -121,6 +125,7 @@ class Reclaimer:
             self._active = tuple(self._slots.values())
         return slot
 
+    @sited
     def enter(self) -> None:
         """Mark this thread active in the current epoch."""
         if self.mode == EPOCH:
@@ -129,6 +134,7 @@ class Reclaimer:
             checkpoint("epoch-enter")
             slot[0] = epoch
 
+    @sited
     def exit(self) -> None:
         """Leave the epoch.
 
@@ -193,7 +199,7 @@ class Reclaimer:
         self._free(victims)
 
     def _free(self, victims: list[int]) -> None:
-        slots = self.arena.slots
+        slots = self._items
         for idx in victims:
             slots[idx] = POISONED
 
@@ -208,7 +214,7 @@ class Reclaimer:
         retire flag shows one unlink."""
         with self._lock:
             retired, freed = self._retired, self._freed
-        unlinked_once = sum(1 for item in self.arena.slots
+        unlinked_once = sum(1 for item in self._items
                             if item is not POISONED and item.unlinked == 1)
         return {"mode": self.mode, "unlink_first": retired + unlinked_once,
                 "retired": retired, "freed": freed, "pending": self.pending()}

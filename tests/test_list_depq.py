@@ -317,8 +317,9 @@ def test_exclusivity_and_no_loss_under_stress(fast_switching):
     assert d.reclaim.snapshot()["freed"] > 0   # freed by the pops, before close
 
 
-def test_retire_counts_match_double_unlinks():
-    d = ListDepq()
+@pytest.mark.parametrize("reclaim_mode", [DEFERRED, EPOCH])
+def test_retire_counts_match_double_unlinks(reclaim_mode):
+    d = ListDepq(reclaim_mode=reclaim_mode)
     for k in range(30):
         d.insert(k)
     while d.extract_min() is not None:
@@ -328,14 +329,17 @@ def test_retire_counts_match_double_unlinks():
     # force final sweeps at both ends via empty extractions
     d.extract_min()
     d.extract_max()
+    # A poisoned slot was retired, so both lists had dropped it.
+    poisoned = {i for i in range(len(d.arena)) if d.arena.is_poisoned(i)}
     removed_per_end = []
     for end in (MIN, MAX):
         linked = {i for i in range(len(d.arena))
-                  if d.arena.item(i).linked_into[end]}
+                  if i not in poisoned and d.arena.item(i).linked_into[end]}
         reachable = set(d.lists.walk(end))
-        removed_per_end.append(linked - reachable)
+        removed_per_end.append((linked | poisoned) - reachable)
     both_removed = removed_per_end[0] & removed_per_end[1]
     counts = d.reclaim.snapshot()
+    assert counts["freed"] == len(poisoned) and (reclaim_mode == DEFERRED) == (not poisoned)
     assert counts["retired"] == len(both_removed)
     assert (counts["unlink_first"] + counts["retired"]
             == len(removed_per_end[0]) + len(removed_per_end[1]))
