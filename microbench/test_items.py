@@ -13,7 +13,10 @@ times one uncontended access to a shared word, as :mod:`depq.atomics` sets
 it out, ``WORD_ITERATIONS`` to a round, with no trace controller
 installed: a sited read (``checkpoint`` and a list index) and a sited
 compare-and-swap of an item's link word under the arena's ``rmw_lock``
-that succeeds without changing the word.  Each is one Python call.
+that succeeds without changing the word.  Each is one Python call.  Both
+helpers are registered with :func:`~depq.atomics.sited`, as every package
+function with a site is, so each runs its twin without the
+``checkpoint`` call: the form a package access takes with no controller.
 ``test_lock_idiom`` times one uncontended critical section around a list
 store, ``WORD_ITERATIONS`` to a round, taken as ``with lock:`` or as
 ``lock.acquire()`` and ``try``/``finally: lock.release()``, the idiom of
@@ -25,7 +28,7 @@ import tracemalloc
 
 import pytest
 
-from depq.atomics import checkpoint
+from depq.atomics import checkpoint, sited
 from depq.items import MIN, Arena
 from depq.ordered_list import ListPair
 
@@ -55,11 +58,13 @@ def test_new_item(benchmark):
     assert arena.item(len(arena) - 1).key.user_key == 5
 
 
+@sited
 def sited_read(words: list, end: int):
     checkpoint("ins-read-link")
     return words[end]
 
 
+@sited
 def sited_cas(words: list, end: int, expected: int, new: int, lock) -> bool:
     checkpoint("ins-cas")
     lock.acquire()

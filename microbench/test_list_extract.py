@@ -7,7 +7,9 @@ Run with the pytest-benchmark plugin, outside the tier-1 suite::
 
 ``test_pop`` times one pop from the ascending end, the work a
 ``ListPq.pq_extract_first`` does apart from reclamation, on a pair holding
-``size`` keys drawn at random below 2**20.  Each round shrinks the pair by
+``size`` keys drawn at random below 2**20: ``extract_first`` marks the
+head's link word and ``sweep_head`` moves the head to the node it names,
+straight-line code that walks no chain.  Each round shrinks the pair by
 one key; an untimed setup rebuilds it from the same seed once it has shrunk
 by a tenth, keeping it between 0.9 × ``size`` and ``size`` keys.  Only the
 public API is used.

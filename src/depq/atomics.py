@@ -43,24 +43,23 @@ while another thread runs the structure stays a caller bug.  In
 ``microbench/test_harness.py``, an insert + extract pair on an epoch-mode
 ``ListDepq`` at 1000 keys took a median of 7.3-7.5 us with the twins and
 8.2-8.5 us under a pause that returns at once (three runs pinned to one
-CPU of a 2-core VM).  The :func:`wait` sites keep their test of
-``_controller`` in both codes.
+CPU of a 2-core VM).  Only this module reads ``_controller``.
 
 A thread about to wait for another, for an end's lock or its combining
-flag, pauses through :func:`wait` and names what keeps it waiting; it is
-disabled until that clears.  A site goes only before an access that another
-enabled thread can race.  One that commutes with every other enabled
-thread's next access pauses nowhere: a read of a word only its own thread
-writes (a consumer's read of its end's head), or a write read only by
-threads disabled in a wait (an end lock's release, a combining record's
-flags).  A pause there multiplies an exploration's runs, not its outcomes.
+flag, pauses at a checkpoint that also names what keeps it waiting, its
+``blocked`` callable; it is disabled until that clears.  A site goes only
+before an access that another enabled thread can race.  One that commutes
+with every other enabled thread's next access pauses nowhere: a read of a
+word only its own thread writes (a consumer's read of its end's head), or
+a write read only by threads disabled in a wait (an end lock's release, a
+combining record's flags).  A pause there multiplies an exploration's
+runs, not its outcomes.
 """
 
 from __future__ import annotations
 
 import __future__
 import ast
-import inspect
 import threading
 from types import CodeType, FunctionType
 from typing import Any, Callable, Protocol
@@ -86,15 +85,18 @@ def set_controller(controller: TraceController | None) -> None:
         fn.__code__ = twin if controller is None else sited_code
 
 
-def checkpoint(site: str) -> None:
+def checkpoint(site: str, blocked: Callable[[], Any] | None = None) -> None:
     """A pause point with no memory operation of its own: between two
-    operations, or before an access to a shared word.  A package function
-    that calls it is registered with :func:`sited`, so with no controller
-    installed it runs a twin without the call.  An unregistered caller (a
-    test's helper) pays for the call and one global load."""
+    operations, before an access to a shared word, or before a wait that
+    cannot end while ``blocked()`` is true.  The controller's ``pause`` is
+    told ``blocked``, which must only read: the stepping scheduler calls it
+    under its lock.  A package function that calls it is registered with
+    :func:`sited`, so with no controller installed it runs a twin without
+    the call, and builds no ``blocked``.  An unregistered caller (a test's
+    helper) pays for the call and one global load."""
     c = _controller
     if c is not None:
-        c.pause(site)
+        c.pause(site, blocked)
 
 
 def _strip_checkpoints(tree: ast.AST) -> None:
@@ -123,9 +125,11 @@ def sited(fn: FunctionType) -> FunctionType:
     does not have ``fn``'s free variables.  Returns ``fn``, which runs the
     twin until a controller is installed."""
     code = fn.__code__
-    # Read past ``linecache``, which would keep every sited module's text.
+    # The block ends on the last line any of its instructions spans.  Read
+    # past ``linecache``, which would keep every sited module's text.
+    last = max(end for _, end, _, _ in code.co_positions() if end is not None)
     with open(code.co_filename, encoding="utf-8") as fh:
-        source = "".join(inspect.getblock(fh.readlines()[code.co_firstlineno - 1:]))
+        source = "".join(fh.readlines()[code.co_firstlineno - 1:last])
     # Pad to the source's first line; an indented method is parsed as the
     # body of an ``if``, so its columns stay the source's too.
     if source[0].isspace():
@@ -144,16 +148,6 @@ def sited(fn: FunctionType) -> FunctionType:
     if _controller is None:
         fn.__code__ = twin
     return fn
-
-
-def wait(site: str, blocked: Callable[[], Any]) -> None:
-    """Pause at ``site`` before a wait that cannot end while ``blocked()``
-    is true.  The controller's ``pause`` is told ``blocked``, which must
-    only read: the stepping scheduler calls it under its lock.  Callers
-    test ``_controller`` first, so without one a wait builds no callable."""
-    c = _controller
-    if c is not None:
-        c.pause(site, blocked)
 
 
 class AtomicCell:

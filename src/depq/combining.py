@@ -125,8 +125,7 @@ class Combiner:
 
         spins = 0
         while True:
-            if atomics._controller is not None:
-                atomics.wait("cc-spin", lambda: cell.wait)
+            atomics.checkpoint("cc-spin", lambda: cell.wait)
             if not cell.wait:
                 break
             spins += 1
@@ -184,8 +183,9 @@ class Combiner:
 class EndLock:
     """Lock mode: each caller runs its own request under the end's lock.
 
-    A plain ``threading.Lock``, which a caller waits for at ``lock-acquire``
-    (see :func:`~depq.atomics.wait`).
+    A plain ``threading.Lock``, which a caller waits for at ``lock-acquire``,
+    a checkpoint that names the lock as what keeps it waiting (see
+    :func:`~depq.atomics.checkpoint`).
     """
 
     def __init__(self, apply: Callable[[Any], Any]):
@@ -193,11 +193,11 @@ class EndLock:
         self._lock = threading.Lock()
         self.stats = BatchStats()
 
+    @atomics.sited
     def announce(self, request: Any) -> Any:
         """Apply ``request``.  An error from ``apply`` reaches the caller
         only once the lock is free."""
-        if atomics._controller is not None:
-            atomics.wait("lock-acquire", self._lock.locked)
+        atomics.checkpoint("lock-acquire", self._lock.locked)
         self._lock.acquire()
         try:
             return self._apply(request)

@@ -5,18 +5,20 @@ end ``MIN`` sorted ascending and end ``MAX`` sorted descending.  Each list
 removes elements in two phases.  A consumer *logically deletes* the first
 live node by setting the mark bit in the link word of the previous node
 (one atomic fetch-or), so the logically deleted nodes always form a prefix
-of the list.  Later the whole prefix is *physically deleted* in one step by
-advancing the head pointer.
+of the list.  Then that previous node is *physically deleted* by advancing
+the head pointer past it.
 
-Each end keeps one pointer, its head.  The head is always a logically
-deleted node, and once a sweep has run it is the deleted prefix's last
-node.  The consumer finds that last node by following marked link words
-from the head, as in Lindén and Jonsson's deleted prefix; since every pop
-is swept, that walk takes no steps in practice.
+Each end keeps one pointer, its head, which is always a logically deleted
+node.  An end's consumer sweeps after each pop that returns a node, before
+its next pop, so between pops the deleted prefix is the head alone: a pop
+marks the head's link word, and its sweep moves the head to the node that
+word names.  This is Lindén and Jonsson's deleted prefix with the batching
+of physical deletion taken out; a second pop before the sweep finds the
+head's word already marked and fails an assertion.
 
 The lists never claim an item.  :class:`ListPq` makes one end a plain
-single-ended priority queue, whose pop also sweeps the deleted prefix; the
-generic construction of :mod:`depq.dual_depq` claims items over two.
+single-ended priority queue, whose pop also sweeps; the generic
+construction of :mod:`depq.dual_depq` claims items over two.
 
 Insertion is lock-free: any number of threads may insert concurrently with
 each other and with the per-end consumer.  One insert links its node into
@@ -103,7 +105,8 @@ class ListPair:
 
     Concurrency contract: ``insert`` from any thread; ``extract_first`` and
     ``sweep_head`` from at most one thread per end at a time (the
-    combiner, or the sole consumer of a single-ended setup);
+    combiner, or the sole consumer of a single-ended setup), which sweeps
+    after each pop that returns a node, before its next pop;
     ``audit`` only while the structure is quiescent or other threads are
     parked at instrumented sites.
     """
@@ -307,30 +310,26 @@ class ListPair:
         None if the list is empty.  The node may already be claimed by the
         other end: claiming is the caller's step (see :mod:`depq.dual_depq`).
 
-        Consumer-only.  Follows the marked link words from the head to the
-        deleted prefix's last node, then marks that node's link with one
-        fetch-or; the successor it names is the node deleted, and its tag
-        for this end, which is also its tower's dead flag, is set.
+        Consumer-only, and only once the end's last pop that returned a
+        node has been swept, so the head is the whole deleted prefix.  Marks
+        the head's link word with one fetch-or; the successor it names is
+        the node deleted, and its tag for this end, which is also its
+        tower's dead flag, is set.
         """
         # Raw link words and inlined poison checks, as in ``insert``.
         items = self._slots
-        last = self._head[end]
-        while True:
-            last_item = items[last]
-            if last_item is POISONED:
-                raise reclaimed_access(last)
-            checkpoint("ex-read-lastnext")
-            word = last_item.link[end]
-            if not word & 1:
-                break
-            last = (word >> 1) - 1   # still in the deleted prefix
-        if word <= 1:
+        head = self._head[end]
+        head_item = items[head]
+        if head_item is POISONED:
+            raise reclaimed_access(head)
+        checkpoint("ex-read-lastnext")
+        if head_item.link[end] <= 1:
             # No successor.  Linearized at the link read above; a racing
             # insert that lands afterwards does not invalidate the empty
             # answer.
             return None
         checkpoint("ex-mark")
-        link = last_item.link
+        link = head_item.link
         lock = self._lock
         lock.acquire()
         try:
@@ -352,31 +351,25 @@ class ListPair:
 
     @sited
     def sweep_head(self, end: int) -> list[int]:
-        """Physically delete the logically deleted prefix, except its last node.
+        """Physically delete the head once a pop has marked its link word.
 
-        Consumer-only.  Walks from the head while the link words are marked
-        and moves the head to the first node whose word is not: the prefix's
-        last node.  Returns the unlinked node indices (oldest first) so the
-        caller can run them through reclamation.  Only the head write
-        pauses (see :mod:`depq.atomics`): a marked word never changes and
-        only this end's consumer sets a mark.
+        Consumer-only.  Moves the head to the node the marked word names,
+        the node the pop returned, and returns the old head in a list, for
+        the caller to run through reclamation; returns ``[]`` when the
+        word is not marked.  Only the head write pauses (see
+        :mod:`depq.atomics`): a marked word never changes and only this
+        end's consumer sets a mark.
         """
-        items = self._slots
-        node = self._head[end]
-        removed = []
-        while True:
-            item = items[node]
-            if item is POISONED:
-                raise reclaimed_access(node)
-            word = item.link[end]
-            if not word & 1:
-                break
-            removed.append(node)
-            node = (word >> 1) - 1
-        if removed:
-            checkpoint("uh-write-head")
-            self._head[end] = node
-        return removed
+        head = self._head[end]
+        item = self._slots[head]
+        if item is POISONED:
+            raise reclaimed_access(head)
+        word = item.link[end]
+        if not word & 1:
+            return []
+        checkpoint("uh-write-head")
+        self._head[end] = (word >> 1) - 1
+        return [head]
 
     # -- inspection ----------------------------------------------------------
 
@@ -552,11 +545,11 @@ class ListPq:
     never interfere.  No arbitrary-delete support.
 
     The sole consumer doubles as the sweeper: each extraction physically
-    deletes the logically deleted prefix behind it, otherwise inserts would
-    wade through an ever-growing dead prefix.  This is the one place that
-    sweeps.  Nodes it unlinks go to the reclaimer when one is attached,
-    and each pop then tries to advance the reclaimer's epoch, so the path
-    that retires nodes also frees them.
+    deletes the node behind it, as the pair's contract asks, and otherwise
+    inserts would wade through an ever-growing dead prefix.  This is the
+    one place that sweeps.  Nodes it unlinks go to the reclaimer when one
+    is attached, and each pop then tries to advance the reclaimer's epoch,
+    so the path that retires nodes also frees them.
     """
 
     has_delete = False

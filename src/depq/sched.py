@@ -7,10 +7,11 @@ runs only when granted a step, as in CHESS.  Drivers include scripted
 runs (``run_until`` / ``run_to_completion`` / ``grant``), a seeded random
 walk, and the exhaustive interleaving explorer below.  To hold a thread
 at a site while others act, run it there with ``run_until``; to let it
-finish, use ``run_to_completion``.  A wait (:func:`depq.atomics.wait`)
-enters through ``pause`` with the condition that blocks it, and the
-worker is disabled while that holds: no chooser sees it, no ``grant``
-may pick it, a walk with only such threads raises.
+finish, use ``run_to_completion``.  A wait (a
+:func:`depq.atomics.checkpoint` given ``blocked``) enters through
+``pause`` with the condition that blocks it, and the worker is disabled
+while that holds: no chooser sees it, no ``grant`` may pick it, a walk
+with only such threads raises.
 
 A step is handed off with batons, locks created held, so each handoff
 wakes exactly one thread.  Every worker parks on its own baton, and a

@@ -174,7 +174,7 @@ def test_audit_flags_a_live_tower_on_a_deleted_node():
     lists = _small_pair()
     victim = lists.index_walk()[0]
     while lists.extract_first(MIN) not in (victim.index, None):
-        pass
+        lists.sweep_head(MIN)
     assert victim.dead == [True, False] and lists.audit(MIN).ok
     # A tower with flags of its own, which the consumer's tag store missed.
     victim.dead = [False, False]

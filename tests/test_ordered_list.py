@@ -25,9 +25,10 @@ def insert_keys(arena, lists, keys):
 
 
 def extract_claimed(arena, lists, end):
-    """Pop and claim as ``DualDepq``'s loop does, but without its sweep:
+    """Pop, sweep and claim as ``DualDepq``'s loop over ``ListPq`` does:
     nodes the other end has claimed are skipped."""
     while (got := lists.extract_first(end)) is not None:
+        lists.sweep_head(end)
         if try_reserve(arena.item(got), arena.rmw_lock):
             return got
     return None
@@ -109,16 +110,12 @@ def test_pop_marks_the_predecessor_link_naming_the_returned_index():
         assert arena.item(lists.dummy).link[1 - end] == other   # not this end's word
 
 
-def test_next_pop_follows_the_marked_word_and_marks_the_next_node():
+def test_a_second_pop_before_the_sweep_breaks_the_consumer_contract():
     arena, lists = make_pair()
-    one, two, three = insert_keys(arena, lists, [1, 2, 3])
+    one, _ = insert_keys(arena, lists, [1, 2])
     assert lists.extract_first(MIN) == one
-    marked = arena.item(lists.dummy).link[MIN]
-    assert lists.extract_first(MIN) == two
-    assert arena.item(lists.dummy).link[MIN] == marked   # left as it was
-    assert unpack_link(arena.item(one).link[MIN]) == (two, 1)
-    assert unpack_link(arena.item(two).link[MIN]) == (three, 0)
-    assert [arena.item(i).marked_into[MIN] for i in (one, two, three)] == [True, True, False]
+    with pytest.raises(AssertionError, match="consumer contract broken"):
+        lists.extract_first(MIN)
 
 
 def test_extract_first_reports_deleted_node():
@@ -213,15 +210,15 @@ def test_sweep_head_after_one_extract_removes_dummy_only():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8])
 def test_sweep_head_after_k_extracts(k):
-    # k pops with no sweep between them; each follows the marked chain from
-    # the head, and one sweep then unlinks exactly k nodes.
+    # k pops, each swept: each sweep unlinks the previous head alone and
+    # moves the head to the node that pop returned.
     arena, lists = make_pair()
     nodes = insert_keys(arena, lists, range(1, k + 1))
-    for node in nodes:
+    for previous, node in zip([lists.dummy] + nodes, nodes):
         assert lists.extract_first(MIN) == node
+        assert lists.sweep_head(MIN) == [previous]
+        assert lists.head(MIN) == node
     assert lists.extract_first(MIN) is None
-    removed = lists.sweep_head(MIN)
-    assert removed == [lists.dummy] + nodes[:-1]
     assert lists.head(MIN) == nodes[-1]
     assert lists.suffix(MIN) == []
     assert lists.sweep_head(MIN) == []
@@ -301,15 +298,16 @@ def test_marked_words_never_change_afterwards():
         else:
             end = rng.choice((MIN, MAX))
             extract_claimed(arena, lists, end)
-            if rng.random() < 0.3:
-                lists.sweep_head(end)
         for (node, end), word in snapshots.items():
             assert arena.item(node).link[end] == word
+        # Each pop is swept, so its marked word is left on a node that is
+        # no longer reachable: watch every node, unlinked ones included.
         for end in (MIN, MAX):
-            for node in lists.walk(end):
+            for node in range(len(arena)):
                 word = arena.item(node).link[end]
                 if word & 1:
                     snapshots[(node, end)] = word
+    assert snapshots
 
 
 def test_unreachable_nodes_were_all_marked():

@@ -439,13 +439,13 @@ def test_drive_times_out_on_a_worker_blocked_between_pauses():
     assert cell.load() == 3
 
 
-# Declared waits: a worker parked through ``atomics.wait`` is disabled while
-# its condition holds.
+# Declared waits: a worker parked at a checkpoint that names what blocks it
+# is disabled while that condition holds.
 
 def _gated(gate, threads, finished):
     def run():
         threads.append(threading.current_thread())
-        atomics.wait("gated", gate.load)
+        atomics.checkpoint("gated", gate.load)
         finished.append(threading.current_thread().name)
     return run
 

@@ -105,3 +105,15 @@ def test_a_wrapped_function_still_reaches_its_sites(monkeypatch):
         sched.run_to_completion("ins")
     assert calls == [index]
     assert lists.suffix_keys(0) == [arena.item(index).key]
+
+
+def test_only_atomics_reads_the_controller():
+    # Whether a pause runs is decided in one place: every other module
+    # pauses through ``checkpoint``, which its twin compiles out.
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id == "_controller"
+                    or isinstance(node, ast.Attribute) and node.attr == "_controller"):
+                readers.add(path.name)
+    assert readers == {"atomics.py"}
