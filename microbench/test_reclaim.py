@@ -6,7 +6,9 @@ Run with the pytest-benchmark plugin, outside the tier-1 suite::
 
 ``test_unlink_twice`` times both ``on_unlink`` calls of one item, the first
 removal and the second one that retires it, in each reclaim mode; the fresh
-item is made untimed before each round.  Nothing advances the epoch, so
+item is made untimed before each round.  Each call takes the arena's
+``rmw_lock`` once: the second one bumps the retire count and retires the
+item into its limbo list in the same hold.  Nothing advances the epoch, so
 every retired item stays pending.  ``test_epoch_bracket`` times one
 ``enter`` + ``exit`` pair in epoch mode with no epoch advance pending.
 ``test_advance_frees`` times one successful ``try_advance`` in epoch mode

@@ -8,13 +8,14 @@ the two, with one serializer per end (:mod:`depq.combining`: a per-end lock
 by default, or a combiner) in front of it.
 
 An extraction pops its own end's first live node and claims it; a node the
-other end has already claimed is skipped.  The pop physically deletes the
-logically deleted prefix behind it, hands the unlinked nodes to a
-reclaimer, which retires a node once both lists have dropped it, and then
-tries to advance the reclaimer's epoch.  Extractions run outside the
-epoch: an end's consumer reads only nodes still linked on its own list
-(the node it pops stays the head until its next pop), and only its own
-sweep unlinks them there, so none of them can be retired under it.
+other end has already claimed is skipped.  The pop's sweep then unlinks
+the previous head (the node the end popped before, or the sentinel) and
+hands it to a reclaimer, which retires a node once both lists have
+dropped it, and the pop tries to advance the reclaimer's epoch.
+Extractions run outside the epoch: an end's consumer reads only nodes
+still linked on its own list (the node it pops stays the head until its
+next pop), and only its own sweep unlinks them there, so none of them can
+be retired under it.
 Insertions never touch the serializers: one pair insert links the new node
 into the ascending list first, then the descending one, concurrently with
 everything else.  It runs inside the epoch, because the list starts its

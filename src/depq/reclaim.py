@@ -30,10 +30,11 @@ advance from ``c - 1`` to ``c`` happened after those nodes were retired,
 and this advance finds every active thread inside epoch ``c``, so each of
 them entered after the retire, when the node was already unreachable from
 both lists.  The compare-and-swap of the epoch and the swap of the list
-happen under one hold of the lock that retires also take.  Done apart, an
-advancer delayed between them could swap out a list that has since been
-refilled by retires two epochs newer.  Freeing poisons the arena slots
-after the lock is released, so any late access trips an assertion.
+happen under one hold of the arena's ``rmw_lock``, the lock under which a
+second unlink also retires its node.  Done apart, an advancer delayed
+between them could swap out a list that has since been refilled by
+retires two epochs newer.  Freeing poisons the arena slots after the lock
+is released, so any late access trips an assertion.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ class Reclaimer:
             raise ValueError(f"unknown reclaim mode {mode!r}")
         self.arena = arena
         self._items = arena.slots          # read inline, as ``ListPair._slots``
-        self._rmw_lock = arena.rmw_lock    # the lock of the retire counts
         self.mode = mode
-        self._lock = threading.Lock()
+        # The arena's lock: retire counts, limbo lists, epoch and registry.
+        self._lock = arena.rmw_lock
         self._epoch = 0                    # written only under ``_lock``
         self._slots: dict[int, list[int]] = {}
         self._active: tuple[list[int], ...] = ()   # ``_slots``' values
@@ -71,11 +72,11 @@ class Reclaimer:
         self._limbo: list[list[int]] = [[], [], []]
         self._closed = False
         # Bumped under ``_lock``, which is held there anyway.  First unlinks
-        # are not counted: the items' retire flags already hold that count.
+        # are not counted: the items' retire counts already hold that count.
         self._retired = 0
         self._freed = 0
 
-    # -- retire-bit protocol ---------------------------------------------------
+    # -- retire-count protocol -------------------------------------------------
 
     @sited
     def on_unlink(self, index: int) -> bool:
@@ -90,28 +91,20 @@ class Reclaimer:
         if item is POISONED:
             raise reclaimed_access(index)
         checkpoint("unlink-flag")
-        lock = self._rmw_lock
+        lock = self._lock
         lock.acquire()
         try:
             prior = item.unlinked
             item.unlinked = prior + 1
+            if not prior:
+                return False
+            if prior == 1:
+                self._limbo[self._epoch % 3].append(index)
+                self._retired += 1
+                return True
         finally:
             lock.release()
-        if prior == 0:
-            return False
-        if prior == 1:
-            self._retire(index)
-            return True
         raise RetireProtocolError(f"item {index} unlinked {prior + 1} times")
-
-    def _retire(self, index: int) -> None:
-        lock = self._lock
-        lock.acquire()
-        try:
-            self._retired += 1
-            self._limbo[self._epoch % 3].append(index)
-        finally:
-            lock.release()
 
     # -- epoch machinery ---------------------------------------------------------
 
@@ -142,16 +135,15 @@ class Reclaimer:
         one may be what holds that thread's next advance back, and no pop
         may come to retry it (the extractors can be done).  So it tries to
         advance itself, twice, which frees everything retired so far.  Any
-        other exit pays one comparison for this.
+        other exit pays one comparison for this.  An exit with no ``enter``
+        before it on this thread is a caller bug, and raises.
         """
         if self.mode == EPOCH:
-            slot = getattr(self._local, "slot", None) or self._new_slot()
+            slot = self._local.slot
             entered = slot[0]
             checkpoint("epoch-exit")
             slot[0] = _QUIESCENT
-            epoch = self._epoch
-            if (entered != epoch and getattr(self._local, "advanced_to", None) != epoch
-                    and self.try_advance()):
+            if entered != self._epoch and self.try_advance():
                 self.try_advance()
 
     def try_advance(self) -> bool:
@@ -181,7 +173,6 @@ class Reclaimer:
             self._freed += len(victims)
         finally:
             lock.release()
-        self._local.advanced_to = current + 1
         self._free(victims)
         return True
 
@@ -211,7 +202,7 @@ class Reclaimer:
         """``unlink_first``, ``retired`` and ``freed`` counts, plus ``mode``
         and the ``pending`` (retired, not yet freed) count.  Quiescent use
         only: ``unlink_first`` is the retired items plus the live ones whose
-        retire flag shows one unlink."""
+        retire count shows one unlink."""
         with self._lock:
             retired, freed = self._retired, self._freed
         unlinked_once = sum(1 for item in self._items

@@ -491,12 +491,32 @@ def test_uncontended_insert_costs_four_locked_rmws(monkeypatch):
     assert d.audit(MIN).ok and d.audit(MAX).ok
 
 
-@pytest.mark.parametrize("op", ["publish", "mark"])
+@pytest.mark.parametrize("mode, locks", [(TWO_LOCKS, 3), (COMBINING, 5)],
+                         ids=[TWO_LOCKS, COMBINING])
+def test_a_list_depq_has_one_lock_besides_its_serializers(monkeypatch, mode, locks):
+    """The arena's rmw_lock, which the reclaimer shares, plus each end's
+    serializer: one lock per end lock, two per combiner."""
+    made = []
+
+    def counted_lock():
+        made.append(lock := real_lock())
+        return lock
+
+    real_lock = threading.Lock
+    monkeypatch.setattr(threading, "Lock", counted_lock)
+    d = ListDepq(mode=mode, reclaim_mode=EPOCH)
+    monkeypatch.undo()
+    assert len(made) == locks
+    assert d.reclaim._lock is d.arena.rmw_lock
+
+
+@pytest.mark.parametrize("op", ["publish", "mark", "retire"])
 def test_an_error_inside_a_critical_section_releases_the_lock(op):
     """A link word whose read raises under the rmw_lock: in the insert's
-    publish CAS, or in the extraction's mark.  The error reaches the
-    caller, the lock is free afterwards, and a lock held at a quiescent
-    point fails the audit."""
+    publish CAS, or in the extraction's mark; or a limbo list whose append
+    raises under it, in the retire of the sentinel's second unlink.  The
+    error reaches the caller, the lock is free afterwards, and a lock held
+    at a quiescent point fails the audit."""
     d = ListDepq()
     d.insert(5)
     lock = d.arena.rmw_lock
@@ -507,12 +527,24 @@ def test_an_error_inside_a_critical_section_releases_the_lock(op):
                 raise RuntimeError("link read failed under the lock")
             return super().__getitem__(end)
 
+        def append(self, index):
+            if lock.locked():
+                raise RuntimeError("limbo append failed under the lock")
+            super().append(index)
+
     dummy = d.arena.item(d.lists.dummy)
-    dummy.link = FailsUnderTheLock(dummy.link)
+    limbo = d.reclaim._limbo
+    if op == "retire":
+        assert d.extract_min() == 5     # the sentinel's first unlink
+        limbo[:] = map(FailsUnderTheLock, limbo)
+    else:
+        dummy.link = FailsUnderTheLock(dummy.link)
     with pytest.raises(RuntimeError, match="under the lock"):
-        d.insert(3) if op == "publish" else d.extract_min()
+        {"publish": partial(d.insert, 3), "mark": d.extract_min,
+         "retire": d.extract_max}[op]()
     assert not lock.locked()
     dummy.link = list(dummy.link)
+    limbo[:] = map(list, limbo)
     assert d.audit(MIN).ok and d.audit(MAX).ok
     lock.acquire()
     try:

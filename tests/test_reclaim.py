@@ -207,6 +207,15 @@ def test_try_advance_is_meaningless_in_deferred_mode():
     assert rec.try_advance() is False
 
 
+def test_an_exit_without_an_enter_raises():
+    """In epoch mode ``exit`` reads the slot ``enter`` registered; with no
+    ``enter`` on this thread it raises instead of registering one."""
+    rec = Reclaimer(Arena(), mode=EPOCH)
+    with pytest.raises(AttributeError):
+        rec.exit()
+    Reclaimer(Arena(), mode=DEFERRED).exit()
+
+
 def test_close_is_idempotent():
     arena = Arena()
     rec = Reclaimer(arena, mode=DEFERRED)
@@ -227,7 +236,7 @@ class _LimboModel:
     def __init__(self, mode):
         self.mode = mode
         self.epoch = 0
-        self.entered = self.advanced_to = None
+        self.entered = None
         self.waiting: dict[int, int] = {}   # index -> retire epoch
         self.freed: set[int] = set()
 
@@ -238,7 +247,7 @@ class _LimboModel:
         if (self.mode != EPOCH or not self.waiting
                 or self.entered not in (None, self.epoch)):
             return False
-        self.epoch = self.advanced_to = self.epoch + 1
+        self.epoch += 1
         self._free(lambda retired_at: retired_at + 2 <= self.epoch)
         return True
 
@@ -247,7 +256,7 @@ class _LimboModel:
 
     def exit(self):
         entered, self.entered = self.entered, None
-        if entered != self.epoch and self.advanced_to != self.epoch and self.advance():
+        if entered != self.epoch and self.advance():
             self.advance()
 
     def close(self):

@@ -5,6 +5,7 @@ and its sited code under one."""
 import ast
 import functools
 import importlib
+import tomllib
 from pathlib import Path
 
 from depq import atomics
@@ -117,3 +118,12 @@ def test_only_atomics_reads_the_controller():
                     or isinstance(node, ast.Attribute) and node.attr == "_controller"):
                 readers.add(path.name)
     assert readers == {"atomics.py"}
+
+
+def test_the_declared_python_floor_has_code_positions():
+    # ``sited`` takes each block's last line from ``code.co_positions()``,
+    # which Python 3.11 added (PEP 657).
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    spec = project["requires-python"]
+    assert spec.startswith(">="), spec
+    assert tuple(map(int, spec[2:].split("."))) >= (3, 11)
