@@ -12,12 +12,16 @@ through the combining wrapper (ends alternating) at 1000 live keys; an
 untimed insert before each round keeps the count there.
 ``test_dual_heap_insert`` times one ``DualDepq.insert``, a fresh item and
 its two heap inserts, at 1000 live keys; an untimed extraction before each
-round (ends alternating) keeps the count there.  Only the public API is
-used.
+round (ends alternating) keeps the count there.  It records in
+``extra_info["bytes_per_insert"]`` the memory that ``BYTES_INSERTS`` inserts
+allocate per insert on a fresh dual-heap build, as ``tracemalloc`` counts
+it: the ``new_item`` call and both heap entries included, over random keys
+below 2**20.  Only the public API is used.
 """
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,6 +30,25 @@ from depq.items import Arena
 from depq.oracle import LockedHeapPq
 
 KEYS = 1000
+BYTES_INSERTS = 10_000
+
+
+def dual_heap() -> DualDepq:
+    arena = Arena()
+    return DualDepq(arena, LockedHeapPq(arena), LockedHeapPq(arena, descending=True))
+
+
+def bytes_per_insert() -> float:
+    rng = random.Random(11)
+    d = dual_heap()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(BYTES_INSERTS):
+            d.insert(rng.randrange(1 << 20))
+        return (tracemalloc.get_traced_memory()[0] - before) / BYTES_INSERTS
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("descending", [False, True], ids=["asc", "desc"])
@@ -50,9 +73,7 @@ def test_insert_extract(benchmark, size, descending):
 
 
 def test_dual_heap_extraction(benchmark):
-    arena = Arena()
-    inner = DualDepq(arena, LockedHeapPq(arena), LockedHeapPq(arena, descending=True))
-    d = make_multi_consumer(inner, COMBINING)
+    d = make_multi_consumer(dual_heap(), COMBINING)
     rng = random.Random(7)
     for key in rng.sample(range(1 << 20), KEYS - 1):
         d.insert(key)
@@ -70,8 +91,8 @@ def test_dual_heap_extraction(benchmark):
 
 
 def test_dual_heap_insert(benchmark):
-    arena = Arena()
-    d = DualDepq(arena, LockedHeapPq(arena), LockedHeapPq(arena, descending=True))
+    benchmark.extra_info["bytes_per_insert"] = round(bytes_per_insert(), 1)
+    d = dual_heap()
     rng = random.Random(7)
     for key in rng.sample(range(1 << 20), KEYS):
         d.insert(key)

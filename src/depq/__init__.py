@@ -7,7 +7,8 @@ checker, a sequential oracle, and a stress/bench CLI.
 from .atomics import checkpoint, set_controller
 from .combining import COMBINING, TWO_LOCKS, Combiner, make_serializer
 from .dual_depq import DualDepq, make_multi_consumer
-from .items import MAX, MIN, Arena, Key, is_reserved, key_less, try_reserve
+from .items import (MAX, MIN, Arena, is_reserved, key_less, key_of, try_reserve,
+                    uid_of, user_key_of)
 from .lincheck import (EMPTY, CheckResult, Event, Recorder, Verdict, check,
                        read_history, write_history)
 from .list_depq import ListDepq
@@ -19,10 +20,11 @@ from .sched import ControlledScheduler, ScheduleError, explore_interleavings
 __all__ = [
     "Arena", "AuditReport", "CheckResult", "Combiner",
     "COMBINING", "ControlledScheduler", "DEFERRED", "DualDepq", "EMPTY",
-    "EPOCH", "Event", "Key", "ListDepq", "ListPair", "ListPq",
+    "EPOCH", "Event", "ListDepq", "ListPair", "ListPq",
     "LockedHeapPq", "MAX", "MIN", "Recorder", "Reclaimer", "ScheduleError",
     "SeqDepq", "TWO_LOCKS", "Verdict", "check", "checkpoint",
     "comes_before", "explore_interleavings", "is_reserved", "key_less",
-    "make_multi_consumer", "make_serializer", "read_history", "seq_apply",
-    "set_controller", "try_reserve", "write_history",
+    "key_of", "make_multi_consumer", "make_serializer", "read_history",
+    "seq_apply", "set_controller", "try_reserve", "uid_of", "user_key_of",
+    "write_history",
 ]

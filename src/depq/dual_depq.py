@@ -30,8 +30,8 @@ from __future__ import annotations
 from .atomics import checkpoint, sited
 # COMBINING and TWO_LOCKS are re-exported: callers name the modes from here.
 from .combining import COMBINING, TWO_LOCKS, batch_sizes, make_serializer  # noqa: F401
-from .items import (MAX, MIN, POISONED, Arena, PriorityQueue, is_reserved,
-                    reclaimed_access, try_reserve)
+from .items import (MAX, MIN, POISONED, UID_BITS, Arena, PriorityQueue,
+                    is_reserved, reclaimed_access, try_reserve)
 
 
 class CountReader:
@@ -104,7 +104,7 @@ class DualDepq:
                 if self._delete_claimed:
                     other.pq_delete(index)
                 self.extract_successes[end] += 1
-                return item.key.user_key
+                return item.key >> UID_BITS
             self.reserve_failures[end] += 1
 
     # The surface every build shares, answered through the two queues'

@@ -6,15 +6,18 @@ reclamation retires the item; retired slots are replaced by a poison
 sentinel so that any late access trips an assertion instead of silently
 reading freed state.
 
-Keys are ``(user_key, uid)`` pairs ordered lexicographically.  The uid is a
-per-arena strictly increasing sequence number, so two items never compare
-equal even when callers insert duplicate user keys.
+An item's key is one int, ``user_key << 64 | uid`` (see :func:`key_of`).
+The uid is a per-arena strictly increasing sequence number below 2**64, so
+plain int order on keys is the lexicographic order on ``(user_key, uid)``,
+negative and arbitrarily large user keys included, and two items never
+compare equal even when callers insert duplicate user keys.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import NamedTuple, Protocol, runtime_checkable
+from operator import index as as_int
+from typing import Protocol, runtime_checkable
 
 from .atomics import checkpoint, sited
 
@@ -26,12 +29,25 @@ ENDS = (MIN, MAX)
 NONE_IDX = -1
 
 
-class Key(NamedTuple):
-    user_key: int
-    uid: int
+#: Bits of a key below its user key: every uid is below 2**UID_BITS.
+UID_BITS = 64
+UID_MASK = (1 << UID_BITS) - 1
 
 
-def key_less(a: Key, b: Key) -> bool:
+def key_of(user_key: int, uid: int) -> int:
+    """The key of the item with this user key and uid: ``user_key << 64 | uid``."""
+    return user_key << UID_BITS | uid
+
+
+def user_key_of(key: int) -> int:
+    return key >> UID_BITS
+
+
+def uid_of(key: int) -> int:
+    return key & UID_MASK
+
+
+def key_less(a: int, b: int) -> bool:
     """Strict total order on keys: lexicographic on (user_key, uid)."""
     return a < b
 
@@ -80,7 +96,7 @@ class Item:
     __slots__ = ("key", "reserved", "unlinked", "link", "linked_into",
                  "marked_into")
 
-    def __init__(self, key: Key | None):
+    def __init__(self, key: int | None):
         self.key = key  # None only for the sentinel dummy
         self.reserved = 0
         self.unlinked = 0
@@ -88,7 +104,7 @@ class Item:
     @property
     def user_key(self) -> int:
         assert self.key is not None, "sentinel key is never read"
-        return self.key.user_key
+        return self.key >> UID_BITS
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Item(key={self.key})"
@@ -135,15 +151,19 @@ class Arena:
         return self._items
 
     def new_item(self, user_key: int) -> int:
-        """Create a fresh item with the next uid; returns its index."""
+        """Create a fresh item with the next uid; returns its index.
+
+        Raises ``TypeError``, before any state changes, for a user key that
+        is not an integer; one with ``__index__`` is converted exactly.
+        """
+        high = as_int(user_key) << UID_BITS
         lock = self._lock
         lock.acquire()
         try:
             uid = self._uid
             self._uid = uid + 1
             index = len(self._items)
-            # ``tuple.__new__`` skips the named tuple's Python-level ``__new__``.
-            self._items.append(Item(tuple.__new__(Key, (user_key, uid))))
+            self._items.append(Item(high | uid))
             return index
         finally:
             lock.release()

@@ -17,14 +17,15 @@ from collections import Counter
 from heapq import heapify, heappop, heappush
 
 from .atomics import checkpoint, sited
-from .items import Arena
+from .items import UID_BITS, UID_MASK, Arena
 
 
 class SeqDepq:
     """Single-threaded ordered multiset with extract at both ends.
 
-    Works over any totally ordered values: plain ints for checker states,
-    (user_key, uid) pairs for differential tests.
+    Works over any totally ordered values: user keys for checker states,
+    packed item keys (see :func:`~depq.items.key_of`) for differential
+    tests.
     """
 
     def __init__(self, items=()):
@@ -71,9 +72,10 @@ _SLACK = 16
 class LockedHeapPq:
     """Linearizable single-ended priority queue: ``heapq`` + one lock.
 
-    Each entry is ``(user_key, uid, index)``; ``descending=True`` negates
-    the two key fields, turning extract-first into extract-largest, so every
-    sift runs in the standard library's C heap.  Delete is lazy: ``_live``
+    Each entry is one int, the item's key above its arena index,
+    ``key << 64 | index``; ``descending=True`` negates it, turning
+    extract-first into extract-largest.  So every sift runs in the standard
+    library's C heap and compares plain ints.  Delete is lazy: ``_live``
     holds the indices still on the queue, and an entry whose index is not
     in it is dead and skipped when popped.  Once the heap holds more than
     ``2 * live + _SLACK`` entries it is rebuilt from its live ones, so its
@@ -88,16 +90,20 @@ class LockedHeapPq:
     def __init__(self, arena: Arena, descending: bool = False):
         self.arena = arena
         self.descending = descending
-        self._heap: list[tuple[int, int, int]] = []
+        self._heap: list[int] = []
         self._live: set[int] = set()
         self._lock = threading.Lock()
 
-    def _entry(self, index: int) -> tuple[int, int, int]:
+    def _entry(self, index: int) -> int:
+        """The heap entry of the item at ``index``."""
         key = self.arena.item(index).key
         assert key is not None
-        if self.descending:
-            return (-key.user_key, -key.uid, index)
-        return (key.user_key, key.uid, index)
+        entry = key << UID_BITS | index
+        return -entry if self.descending else entry
+
+    def _index_of(self, entry: int) -> int:
+        """The arena index an entry carries."""
+        return (-entry if self.descending else entry) & UID_MASK
 
     @sited
     def pq_insert(self, index: int) -> None:
@@ -117,9 +123,10 @@ class LockedHeapPq:
         lock = self._lock
         lock.acquire()
         try:
-            heap, live = self._heap, self._live
+            heap, live, descending = self._heap, self._live, self.descending
             while heap:
-                index = heappop(heap)[2]
+                entry = heappop(heap)
+                index = (-entry if descending else entry) & UID_MASK
                 if index in live:
                     live.remove(index)
                     if len(heap) > 2 * len(live) + _SLACK:
@@ -161,24 +168,25 @@ class LockedHeapPq:
 
     def _drop_dead(self) -> None:
         """Rebuild the heap from its live entries (lock held)."""
-        heap, live = self._heap, self._live
-        heap[:] = [entry for entry in heap if entry[2] in live]
+        heap, live, index_of = self._heap, self._live, self._index_of
+        heap[:] = [entry for entry in heap if index_of(entry) in live]
         heapify(heap)
 
     def check_heap(self) -> None:
         """Debug sweep: order holds at every parent/child edge, every entry
         carries its item's key, and every live index has exactly one entry."""
         with self._lock:
-            heap = self._heap
+            heap, index_of = self._heap, self._index_of
             for pos in range(1, len(heap)):
                 if heap[pos] < heap[(pos - 1) // 2]:
                     raise HeapOrderError(
                         f"slot {pos} precedes its parent under this relation")
             for entry in heap:
-                if entry != self._entry(entry[2]):
+                index = index_of(entry)
+                if entry != self._entry(index):
                     raise HeapOrderError(
-                        f"entry {entry} does not carry item {entry[2]}'s key")
-            entries = Counter(entry[2] for entry in heap)
+                        f"entry {entry} does not carry item {index}'s key")
+            entries = Counter(map(index_of, heap))
             for index in self._live:
                 if entries[index] != 1:
                     raise HeapOrderError(

@@ -50,8 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .atomics import checkpoint, sited
-from .items import (MAX, MIN, NONE_IDX, POISONED, Arena, Key, key_less,
-                    reclaimed_access, unpack_link)
+from .items import (MAX, MIN, NONE_IDX, POISONED, UID_MASK, Arena, key_less,
+                    reclaimed_access, uid_of, unpack_link, user_key_of)
 
 
 #: Index levels above the lists; tower heights are capped here.
@@ -85,14 +85,19 @@ class IndexNode:
 
     __slots__ = ("key", "index", "dead", "next")
 
-    def __init__(self, key: Key, index: int, dead: list[bool], height: int):
+    def __init__(self, key: int, index: int, dead: list[bool], height: int):
         self.key = key
         self.index = index
         self.dead = dead
         self.next: list[IndexNode | None] = [None] * height
 
 
-def comes_before(a: Key, b: Key, end: int) -> bool:
+def _shown(key: int) -> str:
+    """A key as ``(user_key, uid)``, for audit notes."""
+    return f"({user_key_of(key)}, {uid_of(key)})"
+
+
+def comes_before(a: int, b: int, end: int) -> bool:
     """Should key ``a`` sit before key ``b`` on the given end's list?"""
     if end == MIN:
         return key_less(a, b)
@@ -165,7 +170,7 @@ class ListPair:
         node.link = [0, 0]
         node.linked_into = [False, False]
         dead = node.marked_into = [False, False]
-        height = tower_height(k.uid)
+        height = tower_height(k & UID_MASK)
         tower = IndexNode(k, index, dead, height) if height else None
         preds = [self._index] * height
         ascending, descending = self._index_search(k, preds)
@@ -177,7 +182,7 @@ class ListPair:
 
     @sited
     def _publish(self, index: int, end: int, start: IndexNode | None,
-                 k: Key) -> None:
+                 k: int) -> None:
         """Link the item at ``index``, whose key is ``k``, into one list,
         searching from ``start``'s item, or from the head when ``start`` is
         None."""
@@ -230,7 +235,7 @@ class ListPair:
             finally:
                 lock.release()
 
-    def _index_search(self, k: Key, preds: list) -> tuple[IndexNode | None,
+    def _index_search(self, k: int, preds: list) -> tuple[IndexNode | None,
                                                          IndexNode | None]:
         """Search the index top-down for key ``k``.
 
@@ -416,7 +421,7 @@ class ListPair:
             live += 1
         return nodes[live:]
 
-    def suffix_keys(self, end: int, include_reserved: bool = False) -> list[Key]:
+    def suffix_keys(self, end: int, include_reserved: bool = False) -> list[int]:
         """Keys of the live suffix, in list order."""
         items = map(self.arena.item, self.suffix(end))
         return [item.key for item in items
@@ -434,7 +439,7 @@ class ListPair:
             nodes, marks = [], []
         items = [arena.item(node) for node in nodes]
         tags = [item.marked_into[end] for item in items]
-        report.path = [(node, None if item.key is None else item.key.user_key, tagged)
+        report.path = [(node, None if item.key is None else user_key_of(item.key), tagged)
                        for node, item, tagged in zip(nodes, items, tags)]
 
         # Deleted nodes must form a prefix, and the deletion tags must agree
@@ -457,7 +462,7 @@ class ListPair:
             assert a is not None and b is not None
             if not comes_before(a, b, end):
                 report.suffix_sorted = False
-                report.notes.append(f"suffix out of order: {a} !< {b}")
+                report.notes.append(f"suffix out of order: {_shown(a)} !< {_shown(b)}")
 
         if not arena.item(self._head[end]).marked_into[end]:
             report.head_deleted = False
@@ -484,7 +489,8 @@ class ListPair:
                 notes.append(f"index level {level} exceeds arena size: cycle suspected")
             for a, b in zip(towers, towers[1:]):
                 if not key_less(a.key, b.key):
-                    notes.append(f"index level {level} out of order: {a.key} !< {b.key}")
+                    notes.append(f"index level {level} out of order: "
+                                 f"{_shown(a.key)} !< {_shown(b.key)}")
             linked.update(dict.fromkeys(towers))
         for tower in linked:
             item = slots[tower.index]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dual_depq import DualDepq
-from .items import MAX, MIN, Arena, ReclaimedAccessError
+from .items import MAX, MIN, Arena, ReclaimedAccessError, user_key_of
 from .lincheck import Recorder, Verdict, check
 from .list_depq import ListDepq
 from .oracle import LockedHeapPq
@@ -187,8 +187,8 @@ def run_index_start_reclaimed() -> ReplayOutcome:
         d.insert(key)
     # Not the first or last key: sweeps keep each list's last deleted node.
     start = next(t for t in d.lists.index_walk()
-                 if 0 < t.key.user_key < 70)
-    key = start.key.user_key + 5   # S is the last tower before it
+                 if 0 < user_key_of(t.key) < 70)
+    key = user_key_of(start.key) + 5   # S is the last tower before it
 
     error = None
     drained: list[int] = []
@@ -217,7 +217,7 @@ def run_index_start_reclaimed() -> ReplayOutcome:
     ok = (error is None and retired and held and landed
           and audits_ok and freed_after_exit)
     return ReplayOutcome("index-start-reclaimed", ok, {
-        "start_key": start.key.user_key,
+        "start_key": user_key_of(start.key),
         "inserted_key": key,
         "drained_min": drained,
         "start_retired_while_frozen": retired,

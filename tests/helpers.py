@@ -7,7 +7,7 @@ import threading
 import time
 
 from depq.atomics import checkpoint
-from depq.items import MAX, MIN
+from depq.items import MAX, MIN, uid_of
 from depq.lincheck import EMPTY, Event
 from depq.list_depq import ListDepq
 from depq.oracle import SeqDepq
@@ -66,7 +66,7 @@ class EarlyTowerListDepq(ListDepq):
         node.link = [0, 0]
         node.linked_into = [False, False]
         dead = node.marked_into = [False, False]
-        height = tower_height(k.uid)
+        height = tower_height(uid_of(k))
         tower = IndexNode(k, index, dead, height) if height else None
         preds = [lists._index] * height
         ascending, descending = lists._index_search(k, preds)

@@ -9,7 +9,7 @@ import pytest
 from helpers import run_on_plain_threads
 
 from depq.dual_depq import (COMBINING, TWO_LOCKS, DualDepq, make_multi_consumer)
-from depq.items import MAX, MIN, Arena, try_reserve
+from depq.items import MAX, MIN, Arena, try_reserve, user_key_of
 from depq.lincheck import Recorder, Verdict, check
 from depq.oracle import LockedHeapPq, SeqDepq
 from depq.ordered_list import ListPair, ListPq
@@ -66,7 +66,7 @@ def test_pre_reserved_item_is_skipped(dual):
     # claim the smaller item behind the queue's back
     for i in range(len(dual.arena)):
         item = dual.arena.item(i)
-        if item.key is not None and item.key.user_key == 1:
+        if item.key is not None and user_key_of(item.key) == 1:
             assert try_reserve(item, dual.arena.rmw_lock)
     assert dual.extract_min() == 2
     assert dual.extract_min() is None

@@ -1,5 +1,6 @@
 """Key model, item creation, and the reservation flag."""
 
+import gc
 import random
 import tracemalloc
 from functools import partial
@@ -10,9 +11,11 @@ from hypothesis import given, strategies as st
 
 from depq.atomics import AtomicCell
 from depq.combining import MODES
-from depq.items import (MAX, MIN, NONE_IDX, POISONED, Arena, Key, is_reserved,
-                        key_less, pack_link, try_reserve, unpack_link)
+from depq.items import (MAX, MIN, NONE_IDX, POISONED, Arena, is_reserved, key_less,
+                        key_of, pack_link, try_reserve, uid_of, unpack_link,
+                        user_key_of)
 from depq.lincheck import Recorder
+from depq.list_depq import ListDepq
 from depq.ordered_list import ListPair, tower_height
 from depq.reclaim import DEFERRED, EPOCH
 from depq.workload import BUILDS, WorkloadConfig
@@ -22,7 +25,7 @@ def test_new_item_starts_unreserved():
     arena = Arena()
     for k in (5, -3, 0):
         item = arena.item(arena.new_item(k))
-        assert item.key.user_key == k
+        assert user_key_of(item.key) == k
         assert not is_reserved(item)
         assert item.unlinked == 0
 
@@ -49,7 +52,7 @@ def test_list_insert_gives_the_node_its_list_fields():
         assert item.linked_into == [True, True]
         assert item.marked_into == [False, False]
         towers = [t for t in lists.index_walk() if t.index == index]
-        if tower_height(item.key.uid):
+        if tower_height(uid_of(item.key)):
             (tower,) = towers   # its dead flags are the item's tags, not a copy
             assert tower.key == item.key and tower.dead is item.marked_into
             towered += 1
@@ -102,13 +105,13 @@ def test_duplicate_user_keys_get_distinct_uids():
     a = arena.item(arena.new_item(5))
     b = arena.item(arena.new_item(5))
     assert a.key != b.key
-    assert a.key.uid != b.key.uid
+    assert uid_of(a.key) != uid_of(b.key)
     assert key_less(a.key, b.key)  # earlier uid wins the tie
 
 
 def test_uids_strictly_increase_per_arena():
     arena = Arena()
-    uids = [arena.item(arena.new_item(0)).key.uid for _ in range(100)]
+    uids = [uid_of(arena.item(arena.new_item(0)).key) for _ in range(100)]
     assert uids == sorted(uids)
     assert len(set(uids)) == len(uids)
 
@@ -145,20 +148,20 @@ def test_concurrent_reserve_has_exactly_one_winner():
 
 
 def test_key_less_is_lexicographic():
-    assert key_less(Key(3, 10), Key(5, 1))
-    assert key_less(Key(5, 1), Key(5, 2))
-    assert not key_less(Key(5, 2), Key(5, 1))
+    assert key_less(key_of(3, 10), key_of(5, 1))
+    assert key_less(key_of(5, 1), key_of(5, 2))
+    assert not key_less(key_of(5, 2), key_of(5, 1))
 
 
 def test_key_less_antisymmetric_on_random_pairs():
     rng = random.Random(2024)
     for _ in range(100_000):
-        a = Key(rng.randrange(50), rng.randrange(1000))
-        b = Key(rng.randrange(50), rng.randrange(1000))
+        a = key_of(rng.randrange(50), rng.randrange(1000))
+        b = key_of(rng.randrange(50), rng.randrange(1000))
         assert not (key_less(a, b) and key_less(b, a))
 
 
-keys = st.builds(Key, st.integers(-1000, 1000), st.integers(0, 1000))
+keys = st.builds(key_of, st.integers(-1000, 1000), st.integers(0, 1000))
 
 
 @given(keys)
@@ -191,3 +194,56 @@ def test_poisoned_slot_access_raises():
     arena.slots[idx] = POISONED     # as the reclaimer frees a slot
     with pytest.raises(AssertionError):
         arena.item(idx)
+
+
+user_keys = st.integers(-2**70, 2**70)
+uids = st.integers(0, 2**64 - 1)
+
+
+@given(user_keys, uids, user_keys, uids)
+def test_key_of_embeds_the_lexicographic_order(ua, ia, ub, ib):
+    assert (key_of(ua, ia) < key_of(ub, ib)) == ((ua, ia) < (ub, ib))
+    assert (key_of(ua, ia) < key_of(ua, ib)) == (ia < ib)   # a tie on the user key
+    assert (user_key_of(key_of(ua, ia)), uid_of(key_of(ua, ia))) == (ua, ia)
+
+
+@pytest.mark.parametrize("bad", [2.5, "3"])
+def test_non_integer_key_is_rejected_before_any_state_changes(bad):
+    d = ListDepq()
+    d.insert(1)
+    size, next_uid = len(d.arena), d.arena._uid
+    with pytest.raises(TypeError):
+        d.insert(bad)
+    assert (len(d.arena), d.arena._uid) == (size, next_uid)
+    assert d.extract_min() == 1 and d.extract_min() is None
+
+
+def test_key_with_index_method_is_converted_exactly():
+    class Big:
+        def __index__(self):
+            return 2**70 + 5
+
+    arena = Arena()
+    item = arena.item(arena.new_item(Big()))
+    assert type(item.key) is int
+    assert user_key_of(item.key) == 2**70 + 5
+    np = pytest.importorskip("numpy")
+    item = arena.item(arena.new_item(np.int64(-5)))
+    assert type(item.key) is int and item.user_key == -5
+    assert key_less(item.key, key_of(0, 0))
+
+
+@pytest.mark.parametrize("impl, bound", [("dual-heap", 1.05), ("list-depq", 5.05)])
+def test_objects_the_collector_tracks_per_insert(impl, bound):
+    """A key is an untracked int: an insert leaves the item and, on the
+    lists, its three list-field lists and about half a tower (node and
+    ``next`` list) for the collector to track, and nothing more."""
+    count = 10_000
+    depq = BUILDS[impl](WorkloadConfig(impl=impl))
+    gc.collect()
+    before = len(gc.get_objects())
+    for key in range(count):
+        depq.insert(key)
+    gc.collect()
+    per_insert = (len(gc.get_objects()) - before) / count
+    assert per_insert <= bound, per_insert

@@ -12,7 +12,7 @@ from helpers import EarlyTowerListDepq
 
 from depq import atomics
 from depq.combining import COMBINING
-from depq.items import MAX, MIN, Arena
+from depq.items import MAX, MIN, Arena, user_key_of
 from depq.list_depq import ListDepq
 from depq.ordered_list import LEVELS, ListPair, tower_height
 from depq.reclaim import EPOCH
@@ -93,8 +93,8 @@ def test_stale_descending_start_is_held_by_the_epoch():
     for key in keys:
         d.insert(key)
     # Not the first or last key: sweeps keep each list's last deleted node.
-    start = next(t for t in d.lists.index_walk() if 0 < t.key.user_key < 70)
-    key = start.key.user_key - 5   # D is the first tower above it
+    start = next(t for t in d.lists.index_walk() if 0 < user_key_of(t.key) < 70)
+    key = user_key_of(start.key) - 5   # D is the first tower above it
     starts = []
     search = d.lists._index_search
 
@@ -118,7 +118,7 @@ def test_stale_descending_start_is_held_by_the_epoch():
         sched.run_to_completion("ins")
     last = len(d.arena) - 1   # the last item made
     item = d.arena.item(last)
-    assert item.key.user_key == key
+    assert user_key_of(item.key) == key
     assert item.linked_into == [True, True] and last in d.lists.walk(MAX)
     assert d.audit(MIN).ok and d.audit(MAX).ok
     assert Counter(keys + [key]) == returned + Counter(d.remaining_keys())
@@ -148,7 +148,7 @@ def _insert_racing_an_unlinked_tower(depq):
 def test_descending_start_is_never_a_node_off_the_descending_list():
     d = ListDepq()
     mid, drained, left, problems = _insert_racing_an_unlinked_tower(d)
-    assert any(t.key.user_key == 50 for t in d.lists.index_walk())   # 50 has a tower
+    assert any(user_key_of(t.key) == 50 for t in d.lists.index_walk())   # 50 has a tower
     assert mid == [] and drained == [100, 50, 40] and left == [] and problems == []
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from depq.items import Arena
+from depq.items import UID_BITS, Arena
 from depq.oracle import HeapOrderError, LockedHeapPq, SeqDepq, seq_apply
 
 
@@ -131,9 +131,9 @@ def test_check_heap_detects_entry_with_wrong_key(descending):
     for k in (1, 2, 3):
         pq.pq_insert(arena.new_item(k))
     pq.check_heap()
-    # A leaf whose key moves away from the top keeps the order intact.
-    key, uid, index = pq._heap[-1]
-    pq._heap[-1] = (key + 10, uid, index)
+    # A leaf whose key moves away from the top keeps the order intact: ten
+    # more on its user key, above its uid and index, on either heap.
+    pq._heap[-1] += 10 << 2 * UID_BITS
     with pytest.raises(HeapOrderError, match="does not carry"):
         pq.check_heap()
 

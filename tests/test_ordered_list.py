@@ -5,7 +5,7 @@ import random
 import pytest
 
 from depq.dual_depq import DualDepq
-from depq.items import MAX, MIN, Arena, Key, try_reserve, unpack_link
+from depq.items import MAX, MIN, Arena, key_of, try_reserve, unpack_link
 from depq.ordered_list import ListPair, ListPq, comes_before
 from depq.sched import ControlledScheduler, explore_interleavings
 
@@ -43,20 +43,20 @@ def walk_user_keys(lists, end):
 
 
 def test_comes_before_min_is_plain_order():
-    assert comes_before(Key(3, 0), Key(5, 1), MIN)
-    assert not comes_before(Key(5, 1), Key(3, 0), MIN)
+    assert comes_before(key_of(3, 0), key_of(5, 1), MIN)
+    assert not comes_before(key_of(5, 1), key_of(3, 0), MIN)
 
 
 def test_comes_before_max_is_reversed():
-    assert not comes_before(Key(3, 0), Key(5, 1), MAX)
-    assert comes_before(Key(5, 1), Key(3, 0), MAX)
+    assert not comes_before(key_of(3, 0), key_of(5, 1), MAX)
+    assert comes_before(key_of(5, 1), key_of(3, 0), MAX)
 
 
 def test_comes_before_antisymmetric_across_ends():
     rng = random.Random(7)
     for _ in range(100_000):
-        a = Key(rng.randrange(100), rng.randrange(10_000))
-        b = Key(rng.randrange(100), rng.randrange(10_000))
+        a = key_of(rng.randrange(100), rng.randrange(10_000))
+        b = key_of(rng.randrange(100), rng.randrange(10_000))
         if a != b:
             assert comes_before(a, b, MIN) == comes_before(b, a, MAX)
 
