@@ -8,8 +8,8 @@ Subcommands::
     depq replay   {counterexample,twist,single-item-race,index-start-reclaimed}
 
 Exit codes: 0 success; 2 invalid configuration, or a history file that
-cannot be read or checked; 3 a post-run audit or the bench accounting
-identity failed; 4 a history was not linearizable (or the
+cannot be read, written or checked; 3 a post-run audit or the bench
+accounting identity failed; 4 a history was not linearizable (or the
 check ran out of budget); 5 a replay schedule could not be realized; 6 a
 bench worker raised.
 """
@@ -101,6 +101,9 @@ def cmd_stress(args: argparse.Namespace) -> int:
         outcome = run_stress(_config(args), windows=args.windows, capture=args.capture)
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot write history: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for w in outcome.windows[-5:]:
         print(f"window {w.index}: {w.verdict.value} ({w.ops} events)")

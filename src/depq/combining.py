@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from . import atomics
 
@@ -215,11 +214,3 @@ def make_serializer(mode: str, apply: Callable[[Any], Any], batch_cap: int = 64)
     if mode == COMBINING:
         return Combiner(apply, batch_cap)
     raise ValueError(f"unknown serializer mode {mode!r}")
-
-
-def batch_sizes(serializers: Iterable) -> dict[int, int]:
-    """The serializers' batch-size histograms, merged."""
-    sizes: Counter = Counter()
-    for serializer in serializers:
-        sizes.update(serializer.stats.snapshot()["batch_sizes"])
-    return dict(sorted(sizes.items()))

@@ -27,27 +27,19 @@ end's consumer, whose claim then failed; it then returns False.
 
 from __future__ import annotations
 
+from collections import Counter
+from types import SimpleNamespace
+
 from .atomics import checkpoint, sited
 # COMBINING and TWO_LOCKS are re-exported: callers name the modes from here.
-from .combining import COMBINING, TWO_LOCKS, batch_sizes, make_serializer  # noqa: F401
+from .combining import COMBINING, TWO_LOCKS, make_serializer  # noqa: F401
 from .items import (MAX, MIN, POISONED, UID_BITS, Arena, PriorityQueue,
                     is_reserved, reclaimed_access, try_reserve)
 
 
-class CountReader:
-    """A build's ``counters``: ``snapshot()`` reads each ``(owner, name)``
-    attribute when called, copying lists, and keys it by ``name``.  Each is
-    a plain count (see :mod:`depq.atomics`), so the snapshot is exact at
-    quiescence."""
-
-    __slots__ = ("_fields",)
-
-    def __init__(self, *fields: tuple[object, str]) -> None:
-        self._fields = fields
-
-    def snapshot(self) -> dict:
-        values = {name: getattr(owner, name) for owner, name in self._fields}
-        return {name: list(v) if isinstance(v, list) else v for name, v in values.items()}
+#: A build's ``counters``, the name the benchmark reads its counts by:
+#: ``counters.snapshot()`` is ``stats()``.
+_COUNTERS = property(lambda self: SimpleNamespace(snapshot=self.stats))
 
 
 class DualDepq:
@@ -64,10 +56,7 @@ class DualDepq:
         self.reserve_failures = [0, 0]
         self.extract_successes = [0, 0]
 
-    @property
-    def counters(self) -> CountReader:
-        """The per-end counts, built when read so construction skips it."""
-        return CountReader((self, "reserve_failures"), (self, "extract_successes"))
+    counters = _COUNTERS
 
     @sited
     def insert(self, user_key: int) -> None:
@@ -119,9 +108,10 @@ class DualDepq:
         return self.min_pq.problems() + self.max_pq.problems()
 
     def stats(self) -> dict:
-        """No serializer runs batches here, no reclaimer retires nodes and
-        no insert of its own can fail a CAS."""
+        """Every count the build keeps.  No serializer runs batches here, no
+        reclaimer retires nodes and no insert of its own can fail a CAS."""
         return {"reserve_failures": list(self.reserve_failures),
+                "extract_successes": list(self.extract_successes),
                 "insert_cas_failures": 0, "retired": 0, "batch_sizes": {}}
 
     def close(self) -> None:
@@ -138,6 +128,8 @@ class MultiConsumerDepq:
         # tracer's, say) is the one that runs.
         self._ends = (make_serializer(mode, lambda _req: inner.extract_min(), batch_cap),
                       make_serializer(mode, lambda _req: inner.extract_max(), batch_cap))
+
+    counters = _COUNTERS
 
     def insert(self, user_key: int) -> None:
         self.inner.insert(user_key)
@@ -158,7 +150,9 @@ class MultiConsumerDepq:
         return self.inner.problems()
 
     def stats(self) -> dict:
-        return {**self.inner.stats(), "batch_sizes": batch_sizes(self._ends)}
+        """Also both ends' batch-size histograms, merged."""
+        sizes = sum((Counter(end.stats.batch_sizes) for end in self._ends), Counter())
+        return {**self.inner.stats(), "batch_sizes": dict(sorted(sizes.items()))}
 
     def close(self) -> None:
         self.inner.close()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from operator import index as as_int
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 from .atomics import checkpoint, sited
 
@@ -208,7 +208,6 @@ def is_reserved(item: Item) -> bool:
     return item.reserved != 0
 
 
-@runtime_checkable
 class PriorityQueue(Protocol):
     """Contract the generic two-queue construction consumes.
 

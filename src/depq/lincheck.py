@@ -201,7 +201,12 @@ def check(events: list[Event], *, state_budget: int = 500_000,
     """Decide linearizability of a recorded history.
 
     ``initial_keys`` seeds the oracle for histories over a prefilled
-    structure whose prefill was not recorded.
+    structure whose prefill was not recorded.  Each new state is charged
+    the history's thread count, and the search passes through at least
+    one new state per operation it places.  So under the default budget a
+    4-thread history of more than 125,000 operations always ends
+    ``SEARCH_BUDGET_EXCEEDED``, even one that never backtracks; a longer
+    run is checked in segments split at quiescent cuts.
     """
     lines = validate_history(events)
     width = len(lines)

@@ -25,7 +25,7 @@ index search picks may be deleted and retired before it links the node.
 from __future__ import annotations
 
 from .combining import DEFAULT_MODE
-from .dual_depq import CountReader, DualDepq, MultiConsumerDepq
+from .dual_depq import DualDepq, MultiConsumerDepq
 from .items import MAX, MIN, Arena
 from .ordered_list import AuditReport, ListPair, ListPq
 from .reclaim import DEFERRED, Reclaimer
@@ -47,20 +47,18 @@ class ListDepq(MultiConsumerDepq):
         finally:
             self.reclaim.exit()
 
-    @property
-    def counters(self) -> CountReader:
-        """The claim loop's per-end counts, with the pair's per-end marks and
-        its failed insert CASes; built when read."""
-        dual, lists = self.inner, self.lists
-        return CountReader((dual, "reserve_failures"), (dual, "extract_successes"),
-                           (lists, "marks"), (lists, "insert_cas_failures"))
-
     def audit(self, end: int) -> AuditReport:
         return self.lists.audit(end)
 
     def stats(self) -> dict:
-        return {**super().stats(), "insert_cas_failures": self.lists.insert_cas_failures,
-                "retired": self.reclaim.snapshot()["retired"]}
+        """Also each end's ``marks``, its pops that returned a node: every
+        one of them either claimed its item or failed to."""
+        stats = super().stats()
+        stats["marks"] = [won + lost for won, lost in
+                          zip(stats["extract_successes"], stats["reserve_failures"])]
+        stats["insert_cas_failures"] = self.lists.insert_cas_failures
+        stats["retired"] = self.reclaim.retired
+        return stats
 
     def close(self) -> None:
         super().close()

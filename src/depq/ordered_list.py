@@ -120,8 +120,6 @@ class ListPair:
         self.arena = arena
         # The slot list itself, for the hot loops (see ``Arena.slots``).
         self._slots = arena.slots
-        # Per-end counts, each bumped only by its end's consumer.
-        self.marks = [0, 0]
         # Bumped by any inserter, under ``_lock``, on the rare failed CAS.
         self.insert_cas_failures = 0
         dummy = arena.new_dummy()
@@ -351,7 +349,6 @@ class ListPair:
         # Set in the same step as the fetch-or above, before sweep_head can
         # hand the node to reclamation.  Each end writes only its own entry.
         item.marked_into[end] = True
-        self.marks[end] += 1
         return target
 
     @sited

@@ -73,7 +73,7 @@ class Reclaimer:
         self._closed = False
         # Bumped under ``_lock``, which is held there anyway.  First unlinks
         # are not counted: the items' retire counts already hold that count.
-        self._retired = 0
+        self.retired = 0
         self._freed = 0
 
     # -- retire-count protocol -------------------------------------------------
@@ -100,7 +100,7 @@ class Reclaimer:
                 return False
             if prior == 1:
                 self._limbo[self._epoch % 3].append(index)
-                self._retired += 1
+                self.retired += 1
                 return True
         finally:
             lock.release()
@@ -153,7 +153,7 @@ class Reclaimer:
         With no retired node waiting to be freed there is nothing to
         advance for.
         """
-        if self.mode != EPOCH or self._retired == self._freed:
+        if self.mode != EPOCH or self.retired == self._freed:
             return False
         current = self._epoch
         for slot in self._active:
@@ -204,7 +204,7 @@ class Reclaimer:
         only: ``unlink_first`` is the retired items plus the live ones whose
         retire count shows one unlink."""
         with self._lock:
-            retired, freed = self._retired, self._freed
+            retired, freed = self.retired, self._freed
         unlinked_once = sum(1 for item in self._items
                             if item is not POISONED and item.unlinked == 1)
         return {"mode": self.mode, "unlink_first": retired + unlinked_once,

@@ -320,13 +320,14 @@ def run_stress(cfg: WorkloadConfig, windows: int, capture: str | None = None,
             sched.drive(random_walk(wrng.getrandbits(64)))
 
         history = recorder.snapshot()
+        # Closed first, so a history that cannot be written leaks no build.
+        target.close()
         if capture:
             write_history(history, capture)
         result = check(history)
         window = WindowResult(index=index, verdict=result.verdict,
                               ops=len(history), path=capture)
         out.append(window)
-        target.close()
         if result.verdict is not Verdict.LINEARIZABLE:
             return StressOutcome(out, window)
     return StressOutcome(out, None)

@@ -144,6 +144,28 @@ def test_stress_exit_zero_on_clean_windows(capsys, tmp_path):
     assert cap.exists()
 
 
+def test_stress_capture_that_cannot_be_written_exits_2(capsys, monkeypatch, tmp_path):
+    # The window's build is closed before its history is written.
+    from depq import workload
+
+    builds = []
+    make = workload.BUILDS["list-depq"]
+
+    def recording(cfg):
+        depq = make(cfg)
+        builds.append(depq)
+        return depq
+
+    monkeypatch.setitem(workload.BUILDS, "list-depq", recording)
+    missing = tmp_path / "missing" / "h.jsonl"
+    code, out, err = run_cli(capsys, "stress", "--windows", "2", "--capture", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot write history: ") and str(missing) in err
+    [depq] = builds
+    assert depq.reclaim._closed
+
+
 def test_stress_reports_offending_window(capsys, tmp_path):
     # Feed the stress loop the deliberately broken build via the factory
     # hook and make sure the verdict, exit path and capture file all fire.

@@ -8,9 +8,15 @@ from depq import workload
 from depq.combining import MODES
 from depq.items import MIN, pack_link
 from depq.list_depq import ListDepq
+from depq.reclaim import DEFERRED, EPOCH
 from depq.workload import IMPLS, WorkloadConfig, run_bench
 
-STATS_KEYS = {"reserve_failures", "insert_cas_failures", "retired", "batch_sizes"}
+STATS_KEYS = {"reserve_failures", "extract_successes", "insert_cas_failures",
+              "retired", "batch_sizes"}
+#: The keys ``benchmarks/depqbench/targets.py`` reads off each build's
+#: ``counters.snapshot()``.
+TARGET_KEYS = {"list-depq": {"extract_successes", "marks", "insert_cas_failures"},
+               "dual-heap": {"extract_successes", "reserve_failures"}}
 
 
 def build(impl):
@@ -47,7 +53,8 @@ def test_real_thread_run_passes_through_the_surface(captured, impl):
     assert report.accounting_ok and report.audit_ok and report.notes == []
     assert depq.problems() == []
     stats = depq.stats()
-    assert set(stats) == STATS_KEYS
+    own = {"marks"} if impl == "list-depq" else set()
+    assert set(stats) == STATS_KEYS | own
     assert len(stats["reserve_failures"]) == 2
     assert sum(stats["reserve_failures"]) == report.retries["failed_reserve"]
     assert stats["insert_cas_failures"] == report.retries["failed_insert_cas"]
@@ -55,6 +62,47 @@ def test_real_thread_run_passes_through_the_surface(captured, impl):
     # Every extraction call is one request served by its end's serializer.
     served = sum(size * n for size, n in stats["batch_sizes"].items())
     assert served == report.ops["extract_min"] + report.ops["extract_max"]
+
+
+SURFACES = ([("list-depq", mode, reclaim_mode) for mode in MODES
+             for reclaim_mode in (DEFERRED, EPOCH)]
+            + [("dual-heap", mode, DEFERRED) for mode in MODES])
+
+
+@pytest.mark.parametrize("impl, mode, reclaim_mode", SURFACES)
+def test_counters_are_a_view_of_stats(captured, monkeypatch, fast_switching,
+                                      impl, mode, reclaim_mode):
+    # ``popped`` counts each end's pair pops that returned a node; each
+    # end's pops run one at a time, behind its serializer.
+    popped = [0, 0]
+    make = workload.BUILDS[impl]
+
+    def counting_pops(cfg):
+        depq = make(cfg)
+        if impl == "list-depq":
+            pop = depq.lists.extract_first
+
+            def counted(end):
+                got = pop(end)
+                popped[end] += got is not None
+                return got
+            depq.lists.extract_first = counted
+        return depq
+
+    monkeypatch.setitem(workload.BUILDS, impl, counting_pops)
+    cfg = WorkloadConfig(impl=impl, mode=mode, reclaim_mode=reclaim_mode,
+                         threads_insert=2, threads_min=2, threads_max=2,
+                         prefill=20, key_range=64, ops_per_thread=150, seed=29)
+    report = run_bench(cfg)
+    [(depq, _)] = captured
+    assert report.accounting_ok and report.audit_ok
+    stats = depq.stats()
+    assert depq.counters.snapshot() == stats
+    assert depq.inner.counters.snapshot() == depq.inner.stats()
+    read = (depq if impl == "list-depq" else depq.inner).counters.snapshot()
+    assert TARGET_KEYS[impl] <= set(read)
+    if impl == "list-depq":
+        assert sum(popped) > 0 and stats["marks"] == popped
 
 
 def test_corrupted_heap_is_reported():
