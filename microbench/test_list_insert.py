@@ -5,7 +5,7 @@ Run with the pytest-benchmark plugin, outside the tier-1 suite::
     PYTHONPATH=src taskset -c 0 python -m pytest microbench -q
 
 ``test_pair_insert`` times one pair insert, which links a fresh item into
-both lists and its tower into the index, on a pair holding ``size`` keys
+both lists and its key into the index, on a pair holding ``size`` keys
 drawn at random below 2**20.  Nothing is ever deleted, so each round grows
 the pair by one key; an untimed setup rebuilds it from the same seed once
 it has grown by a tenth, keeping it between ``size`` and 1.1 × ``size``
@@ -44,7 +44,7 @@ def bytes_per_node() -> float:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("size", [10**2, 10**3, 10**4])
+@pytest.mark.parametrize("size", [10**2, 10**3, 10**4, 10**5])
 def test_pair_insert(benchmark, size):
     benchmark.extra_info["bytes_per_node"] = round(bytes_per_node(), 1)
     rng = random.Random(size)

@@ -7,10 +7,11 @@ sentinel so that any late access trips an assertion instead of silently
 reading freed state.
 
 An item's key is one int, ``user_key << 64 | uid`` (see :func:`key_of`).
-The uid is a per-arena strictly increasing sequence number below 2**64, so
-plain int order on keys is the lexicographic order on ``(user_key, uid)``,
-negative and arbitrarily large user keys included, and two items never
-compare equal even when callers insert duplicate user keys.
+The uid is the item's arena index, below 2**64 and strictly increasing in
+creation order, so plain int order on keys is the lexicographic order on
+``(user_key, uid)``, negative and arbitrarily large user keys included,
+two items never compare equal even when callers insert duplicate user
+keys, and ``key & UID_MASK`` names the item's slot.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class Item:
     one raw link word per end (see :func:`pack_link`); ``linked_into`` /
     ``marked_into``, one tag per end written only in the same step as the
     publish CAS / marking fetch-or.  ``marked_into`` is the node's one
-    deletion record: the auditor reads it, and the item's index tower, if
-    it has one, holds the same list as its dead flags.  Reading one on an
+    deletion record: the auditor reads it, and so does a search that meets
+    the item's index entry, as that entry's dead flags.  Reading one on an
     item no list has taken raises ``AttributeError``.
 
     ``reserved``, ``unlinked`` and both link words are plain values, as
@@ -137,7 +138,6 @@ class Arena:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._items: list[Item | _Poisoned] = []
-        self._uid = 0  # next uid; changed only under the lock
 
     @property
     def rmw_lock(self) -> threading.Lock:
@@ -151,7 +151,7 @@ class Arena:
         return self._items
 
     def new_item(self, user_key: int) -> int:
-        """Create a fresh item with the next uid; returns its index.
+        """Create a fresh item whose uid is its index; returns the index.
 
         Raises ``TypeError``, before any state changes, for a user key that
         is not an integer; one with ``__index__`` is converted exactly.
@@ -160,10 +160,9 @@ class Arena:
         lock = self._lock
         lock.acquire()
         try:
-            uid = self._uid
-            self._uid = uid + 1
-            index = len(self._items)
-            self._items.append(Item(high | uid))
+            items = self._items
+            index = len(items)
+            items.append(Item(high | index))
             return index
         finally:
             lock.release()

@@ -17,7 +17,7 @@ from collections import Counter
 from heapq import heapify, heappop, heappush
 
 from .atomics import checkpoint, sited
-from .items import UID_BITS, UID_MASK, Arena
+from .items import UID_MASK, Arena
 
 
 class SeqDepq:
@@ -72,8 +72,8 @@ _SLACK = 16
 class LockedHeapPq:
     """Linearizable single-ended priority queue: ``heapq`` + one lock.
 
-    Each entry is one int, the item's key above its arena index,
-    ``key << 64 | index``; ``descending=True`` negates it, turning
+    Each entry is one int, the item's key, whose low 64 bits are its uid,
+    the item's arena index; ``descending=True`` negates it, turning
     extract-first into extract-largest.  So every sift runs in the standard
     library's C heap and compares plain ints.  Delete is lazy: ``_live``
     holds the indices still on the queue, and an entry whose index is not
@@ -98,8 +98,7 @@ class LockedHeapPq:
         """The heap entry of the item at ``index``."""
         key = self.arena.item(index).key
         assert key is not None
-        entry = key << UID_BITS | index
-        return -entry if self.descending else entry
+        return -key if self.descending else key
 
     def _index_of(self, entry: int) -> int:
         """The arena index an entry carries."""

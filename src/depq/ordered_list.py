@@ -26,19 +26,25 @@ both lists, the ascending one first.  A failed insert CAS resumes the
 search from the node where it failed, never from the head, because nodes
 are only ever removed from the front.
 
-Above the two lists sits one skiplist *index*, in the manner of Lindén and
-Jonsson's skiplist priority queue, ordered by key.  One index serves both
-ends although the lists' physical orders can drift apart: only the deleted
-prefixes drift (a key inserted after a deletion lands behind the deleted
-prefix, whatever its key), while each live suffix stays sorted by key.  So
-a tower whose node is still live on an end is a valid start on that end
-for any larger key (ascending) or any smaller key (descending).  A
-tower's dead flags are its item's deletion tags, one per end, so the
-consumer's one tag store kills the tower on that end too; a tower is
-unlinked only once both are set.  The index holds only search hints: one
-search finds a node close before the new key's slot on each list, and both
-list searches run from there instead of from the heads.  An index link may
-be lost to a race; that costs only speed, never correctness.
+Beside the two lists sits one sorted-key *index*, ordered by key: a
+short list of sorted chunks of item keys, with a ``maxes`` list holding
+each chunk's last key, searched with the standard library's C ``bisect``.
+It stands where the skiplist stands in Lindén and Jonsson's priority
+queue.  An entry is the item's key itself, one int: since an item's
+uid is its arena index, ``key & UID_MASK`` names the item's slot.  One
+index serves both ends although the lists' physical orders can drift
+apart: only the deleted prefixes drift (a key inserted after a deletion
+lands behind the deleted prefix, whatever its key), while each live
+suffix stays sorted by key.  So an entry whose node is still live on an
+end is a valid start on that end for any larger key (ascending) or any
+smaller key (descending).  An entry's dead flags are its item's deletion
+tags, one per end, read through the slot, so the consumer's one tag store
+kills the entry on that end too.  Every node gets an entry once it is on
+both lists.  The index holds only search hints: one search finds a node
+just before the new key's slot on each list, and both list searches run
+from there instead of from the heads.  Writes to the index run under the
+arena's ``rmw_lock``; searches take no lock and re-validate every entry
+they read, so a chunk that changes under a search costs only speed.
 
 Ordering invariants are runtime-checkable through :meth:`ListPair.audit`,
 which is meant to run at quiescent points or with other threads parked by
@@ -47,6 +53,7 @@ the controlled scheduler.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .atomics import checkpoint, sited
@@ -54,42 +61,11 @@ from .items import (MAX, MIN, NONE_IDX, POISONED, UID_MASK, Arena, key_less,
                     reclaimed_access, uid_of, unpack_link, user_key_of)
 
 
-#: Index levels above the lists; tower heights are capped here.
-LEVELS = 24
+#: Entries an index chunk may hold; one more splits it in two.
+CHUNK_CAP = 128
 
-
-def tower_height(uid: int) -> int:
-    """Number of index levels for the item with this uid.
-
-    Geometric with p = 1/2 (P(height >= j) = 2**-j), capped at LEVELS: the
-    count of trailing one bits of a multiplicative hash of the uid.  A pure
-    function of the uid, so seeded and stepped runs stay deterministic.
-    """
-    bits = (uid * 0x9E3779B97F4A7C15 >> 32) & 0xFFFFFFFF
-    return min((bits ^ (bits + 1)).bit_length() - 1, LEVELS)
-
-
-class IndexNode:
-    """One item's tower in the pair's index.
-
-    ``key`` and ``index`` copy the item's key and arena index, so a search
-    compares keys without touching the item.  ``next[lvl]`` is the next
-    tower on index level ``lvl``, or None.  ``dead`` is the item's own
-    ``marked_into`` list, not a copy: ``dead[end]`` turns True when that
-    end's consumer logically deletes the item, and the list outlives the
-    item's reclamation.  From that store on the item may be reclaimed, so a
-    tower leads to its item as a start on one end only if it was read as
-    not dead on that end.  A tower dead on both ends is unlinked by the
-    searches that meet it.
-    """
-
-    __slots__ = ("key", "index", "dead", "next")
-
-    def __init__(self, key: int, index: int, dead: list[bool], height: int):
-        self.key = key
-        self.index = index
-        self.dead = dead
-        self.next: list[IndexNode | None] = [None] * height
+#: Entries a search reads on each side of the new key.
+_SCAN = 4
 
 
 def _shown(key: int) -> str:
@@ -105,7 +81,7 @@ def comes_before(a: int, b: int, end: int) -> bool:
 
 
 class ListPair:
-    """Two sorted lists over one arena, the index above both, and their
+    """Two sorted lists over one arena, the index beside both, and their
     deletion bookkeeping.
 
     Concurrency contract: ``insert`` from any thread; ``extract_first`` and
@@ -125,19 +101,18 @@ class ListPair:
         dummy = arena.new_dummy()
         dummy_item = arena.item(dummy)
         # The sentinel is on both lists and counts as logically deleted
-        # from the start; it has no tower.
+        # from the start; it has no index entry.
         dummy_item.link = [0, 0]
         dummy_item.linked_into = [True, True]
         dummy_item.marked_into = [True, True]
         self.dummy = dummy
         self._head = [dummy, dummy]
-        # The first tower on each index level, and the number of levels in
-        # use.  Index links are plain references, changed by compare-and-swap
-        # under ``_lock``; ``_top`` only grows, also under ``_lock``.  So are
-        # the items' link words: see :class:`~depq.items.Item`.
+        # The index: sorted chunks of item keys, ascending across chunks,
+        # and each chunk's last key.  Changed only under ``_lock``, as the
+        # items' link words are: see :class:`~depq.items.Item`.
         self._lock = arena.rmw_lock
-        self._index: list[IndexNode | None] = [None] * LEVELS
-        self._top = 0
+        self._chunks: list[list[int]] = []
+        self._maxes: list[int] = []
 
     # -- accessors -----------------------------------------------------------
 
@@ -153,13 +128,12 @@ class ListPair:
         The item comes from :meth:`Arena.new_item` with only its key and
         flags; the first step, before any pause site and before the node
         can be published, gives it the list fields (see :class:`Item`):
-        two link words with no successor and both tags False.  Its tower,
-        if its height gives it one, shares the deletion tags.  One index
+        two link words with no successor and both tags False.  One index
         search yields both list starts (see ``_index_search``).  Each
         publish CAS is retried until it lands, resuming from the node whose
         link word changed underneath it.  Once the node is on both lists,
-        its tower is linked into the index: no search may start from a node
-        that is not yet on the descending list.
+        its key enters the index: no search may start from a node that is
+        not yet on the descending list.
         """
         node = self._slots[index]
         k = node.key
@@ -167,23 +141,19 @@ class ListPair:
         # A word of 0 is pack_link(NONE_IDX, 0): no successor, unmarked.
         node.link = [0, 0]
         node.linked_into = [False, False]
-        dead = node.marked_into = [False, False]
-        height = tower_height(k & UID_MASK)
-        tower = IndexNode(k, index, dead, height) if height else None
-        preds = [self._index] * height
-        ascending, descending = self._index_search(k, preds)
+        node.marked_into = [False, False]
+        ascending, descending = self._index_search(k)
         self._publish(index, MIN, ascending, k)
         checkpoint("between-list-inserts")
         self._publish(index, MAX, descending, k)
-        if tower is not None:
-            self._link_tower(tower, preds)
+        self._index_add(k)
 
     @sited
-    def _publish(self, index: int, end: int, start: IndexNode | None,
+    def _publish(self, index: int, end: int, start: int | None,
                  k: int) -> None:
         """Link the item at ``index``, whose key is ``k``, into one list,
-        searching from ``start``'s item, or from the head when ``start`` is
-        None."""
+        searching from the item at ``start``, or from the head when
+        ``start`` is None."""
         # The hot loop works on raw link words (see ``pack_link``) and on the
         # arena's slots directly, checking for poison itself.  Each read or
         # CAS of a link word pauses at its site first, through ``checkpoint``.
@@ -196,7 +166,7 @@ class ListPair:
             checkpoint("ins-read-head")
             pred = self._head[end]
         else:
-            pred = start.index
+            pred = start
         while True:
             pred_item = items[pred]
             if pred_item is POISONED:
@@ -233,79 +203,108 @@ class ListPair:
             finally:
                 lock.release()
 
-    def _index_search(self, k: int, preds: list) -> tuple[IndexNode | None,
-                                                         IndexNode | None]:
-        """Search the index top-down for key ``k``.
+    def _index_search(self, k: int) -> tuple[int | None, int | None]:
+        """Search the index for key ``k``; return the two list starts.
 
-        Returns the two list starts.  The ascending one is the last tower
-        passed (key below ``k``) that was read as not dead on MIN.  The
-        descending one is the first level-0 tower above ``k`` if it was read
-        as not dead on MAX.  None for either means that list's head.  Sets
-        ``preds[lvl]`` to the ``next`` list (the head list when None was
-        passed) to link a new tower into on level ``lvl``.  Unlinks every
-        tower dead on both ends that it meets.  Starts at the highest level
-        in use; a stale read of it only starts the search lower.  Has no
-        pause sites: the index is private to this layer.
+        Bisects ``maxes``, then one chunk, and reads up to ``_SCAN``
+        entries on each side of ``k``, the previous chunk's last ones
+        included.  The ascending start is the slot of the nearest entry
+        below ``k`` read as not dead on MIN; the descending one, that of
+        the nearest entry above ``k`` read as not dead on MAX.  An entry
+        counts only if it lies on its side of ``k`` and its slot is not
+        poisoned, since a chunk may change under the search.  None for
+        either start means that list's head, as does an ``IndexError``.
+        Drops every entry it reads whose slot is poisoned or whose item is
+        dead on both ends.  Has no pause sites: the index is private to
+        this layer.
         """
-        height = len(preds)
-        lock = self._lock
-        ascending = nxt = None
-        links = self._index
-        for lvl in range(self._top - 1, -1, -1):
-            nxt = links[lvl]
-            while nxt is not None:
-                dead = nxt.dead
-                if dead[MIN] and dead[MAX]:
-                    # May undo a concurrent link into ``nxt``: only a hint lost.
-                    lock.acquire()
-                    try:
-                        if links[lvl] is nxt:
-                            links[lvl] = nxt.next[lvl]
-                    finally:
-                        lock.release()
-                    nxt = links[lvl]
-                elif nxt.key < k:
-                    if not dead[MIN]:
-                        ascending = nxt
-                    links = nxt.next
-                    nxt = links[lvl]
-                else:
+        slots = self._slots
+        chunks = self._chunks
+        try:
+            i = bisect_left(self._maxes, k)
+            chunk = chunks[i] if i < len(chunks) else []
+            j = bisect_left(chunk, k)
+            above = chunk[j:j + _SCAN]
+            if j >= _SCAN:
+                below = chunk[j - _SCAN:j]
+            else:
+                below = (chunks[i - 1][j - _SCAN:] if i else []) + chunk[:j]
+        except IndexError:
+            return None, None
+        ascending = descending = None
+        dropped = []
+        for entry in reversed(below):
+            if entry < k:
+                item = slots[entry & UID_MASK]
+                if item is POISONED:
+                    dropped.append(entry)
+                elif not item.marked_into[MIN]:
+                    ascending = entry & UID_MASK
                     break
-            if lvl < height:
-                preds[lvl] = links
-        # ``nxt`` is now the first level-0 tower above ``k``, or None.
-        if nxt is not None and nxt.dead[MAX]:
-            nxt = None
-        return ascending, nxt
+                elif item.marked_into[MAX]:
+                    dropped.append(entry)
+        for entry in above:
+            if entry > k:
+                item = slots[entry & UID_MASK]
+                if item is POISONED:
+                    dropped.append(entry)
+                elif not item.marked_into[MAX]:
+                    descending = entry & UID_MASK
+                    break
+                elif item.marked_into[MIN]:
+                    dropped.append(entry)
+        if dropped:
+            self._index_drop(dropped)
+        return ascending, descending
 
-    def _link_tower(self, tower: IndexNode, preds: list) -> None:
-        """Link a tower into the index, bottom-up, once its node is on both
-        lists; raise the top level when it links above it.
-
-        Stops as soon as the tower is dead on both ends: a search would only
-        unlink it again.
-        """
+    def _index_add(self, k: int) -> None:
+        """Insert key ``k`` into its chunk, once its node is on both lists;
+        split the chunk in two once it holds more than ``CHUNK_CAP``."""
+        chunks, maxes = self._chunks, self._maxes
         lock = self._lock
-        k = tower.key
-        dead = tower.dead
-        for lvl, links in enumerate(preds):
-            while True:
-                if dead[MIN] and dead[MAX]:
-                    return
-                nxt = links[lvl]
-                if nxt is not None and nxt.key < k:
-                    links = nxt.next   # a tower linked here since the search
+        lock.acquire()
+        try:
+            if not maxes:
+                chunks.append([k])
+                maxes.append(k)
+                return
+            i = bisect_left(maxes, k)
+            if i == len(maxes):   # above every entry: the last chunk grows
+                i -= 1
+                maxes[i] = k
+            chunk = chunks[i]
+            insort(chunk, k)
+            if len(chunk) > CHUNK_CAP:
+                half = len(chunk) >> 1
+                chunks.insert(i + 1, chunk[half:])
+                del chunk[half:]
+                maxes.insert(i, chunk[-1])
+        finally:
+            lock.release()
+
+    def _index_drop(self, keys: list[int]) -> None:
+        """Delete each of ``keys`` still in the index, and every chunk left
+        empty."""
+        chunks, maxes = self._chunks, self._maxes
+        lock = self._lock
+        lock.acquire()
+        try:
+            for k in keys:
+                i = bisect_left(maxes, k)
+                if i == len(maxes):
                     continue
-                tower.next[lvl] = nxt
-                lock.acquire()
-                try:
-                    if links[lvl] is nxt:
-                        links[lvl] = tower
-                        if lvl >= self._top:
-                            self._top = lvl + 1
-                        break
-                finally:
-                    lock.release()
+                chunk = chunks[i]
+                j = bisect_left(chunk, k)
+                if j == len(chunk) or chunk[j] != k:
+                    continue   # another search dropped it
+                del chunk[j]
+                if not chunk:
+                    del chunks[i]
+                    del maxes[i]
+                elif j == len(chunk):
+                    maxes[i] = chunk[-1]
+        finally:
+            lock.release()
 
     @sited
     def extract_first(self, end: int) -> int | None:
@@ -316,8 +315,8 @@ class ListPair:
         Consumer-only, and only once the end's last pop that returned a
         node has been swept, so the head is the whole deleted prefix.  Marks
         the head's link word with one fetch-or; the successor it names is
-        the node deleted, and its tag for this end, which is also its
-        tower's dead flag, is set.
+        the node deleted, and its tag for this end, which is also its index
+        entry's dead flag, is set.
         """
         # Raw link words and inlined poison checks, as in ``insert``.
         items = self._slots
@@ -397,16 +396,9 @@ class ListPair:
         on a cycle, as ``_links`` does."""
         return self._links(end)[0]
 
-    def index_walk(self, level: int = 0) -> list[IndexNode]:
-        """The towers on one index level, in order, dead ones included.
-        Stops after more towers than the arena has items."""
-        out = []
-        node = self._index[level]
-        limit = len(self.arena) + 1
-        while node is not None and len(out) <= limit:
-            out.append(node)
-            node = node.next[level]
-        return out
+    def index_keys(self) -> list[int]:
+        """The index's entries, in chunk order, dead ones included."""
+        return [k for chunk in self._chunks for k in chunk]
 
     def suffix(self, end: int) -> list[int]:
         """Node indices of the live suffix, in list order, claimed nodes
@@ -474,31 +466,33 @@ class ListPair:
         return report
 
     def _audit_index(self, end: int, report: "AuditReport") -> None:
-        """Keys strictly ascend on every index level; a tower of an
-        unreclaimed item reads that item's deletion tags as its dead flags;
-        a tower live on this end names an item linked into both lists."""
+        """The chunks are non-empty and within ``CHUNK_CAP``, each ends at
+        its entry in ``maxes``, and entries strictly ascend across them;
+        an entry of an unreclaimed slot is that item's key, and one live on
+        this end names an item linked into both lists."""
         slots = self._slots
+        chunks, maxes = self._chunks, self._maxes
         notes = []
-        linked: dict[IndexNode, None] = {}   # each tower once, in level order
-        for level in range(LEVELS):
-            towers = self.index_walk(level)
-            if len(towers) > len(slots):
-                notes.append(f"index level {level} exceeds arena size: cycle suspected")
-            for a, b in zip(towers, towers[1:]):
-                if not key_less(a.key, b.key):
-                    notes.append(f"index level {level} out of order: "
-                                 f"{_shown(a.key)} !< {_shown(b.key)}")
-            linked.update(dict.fromkeys(towers))
-        for tower in linked:
-            item = slots[tower.index]
+        if len(chunks) != len(maxes):
+            notes.append(f"index has {len(chunks)} chunks but {len(maxes)} maxes")
+        for pos, (chunk, top) in enumerate(zip(chunks, maxes)):
+            if not chunk or chunk[-1] != top:
+                notes.append(f"index chunk {pos} does not end at its max {_shown(top)}")
+            if len(chunk) > CHUNK_CAP:
+                notes.append(f"index chunk {pos} holds {len(chunk)} entries")
+        entries = self.index_keys()
+        for a, b in zip(entries, entries[1:]):
+            if not key_less(a, b):
+                notes.append(f"index out of order: {_shown(a)} !< {_shown(b)}")
+        for k in entries:
+            slot = k & UID_MASK
+            item = slots[slot] if slot < len(slots) else None
             if item is POISONED:
-                if not tower.dead[end]:
-                    notes.append(f"live tower names reclaimed item {tower.index}")
-            elif tower.dead is not item.marked_into:
-                notes.append(f"tower of item {tower.index} does not read its "
-                             "deletion tags")
-            elif not tower.dead[end] and not all(item.linked_into):
-                notes.append(f"tower live on this end names item {tower.index}, "
+                continue
+            if item is None or item.key != k:
+                notes.append(f"index entry {_shown(k)} is not the key of item {slot}")
+            elif not item.marked_into[end] and not all(item.linked_into):
+                notes.append(f"entry live on this end names item {slot}, "
                              "which is not on both lists")
         if notes:
             report.index_consistent = False

@@ -14,8 +14,8 @@ thread is still inside an older epoch.
 
 A path needs the bracket if it reads a node on a list it does not sweep,
 or if its pop is itself the unlink.  In ``list-depq`` only an insert does
-so: it walks from an index tower whose node both ends may unlink and
-retire meanwhile.  An extraction does not.  An end's consumer reads only
+so: it walks from the node of an index entry, which both ends may
+unlink and retire meanwhile.  An extraction does not.  An end's consumer reads only
 nodes still linked on its own list (the node it pops stays the head until
 its next pop), and only its own sweep unlinks from that list, so no node
 it reads has had its second unlink.  A delete that unlinks a claimed node

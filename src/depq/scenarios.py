@@ -10,7 +10,7 @@ scheduler and reports what it demonstrated:
   subsequent extractions still drain in priority order.
 * ``single-item-race`` — extract-min and extract-max fight over the last
   item; in every interleaving exactly one of them gets it.
-* ``index-start-reclaimed`` — an insert picks a list-index node as its
+* ``index-start-reclaimed`` — an insert picks an index entry's node as its
   search start, then stalls while that node is extracted at both ends and
   retired; epoch reclamation must keep it alive until the insert exits.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dual_depq import DualDepq
-from .items import MAX, MIN, Arena, ReclaimedAccessError, user_key_of
+from .items import MAX, MIN, Arena, ReclaimedAccessError, uid_of, user_key_of
 from .lincheck import Recorder, Verdict, check
 from .list_depq import ListDepq
 from .oracle import LockedHeapPq
@@ -175,8 +175,8 @@ def run_index_start_reclaimed() -> ReplayOutcome:
     """Free an insert's index start node under it; the epoch must hold it.
 
     Keys 0, 10, ..., 70 are stored.  An insert of a key 5 above an inner
-    node S that has an index tower searches the index, picks S as its
-    ascending start, and is parked at its first list read.
+    node S searches the index, picks S's entry as its ascending start,
+    and is parked at its first list read.
     Both ends are then drained, so S is deleted from both lists, unlinked
     twice and retired, and the epoch is pushed as far as it will go.  S
     must stay allocated while the insert is inside its epoch, the insert
@@ -186,9 +186,9 @@ def run_index_start_reclaimed() -> ReplayOutcome:
     for key in range(0, 80, 10):
         d.insert(key)
     # Not the first or last key: sweeps keep each list's last deleted node.
-    start = next(t for t in d.lists.index_walk()
-                 if 0 < user_key_of(t.key) < 70)
-    key = user_key_of(start.key) + 5   # S is the last tower before it
+    start_key = next(k for k in d.lists.index_keys() if 0 < user_key_of(k) < 70)
+    start = uid_of(start_key)           # S's slot
+    key = user_key_of(start_key) + 5    # S is the last entry before it
 
     error = None
     drained: list[int] = []
@@ -201,10 +201,10 @@ def run_index_start_reclaimed() -> ReplayOutcome:
                 drained.append(got)
             while d.extract_max() is not None:
                 pass                   # deletes the claimed nodes on the max side
-            retired = d.arena.item(start.index).unlinked == 2
+            retired = d.arena.item(start).unlinked == 2
             for _ in range(6):
                 d.reclaim.try_advance()
-            held = not d.arena.is_poisoned(start.index)
+            held = not d.arena.is_poisoned(start)
             sched.run_to_completion("ins")
     except ReclaimedAccessError as exc:
         error = exc
@@ -213,11 +213,11 @@ def run_index_start_reclaimed() -> ReplayOutcome:
     audits_ok = not d.problems()
     for _ in range(3):
         d.reclaim.try_advance()
-    freed_after_exit = d.arena.is_poisoned(start.index)
+    freed_after_exit = d.arena.is_poisoned(start)
     ok = (error is None and retired and held and landed
           and audits_ok and freed_after_exit)
     return ReplayOutcome("index-start-reclaimed", ok, {
-        "start_key": user_key_of(start.key),
+        "start_key": user_key_of(start_key),
         "inserted_key": key,
         "drained_min": drained,
         "start_retired_while_frozen": retired,

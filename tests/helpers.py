@@ -7,11 +7,10 @@ import threading
 import time
 
 from depq.atomics import checkpoint
-from depq.items import MAX, MIN, uid_of
+from depq.items import MAX, MIN
 from depq.lincheck import EMPTY, Event
 from depq.list_depq import ListDepq
 from depq.oracle import SeqDepq
-from depq.ordered_list import IndexNode, tower_height
 
 
 class UnclaimedListDepq(ListDepq):
@@ -49,30 +48,26 @@ class EagerUnlinkListDepq(ListDepq):
         queue.pq_extract_first = pop_and_unlink
 
 
-class EarlyTowerListDepq(ListDepq):
+class EarlyEntryListDepq(ListDepq):
     """Deliberately broken build for the index's mutation test: its pair
-    insert links the new tower before the descending publish, so another
-    insert can take a node that is not yet on the descending list as its
-    descending start."""
+    insert adds the new index entry before the descending publish, so
+    another insert can take a node that is not yet on the descending list
+    as its descending start."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.lists.insert = self._insert_tower_early
+        self.lists.insert = self._insert_entry_early
 
-    def _insert_tower_early(self, index):
+    def _insert_entry_early(self, index):
         lists = self.lists
         node = self.arena.item(index)
         k = node.key
         node.link = [0, 0]
         node.linked_into = [False, False]
-        dead = node.marked_into = [False, False]
-        height = tower_height(uid_of(k))
-        tower = IndexNode(k, index, dead, height) if height else None
-        preds = [lists._index] * height
-        ascending, descending = lists._index_search(k, preds)
+        node.marked_into = [False, False]
+        ascending, descending = lists._index_search(k)
         lists._publish(index, MIN, ascending, k)
-        if tower is not None:
-            lists._link_tower(tower, preds)
+        lists._index_add(k)
         checkpoint("between-list-inserts")
         lists._publish(index, MAX, descending, k)
 

@@ -16,7 +16,7 @@ from depq.items import (MAX, MIN, NONE_IDX, POISONED, Arena, is_reserved, key_le
                         user_key_of)
 from depq.lincheck import Recorder
 from depq.list_depq import ListDepq
-from depq.ordered_list import ListPair, tower_height
+from depq.ordered_list import ListPair
 from depq.reclaim import DEFERRED, EPOCH
 from depq.workload import BUILDS, WorkloadConfig
 
@@ -41,7 +41,6 @@ def test_new_item_has_no_list_fields():
 def test_list_insert_gives_the_node_its_list_fields():
     arena = Arena()
     lists = ListPair(arena)
-    towered = 0
     for k in range(8):
         index = arena.new_item(k)
         item = arena.item(index)
@@ -51,14 +50,9 @@ def test_list_insert_gives_the_node_its_list_fields():
         assert unpack_link(item.link[MAX]) == (NONE_IDX if k == 0 else index - 1, 0)
         assert item.linked_into == [True, True]
         assert item.marked_into == [False, False]
-        towers = [t for t in lists.index_walk() if t.index == index]
-        if tower_height(uid_of(item.key)):
-            (tower,) = towers   # its dead flags are the item's tags, not a copy
-            assert tower.key == item.key and tower.dead is item.marked_into
-            towered += 1
-        else:
-            assert towers == []
-    assert 0 < towered < 8
+        # Its one index entry is its own key object, not a copy.
+        (entry,) = [e for e in lists.index_keys() if uid_of(e) == index]
+        assert entry is item.key
 
 
 @pytest.mark.parametrize("impl, mode, reclaim_mode", [
@@ -114,6 +108,14 @@ def test_uids_strictly_increase_per_arena():
     uids = [uid_of(arena.item(arena.new_item(0)).key) for _ in range(100)]
     assert uids == sorted(uids)
     assert len(set(uids)) == len(uids)
+
+
+def test_uid_is_the_arena_index():
+    arena = Arena()
+    arena.new_dummy()
+    for k in (3, 3, -1):
+        index = arena.new_item(k)
+        assert uid_of(arena.item(index).key) == index
 
 
 def test_try_reserve_first_wins_second_loses():
@@ -211,10 +213,10 @@ def test_key_of_embeds_the_lexicographic_order(ua, ia, ub, ib):
 def test_non_integer_key_is_rejected_before_any_state_changes(bad):
     d = ListDepq()
     d.insert(1)
-    size, next_uid = len(d.arena), d.arena._uid
+    size = len(d.arena)
     with pytest.raises(TypeError):
         d.insert(bad)
-    assert (len(d.arena), d.arena._uid) == (size, next_uid)
+    assert len(d.arena) == size
     assert d.extract_min() == 1 and d.extract_min() is None
 
 
@@ -233,11 +235,11 @@ def test_key_with_index_method_is_converted_exactly():
     assert key_less(item.key, key_of(0, 0))
 
 
-@pytest.mark.parametrize("impl, bound", [("dual-heap", 1.05), ("list-depq", 5.05)])
+@pytest.mark.parametrize("impl, bound", [("dual-heap", 1.05), ("list-depq", 4.05)])
 def test_objects_the_collector_tracks_per_insert(impl, bound):
-    """A key is an untracked int: an insert leaves the item and, on the
-    lists, its three list-field lists and about half a tower (node and
-    ``next`` list) for the collector to track, and nothing more."""
+    """A key is an untracked int, and so is an index entry, the key
+    itself: an insert leaves the item and, on the lists, its three
+    list-field lists for the collector to track, and nothing more."""
     count = 10_000
     depq = BUILDS[impl](WorkloadConfig(impl=impl))
     gc.collect()

@@ -132,8 +132,8 @@ def test_check_heap_detects_entry_with_wrong_key(descending):
         pq.pq_insert(arena.new_item(k))
     pq.check_heap()
     # A leaf whose key moves away from the top keeps the order intact: ten
-    # more on its user key, above its uid and index, on either heap.
-    pq._heap[-1] += 10 << 2 * UID_BITS
+    # more on its user key, above its uid, on either heap.
+    pq._heap[-1] += 10 << UID_BITS
     with pytest.raises(HeapOrderError, match="does not carry"):
         pq.check_heap()
 
