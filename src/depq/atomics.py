@@ -2,14 +2,16 @@
 word of this package follows.
 
 A shared word (an item's link word or claim flag, a list head, the
-reclaimer's epoch, a combiner record's flag, a count) is a plain value,
+reclaimer's epoch, a combining record's outcome, a count) is a plain value,
 an attribute or an int in a list, whose load or store is atomic under the
 GIL.  An access with a pause *site*, a short label for the calling code
 location, is :func:`checkpoint` and then the plain read or write.  A
-read-modify-write (a publish CAS, a mark, a claim, an epoch advance, a
-combiner's tail swap, the increment of a count with more than one writer)
-runs under a lock the structure already holds, such as the arena's
-``rmw_lock``, so it is atomic on any Python implementation.
+read-modify-write (a publish CAS, a mark, a claim, an epoch advance, the
+increment of a count with more than one writer) runs under a lock the
+structure already holds, such as the arena's ``rmw_lock``, so it is atomic
+on any Python implementation.  The one exception is the combiner's queue,
+a ``collections.deque``, whose appends and pops the standard library
+documents as thread-safe.
 
 Each lock on a per-operation path is taken as ``lock.acquire()``, then
 ``try:`` around the critical section and ``finally: lock.release()``, not
@@ -18,10 +20,12 @@ also pays for a context manager's enter and exit, most of the price of an
 uncontended lock: in ``microbench/test_items.py::test_lock_idiom``, one
 critical section around a list store took a median of 232-236 ns with
 ``with`` and 138-139 ns with ``acquire`` (three runs pinned to one CPU of a
-2-core VM).  Code off those paths (quiescent inspection, the combiner's
-rare gauge-violation count) keeps ``with``.  No pause site lies inside a
-critical section, so a thread parked by the scheduler never holds a lock;
-``ListPair.audit`` fails on an ``rmw_lock`` held at a quiescent point.
+2-core VM).  Code off those paths (quiescent inspection) keeps ``with``.
+No pause site lies inside an ``rmw_lock`` critical section, so a thread
+parked by the scheduler never holds that lock; ``ListPair.audit`` fails on
+an ``rmw_lock`` held at a quiescent point.  An end's serializer lock is
+held across the pauses of the requests it serves, and a thread waiting
+for it is disabled (below).
 
 When a controller is installed, the calling thread pauses at each site
 before the access, so a test scheduler can freeze a thread "immediately
@@ -45,15 +49,15 @@ while another thread runs the structure stays a caller bug.  In
 8.2-8.5 us under a pause that returns at once (three runs pinned to one
 CPU of a 2-core VM).  Only this module reads ``_controller``.
 
-A thread about to wait for another, for an end's lock or its combining
-flag, pauses at a checkpoint that also names what keeps it waiting, its
+A thread about to wait for another, for an end's lock in either serializer
+mode, pauses at a checkpoint that also names what keeps it waiting, its
 ``blocked`` callable; it is disabled until that clears.  A site goes only
 before an access that another enabled thread can race.  One that commutes
 with every other enabled thread's next access pauses nowhere: a read of a
 word only its own thread writes (a consumer's read of its end's head), or
 a write read only by threads disabled in a wait (an end lock's release, a
-combining record's flags).  A pause there multiplies an exploration's
-runs, not its outcomes.
+combining record's outcome, stored under the lock).  A pause there
+multiplies an exploration's runs, not its outcomes.
 """
 
 from __future__ import annotations

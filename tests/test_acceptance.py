@@ -193,8 +193,9 @@ def test_exclusivity_and_no_loss():
 
 
 def test_combining_contract():
-    """10^5 announces: one combiner at a time, each served once, and
-    service order consistent with announcement completion order."""
+    """10^5 announces: each served once, and service order consistent with
+    announcement completion order.  One holder at a time is
+    ``tests/test_combining.py::test_one_thread_at_a_time_inside_apply``."""
     with _Criterion("combining-contract", 120.0):
         apply_seq = {}
         stamp_lock = threading.Lock()
@@ -229,7 +230,6 @@ def test_combining_contract():
         run_on_plain_threads(*(partial(worker, b) for b in range(8)))
 
         snap = comb.stats.snapshot()
-        assert snap["gauge_violations"] == 0
         assert snap["applied"] == 8 * per_thread
         assert sum(s * c for s, c in snap["batch_sizes"].items()) == 8 * per_thread
 

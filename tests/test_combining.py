@@ -1,9 +1,9 @@
 """The per-end serializers: batching, FIFO service, handoff, errors.
 
 The combining engine's batching tests run on ``combining`` only.  The
-contract both modes share (exactly once, FIFO, termination under stepping,
-errors reaching only their own caller) has a test per property,
-parametrized over the modes.
+contract both modes share (one thread at a time inside ``apply``, exactly
+once, FIFO, termination under stepping, errors reaching only their own
+caller) has a test per property, parametrized over the modes.
 """
 
 import sys
@@ -15,13 +15,14 @@ from types import SimpleNamespace
 import pytest
 from helpers import join_threads, run_on_plain_threads
 
-from depq.atomics import set_controller
-from depq.combining import (COMBINING, MODES, TWO_LOCKS, Combiner, CombinerRecord,
-                            make_serializer)
-from depq.sched import ControlledScheduler, random_walk
+from depq.atomics import checkpoint, set_controller
+from depq.combining import COMBINING, MODES, TWO_LOCKS, Combiner, make_serializer
+from depq.sched import ControlledScheduler, explore_interleavings, random_walk
 
 #: Seconds a test that runs announces on plain threads waits for them.
 BOUND_S = 20
+#: The interleavings of three announcers that exploring each mode takes.
+EXCLUSIVE_RUNS = {TWO_LOCKS: 6, COMBINING: 318}
 
 
 def test_batch_cap_must_be_positive():
@@ -49,33 +50,38 @@ def test_two_instances_are_independent():
     assert b.stats.snapshot()["batches"] == 1
 
 
-def test_overlapping_combine_passes_count_a_gauge_violation():
-    """A second combine pass while one is running is what the gauge exists
-    to catch; the counted overlap leaves the role usable."""
-    def apply(req):
-        if req == "nest":
-            # A second pass, on a spare record with nothing linked behind it.
-            comb._combine(CombinerRecord())
-        return req
+@pytest.mark.parametrize("mode", MODES)
+def test_one_thread_at_a_time_inside_apply(mode):
+    """Exclusivity, in every interleaving of three announcers at one end:
+    ``apply`` bumps an inside count, pauses at a site of its own, then
+    drops it, and the count never reaches 2."""
+    def factory():
+        state = SimpleNamespace(inside=0, most=0, applied=[])
 
-    def announce_both():
-        nested = comb.announce("nest")
-        return nested, comb.stats.snapshot()["gauge_violations"], comb.announce("after")
+        def apply(req):
+            state.inside += 1
+            state.most = max(state.most, state.inside)
+            checkpoint("test-inside-apply")
+            state.applied.append(req)
+            state.inside -= 1
+            return req * 10
 
-    comb = Combiner(apply)
-    # On a plain thread under a bound, so a lost handoff fails, not hangs.
-    [outcome] = run_on_plain_threads(announce_both, timeout=BOUND_S)
-    nested, violations, after = outcome
-    assert nested == "nest"
-    assert violations == 1
-    assert after == "after"
-    assert comb.stats.snapshot()["gauge_violations"] == 1
+        comb = make_serializer(mode, apply, batch_cap=2)
+        return state, [(f"t{i}", lambda _, i=i: comb.announce(i)) for i in range(3)]
+
+    runs = 0
+    for outcome in explore_interleavings(factory):
+        runs += 1
+        assert outcome.state.most == 1, outcome.schedule
+        assert outcome.results == {"t0": 0, "t1": 10, "t2": 20}, outcome.schedule
+        assert sorted(outcome.state.applied) == [0, 1, 2], outcome.schedule
+    assert runs == EXCLUSIVE_RUNS[mode]
 
 
-def _park_announcers(sched, comb, count, site="cc-spin"):
+def _park_announcers(sched, comb, count, site="cc-wait"):
     """Spawn `count` workers announcing 0..count-1 and park each at `site`:
-    by default right after its announcement is published (before it first
-    checks its wait flag), forcing a known announcement order."""
+    by default right after its record is published (before it takes the
+    end's lock), forcing a known announcement order."""
     for i in range(count):
         name = f"t{i}"
         sched.spawn(name, comb.announce, i)
@@ -97,7 +103,7 @@ def test_scripted_batch_serves_all_in_announcement_order():
     comb = Combiner(apply)
     with ControlledScheduler() as sched:
         _park_announcers(sched, comb, 8)
-        # First announcer becomes combiner and serves the whole batch.
+        # t0 takes the lock first and serves the whole batch.
         _finish_in_order(sched, [f"t{i}" for i in range(8)])
         results = sched.results()
 
@@ -111,18 +117,17 @@ def test_batch_cap_splits_into_two_batches_with_handoff():
     comb = Combiner(lambda r: applied.append(r) or r, batch_cap=4)
     with ControlledScheduler() as sched:
         _park_announcers(sched, comb, 8)
-        sched.run_to_completion("t0")         # combiner #1 serves t0..t3
+        sched.run_to_completion("t0")         # holder #1 serves t0..t3
         assert applied == [0, 1, 2, 3]
         assert comb.stats.snapshot()["batch_sizes"] == {4: 1}
         _finish_in_order(sched, ["t1", "t2", "t3"])
-        sched.run_to_completion("t4")         # wakes as combiner #2
+        sched.run_to_completion("t4")         # still queued: holder #2
         assert applied == list(range(8))
         _finish_in_order(sched, ["t5", "t6", "t7"])
 
     snap = comb.stats.snapshot()
     assert snap["batches"] == 2
     assert snap["batch_sizes"] == {4: 2}
-    assert snap["gauge_violations"] == 0
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -169,7 +174,6 @@ def _check_exactly_once(mode):
     assert len(set(seen)) == len(seen)        # exactly once, no duplicates
     snap = comb.stats.snapshot()
     assert snap["applied"] == per_thread * n_threads
-    assert snap["gauge_violations"] == 0
     assert sum(size * count for size, count in snap["batch_sizes"].items()) \
         == per_thread * n_threads
     assert max(snap["batch_sizes"]) <= 16
@@ -178,7 +182,7 @@ def _check_exactly_once(mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_every_announce_terminates_under_fair_stepping(mode):
     # No lost wakeups: drive four announcers to completion with a seeded
-    # random walk over every instrumented step, spins included.
+    # random walk over every instrumented step, waits included.
     for seed in (1, 2, 3):
         comb = make_serializer(mode, lambda r: r * 10, batch_cap=2)
         sched = ControlledScheduler(step_limit=50_000)
@@ -209,7 +213,7 @@ def test_raising_request_fails_only_its_own_caller(mode):
             return exc, comb.stats.snapshot()["batches"]
 
     comb = make_serializer(mode, apply)
-    site = "cc-spin" if mode == COMBINING else "lock-acquire"
+    site = "cc-wait" if mode == COMBINING else "lock-acquire"
     with ControlledScheduler() as sched:
         _park_announcers(sched, SimpleNamespace(announce=announce), 3, site=site)
         _finish_in_order(sched, ["t0", "t1", "t2"])
@@ -226,6 +230,29 @@ def test_raising_request_fails_only_its_own_caller(mode):
     else:                                     # every call is its own batch
         assert batches_before_raise == 2
         assert snap["batch_sizes"] == {1: 4}
+
+
+def test_an_interrupt_in_a_batch_reaches_only_its_own_caller():
+    # A holder stores any exception, KeyboardInterrupt too, in the record it
+    # was serving: t0 serves all three and returns, and t1 alone raises.
+    def apply(req):
+        if req == 1:
+            raise KeyboardInterrupt
+        return req * 10
+
+    def announce(req):
+        try:
+            return comb.announce(req)
+        except KeyboardInterrupt:
+            return "interrupted"
+
+    comb = Combiner(apply)
+    with ControlledScheduler() as sched:
+        _park_announcers(sched, SimpleNamespace(announce=announce), 3)
+        _finish_in_order(sched, ["t0", "t1", "t2"])
+        results = sched.results()
+    assert results == {"t0": 0, "t1": "interrupted", "t2": 20}
+    assert comb.stats.snapshot()["batch_sizes"] == {3: 1}
 
 
 def test_frozen_lock_holder_keeps_a_second_caller_waiting():
@@ -279,8 +306,8 @@ def test_a_controller_without_wait_sees_each_wait_as_a_pause():
             assert make_serializer(mode, lambda r: r).announce(mode) == mode
     finally:
         set_controller(None)
-    assert sites.seen.count("lock-acquire") == sites.seen.count("cc-spin") == 1
-    assert sorted(sites.waits) == ["cc-spin", "lock-acquire"]
+    assert sites.seen.count("lock-acquire") == sites.seen.count("cc-wait") == 1
+    assert sorted(sites.waits) == ["cc-wait", "lock-acquire"]
 
 
 def check_fifo(spans, apply_seq):

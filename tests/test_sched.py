@@ -560,10 +560,10 @@ def test_waiters_left_at_an_error_exit_end_by_their_starvation_timeout(monkeypat
 PAUSE_SCHEDULES = {
     ("list-depq", TWO_LOCKS, DEFERRED): "f654447d296720cd",
     ("list-depq", TWO_LOCKS, EPOCH): "1ef91ea2b49aeb47",
-    ("list-depq", COMBINING, DEFERRED): "b9357ed49c82de31",
-    ("list-depq", COMBINING, EPOCH): "4eb086550a4a389e",
+    ("list-depq", COMBINING, DEFERRED): "0716ff24e199c5cb",
+    ("list-depq", COMBINING, EPOCH): "c78c601bde5c0898",
     ("dual-heap", TWO_LOCKS, DEFERRED): "06f003a016d6744b",
-    ("dual-heap", COMBINING, DEFERRED): "4a84113ea2af8e9b",
+    ("dual-heap", COMBINING, DEFERRED): "af43423f556240d5",
 }
 
 
