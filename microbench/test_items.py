@@ -12,8 +12,9 @@ arena's slot included).  ``test_word``
 times one uncontended access to a shared word, as :mod:`depq.atomics` sets
 it out, ``WORD_ITERATIONS`` to a round, with no trace controller
 installed: a sited read (``checkpoint`` and a list index) and a sited
-compare-and-swap of an item's link word under the arena's ``rmw_lock``
-that succeeds without changing the word.  Each is one Python call.  Both
+compare-and-swap of a slot's link word, in the arena's list of one end's
+link words, under the arena's ``rmw_lock`` that succeeds without changing
+the word.  Each is one Python call.  Both
 helpers are registered with :func:`~depq.atomics.sited`, as every package
 function with a site is, so each runs its twin without the
 ``checkpoint`` call: the form a package access takes with no controller.
@@ -55,22 +56,22 @@ def test_new_item(benchmark):
     arena = Arena()
     benchmark.pedantic(arena.new_item, args=(5,), rounds=ROUNDS // ITERATIONS,
                        iterations=ITERATIONS, warmup_rounds=20)
-    assert user_key_of(arena.item(len(arena) - 1).key) == 5
+    assert user_key_of(arena.keys[-1]) == 5
 
 
 @sited
-def sited_read(words: list, end: int):
+def sited_read(words: list, slot: int):
     checkpoint("ins-read-link")
-    return words[end]
+    return words[slot]
 
 
 @sited
-def sited_cas(words: list, end: int, expected: int, new: int, lock) -> bool:
+def sited_cas(words: list, slot: int, expected: int, new: int, lock) -> bool:
     checkpoint("ins-cas")
     lock.acquire()
     try:
-        if words[end] == expected:
-            words[end] = new
+        if words[slot] == expected:
+            words[slot] = new
             return True
         return False
     finally:
@@ -83,15 +84,15 @@ def test_word(benchmark, op):
     lists = ListPair(arena)
     index = arena.new_item(7)
     lists.insert(index)
-    link = arena.item(index).link
-    word = link[MIN]
+    words = arena.links[MIN]
+    word = words[index]
     fn, args, expected = {
-        "sited_read": (sited_read, (link, MIN), word),
-        "sited_cas": (sited_cas, (link, MIN, word, word, arena.rmw_lock), True)}[op]
+        "sited_read": (sited_read, (words, index), word),
+        "sited_cas": (sited_cas, (words, index, word, word, arena.rmw_lock), True)}[op]
     result = benchmark.pedantic(fn, args=args, rounds=ROUNDS // WORD_ITERATIONS,
                                 iterations=WORD_ITERATIONS, warmup_rounds=2)
     assert result == expected
-    assert link[MIN] == word
+    assert words[index] == word
 
 
 def store_with(words: list, value: int, lock) -> None:

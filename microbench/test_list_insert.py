@@ -12,11 +12,14 @@ it has grown by a tenth, keeping it between ``size`` and 1.1 × ``size``
 keys.  The fresh item is made untimed before each round.  It records in
 ``extra_info["bytes_per_node"]`` the memory that ``BYTES_NODES`` inserts
 allocate per list node on a fresh pair, as ``tracemalloc`` counts it: the
-``new_item`` call included, over random keys below 2**20.  Only the public
-API is used.
+``new_item`` call included, over random keys below 2**20; and in
+``extra_info["tracked_per_node"]`` the objects the cyclic collector
+tracks after those inserts, per node, against before them.  Only the
+public API is used.
 """
 
 import functools
+import gc
 import random
 import tracemalloc
 
@@ -44,9 +47,23 @@ def bytes_per_node() -> float:
         tracemalloc.stop()
 
 
+@functools.cache
+def tracked_per_node() -> float:
+    rng = random.Random(11)
+    arena = Arena()
+    lists = ListPair(arena)
+    gc.collect()
+    before = len(gc.get_objects())
+    for _ in range(BYTES_NODES):
+        lists.insert(arena.new_item(rng.randrange(1 << 20)))
+    gc.collect()
+    return (len(gc.get_objects()) - before) / BYTES_NODES
+
+
 @pytest.mark.parametrize("size", [10**2, 10**3, 10**4, 10**5])
 def test_pair_insert(benchmark, size):
     benchmark.extra_info["bytes_per_node"] = round(bytes_per_node(), 1)
+    benchmark.extra_info["tracked_per_node"] = round(tracked_per_node(), 3)
     rng = random.Random(size)
     pair = {}
 

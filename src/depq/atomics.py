@@ -1,17 +1,26 @@
 """Pause points for the controlled scheduler, and the one rule every shared
 word of this package follows.
 
-A shared word (an item's link word or claim flag, a list head, the
-reclaimer's epoch, a combining record's outcome, a count) is a plain value,
-an attribute or an int in a list, whose load or store is atomic under the
-GIL.  An access with a pause *site*, a short label for the calling code
+A shared word is a plain value, an attribute or an int in a list, whose
+load or store is atomic under the GIL.  They are:
+
+- per arena slot (see :class:`~depq.items.Arena`), an int in one of the
+  arena's lists: each end's link word, and the ``state`` word that holds
+  the claim bit, the retire count and per end the linked-into bit and the
+  deletion tag
+- a list's head per end, and the index's chunks
+- the reclaimer's epoch, its per-thread epoch slots and its limbo lists
+- a combining record's outcome
+- a count with more than one writer
+
+An access with a pause *site*, a short label for the calling code
 location, is :func:`checkpoint` and then the plain read or write.  A
 read-modify-write (a publish CAS, a mark, a claim, an epoch advance, the
-increment of a count with more than one writer) runs under a lock the
-structure already holds, such as the arena's ``rmw_lock``, so it is atomic
-on any Python implementation.  The one exception is the combiner's queue,
-a ``collections.deque``, whose appends and pops the standard library
-documents as thread-safe.
+increment of a count with more than one writer), and every write of a
+slot's ``state`` word, runs under a lock the structure already holds, such
+as the arena's ``rmw_lock``, so it is atomic on any Python implementation.
+The one exception is the combiner's queue, a ``collections.deque``, whose
+appends and pops the standard library documents as thread-safe.
 
 Each lock on a per-operation path is taken as ``lock.acquire()``, then
 ``try:`` around the critical section and ``finally: lock.release()``, not
@@ -42,8 +51,13 @@ sited code; clearing the controller swaps the twins back.  So the source
 stays the one instrumented text and no production path tests a switch.  A
 wrapper of a registered function (a tracer's span, say) calls the same
 function object, so it reaches the sited code under a controller too.  A
-running frame keeps the code it started with, so installing a controller
-while another thread runs the structure stays a caller bug.  In
+running frame keeps the code it started with, so :func:`set_controller`
+first looks at every other thread's stack for a frame running a
+registered function's sited code or twin.  Installing a controller while
+one exists raises, naming the thread and the function: that thread would
+not pause.  Clearing the controller then leaves the sited code in place,
+which with no controller installed behaves as the twin does, and a later
+clear with no such frame left restores the twins.  In
 ``microbench/test_harness.py``, an insert + extract pair on an epoch-mode
 ``ListDepq`` at 1000 keys took a median of 7.3-7.5 us with the twins and
 8.2-8.5 us under a pause that returns at once (three runs pinned to one
@@ -64,6 +78,7 @@ from __future__ import annotations
 
 import __future__
 import ast
+import sys
 import threading
 from types import CodeType, FunctionType
 from typing import Any, Callable, Protocol
@@ -76,15 +91,42 @@ class TraceController(Protocol):
 _controller: TraceController | None = None
 #: Each registered function with its sited code and its twin.
 _sited: list[tuple[FunctionType, CodeType, CodeType]] = []
+#: The registered function of each sited code and twin, by the code's id.
+_owners: dict[int, FunctionType] = {}
+
+
+def _running_elsewhere() -> list[tuple[str, str]]:
+    """The name of each other thread whose stack holds a frame of a
+    registered function's sited code or twin, and that function's name."""
+    names = {thread.ident: thread.name for thread in threading.enumerate()}
+    me = threading.get_ident()
+    found = []
+    for ident, frame in sys._current_frames().items():
+        while frame is not None and ident != me:
+            fn = _owners.get(id(frame.f_code))
+            if fn is not None:
+                found.append((names.get(ident, str(ident)), fn.__qualname__))
+                break
+            frame = frame.f_back
+    return found
 
 
 def set_controller(controller: TraceController | None) -> None:
     """Install (or clear) the global trace controller.  Only one may be
     active at a time; tests install one around each scenario.  Every
     function registered with :func:`sited` runs its sited code while one
-    is installed and its twin otherwise."""
+    is installed and its twin otherwise, except that no code is swapped
+    under another thread's running frame (see the module docstring).
+    Raises ``RuntimeError`` for an install while such a frame exists."""
     global _controller
+    running = _running_elsewhere()
+    if controller is not None and running:
+        raise RuntimeError("cannot install a controller while other threads run "
+                           "registered functions: " + ", ".join(
+                               f"thread {name!r} in {fn}" for name, fn in running))
     _controller = controller
+    if running:
+        return   # the sited code stays; a later clear restores the twins
     for fn, sited_code, twin in _sited:
         fn.__code__ = twin if controller is None else sited_code
 
@@ -149,6 +191,7 @@ def sited(fn: FunctionType) -> FunctionType:
         raise TypeError(f"{fn.__qualname__}: the twin's free variables "
                         f"{twin.co_freevars} differ from {code.co_freevars}")
     _sited.append((fn, code, twin))
+    _owners[id(code)] = _owners[id(twin)] = fn
     if _controller is None:
         fn.__code__ = twin
     return fn

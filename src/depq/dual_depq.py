@@ -33,8 +33,8 @@ from types import SimpleNamespace
 from .atomics import checkpoint, sited
 # COMBINING and TWO_LOCKS are re-exported: callers name the modes from here.
 from .combining import COMBINING, TWO_LOCKS, make_serializer  # noqa: F401
-from .items import (MAX, MIN, POISONED, UID_BITS, Arena, PriorityQueue,
-                    is_reserved, reclaimed_access, try_reserve)
+from .items import (MAX, MIN, POISONED, RESERVED, UID_BITS, Arena,
+                    PriorityQueue, reclaimed_access, try_reserve)
 
 
 #: A build's ``counters``, the name the benchmark reads its counts by:
@@ -47,8 +47,7 @@ class DualDepq:
 
     def __init__(self, arena: Arena, min_pq: PriorityQueue, max_pq: PriorityQueue):
         self.arena = arena
-        self._slots = arena.slots
-        self._rmw_lock = arena.rmw_lock
+        self._keys = arena.keys
         self.min_pq = min_pq
         self.max_pq = max_pq
         self._delete_claimed = min_pq.has_delete and max_pq.has_delete
@@ -77,8 +76,8 @@ class DualDepq:
         # no "never started" case to reason about.
         own = self.min_pq if end == MIN else self.max_pq
         other = self.max_pq if end == MIN else self.min_pq
-        # Slot and key are read inline, as in the lists' hot loops.
-        slots, lock = self._slots, self._rmw_lock
+        # The key is read inline, as in the lists' hot loops.
+        keys, arena = self._keys, self.arena
         index = None
         while True:
             prior, index = index, own.pq_extract_first()
@@ -86,14 +85,14 @@ class DualDepq:
                 return None
             if index == prior:   # a claimed item was not deleted from its queue
                 raise AssertionError(f"{('min', 'max')[end]} end popped index {index} twice")
-            item = slots[index]
-            if item is POISONED:
+            key = keys[index]
+            if key is POISONED:
                 raise reclaimed_access(index)
-            if try_reserve(item, lock):
+            if try_reserve(arena, index):
                 if self._delete_claimed:
                     other.pq_delete(index)
                 self.extract_successes[end] += 1
-                return item.key >> UID_BITS
+                return key >> UID_BITS
             self.reserve_failures[end] += 1
 
     # The surface every build shares, answered through the two queues'
@@ -101,8 +100,9 @@ class DualDepq:
 
     def remaining_keys(self) -> list[int]:
         """User keys still extractable: the ascending queue's unclaimed items."""
-        items = map(self.arena.item, self.min_pq.contents())
-        return [item.user_key for item in items if not is_reserved(item)]
+        keys, state = self.arena.keys, self.arena.state
+        return [keys[index] >> UID_BITS for index in self.min_pq.contents()
+                if not state[index] & RESERVED]
 
     def problems(self) -> list[str]:
         return self.min_pq.problems() + self.max_pq.problems()

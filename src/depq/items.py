@@ -1,10 +1,12 @@
-"""Key model, items, and the arena that owns them.
+"""Key model, and the arena that holds every item as a slot.
 
-Every element stored in a queue is an :class:`Item` living in an
-:class:`Arena` and referenced by its arena index.  Indices stay valid until
-reclamation retires the item; retired slots are replaced by a poison
-sentinel so that any late access trips an assertion instead of silently
-reading freed state.
+Every element stored in a queue is a *slot* of an :class:`Arena`: an index
+into the arena's four lists of ints, its key, its ``state`` word of claim,
+retire and per-end list bits, and its two link words.  No item is an
+object of its own; :class:`Item` is only a read-only copy of one slot for
+quiescent reads.  Indices stay valid until reclamation retires the item;
+a freed slot's key is a poison sentinel, so that any late access trips an
+assertion instead of silently reading freed state.
 
 An item's key is one int, ``user_key << 64 | uid`` (see :func:`key_of`).
 The uid is the item's arena index, below 2**64 and strictly increasing in
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from operator import index as as_int
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .atomics import checkpoint, sited
 
@@ -66,49 +68,39 @@ def unpack_link(word: int) -> tuple[int, int]:
     return (word >> 1) - 1, word & 1
 
 
-class Item:
-    """A queue element: its key, its claim flag and its retire count.  Its
-    arena index is not stored: callers reach an item through it.
+#: Bits of a slot's ``state`` word (see :class:`Arena`).  The claim bit.
+RESERVED = 1
+#: One step of the 2-bit retire count, and the count's bits.
+UNLINK = 2
+UNLINKS = 6
+#: Per end, indexed by ``MIN``/``MAX``: the node is linked into that list,
+#: and the node is logically deleted from it (its deletion tag).
+LINKED = (8, 16)
+MARKED = (32, 64)
 
-    ``reserved`` arbitrates which end's extraction claims the item; it is
-    set 0->1 at most once.  ``unlinked`` counts physical removals (one per
-    list); its second increment signals the item is unreachable from both
-    lists.  That is all the generic construction asks of an element, and
-    all :meth:`Arena.new_item` builds, so an item on the heaps carries
-    nothing else.
 
-    The list fields are declared here but set only by the lists, on a node
-    they link (see :meth:`depq.ordered_list.ListPair.insert`): ``link``,
-    one raw link word per end (see :func:`pack_link`); ``linked_into`` /
-    ``marked_into``, one tag per end written only in the same step as the
-    publish CAS / marking fetch-or.  ``marked_into`` is the node's one
-    deletion record: the auditor reads it, and so does a search that meets
-    the item's index entry, as that entry's dead flags.  Reading one on an
-    item no list has taken raises ``AttributeError``.
+class Item(NamedTuple):
+    """A read-only copy of one slot, for quiescent reads (tests, audits of
+    one node, the benchmark's checks).  No hot path builds one.
 
-    ``reserved``, ``unlinked`` and both link words are plain values, as
-    :mod:`depq.atomics` sets out: every read-modify-write of one (the claim,
-    the retire count's increment, the publish CAS and the marking fetch-or)
-    runs under the arena's :attr:`~Arena.rmw_lock`.  Each read or
-    read-modify-write that has a pause site pauses there first, through
-    ``checkpoint``.
+    ``reserved`` is the claim bit and ``unlinked`` the retire count, both
+    read out of the slot's ``state`` word; ``link`` holds the slot's two
+    link words (see :func:`pack_link`), and ``linked_into`` /
+    ``marked_into`` its two linked-into bits and two deletion tags, by end.
+    An item no list has taken has both link words 0 and every bit clear.
     """
 
-    __slots__ = ("key", "reserved", "unlinked", "link", "linked_into",
-                 "marked_into")
-
-    def __init__(self, key: int | None):
-        self.key = key  # None only for the sentinel dummy
-        self.reserved = 0
-        self.unlinked = 0
+    key: int | None       # None only for the sentinel dummy
+    reserved: int
+    unlinked: int
+    link: tuple[int, int]
+    linked_into: tuple[bool, bool]
+    marked_into: tuple[bool, bool]
 
     @property
     def user_key(self) -> int:
         assert self.key is not None, "sentinel key is never read"
         return self.key >> UID_BITS
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Item(key={self.key})"
 
 
 class _Poisoned:
@@ -128,27 +120,44 @@ def reclaimed_access(index: int) -> ReclaimedAccessError:
 
 
 class Arena:
-    """Owner of all items of one queue instance.
+    """Owner of all items of one queue instance, as four lists indexed by
+    slot, so a node is a few ints in lists the arena owns and no object of
+    its own.
 
-    Items are referenced by index; the arena only grows, so indices are
-    never reused (no ABA on link words).  Reclamation replaces the slot
-    with a poison sentinel, dropping the item object itself.
+    - ``keys[i]``: the item's key (see :func:`key_of`); None for a
+      sentinel, and ``POISONED`` once the slot is freed.
+    - ``state[i]``: one int of bits: ``RESERVED``, the claim bit, set 0->1
+      at most once and arbitrating which end's extraction claims the item;
+      the retire count in ``UNLINKS``, one ``UNLINK`` per physical removal
+      from a list, whose second increment signals the item is unreachable
+      from both lists; and per end the linked-into bit ``LINKED[end]``,
+      set in the same step as the publish CAS, and the deletion tag
+      ``MARKED[end]``, set in the same step as the marking fetch-or.  The
+      tag is the node's one deletion record: the auditor reads it, and so
+      does a search that meets the item's index entry, as that entry's
+      dead flag on that end.
+    - ``links[end][i]``: the slot's raw link word on that end's list (see
+      :func:`pack_link`), 0 until a list links it.
+
+    Each word is a plain value, as :mod:`depq.atomics` sets out: every
+    write of a ``state`` word and every read-modify-write of a link word
+    (the claim, the retire count's increment, the publish CAS, the marking
+    fetch-or and the tags beside them) runs under :attr:`rmw_lock`.  The
+    hot loops hoist these lists and check ``keys[i] is POISONED``
+    themselves.  The arena only grows, so a slot is never reused (no ABA
+    on link words).  Freeing a slot stores ``POISONED`` as its key and 0
+    in both its link words, so it holds no object of its own; its
+    ``state`` word stays, a small int.
     """
 
+    __slots__ = ("rmw_lock", "keys", "state", "links")
+
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._items: list[Item | _Poisoned] = []
-
-    @property
-    def rmw_lock(self) -> threading.Lock:
-        """The lock of every read-modify-write of an item's shared words."""
-        return self._lock
-
-    @property
-    def slots(self) -> list:
-        """The slot list itself, for hot loops that inline :meth:`item`:
-        a slot holding ``POISONED`` must raise ``reclaimed_access``."""
-        return self._items
+        #: The lock of every write of a slot's shared words.
+        self.rmw_lock = threading.Lock()
+        self.keys: list = []
+        self.state: list[int] = []
+        self.links: list[list[int]] = [[], []]
 
     def new_item(self, user_key: int) -> int:
         """Create a fresh item whose uid is its index; returns the index.
@@ -157,47 +166,70 @@ class Arena:
         is not an integer; one with ``__index__`` is converted exactly.
         """
         high = as_int(user_key) << UID_BITS
-        lock = self._lock
+        lock = self.rmw_lock
         lock.acquire()
         try:
-            items = self._items
-            index = len(items)
-            items.append(Item(high | index))
+            keys = self.keys
+            index = len(keys)
+            keys.append(high | index)
+            self.state.append(0)
+            links = self.links
+            links[MIN].append(0)
+            links[MAX].append(0)
             return index
         finally:
             lock.release()
 
     def new_dummy(self) -> int:
         """Create a sentinel item whose key is never compared."""
-        with self._lock:
-            self._items.append(Item(None))
-            return len(self._items) - 1
+        with self.rmw_lock:
+            self.keys.append(None)
+            self.state.append(0)
+            for words in self.links:
+                words.append(0)
+            return len(self.keys) - 1
 
     def item(self, index: int) -> Item:
-        it = self._items[index]
-        if it is POISONED:
+        """A copy of the slot at ``index``; quiescent use only.  Raises
+        ``ReclaimedAccessError`` on a freed slot."""
+        key = self.keys[index]
+        if key is POISONED:
             raise reclaimed_access(index)
-        return it  # type: ignore[return-value]
+        s = self.state[index]
+        return Item(key, s & RESERVED, (s & UNLINKS) >> 1,
+                    (self.links[MIN][index], self.links[MAX][index]),
+                    (bool(s & LINKED[MIN]), bool(s & LINKED[MAX])),
+                    (bool(s & MARKED[MIN]), bool(s & MARKED[MAX])))
 
     def is_poisoned(self, index: int) -> bool:
-        return self._items[index] is POISONED
+        return self.keys[index] is POISONED
+
+    def free(self, indices: list[int]) -> None:
+        """Free each slot of ``indices``: poison its key and zero its link
+        words, dropping the objects it held."""
+        keys = self.keys
+        min_links, max_links = self.links
+        for index in indices:
+            keys[index] = POISONED
+            min_links[index] = max_links[index] = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.keys)
 
 
 @sited
-def try_reserve(item: Item, lock: threading.Lock) -> bool:
-    """Atomically claim an item; True iff this call flipped reserved 0->1.
-
-    ``lock`` is the rmw_lock of the item's arena.  Pauses at ``reserve``.
-    """
+def try_reserve(arena: Arena, index: int) -> bool:
+    """Atomically claim the item at ``index``; True iff this call set its
+    claim bit.  Pauses at ``reserve``."""
     checkpoint("reserve")
+    state = arena.state
+    lock = arena.rmw_lock
     lock.acquire()
     try:
-        if item.reserved:
+        s = state[index]
+        if s & RESERVED:
             return False
-        item.reserved = 1
+        state[index] = s | RESERVED
         return True
     finally:
         lock.release()

@@ -89,6 +89,7 @@ class LockedHeapPq:
 
     def __init__(self, arena: Arena, descending: bool = False):
         self.arena = arena
+        self._keys = arena.keys
         self.descending = descending
         self._heap: list[int] = []
         self._live: set[int] = set()
@@ -96,8 +97,7 @@ class LockedHeapPq:
 
     def _entry(self, index: int) -> int:
         """The heap entry of the item at ``index``."""
-        key = self.arena.item(index).key
-        assert key is not None
+        key = self._keys[index]
         return -key if self.descending else key
 
     def _index_of(self, entry: int) -> int:

@@ -37,9 +37,10 @@ apart: only the deleted prefixes drift (a key inserted after a deletion
 lands behind the deleted prefix, whatever its key), while each live
 suffix stays sorted by key.  So an entry whose node is still live on an
 end is a valid start on that end for any larger key (ascending) or any
-smaller key (descending).  An entry's dead flags are its item's deletion
-tags, one per end, read through the slot, so the consumer's one tag store
-kills the entry on that end too.  Every node gets an entry once it is on
+smaller key (descending).  An entry's dead flags are its slot's deletion
+tags, the ``MARKED`` bits of its ``state`` word (see
+:class:`~depq.items.Arena`), so the consumer's one tag store kills the
+entry on that end too.  Every node gets an entry once it is on
 both lists.  The index holds only search hints: one search finds a node
 just before the new key's slot on each list, and both list searches run
 from there instead of from the heads.  Writes to the index run under the
@@ -57,8 +58,9 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .atomics import checkpoint, sited
-from .items import (MAX, MIN, NONE_IDX, POISONED, UID_MASK, Arena, key_less,
-                    reclaimed_access, uid_of, unpack_link, user_key_of)
+from .items import (LINKED, MARKED, MAX, MIN, NONE_IDX, POISONED, RESERVED,
+                    UID_MASK, Arena, key_less, reclaimed_access, uid_of,
+                    user_key_of)
 
 
 #: Entries an index chunk may hold; one more splits it in two.
@@ -66,6 +68,8 @@ CHUNK_CAP = 128
 
 #: Entries a search reads on each side of the new key.
 _SCAN = 4
+
+_MARKED_MIN, _MARKED_MAX = MARKED
 
 
 def _shown(key: int) -> str:
@@ -94,23 +98,21 @@ class ListPair:
 
     def __init__(self, arena: Arena):
         self.arena = arena
-        # The slot list itself, for the hot loops (see ``Arena.slots``).
-        self._slots = arena.slots
+        # The arena's lists themselves, for the hot loops (see ``Arena``).
+        self._keys, self._state, self._link_words = arena.keys, arena.state, arena.links
+        self._lock = arena.rmw_lock
         # Bumped by any inserter, under ``_lock``, on the rare failed CAS.
         self.insert_cas_failures = 0
         dummy = arena.new_dummy()
-        dummy_item = arena.item(dummy)
         # The sentinel is on both lists and counts as logically deleted
         # from the start; it has no index entry.
-        dummy_item.link = [0, 0]
-        dummy_item.linked_into = [True, True]
-        dummy_item.marked_into = [True, True]
+        with self._lock:
+            self._state[dummy] = LINKED[MIN] | LINKED[MAX] | MARKED[MIN] | MARKED[MAX]
         self.dummy = dummy
         self._head = [dummy, dummy]
         # The index: sorted chunks of item keys, ascending across chunks,
         # and each chunk's last key.  Changed only under ``_lock``, as the
-        # items' link words are: see :class:`~depq.items.Item`.
-        self._lock = arena.rmw_lock
+        # slots' link words are: see :class:`~depq.items.Arena`.
         self._chunks: list[list[int]] = []
         self._maxes: list[int] = []
 
@@ -125,23 +127,16 @@ class ListPair:
     def insert(self, index: int) -> None:
         """Link a fresh item into both lists, the ascending one first.
 
-        The item comes from :meth:`Arena.new_item` with only its key and
-        flags; the first step, before any pause site and before the node
-        can be published, gives it the list fields (see :class:`Item`):
-        two link words with no successor and both tags False.  One index
-        search yields both list starts (see ``_index_search``).  Each
-        publish CAS is retried until it lands, resuming from the node whose
-        link word changed underneath it.  Once the node is on both lists,
-        its key enters the index: no search may start from a node that is
-        not yet on the descending list.
+        The item comes from :meth:`Arena.new_item`, whose slot has two link
+        words with no successor and no list bit set, so the insert builds
+        nothing.  One index search yields both list starts (see
+        ``_index_search``).  Each publish CAS is retried until it lands,
+        resuming from the node whose link word changed underneath it.  Once
+        the node is on both lists, its key enters the index: no search may
+        start from a node that is not yet on the descending list.
         """
-        node = self._slots[index]
-        k = node.key
+        k = self._keys[index]
         assert k is not None
-        # A word of 0 is pack_link(NONE_IDX, 0): no successor, unmarked.
-        node.link = [0, 0]
-        node.linked_into = [False, False]
-        node.marked_into = [False, False]
         ascending, descending = self._index_search(k)
         self._publish(index, MIN, ascending, k)
         checkpoint("between-list-inserts")
@@ -155,12 +150,12 @@ class ListPair:
         searching from the item at ``start``, or from the head when
         ``start`` is None."""
         # The hot loop works on raw link words (see ``pack_link``) and on the
-        # arena's slots directly, checking for poison itself.  Each read or
+        # arena's lists directly, checking for poison itself.  Each read or
         # CAS of a link word pauses at its site first, through ``checkpoint``.
-        items = self._slots
-        node = items[index]
+        keys, links, state = self._keys, self._link_words[end], self._state
         lock = self._lock
         ascending = end == MIN
+        linked = LINKED[end]
         published = (index + 1) << 1   # pack_link(index, 0)
         if start is None:
             checkpoint("ins-read-head")
@@ -168,36 +163,33 @@ class ListPair:
         else:
             pred = start
         while True:
-            pred_item = items[pred]
-            if pred_item is POISONED:
+            if keys[pred] is POISONED:
                 raise reclaimed_access(pred)
             checkpoint("ins-read-link")
-            word = pred_item.link[end]
+            word = links[pred]
             while word > 1:  # names a successor
                 succ = (word >> 1) - 1
-                succ_item = items[succ]
-                if succ_item is POISONED:
+                succ_key = keys[succ]
+                if succ_key is POISONED:
                     raise reclaimed_access(succ)
-                if not (word & 1 or (succ_item.key < k if ascending
-                                     else succ_item.key > k)):
+                if not (word & 1 or (succ_key < k if ascending else succ_key > k)):
                     break
-                pred, pred_item = succ, succ_item
+                pred = succ
                 checkpoint("ins-read-link")
-                word = pred_item.link[end]
+                word = links[pred]
             if word & 1:
                 # A marked end-of-list word is unreachable while consumers
                 # honor their contract; retrying against it would spin forever.
                 raise AssertionError("end-of-list link is marked")
             expected = word & ~1
             # Unsited: no thread reads this word before the CAS publishes it.
-            node.link[end] = expected
+            links[index] = expected
             checkpoint("ins-cas")
-            pred_link = pred_item.link
             lock.acquire()
             try:
-                if pred_link[end] == expected:
-                    pred_link[end] = published
-                    node.linked_into[end] = True
+                if links[pred] == expected:
+                    links[pred] = published
+                    state[index] |= linked
                     return
                 self.insert_cas_failures += 1
             finally:
@@ -218,7 +210,7 @@ class ListPair:
         dead on both ends.  Has no pause sites: the index is private to
         this layer.
         """
-        slots = self._slots
+        keys, state = self._keys, self._state
         chunks = self._chunks
         try:
             i = bisect_left(self._maxes, k)
@@ -235,23 +227,27 @@ class ListPair:
         dropped = []
         for entry in reversed(below):
             if entry < k:
-                item = slots[entry & UID_MASK]
-                if item is POISONED:
+                slot = entry & UID_MASK
+                if keys[slot] is POISONED:
                     dropped.append(entry)
-                elif not item.marked_into[MIN]:
-                    ascending = entry & UID_MASK
+                    continue
+                tags = state[slot]
+                if not tags & _MARKED_MIN:
+                    ascending = slot
                     break
-                elif item.marked_into[MAX]:
+                if tags & _MARKED_MAX:
                     dropped.append(entry)
         for entry in above:
             if entry > k:
-                item = slots[entry & UID_MASK]
-                if item is POISONED:
+                slot = entry & UID_MASK
+                if keys[slot] is POISONED:
                     dropped.append(entry)
-                elif not item.marked_into[MAX]:
-                    descending = entry & UID_MASK
+                    continue
+                tags = state[slot]
+                if not tags & _MARKED_MAX:
+                    descending = slot
                     break
-                elif item.marked_into[MIN]:
+                if tags & _MARKED_MIN:
                     dropped.append(entry)
         if dropped:
             self._index_drop(dropped)
@@ -316,38 +312,35 @@ class ListPair:
         node has been swept, so the head is the whole deleted prefix.  Marks
         the head's link word with one fetch-or; the successor it names is
         the node deleted, and its tag for this end, which is also its index
-        entry's dead flag, is set.
+        entry's dead flag, is set in the same step.
         """
         # Raw link words and inlined poison checks, as in ``insert``.
-        items = self._slots
+        keys, links = self._keys, self._link_words[end]
         head = self._head[end]
-        head_item = items[head]
-        if head_item is POISONED:
+        if keys[head] is POISONED:
             raise reclaimed_access(head)
         checkpoint("ex-read-lastnext")
-        if head_item.link[end] <= 1:
+        if links[head] <= 1:
             # No successor.  Linearized at the link read above; a racing
             # insert that lands afterwards does not invalidate the empty
             # answer.
             return None
         checkpoint("ex-mark")
-        link = head_item.link
+        state = self._state
         lock = self._lock
         lock.acquire()
         try:
-            prior = link[end]
-            link[end] = prior | 1
+            prior = links[head]
+            links[head] = prior | 1
+            assert not prior & 1, "link was already marked: consumer contract broken"
+            assert prior > 1, "marked an end-of-list link"
+            target = (prior >> 1) - 1
+            # The tag, before sweep_head can hand the node to reclamation.
+            state[target] |= MARKED[end]
         finally:
             lock.release()
-        assert not prior & 1, "link was already marked: consumer contract broken"
-        assert prior > 1, "marked an end-of-list link"
-        target = (prior >> 1) - 1
-        item = items[target]
-        if item is POISONED:
+        if keys[target] is POISONED:
             raise reclaimed_access(target)
-        # Set in the same step as the fetch-or above, before sweep_head can
-        # hand the node to reclamation.  Each end writes only its own entry.
-        item.marked_into[end] = True
         return target
 
     @sited
@@ -362,10 +355,9 @@ class ListPair:
         end's consumer sets a mark.
         """
         head = self._head[end]
-        item = self._slots[head]
-        if item is POISONED:
+        if self._keys[head] is POISONED:
             raise reclaimed_access(head)
-        word = item.link[end]
+        word = self._link_words[end][head]
         if not word & 1:
             return []
         checkpoint("uh-write-head")
@@ -379,13 +371,16 @@ class ListPair:
         mark bit of the link that reaches each (0 for the head).  A walk
         longer than the arena, a cycle, raises ``AssertionError`` naming
         the end."""
-        arena = self.arena
+        keys, links = self._keys, self._link_words[end]
         nodes, marks = [], []
         node, marked = self._head[end], 0
-        for _ in range(len(arena)):
+        for _ in range(len(keys)):
+            if keys[node] is POISONED:
+                raise reclaimed_access(node)
             nodes.append(node)
             marks.append(marked)
-            node, marked = unpack_link(arena.item(node).link[end])
+            word = links[node]
+            node, marked = (word >> 1) - 1, word & 1
             if node == NONE_IDX:
                 return nodes, marks
         raise AssertionError(f"{('min', 'max')[end]} list walk exceeds the "
@@ -412,13 +407,13 @@ class ListPair:
 
     def suffix_keys(self, end: int, include_reserved: bool = False) -> list[int]:
         """Keys of the live suffix, in list order."""
-        items = map(self.arena.item, self.suffix(end))
-        return [item.key for item in items
-                if include_reserved or item.reserved == 0]
+        keys, state = self._keys, self._state
+        return [keys[node] for node in self.suffix(end)
+                if include_reserved or not state[node] & RESERVED]
 
     def audit(self, end: int) -> "AuditReport":
         """Check the structural invariants of one list."""
-        arena = self.arena
+        state, marked = self._state, MARKED[end]
         report = AuditReport(end=end)
         try:
             nodes, marks = self._links(end)
@@ -426,10 +421,10 @@ class ListPair:
             report.finite = False
             report.notes.append(str(exc))
             nodes, marks = [], []
-        items = [arena.item(node) for node in nodes]
-        tags = [item.marked_into[end] for item in items]
-        report.path = [(node, None if item.key is None else user_key_of(item.key), tagged)
-                       for node, item, tagged in zip(nodes, items, tags)]
+        node_keys = [self._keys[node] for node in nodes]
+        tags = [bool(state[node] & marked) for node in nodes]
+        report.path = [(node, None if key is None else user_key_of(key), tagged)
+                       for node, key, tagged in zip(nodes, node_keys, tags)]
 
         # Deleted nodes must form a prefix, and the deletion tags must agree
         # with the mark bits on the edges inside the walk.
@@ -446,14 +441,14 @@ class ListPair:
                 report.notes.append(
                     f"edge to position {pos} mark bit disagrees with deletion tag")
 
-        keys = [item.key for item, tagged in zip(items, tags) if not tagged]
+        keys = [key for key, tagged in zip(node_keys, tags) if not tagged]
         for a, b in zip(keys, keys[1:]):
             assert a is not None and b is not None
             if not comes_before(a, b, end):
                 report.suffix_sorted = False
                 report.notes.append(f"suffix out of order: {_shown(a)} !< {_shown(b)}")
 
-        if not arena.item(self._head[end]).marked_into[end]:
+        if not state[self._head[end]] & marked:
             report.head_deleted = False
             report.notes.append("head names a live node")
 
@@ -470,7 +465,8 @@ class ListPair:
         its entry in ``maxes``, and entries strictly ascend across them;
         an entry of an unreclaimed slot is that item's key, and one live on
         this end names an item linked into both lists."""
-        slots = self._slots
+        keys, state = self._keys, self._state
+        both = LINKED[MIN] | LINKED[MAX]
         chunks, maxes = self._chunks, self._maxes
         notes = []
         if len(chunks) != len(maxes):
@@ -486,12 +482,12 @@ class ListPair:
                 notes.append(f"index out of order: {_shown(a)} !< {_shown(b)}")
         for k in entries:
             slot = k & UID_MASK
-            item = slots[slot] if slot < len(slots) else None
-            if item is POISONED:
+            key = keys[slot] if slot < len(keys) else None
+            if key is POISONED:
                 continue
-            if item is None or item.key != k:
+            if key is None or key != k:
                 notes.append(f"index entry {_shown(k)} is not the key of item {slot}")
-            elif not item.marked_into[end] and not all(item.linked_into):
+            elif not state[slot] & MARKED[end] and state[slot] & both != both:
                 notes.append(f"entry live on this end names item {slot}, "
                              "which is not on both lists")
         if notes:
@@ -563,7 +559,7 @@ class ListPq:
         if self.end == MIN:
             self.lists.insert(index)
         else:
-            assert self.lists.arena.item(index).linked_into[MAX], \
+            assert self.lists.arena.state[index] & LINKED[MAX], \
                 "descending insert before the ascending one"
 
     def pq_extract_first(self) -> int | None:

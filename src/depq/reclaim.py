@@ -1,9 +1,10 @@
 """Safe reclamation for nodes shared between two lists.
 
 A node physically removed from one list may still be reachable from the
-other, so removal alone never frees anything.  Each item carries a retire
-count: the first removal's increment arms it, the second one observes it
-at one, proving the node is unreachable from both lists and may be retired.
+other, so removal alone never frees anything.  Each slot's ``state`` word
+holds a 2-bit retire count (see :class:`~depq.items.Arena`): the first
+removal's increment arms it, the second one observes it at one, proving
+the node is unreachable from both lists and may be retired.
 
 Retired nodes then wait out a grace period.  In ``deferred`` mode nothing
 is freed until the structure is closed (the default for correctness tests,
@@ -33,8 +34,9 @@ both lists.  The compare-and-swap of the epoch and the swap of the list
 happen under one hold of the arena's ``rmw_lock``, the lock under which a
 second unlink also retires its node.  Done apart, an advancer delayed
 between them could swap out a list that has since been refilled by
-retires two epochs newer.  Freeing poisons the arena slots after the lock
-is released, so any late access trips an assertion.
+retires two epochs newer.  Freeing poisons the slots' keys and zeroes their
+link words after the lock is released, so any late access trips an
+assertion and a freed slot holds no object.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import threading
 
 from .atomics import checkpoint, sited
-from .items import POISONED, Arena, reclaimed_access
+from .items import POISONED, UNLINK, UNLINKS, Arena, reclaimed_access
 
 _QUIESCENT = -1
 
@@ -59,7 +61,8 @@ class Reclaimer:
         if mode not in (DEFERRED, EPOCH):
             raise ValueError(f"unknown reclaim mode {mode!r}")
         self.arena = arena
-        self._items = arena.slots          # read inline, as ``ListPair._slots``
+        # Read inline, as in ``ListPair``'s hot loops.
+        self._keys, self._state = arena.keys, arena.state
         self.mode = mode
         # The arena's lock: retire counts, limbo lists, epoch and registry.
         self._lock = arena.rmw_lock
@@ -72,7 +75,7 @@ class Reclaimer:
         self._limbo: list[list[int]] = [[], [], []]
         self._closed = False
         # Bumped under ``_lock``, which is held there anyway.  First unlinks
-        # are not counted: the items' retire counts already hold that count.
+        # are not counted: the slots' retire counts already hold that count.
         self.retired = 0
         self._freed = 0
 
@@ -87,15 +90,17 @@ class Reclaimer:
         has been handed to the grace-period machinery.  A third call is a
         caller bug.
         """
-        item = self._items[index]
-        if item is POISONED:
+        if self._keys[index] is POISONED:
             raise reclaimed_access(index)
         checkpoint("unlink-flag")
+        state = self._state
         lock = self._lock
         lock.acquire()
         try:
-            prior = item.unlinked
-            item.unlinked = prior + 1
+            s = state[index]
+            prior = (s & UNLINKS) >> 1
+            if prior < 3:    # the 2-bit count stops at 3
+                state[index] = s + UNLINK
             if not prior:
                 return False
             if prior == 1:
@@ -173,7 +178,7 @@ class Reclaimer:
             self._freed += len(victims)
         finally:
             lock.release()
-        self._free(victims)
+        self.arena.free(victims)
         return True
 
     # -- teardown -----------------------------------------------------------------
@@ -187,12 +192,7 @@ class Reclaimer:
             victims = [idx for bucket in self._limbo for idx in bucket]
             self._limbo[:] = [], [], []
             self._freed += len(victims)
-        self._free(victims)
-
-    def _free(self, victims: list[int]) -> None:
-        slots = self._items
-        for idx in victims:
-            slots[idx] = POISONED
+        self.arena.free(victims)
 
     def pending(self) -> int:
         with self._lock:
@@ -205,7 +205,7 @@ class Reclaimer:
         retire count shows one unlink."""
         with self._lock:
             retired, freed = self.retired, self._freed
-        unlinked_once = sum(1 for item in self._items
-                            if item is not POISONED and item.unlinked == 1)
+        unlinked_once = sum(1 for key, s in zip(self._keys, self._state)
+                            if key is not POISONED and s & UNLINKS == UNLINK)
         return {"mode": self.mode, "unlink_first": retired + unlinked_once,
                 "retired": retired, "freed": freed, "pending": self.pending()}

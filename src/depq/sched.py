@@ -31,7 +31,9 @@ Only spawned threads pause; the invoking thread and any plain
 inline and uncontrolled traffic can run beside parked workers.  Leaving
 the scheduler's ``with`` block releases every parked worker to run free,
 except, when an error ends the block, a worker whose declared wait still
-holds: it stays parked and ends by its starvation timeout.
+holds: it is starved at once, its pause raising the error of a starvation
+timeout, so that it leaves the code it runs before the controller is
+cleared (see :func:`depq.atomics.set_controller`).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ _EXIT_GRACE = 1.0
 
 
 class _Worker:
-    __slots__ = ("name", "thread", "fn", "done", "result", "error", "baton")
+    __slots__ = ("name", "thread", "fn", "done", "result", "error", "baton", "starved")
 
     def __init__(self, name: str, fn: Callable[[], Any]):
         self.name = name
@@ -67,6 +69,11 @@ class _Worker:
         self.result: Any = None
         self.error: BaseException | None = None
         self.baton = _held_lock()     # released by the grant that lets it step
+        self.starved = False          # set by an error exit, before its release
+
+
+def _starved(name: str) -> ScheduleError:
+    return ScheduleError(f"worker {name!r} starved waiting for a grant")
 
 
 def _held_lock() -> threading.Lock:
@@ -107,8 +114,7 @@ class ControlledScheduler:
                 self.join_all()
             else:
                 # Keep the error that ended the block.  A released worker
-                # may never finish, and a waiter left parked ends only by
-                # its starvation timeout, so they get a short grace and no
+                # may never finish, so the workers get a short grace and no
                 # join error of their own.
                 try:
                     self.join_all(timeout=_EXIT_GRACE, reraise=False)
@@ -215,7 +221,8 @@ class ControlledScheduler:
         name = self._names.get(threading.get_ident())
         if name is None:
             return
-        baton = self._workers[name].baton
+        worker = self._workers[name]
+        baton = worker.baton
         with self._lock:
             if not self._stepping:          # released at exit
                 return
@@ -223,30 +230,32 @@ class ControlledScheduler:
             if blocked is not None:
                 self._waits[name] = blocked
             self._count_stopped()
-        if baton.acquire(timeout=_DEFAULT_TIMEOUT):
-            return
-        with self._lock:
-            if self._parked.pop(name, None) is not None:
-                self._count_running()
-                raise ScheduleError(f"worker {name!r} starved waiting for a grant")
-        baton.acquire()                     # granted just after the timeout
+        if not baton.acquire(timeout=_DEFAULT_TIMEOUT):
+            with self._lock:
+                if self._parked.pop(name, None) is not None:
+                    self._count_running()
+                    raise _starved(name)
+            baton.acquire()                 # granted just after the timeout
+        if worker.starved:
+            raise _starved(name)
 
     def _release_everything(self, keep_waiters: bool) -> None:
         """Let every parked worker run free, so that join_all can complete.
 
-        With ``keep_waiters``, a worker whose declared wait still holds
-        stays parked: released, it would block for real, for good (one of
-        a deadlock a walk reported, say).  It ends by its starvation timeout.
+        With ``keep_waiters``, a worker whose declared wait still holds is
+        starved instead: released to run, it would block for real, for good
+        (one of a deadlock a walk reported, say), so its pause raises the
+        starvation error at once.
         """
         with self._lock:
             self._stepping = False
             for name in list(self._parked):
                 blocked = self._waits.get(name)
-                if keep_waiters and blocked is not None and blocked():
-                    continue
+                worker = self._workers[name]
+                worker.starved = keep_waiters and blocked is not None and bool(blocked())
                 del self._parked[name]
                 self._count_running()
-                self._workers[name].baton.release()
+                worker.baton.release()
 
     # -- drivers ---------------------------------------------------------------
 

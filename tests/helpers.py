@@ -60,11 +60,7 @@ class EarlyEntryListDepq(ListDepq):
 
     def _insert_entry_early(self, index):
         lists = self.lists
-        node = self.arena.item(index)
-        k = node.key
-        node.link = [0, 0]
-        node.linked_into = [False, False]
-        node.marked_into = [False, False]
+        k = self.arena.keys[index]
         ascending, descending = lists._index_search(k)
         lists._publish(index, MIN, ascending, k)
         lists._index_add(k)

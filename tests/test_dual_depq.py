@@ -67,7 +67,7 @@ def test_pre_reserved_item_is_skipped(dual):
     for i in range(len(dual.arena)):
         item = dual.arena.item(i)
         if item.key is not None and user_key_of(item.key) == 1:
-            assert try_reserve(item, dual.arena.rmw_lock)
+            assert try_reserve(dual.arena, i)
     assert dual.extract_min() == 2
     assert dual.extract_min() is None
 
@@ -103,7 +103,7 @@ class StuckQueue:
 def test_a_queue_that_pops_a_claimed_index_again_fails_the_claim_loop():
     arena = Arena()
     index = arena.new_item(5)
-    assert try_reserve(arena.item(index), arena.rmw_lock)
+    assert try_reserve(arena, index)
     dual = DualDepq(arena, StuckQueue(index), StuckQueue(index))
     with pytest.raises(AssertionError, match=f"min end popped index {index} twice"):
         dual.extract_min()
@@ -215,9 +215,9 @@ def test_reserve_failures_are_charged_to_other_end_successes(monkeypatch):
     calling_end = [MIN]
     real_try_reserve = dual_depq.try_reserve
 
-    def logged(item, lock):
-        won = real_try_reserve(item, lock)
-        log.append((item.key, calling_end[0], won))
+    def logged(arena, index):
+        won = real_try_reserve(arena, index)
+        log.append((arena.keys[index], calling_end[0], won))
         return won
 
     monkeypatch.setattr(dual_depq, "try_reserve", logged)

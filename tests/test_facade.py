@@ -6,7 +6,7 @@ from helpers import run_on_plain_threads
 
 from depq import workload
 from depq.combining import MODES
-from depq.items import MIN, pack_link
+from depq.items import MARKED, MIN, pack_link
 from depq.list_depq import ListDepq
 from depq.reclaim import DEFERRED, EPOCH
 from depq.workload import IMPLS, WorkloadConfig, run_bench
@@ -123,7 +123,7 @@ def test_live_node_tagged_deleted_is_reported(impl):
     assert depq.extract_min() == 0
     assert depq.problems() == []
     pair = depq.lists
-    pair.arena.item(pair.suffix(MIN)[3]).marked_into[MIN] = True
+    pair.arena.state[pair.suffix(MIN)[3]] |= MARKED[MIN]
     problems = depq.problems()
     assert problems and "deleted nodes form a prefix" in problems[0]
     depq.close()
@@ -141,9 +141,9 @@ def test_a_cyclic_list_fails_fast_and_loudly(monkeypatch):
         for key in range(5):
             depq.insert(key)
         first, *_, last = depq.lists.suffix(MIN)
-        link = depq.arena.item(last).link
-        link[MIN] = pack_link(first, 0)
-        made.append(link)
+        words = depq.arena.links[MIN]
+        words[last] = pack_link(first, 0)
+        made.append((words, last))
         return depq
 
     cycle = "min list walk exceeds the arena size: cycle suspected"
@@ -168,8 +168,8 @@ def test_a_cyclic_list_fails_fast_and_loudly(monkeypatch):
         assert not report.audit_ok and not report.accounting_ok
         assert "[FAIL] finite list" in report.notes[0] and report.notes[-1] == cycle
     finally:
-        for link in made:
-            link[MIN] = 0   # no successor: the list ends again
+        for words, last in made:
+            words[last] = 0   # no successor: the list ends again
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -30,12 +30,15 @@ def test_new_item_starts_unreserved():
         assert item.unlinked == 0
 
 
-def test_new_item_has_no_list_fields():
+def test_new_item_starts_off_both_lists():
+    # A fresh slot's link words and list bits are those of a node no list
+    # has taken, and its copy cannot be written through.
     arena = Arena()
     item = arena.item(arena.new_item(1))
-    for name in ("link", "linked_into", "marked_into"):
-        with pytest.raises(AttributeError):
-            getattr(item, name)
+    assert item.link == (0, 0)
+    assert item.linked_into == item.marked_into == (False, False)
+    with pytest.raises(AttributeError):
+        item.link = [0, 0]
 
 
 def test_list_insert_gives_the_node_its_list_fields():
@@ -43,13 +46,13 @@ def test_list_insert_gives_the_node_its_list_fields():
     lists = ListPair(arena)
     for k in range(8):
         index = arena.new_item(k)
-        item = arena.item(index)
         lists.insert(index)
+        item = arena.item(index)
         # Ascending keys: last on MIN, first on MAX.
         assert unpack_link(item.link[MIN]) == (NONE_IDX, 0)
         assert unpack_link(item.link[MAX]) == (NONE_IDX if k == 0 else index - 1, 0)
-        assert item.linked_into == [True, True]
-        assert item.marked_into == [False, False]
+        assert item.linked_into == (True, True)
+        assert item.marked_into == (False, False)
         # Its one index entry is its own key object, not a copy.
         (entry,) = [e for e in lists.index_keys() if uid_of(e) == index]
         assert entry is item.key
@@ -120,11 +123,11 @@ def test_uid_is_the_arena_index():
 
 def test_try_reserve_first_wins_second_loses():
     arena = Arena()
-    item = arena.item(arena.new_item(1))
-    lock = arena.rmw_lock
-    assert try_reserve(item, lock) is True
-    assert try_reserve(item, lock) is False
-    assert try_reserve(item, lock) is False
+    index = arena.new_item(1)
+    assert try_reserve(arena, index) is True
+    assert try_reserve(arena, index) is False
+    assert try_reserve(arena, index) is False
+    assert is_reserved(arena.item(index))
 
 
 def test_concurrent_reserve_has_exactly_one_winner():
@@ -136,7 +139,7 @@ def test_concurrent_reserve_has_exactly_one_winner():
     def racer(slot):
         mine = wins[slot]
         for index in indices:
-            if try_reserve(arena.item(index), arena.rmw_lock):
+            if try_reserve(arena, index):
                 mine.append(index)
 
     run_on_plain_threads(*(partial(racer, i) for i in range(4)))
@@ -193,7 +196,8 @@ def test_link_word_packing_roundtrip():
 def test_poisoned_slot_access_raises():
     arena = Arena()
     idx = arena.new_item(1)
-    arena.slots[idx] = POISONED     # as the reclaimer frees a slot
+    arena.free([idx])     # as the reclaimer frees a slot
+    assert arena.keys[idx] is POISONED
     with pytest.raises(AssertionError):
         arena.item(idx)
 
@@ -235,11 +239,12 @@ def test_key_with_index_method_is_converted_exactly():
     assert key_less(item.key, key_of(0, 0))
 
 
-@pytest.mark.parametrize("impl, bound", [("dual-heap", 1.05), ("list-depq", 4.05)])
+@pytest.mark.parametrize("impl, bound", [("dual-heap", 0.01), ("list-depq", 0.02)])
 def test_objects_the_collector_tracks_per_insert(impl, bound):
-    """A key is an untracked int, and so is an index entry, the key
-    itself: an insert leaves the item and, on the lists, its three
-    list-field lists for the collector to track, and nothing more."""
+    """A slot is ints in the arena's lists, and an index entry is the key
+    itself, an untracked int: an insert leaves nothing for the collector
+    to track but, on the lists, the index's share of a new chunk, one per
+    ``CHUNK_CAP // 2`` keys at most."""
     count = 10_000
     depq = BUILDS[impl](WorkloadConfig(impl=impl))
     gc.collect()

@@ -517,29 +517,30 @@ def test_an_error_inside_a_critical_section_releases_the_lock(op):
     d.insert(5)
     lock = d.arena.rmw_lock
 
-    class FailsUnderTheLock(list):
-        def __getitem__(self, end):
+    class ReadFailsUnderTheLock(list):
+        def __getitem__(self, slot):
             if lock.locked():
                 raise RuntimeError("link read failed under the lock")
-            return super().__getitem__(end)
+            return super().__getitem__(slot)
 
+    class AppendFailsUnderTheLock(list):
         def append(self, index):
             if lock.locked():
                 raise RuntimeError("limbo append failed under the lock")
             super().append(index)
 
-    dummy = d.arena.item(d.lists.dummy)
+    links = d.arena.links
     limbo = d.reclaim._limbo
     if op == "retire":
         assert d.extract_min() == 5     # the sentinel's first unlink
-        limbo[:] = map(FailsUnderTheLock, limbo)
+        limbo[:] = map(AppendFailsUnderTheLock, limbo)
     else:
-        dummy.link = FailsUnderTheLock(dummy.link)
+        links[MIN] = ReadFailsUnderTheLock(links[MIN])   # the sentinel's word too
     with pytest.raises(RuntimeError, match="under the lock"):
         {"publish": partial(d.insert, 3), "mark": d.extract_min,
          "retire": d.extract_max}[op]()
     assert not lock.locked()
-    dummy.link = list(dummy.link)
+    links[MIN] = list(links[MIN])
     limbo[:] = map(list, limbo)
     assert d.audit(MIN).ok and d.audit(MAX).ok
     lock.acquire()

@@ -113,7 +113,7 @@ def test_stale_descending_start_is_held_by_the_epoch():
     last = len(d.arena) - 1   # the last item made
     item = d.arena.item(last)
     assert user_key_of(item.key) == key
-    assert item.linked_into == [True, True] and last in d.lists.walk(MAX)
+    assert item.linked_into == (True, True) and last in d.lists.walk(MAX)
     assert d.audit(MIN).ok and d.audit(MAX).ok
     assert Counter(keys + [key]) == returned + Counter(d.remaining_keys())
     for _ in range(3):

@@ -29,7 +29,7 @@ def extract_claimed(arena, lists, end):
     nodes the other end has claimed are skipped."""
     while (got := lists.extract_first(end)) is not None:
         lists.sweep_head(end)
-        if try_reserve(arena.item(got), arena.rmw_lock):
+        if try_reserve(arena, got):
             return got
     return None
 
@@ -183,7 +183,7 @@ def test_extract_skips_node_reserved_by_other_end():
     arena, lists = make_pair()
     one, two = insert_keys(arena, lists, [1, 2])
     dual = DualDepq(arena, ListPq(lists, MIN), ListPq(lists, MAX))
-    assert try_reserve(arena.item(one), arena.rmw_lock)  # claimed elsewhere
+    assert try_reserve(arena, one)  # claimed elsewhere
     assert dual.extract_min() == 2
     assert arena.item(one).marked_into[MIN]
     assert arena.item(two).marked_into[MIN]

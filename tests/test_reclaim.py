@@ -1,15 +1,17 @@
 """Retire-bit protocol and grace-period reclamation."""
 
+import gc
 import random
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from depq.atomics import checkpoint
-from depq.items import MAX, MIN, Arena
+from depq.items import MAX, MIN, POISONED, Arena
 from depq.list_depq import ListDepq
 from depq.reclaim import DEFERRED, EPOCH, Reclaimer, RetireProtocolError
 from depq.sched import ControlledScheduler
@@ -200,6 +202,38 @@ def test_stalled_inserter_frees_what_its_epoch_held_back():
     assert counts["freed"] == counts["retired"]
     assert d.remaining_keys() == [35]
     assert d.audit(MIN).ok and d.audit(MAX).ok
+
+
+def test_a_freed_slot_holds_no_object_of_its_own():
+    """Rounds of shuffled inserts, each drained at both ends in epoch mode,
+    free every slot but each list's head.  What stays traced, beyond the
+    arena's four lists themselves, is a few entries the index still holds,
+    not an object per freed slot: an int is 28 bytes."""
+    keys = list(range(200))
+    rng = random.Random(37)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        d = ListDepq(reclaim_mode=EPOCH)
+        for _ in range(20):
+            rng.shuffle(keys)
+            for key in keys:
+                d.insert(key)
+            while (d.extract_min(), d.extract_max()) != (None, None):
+                pass
+            for _ in range(3):
+                d.reclaim.try_advance()
+        gc.collect()
+        arena = d.arena
+        held = tracemalloc.get_traced_memory()[0] - sum(
+            map(sys.getsizeof, (arena.keys, arena.state, *arena.links)))
+    finally:
+        tracemalloc.stop()
+    freed = d.reclaim.snapshot()["freed"]
+    assert freed == len(arena) - 2   # every slot but the two lists' heads
+    assert all(arena.keys[i] is POISONED and not arena.links[MIN][i] | arena.links[MAX][i]
+               for i in range(len(arena)) if arena.is_poisoned(i))
+    assert held / freed < 12, held / freed
 
 
 def test_try_advance_is_meaningless_in_deferred_mode():

@@ -546,8 +546,9 @@ def test_exit_after_a_deadlock_raises_the_deadlock_at_once():
 
 
 def test_waiters_left_at_an_error_exit_end_by_their_starvation_timeout(monkeypatch):
-    # Released, each would block in its Lock.acquire for good; left parked,
-    # each ends when its wait for a grant times out.
+    # Released, each would block in its Lock.acquire for good; starved at
+    # the exit, each ends with the starvation error, without waiting out
+    # its timeout.
     monkeypatch.setattr(sched_module, "_DEFAULT_TIMEOUT", 0.5)
     threads = _run_opposite_order_deadlock()
     assert sorted(t.name for t in threads) == ["depq-sched-x", "depq-sched-y"]

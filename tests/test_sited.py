@@ -5,10 +5,15 @@ and its sited code under one."""
 import ast
 import functools
 import importlib
+import threading
 import tomllib
 from pathlib import Path
 
+import pytest
+from helpers import join_threads
+
 from depq import atomics
+from depq.dual_depq import DualDepq
 from depq.items import Arena
 from depq.ordered_list import ListPair
 from depq.sched import ControlledScheduler
@@ -106,6 +111,77 @@ def test_a_wrapped_function_still_reaches_its_sites(monkeypatch):
         sched.run_to_completion("ins")
     assert calls == [index]
     assert lists.suffix_keys(0) == [arena.item(index).key]
+
+
+class HeldArena:
+    """An arena stand-in whose ``new_item`` holds its caller until
+    ``release`` is set, so a thread in ``DualDepq.insert`` stays inside
+    that registered function."""
+
+    keys = ()
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def new_item(self, user_key):
+        self.entered.set()
+        assert self.release.wait(10)
+        return 0
+
+
+class Sink:
+    has_delete = False
+
+    def pq_insert(self, index):
+        pass
+
+
+class NoPause:
+    def pause(self, site, blocked=None):
+        pass
+
+
+def hold_in_dual_insert():
+    """A plain thread named ``held``, held inside ``DualDepq.insert``."""
+    arena = HeldArena()
+    dual = DualDepq(arena, Sink(), Sink())
+    thread = threading.Thread(target=dual.insert, args=(1,), name="held", daemon=True)
+    thread.start()
+    assert arena.entered.wait(10)
+    return arena, thread
+
+
+def test_a_clear_keeps_the_sited_code_under_a_running_frame():
+    atomics.set_controller(NoPause())
+    try:
+        arena, thread = hold_in_dual_insert()
+    finally:
+        atomics.set_controller(None)
+    try:
+        assert atomics._controller is None
+        assert names_checkpoint(DualDepq.insert)    # not swapped under the frame
+    finally:
+        arena.release.set()
+        join_threads([thread])
+    assert names_checkpoint(DualDepq.insert)        # until the next swap
+    atomics.set_controller(None)
+    assert not names_checkpoint(DualDepq.insert)
+
+
+def test_an_install_under_a_running_frame_raises_naming_it():
+    arena, thread = hold_in_dual_insert()           # it runs the twin
+    try:
+        with pytest.raises(RuntimeError, match=r"thread 'held' in DualDepq\.insert"):
+            with ControlledScheduler():
+                pass
+        assert atomics._controller is None
+        assert not names_checkpoint(DualDepq.insert)
+    finally:
+        arena.release.set()
+        join_threads([thread])
+    with ControlledScheduler():
+        assert names_checkpoint(DualDepq.insert)
 
 
 def test_only_atomics_reads_the_controller():
