@@ -5,9 +5,9 @@ A shared word is a plain value, an attribute or an int in a list, whose
 load or store is atomic under the GIL.  They are:
 
 - per arena slot (see :class:`~depq.items.Arena`), an int in one of the
-  arena's lists: each end's link word, and the ``state`` word that holds
-  the claim bit, the retire count and per end the linked-into bit and the
-  deletion tag
+  arena's lists: each end's link word, the claim flag, and the ``state``
+  word that holds the retire count and per end the linked-into bit and
+  the deletion tag
 - a list's head per end, and the index's chunks
 - the reclaimer's epoch, its per-thread epoch slots and its limbo lists
 - a combining record's outcome
@@ -17,7 +17,7 @@ An access with a pause *site*, a short label for the calling code
 location, is :func:`checkpoint` and then the plain read or write.  A
 read-modify-write (a publish CAS, a mark, a claim, an epoch advance, the
 increment of a count with more than one writer), and every write of a
-slot's ``state`` word, runs under a lock the structure already holds, such
+slot's claim flag or ``state`` word, runs under a lock the structure already holds, such
 as the arena's ``rmw_lock``, so it is atomic on any Python implementation.
 The one exception is the combiner's queue, a ``collections.deque``, whose
 appends and pops the standard library documents as thread-safe.

@@ -33,8 +33,8 @@ from types import SimpleNamespace
 from .atomics import checkpoint, sited
 # COMBINING and TWO_LOCKS are re-exported: callers name the modes from here.
 from .combining import COMBINING, TWO_LOCKS, make_serializer  # noqa: F401
-from .items import (MAX, MIN, POISONED, RESERVED, UID_BITS, Arena,
-                    PriorityQueue, reclaimed_access, try_reserve)
+from .items import (MAX, MIN, POISONED, UID_BITS, Arena, PriorityQueue,
+                    reclaimed_access, try_reserve)
 
 
 #: A build's ``counters``, the name the benchmark reads its counts by:
@@ -100,9 +100,9 @@ class DualDepq:
 
     def remaining_keys(self) -> list[int]:
         """User keys still extractable: the ascending queue's unclaimed items."""
-        keys, state = self.arena.keys, self.arena.state
+        keys, reserved = self.arena.keys, self.arena.reserved
         return [keys[index] >> UID_BITS for index in self.min_pq.contents()
-                if not state[index] & RESERVED]
+                if not reserved[index]]
 
     def problems(self) -> list[str]:
         return self.min_pq.problems() + self.max_pq.problems()

@@ -1,8 +1,8 @@
 """Key model, and the arena that holds every item as a slot.
 
 Every element stored in a queue is a *slot* of an :class:`Arena`: an index
-into the arena's four lists of ints, its key, its ``state`` word of claim,
-retire and per-end list bits, and its two link words.  No item is an
+into the arena's five lists of ints, its key, its claim flag, its ``state``
+word of retire and per-end list bits, and its two link words.  No item is an
 object of its own; :class:`Item` is only a read-only copy of one slot for
 quiescent reads.  Indices stay valid until reclamation retires the item;
 a freed slot's key is a poison sentinel, so that any late access trips an
@@ -68,23 +68,22 @@ def unpack_link(word: int) -> tuple[int, int]:
     return (word >> 1) - 1, word & 1
 
 
-#: Bits of a slot's ``state`` word (see :class:`Arena`).  The claim bit.
-RESERVED = 1
-#: One step of the 2-bit retire count, and the count's bits.
-UNLINK = 2
-UNLINKS = 6
+#: Bits of a slot's ``state`` word (see :class:`Arena`).  One step of the
+#: 2-bit retire count, and the count's bits.
+UNLINK = 1
+UNLINKS = 3
 #: Per end, indexed by ``MIN``/``MAX``: the node is linked into that list,
 #: and the node is logically deleted from it (its deletion tag).
-LINKED = (8, 16)
-MARKED = (32, 64)
+LINKED = (4, 8)
+MARKED = (16, 32)
 
 
 class Item(NamedTuple):
     """A read-only copy of one slot, for quiescent reads (tests, audits of
     one node, the benchmark's checks).  No hot path builds one.
 
-    ``reserved`` is the claim bit and ``unlinked`` the retire count, both
-    read out of the slot's ``state`` word; ``link`` holds the slot's two
+    ``reserved`` is the claim flag and ``unlinked`` the retire count, read
+    out of the slot's ``state`` word; ``link`` holds the slot's two
     link words (see :func:`pack_link`), and ``linked_into`` /
     ``marked_into`` its two linked-into bits and two deletion tags, by end.
     An item no list has taken has both link words 0 and every bit clear.
@@ -120,15 +119,18 @@ def reclaimed_access(index: int) -> ReclaimedAccessError:
 
 
 class Arena:
-    """Owner of all items of one queue instance, as four lists indexed by
+    """Owner of all items of one queue instance, as five lists indexed by
     slot, so a node is a few ints in lists the arena owns and no object of
     its own.
 
     - ``keys[i]``: the item's key (see :func:`key_of`); None for a
       sentinel, and ``POISONED`` once the slot is freed.
-    - ``state[i]``: one int of bits: ``RESERVED``, the claim bit, set 0->1
-      at most once and arbitrating which end's extraction claims the item;
-      the retire count in ``UNLINKS``, one ``UNLINK`` per physical removal
+    - ``reserved[i]``: the claim flag, set 0->1 at most once and
+      arbitrating which end's extraction claims the item.  It has a list
+      of its own, apart from ``state``, so that a claim is a plain read and
+      store of one int, as cheap as the attribute store it replaces.
+    - ``state[i]``: one int of bits: the retire count in ``UNLINKS``, one
+      ``UNLINK`` per physical removal
       from a list, whose second increment signals the item is unreachable
       from both lists; and per end the linked-into bit ``LINKED[end]``,
       set in the same step as the publish CAS, and the deletion tag
@@ -140,22 +142,24 @@ class Arena:
       :func:`pack_link`), 0 until a list links it.
 
     Each word is a plain value, as :mod:`depq.atomics` sets out: every
-    write of a ``state`` word and every read-modify-write of a link word
-    (the claim, the retire count's increment, the publish CAS, the marking
+    write of a claim flag or a ``state`` word and every read-modify-write
+    of a link word (the claim, the retire count's increment, the publish
+    CAS, the marking
     fetch-or and the tags beside them) runs under :attr:`rmw_lock`.  The
     hot loops hoist these lists and check ``keys[i] is POISONED``
     themselves.  The arena only grows, so a slot is never reused (no ABA
     on link words).  Freeing a slot stores ``POISONED`` as its key and 0
-    in both its link words, so it holds no object of its own; its
-    ``state`` word stays, a small int.
+    in both its link words, so it holds no object of its own; its claim
+    flag and ``state`` word stay, small ints.
     """
 
-    __slots__ = ("rmw_lock", "keys", "state", "links")
+    __slots__ = ("rmw_lock", "keys", "reserved", "state", "links")
 
     def __init__(self) -> None:
         #: The lock of every write of a slot's shared words.
         self.rmw_lock = threading.Lock()
         self.keys: list = []
+        self.reserved: list[int] = []
         self.state: list[int] = []
         self.links: list[list[int]] = [[], []]
 
@@ -172,6 +176,7 @@ class Arena:
             keys = self.keys
             index = len(keys)
             keys.append(high | index)
+            self.reserved.append(0)
             self.state.append(0)
             links = self.links
             links[MIN].append(0)
@@ -184,6 +189,7 @@ class Arena:
         """Create a sentinel item whose key is never compared."""
         with self.rmw_lock:
             self.keys.append(None)
+            self.reserved.append(0)
             self.state.append(0)
             for words in self.links:
                 words.append(0)
@@ -196,7 +202,7 @@ class Arena:
         if key is POISONED:
             raise reclaimed_access(index)
         s = self.state[index]
-        return Item(key, s & RESERVED, (s & UNLINKS) >> 1,
+        return Item(key, self.reserved[index], s & UNLINKS,
                     (self.links[MIN][index], self.links[MAX][index]),
                     (bool(s & LINKED[MIN]), bool(s & LINKED[MAX])),
                     (bool(s & MARKED[MIN]), bool(s & MARKED[MAX])))
@@ -219,17 +225,16 @@ class Arena:
 
 @sited
 def try_reserve(arena: Arena, index: int) -> bool:
-    """Atomically claim the item at ``index``; True iff this call set its
-    claim bit.  Pauses at ``reserve``."""
+    """Atomically claim the item at ``index``; True iff this call flipped
+    its claim flag 0->1.  Pauses at ``reserve``."""
     checkpoint("reserve")
-    state = arena.state
+    reserved = arena.reserved
     lock = arena.rmw_lock
     lock.acquire()
     try:
-        s = state[index]
-        if s & RESERVED:
+        if reserved[index]:
             return False
-        state[index] = s | RESERVED
+        reserved[index] = 1
         return True
     finally:
         lock.release()

@@ -58,9 +58,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .atomics import checkpoint, sited
-from .items import (LINKED, MARKED, MAX, MIN, NONE_IDX, POISONED, RESERVED,
-                    UID_MASK, Arena, key_less, reclaimed_access, uid_of,
-                    user_key_of)
+from .items import (LINKED, MARKED, MAX, MIN, NONE_IDX, POISONED, UID_MASK,
+                    Arena, key_less, reclaimed_access, uid_of, user_key_of)
 
 
 #: Entries an index chunk may hold; one more splits it in two.
@@ -407,9 +406,9 @@ class ListPair:
 
     def suffix_keys(self, end: int, include_reserved: bool = False) -> list[int]:
         """Keys of the live suffix, in list order."""
-        keys, state = self._keys, self._state
+        keys, reserved = self._keys, self.arena.reserved
         return [keys[node] for node in self.suffix(end)
-                if include_reserved or not state[node] & RESERVED]
+                if include_reserved or not reserved[node]]
 
     def audit(self, end: int) -> "AuditReport":
         """Check the structural invariants of one list."""

@@ -98,12 +98,12 @@ class Reclaimer:
         lock.acquire()
         try:
             s = state[index]
-            prior = (s & UNLINKS) >> 1
-            if prior < 3:    # the 2-bit count stops at 3
-                state[index] = s + UNLINK
+            prior = s & UNLINKS
             if not prior:
+                state[index] = s + UNLINK
                 return False
-            if prior == 1:
+            if prior == 1:    # a third call leaves the count at 2
+                state[index] = s + UNLINK
                 self._limbo[self._epoch % 3].append(index)
                 self.retired += 1
                 return True

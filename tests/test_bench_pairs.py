@@ -73,17 +73,31 @@ def test_an_incorrect_run_is_reported_and_left_out_of_the_medians():
     assert entry["metrics"]["insert_p50_us"]["pairs_won"] == 1
 
 
-def test_tier1_times_come_from_pytests_summary_line():
+def test_a_run_that_exits_with_an_error_counts_as_incorrect():
+    crashed = "# env {}\nTraceback (most recent call last):\n"
+    for out, code in [(crashed, 1), (run_output(1, 100.0, 3.0), 1), ("", 0), (crashed, 0)]:
+        _, result = bench_pairs.parse_run(out, code)
+        assert result == {"correct": False, "failed": 0, "metrics": {}, "exit": code}
+    parent = [bench_pairs.parse_run(run_output(1, 100.0, 3.0))[1]]
+    change = [bench_pairs.parse_run(crashed, 1)[1]]
+    entry = bench_pairs.summarize([1], parent, change, END_TO_END, "cmd", {})
+    assert entry["correct"] == {"parent": True, "change": False}
+    assert entry["metrics"] == {}
+
+
+def test_tier1_times_and_failures_come_from_pytests_summary_line():
     out = "....\n============ slowest 5 durations ============\n307 passed in 22.10s\n"
-    assert bench_pairs.parse_tier1(out) == (307, 22.1)
-    assert bench_pairs.parse_tier1("1 failed, 306 passed, 2 warnings in 9.5s") == (306, 9.5)
+    assert bench_pairs.parse_tier1(out) == (307, 0, 22.1)
+    assert bench_pairs.parse_tier1("1 failed, 306 passed, 2 warnings in 9.5s") == (306, 1, 9.5)
+    assert bench_pairs.parse_tier1("= 2 failed, 300 passed, 1 error in 9.5s =") == (300, 3, 9.5)
     with pytest.raises(ValueError):
-        bench_pairs.parse_tier1("no summary\n")
-    entry = bench_pairs.summarize_tier1("cmd", [(305, 20.0), (305, 22.0)],
-                                        [(307, 19.0), (307, 21.0)])
+        bench_pairs.parse_tier1("no summary\n(5 durations < 0.005s hidden.)\n")
+    entry = bench_pairs.summarize_tier1("cmd", [(305, 0, 20.0), (305, 0, 22.0)],
+                                        [(307, 0, 19.0), (306, 1, 21.0)])
     assert entry == {"command": "cmd", "runs": 2, "parent": [20.0, 22.0],
                      "change": [19.0, 21.0], "parent_median": 21.0,
-                     "change_median": 20.0, "tests": {"parent": 305, "change": 307}}
+                     "change_median": 20.0, "tests": {"parent": 305, "change": 307},
+                     "failed": {"parent": [0, 0], "change": [0, 1]}}
 
 
 def test_bench_35_has_the_keys_the_script_writes():
@@ -94,5 +108,6 @@ def test_bench_35_has_the_keys_the_script_writes():
     ours = bench_pairs.summarize([1], parent, parent, END_TO_END, "cmd", {})
     assert list(ours) == list(entry)
     assert list(ours["metrics"]["insert_p50_us"]) == list(entry["metrics"]["insert_p50_us"])
-    assert list(bench_pairs.summarize_tier1("cmd", [(1, 1.0)], [(1, 1.0)])) == \
-        list(bench["tier1_wall_s"])
+    # Tier-1 failures are a key BENCH_35.json did not have; the rest are its keys.
+    tier1 = list(bench_pairs.summarize_tier1("cmd", [(1, 0, 1.0)], [(1, 0, 1.0)]))
+    assert tier1 == list(bench["tier1_wall_s"]) + ["failed"]

@@ -207,7 +207,7 @@ def test_stalled_inserter_frees_what_its_epoch_held_back():
 def test_a_freed_slot_holds_no_object_of_its_own():
     """Rounds of shuffled inserts, each drained at both ends in epoch mode,
     free every slot but each list's head.  What stays traced, beyond the
-    arena's four lists themselves, is a few entries the index still holds,
+    arena's five lists themselves, is a few entries the index still holds,
     not an object per freed slot: an int is 28 bytes."""
     keys = list(range(200))
     rng = random.Random(37)
@@ -226,7 +226,7 @@ def test_a_freed_slot_holds_no_object_of_its_own():
         gc.collect()
         arena = d.arena
         held = tracemalloc.get_traced_memory()[0] - sum(
-            map(sys.getsizeof, (arena.keys, arena.state, *arena.links)))
+            map(sys.getsizeof, (arena.keys, arena.reserved, arena.state, *arena.links)))
     finally:
         tracemalloc.stop()
     freed = d.reclaim.snapshot()["freed"]

@@ -537,19 +537,18 @@ def _run_opposite_order_deadlock():
 
 
 def test_exit_after_a_deadlock_raises_the_deadlock_at_once():
-    # The workers of the deadlock stay parked until their starvation
-    # timeout: leaving the block must neither wait long for them nor replace
-    # the walk's error.
+    # The workers of the deadlock are starved at the exit: leaving the block
+    # must neither wait long for them nor replace the walk's error.
     t0 = time.monotonic()
     _run_opposite_order_deadlock()
     assert time.monotonic() - t0 < 2.0
 
 
-def test_waiters_left_at_an_error_exit_end_by_their_starvation_timeout(monkeypatch):
+def test_waiters_left_at_an_error_exit_end_by_their_starvation_timeout():
     # Released, each would block in its Lock.acquire for good; starved at
-    # the exit, each ends with the starvation error, without waiting out
-    # its timeout.
-    monkeypatch.setattr(sched_module, "_DEFAULT_TIMEOUT", 0.5)
+    # the exit, each ends with the starvation error well inside the default
+    # starvation timeout, which it does not wait out.
+    assert sched_module._DEFAULT_TIMEOUT > 5.0
     threads = _run_opposite_order_deadlock()
     assert sorted(t.name for t in threads) == ["depq-sched-x", "depq-sched-y"]
     deadline = time.monotonic() + 5.0

@@ -1,15 +1,17 @@
 """Write a ``BENCH_<pr>.json``: alternating parent/change pairs of the benchmark.
 
     python3 tools/bench_pairs.py --pr N --parent HEAD~1 \\
-        --workload deep-heap:10 --workload deep-list:3 --seconds 25 --tier1-runs 6
+        --workload deep-heap:10 --workload deep-list:3
 
 Each pair runs ``python3 benchmarks/run.py --workload W --seed N --seconds S
 --trace 0`` once on each side, the parent first in odd pairs and the change
-first in even ones, so a drift of the machine's speed favours neither.  The
-change side is this checkout; the parent side is a temporary ``git
-worktree`` of ``--parent``, removed at the end, or an existing checkout of
-it given as ``--parent-dir``.  Every pair has a seed of its own, counted up
-from ``--seed-base`` (``100 * pr + 1`` by default).
+first in even ones, so a drift of the machine's speed favours neither.  ``S``
+is ``BENCHMARK.json``'s ``run_seconds``.  The change side is this checkout;
+the parent side is ``git archive`` of the commit ``--parent`` unpacked into a
+temporary directory, removed at the end, so the repository itself is left
+as it was.  Every pair has a seed of its own, counted up from ``100 * pr +
+1``.  A run that exits with an error or prints no result line counts as an
+incorrect run.
 
 Per workload and end-to-end metric of ``BENCHMARK.json`` the file holds
 each side's median and interquartile range, the change's relative
@@ -17,7 +19,7 @@ difference, the metric's bound, and ``pairs_won``: the pairs in which the
 change read better (ties count for neither).  It also holds the first
 change run's ``# env`` line, each side's correctness and failed ops, and
 ``tier1_wall_s``: the tier-1 suite's wall times as pytest reports them,
-``--tier1-runs`` alternating runs per side.
+and its failed tests, from ``TIER1_RUNS`` alternating runs per side.
 """
 
 from __future__ import annotations
@@ -34,24 +36,37 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
-_SUMMARY = re.compile(r"(\d+) passed.* in ([\d.]+)s")
+TIER1_RUNS = 6
+_SUMMARY = re.compile(r" in ([\d.]+)s\b")
+_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 
 
-def parse_run(stdout: str) -> tuple[dict, dict]:
+def parse_run(stdout: str, returncode: int = 0) -> tuple[dict, dict]:
     """The ``# env`` object and the result object (the last line) of one
-    ``benchmarks/run.py`` run's standard output."""
+    ``benchmarks/run.py`` run's standard output.  A run that exited with
+    an error, or whose last line is no result, gives an incorrect result
+    with no metrics that names its exit status."""
     lines = stdout.strip().splitlines()
     env = next((json.loads(line[len("# env "):]) for line in lines
                 if line.startswith("# env ")), {})
-    return env, json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1]) if returncode == 0 else None
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if not isinstance(result, dict):
+        result = {"correct": False, "failed": 0, "metrics": {}, "exit": returncode}
+    return env, result
 
 
-def parse_tier1(stdout: str) -> tuple[int, float]:
-    """Tests passed and seconds, from pytest's last summary line."""
+def parse_tier1(stdout: str) -> tuple[int, int, float]:
+    """Tests passed, tests failed or in error, and seconds, from pytest's
+    last summary line."""
     for line in reversed(stdout.strip().splitlines()):
         found = _SUMMARY.search(line)
-        if found:
-            return int(found.group(1)), float(found.group(2))
+        if found and _COUNT.search(line):
+            counts = {kind.rstrip("s"): int(n) for n, kind in _COUNT.findall(line)}
+            return (counts.get("passed", 0), counts.get("failed", 0) + counts.get("error", 0),
+                    float(found.group(1)))
     raise ValueError("no pytest summary line in the output")
 
 
@@ -95,20 +110,30 @@ def summarize(seeds: list[int], parent: list[dict], change: list[dict],
     }
 
 
-def summarize_tier1(command: str, parent: list[tuple[int, float]],
-                    change: list[tuple[int, float]]) -> dict:
+def summarize_tier1(command: str, parent: list[tuple[int, int, float]],
+                    change: list[tuple[int, int, float]]) -> dict:
+    """``parent[i]`` and ``change[i]`` are :func:`parse_tier1`'s readings of
+    run ``i``.  ``tests`` holds each side's most tests passed, and
+    ``failed`` each run's failed tests."""
     return {
         "command": command, "runs": len(parent),
-        "parent": [s for _, s in parent], "change": [s for _, s in change],
-        "parent_median": statistics.median(s for _, s in parent),
-        "change_median": statistics.median(s for _, s in change),
-        "tests": {"parent": max(n for n, _ in parent), "change": max(n for n, _ in change)},
+        "parent": [s for _, _, s in parent], "change": [s for _, _, s in change],
+        "parent_median": statistics.median(s for _, _, s in parent),
+        "change_median": statistics.median(s for _, _, s in change),
+        "tests": {"parent": max(n for n, _, _ in parent),
+                  "change": max(n for n, _, _ in change)},
+        "failed": {"parent": [f for _, f, _ in parent], "change": [f for _, f, _ in change]},
     }
 
 
-def _run(cwd: Path, argv: list[str], env: dict | None = None) -> str:
+def _run(cwd: Path, argv: list[str], env: dict | None = None) -> tuple[str, int]:
     done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
-    return done.stdout
+    return done.stdout, done.returncode
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
 
 
 def _sides(pair: int, parent: Path) -> list[tuple[str, Path]]:
@@ -129,7 +154,7 @@ def measure(parent_dir: Path, workloads: list[tuple[str, int]], seconds: float,
             argv = [sys.executable, "benchmarks/run.py", "--workload", name,
                     "--seed", str(n), "--seconds", str(seconds), "--trace", "0"]
             for side, cwd in _sides(pair, parent_dir):
-                run_env, result = parse_run(_run(cwd, argv))
+                run_env, result = parse_run(*_run(cwd, argv))
                 runs[side].append(result)
                 if side == "change" and not env:
                     env = run_env
@@ -145,7 +170,7 @@ def measure(parent_dir: Path, workloads: list[tuple[str, int]], seconds: float,
         for pair in range(tier1_runs):
             for side, cwd in _sides(pair, parent_dir):
                 env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
-                times[side].append(parse_tier1(_run(cwd, TIER1, env)))
+                times[side].append(parse_tier1(_run(cwd, TIER1, env)[0]))
         out["tier1_wall_s"] = summarize_tier1("PYTHONPATH=src python -m pytest -q",
                                               times["parent"], times["change"])
     return out
@@ -160,45 +185,35 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="names BENCH_<pr>.json")
     parser.add_argument("--parent", default="HEAD~1", help="the parent commit")
-    parser.add_argument("--parent-dir", type=Path,
-                        help="an existing checkout of the parent, used instead of a worktree")
     parser.add_argument("--workload", type=_workload, action="append",
                         help="NAME[:PAIRS], 3 pairs by default; all of BENCHMARK.json's if none")
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--seed-base", type=int)
-    parser.add_argument("--tier1-runs", type=int, default=6)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [(w["name"], 3) for w in bench["workloads"]]
-    seed_base = args.seed_base if args.seed_base is not None else args.pr * 100 + 1
-    parent_sha = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
-                                capture_output=True, text=True).stdout.strip()
+    parent_sha = _git("rev-parse", args.parent)
+    change = _git("rev-parse", "HEAD")[:12]
+    if _git("status", "--porcelain", "--untracked-files=no"):
+        change += " with uncommitted changes"
     with tempfile.TemporaryDirectory() as scratch:
-        parent_dir = args.parent_dir
-        if parent_dir is None:
-            parent_dir = Path(scratch) / "parent"
-            subprocess.run(["git", "worktree", "add", "--detach", str(parent_dir), parent_sha],
-                           cwd=ROOT, check=True, capture_output=True)
-        try:
-            result = measure(parent_dir.resolve(), workloads, args.seconds, seed_base,
-                             args.tier1_runs, bench["end_to_end"])
-        finally:
-            if args.parent_dir is None:
-                subprocess.run(["git", "worktree", "remove", "--force", str(parent_dir)],
-                               cwd=ROOT, capture_output=True)
+        archive = subprocess.run(["git", "archive", parent_sha], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", scratch], input=archive, check=True)
+        result = measure(Path(scratch), workloads, bench["run_seconds"],
+                         args.pr * 100 + 1, TIER1_RUNS, bench["end_to_end"])
+    for entry in result["workloads"].values():
+        entry["env"]["commit"] = change
     env = next(iter(result["workloads"].values()))["env"]
     report = {
         "what": ("Parent vs change, alternating pairs of `benchmarks/run.py`; per metric "
                  "the medians and interquartile ranges of each side's runs and the pairs "
                  "in which the change read better (ties count for neither). The parent is "
-                 f"commit {parent_sha[:12]}; the change is the checkout that ran the script."),
+                 f"commit {parent_sha[:12]}; the change is commit {change}."),
         "machine": (f"{env.get('nproc')}-core machine, CPython {env.get('python')}, each run "
                     f"pinned to CPU {', '.join(map(str, env.get('cpus', [])))} by the runner"),
         **result,
     }
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
