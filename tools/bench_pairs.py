@@ -142,7 +142,7 @@ def _sides(pair: int, parent: Path) -> list[tuple[str, Path]]:
 
 
 def measure(parent_dir: Path, workloads: list[tuple[str, int]], seconds: float,
-            seed_base: int, tier1_runs: int, end_to_end: list[dict]) -> dict:
+            seed_base: int, end_to_end: list[dict]) -> dict:
     out: dict = {"workloads": {}}
     seed = seed_base
     for name, pairs in workloads:
@@ -165,14 +165,13 @@ def measure(parent_dir: Path, workloads: list[tuple[str, int]], seconds: float,
                    f"--seconds {seconds:g} --trace 0")
         out["workloads"][name] = summarize(seeds, runs["parent"], runs["change"],
                                            end_to_end, command, env)
-    if tier1_runs:
-        times: dict = {"parent": [], "change": []}
-        for pair in range(tier1_runs):
-            for side, cwd in _sides(pair, parent_dir):
-                env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
-                times[side].append(parse_tier1(_run(cwd, TIER1, env)[0]))
-        out["tier1_wall_s"] = summarize_tier1("PYTHONPATH=src python -m pytest -q",
-                                              times["parent"], times["change"])
+    times: dict = {"parent": [], "change": []}
+    for pair in range(TIER1_RUNS):
+        for side, cwd in _sides(pair, parent_dir):
+            env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
+            times[side].append(parse_tier1(_run(cwd, TIER1, env)[0]))
+    out["tier1_wall_s"] = summarize_tier1("PYTHONPATH=src python -m pytest -q",
+                                          times["parent"], times["change"])
     return out
 
 
@@ -200,7 +199,7 @@ def main(argv=None) -> int:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", scratch], input=archive, check=True)
         result = measure(Path(scratch), workloads, bench["run_seconds"],
-                         args.pr * 100 + 1, TIER1_RUNS, bench["end_to_end"])
+                         args.pr * 100 + 1, bench["end_to_end"])
     for entry in result["workloads"].values():
         entry["env"]["commit"] = change
     env = next(iter(result["workloads"].values()))["env"]
