@@ -2,12 +2,14 @@
 
 ``make_serializer`` builds one of two kinds, chosen by mode.  Both take a
 per-request function ``apply`` and offer ``announce(request)``, which
-returns ``apply(request)``.  Both keep the same :class:`BatchStats` in
-``stats``: a histogram of batch sizes, plain ints updated under the end's
-lock, so they are exact.
+returns ``apply(request)``.  Both offer the same :class:`BatchStats` in
+``stats``: a histogram of batch sizes, from plain ints updated under the
+end's lock, so it is exact.
 
 ``two-locks`` (:class:`EndLock`, the default): each caller takes the end's
-lock, runs its own request and releases.  Every call is a batch of one.
+lock, runs its own request and releases.  Every call is a batch of one, so
+the lock keeps only a count of its calls and builds the histogram from it
+when ``stats`` is read.
 
 ``combining`` (:class:`Combiner`): the paper's lock-based combining, a
 combining lock after Oyama, Taura and Yonezawa (PDSEC 1999) and flat
@@ -45,8 +47,9 @@ DEFAULT_MODE = TWO_LOCKS
 
 
 class BatchStats:
-    """One serializer's batches: how many of each size.  The serializer
-    updates them under its own lock."""
+    """One serializer's batches: how many of each size.  A combiner updates
+    them under its own lock; an :class:`EndLock` builds them from its
+    count of calls."""
 
     __slots__ = ("batch_sizes",)
 
@@ -128,13 +131,22 @@ class EndLock:
 
     A plain ``threading.Lock``, which a caller waits for at ``lock-acquire``,
     a checkpoint that names the lock as what keeps it waiting (see
-    :func:`~depq.atomics.checkpoint`).
+    :func:`~depq.atomics.checkpoint`).  ``calls`` counts the calls, under
+    the lock; each is a batch of one, so no histogram is kept per call.
     """
 
     def __init__(self, apply: Callable[[Any], Any]):
         self._apply = apply
         self._lock = threading.Lock()
-        self.stats = BatchStats()
+        self.calls = 0
+
+    @property
+    def stats(self) -> BatchStats:
+        """``calls`` batches of one."""
+        stats = BatchStats()
+        if self.calls:
+            stats.batch_sizes[1] = self.calls
+        return stats
 
     @atomics.sited
     def announce(self, request: Any) -> Any:
@@ -145,7 +157,7 @@ class EndLock:
         try:
             return self._apply(request)
         finally:
-            self.stats.record(1)
+            self.calls += 1
             self._lock.release()
 
 

@@ -7,10 +7,11 @@ and :class:`~depq.dual_depq.DualDepq` adds the other end's extraction over
 the two, with one serializer per end (:mod:`depq.combining`: a per-end lock
 by default, or a combiner) in front of it.
 
-An extraction pops its own end's first live node and claims it; a node the
-other end has already claimed is skipped.  The pop's sweep then unlinks
-the previous head (the node the end popped before, or the sentinel) and
-hands it to a reclaimer, which retires a node once both lists have
+An extraction pops its own end's first unclaimed node and claims it; the
+pop deletes every node the other end has already claimed before it in the
+same step.  The pop's sweep then unlinks the previous head (the node the
+end popped before, or the sentinel) and the claimed nodes after it, and
+hands each to a reclaimer, which retires a node once both lists have
 dropped it, and the pop tries to advance the reclaimer's epoch.
 Extractions run outside the epoch: an end's consumer reads only nodes
 still linked on its own list (the node it pops stays the head until its
@@ -51,11 +52,13 @@ class ListDepq(MultiConsumerDepq):
         return self.lists.audit(end)
 
     def stats(self) -> dict:
-        """Also each end's ``marks``, its pops that returned a node: every
-        one of them either claimed its item or failed to."""
+        """Also each end's ``marks``, the nodes its pops marked: each pop
+        that returned a node either claimed it or failed to, and marked
+        every claimed node it skipped on the way."""
         stats = super().stats()
-        stats["marks"] = [won + lost for won, lost in
-                          zip(stats["extract_successes"], stats["reserve_failures"])]
+        stats["marks"] = [won + lost + skipped for won, lost, skipped in
+                          zip(stats["extract_successes"], stats["reserve_failures"],
+                              self.lists.skipped)]
         stats["insert_cas_failures"] = self.lists.insert_cas_failures
         stats["retired"] = self.reclaim.retired
         return stats

@@ -12,13 +12,18 @@ Each end keeps one pointer, its head, which is always a logically deleted
 node.  An end's consumer sweeps after each pop that returns a node, before
 its next pop, so between pops the deleted prefix is the head alone: a pop
 marks the head's link word, and its sweep moves the head to the node that
-word names.  This is Lindén and Jonsson's deleted prefix with the batching
-of physical deletion taken out; a second pop before the sweep finds the
-head's word already marked and fails an assertion.
+word names.  A node the other end has claimed is already returned, so the
+pop that meets it marks that node's own word too, in the same hold of the
+lock, and goes on to the first unclaimed node; the sweep then moves the
+head over the whole marked run at once.  This is Lindén and Jonsson's
+deleted prefix, whose physical deletion removes a run of dead nodes in one
+step, with the batching across pops taken out; a second pop before the
+sweep finds the head's word already marked and fails an assertion.
 
-The lists never claim an item.  :class:`ListPq` makes one end a plain
-single-ended priority queue, whose pop also sweeps; the generic
-construction of :mod:`depq.dual_depq` claims items over two.
+The lists never claim an item; they only read the claim flag to skip.
+:class:`ListPq` makes one end a plain single-ended priority queue, whose
+pop also sweeps; the generic construction of :mod:`depq.dual_depq` claims
+items over two.
 
 Insertion is lock-free: any number of threads may insert concurrently with
 each other and with the per-end consumer.  One insert links its node into
@@ -99,9 +104,12 @@ class ListPair:
         self.arena = arena
         # The arena's lists themselves, for the hot loops (see ``Arena``).
         self._keys, self._state, self._link_words = arena.keys, arena.state, arena.links
+        self._reserved = arena.reserved
         self._lock = arena.rmw_lock
         # Bumped by any inserter, under ``_lock``, on the rare failed CAS.
         self.insert_cas_failures = 0
+        # Per end, the claimed nodes its pops skipped; bumped under ``_lock``.
+        self.skipped = [0, 0]
         dummy = arena.new_dummy()
         # The sentinel is on both lists and counts as logically deleted
         # from the start; it has no index entry.
@@ -303,15 +311,21 @@ class ListPair:
 
     @sited
     def extract_first(self, end: int) -> int | None:
-        """Logically delete the first live node of one list and return it, or
-        None if the list is empty.  The node may already be claimed by the
-        other end: claiming is the caller's step (see :mod:`depq.dual_depq`).
+        """Logically delete the first unclaimed node of one list, and every
+        claimed node before it, and return it; or None if the list is
+        empty.  The node returned is claimed only if it is the list's last,
+        or if the other end claims it after the pop: claiming is the
+        caller's step (see :mod:`depq.dual_depq`).
 
         Consumer-only, and only once the end's last pop that returned a
         node has been swept, so the head is the whole deleted prefix.  Marks
         the head's link word with one fetch-or; the successor it names is
-        the node deleted, and its tag for this end, which is also its index
-        entry's dead flag, is set in the same step.
+        deleted, and its tag for this end, which is also its index entry's
+        dead flag, is set in the same step.  While that node's claim flag
+        is set and it has a successor, the same hold of the lock marks the
+        node's own link word and tags the successor, so a run of nodes the
+        other end has returned goes in one pop.  Each node skipped so is
+        counted in ``skipped[end]``.
         """
         # Raw link words and inlined poison checks, as in ``insert``.
         keys, links = self._keys, self._link_words[end]
@@ -325,7 +339,8 @@ class ListPair:
             # answer.
             return None
         checkpoint("ex-mark")
-        state = self._state
+        state, reserved = self._state, self._reserved
+        marked = MARKED[end]
         lock = self._lock
         lock.acquire()
         try:
@@ -335,7 +350,21 @@ class ListPair:
             assert prior > 1, "marked an end-of-list link"
             target = (prior >> 1) - 1
             # The tag, before sweep_head can hand the node to reclamation.
-            state[target] |= MARKED[end]
+            state[target] |= marked
+            if reserved[target]:
+                # Claimed, so returned by the other end already: skipping it
+                # has the effect of the failed claim it saves.  A node whose
+                # word names no successor ends the run, a freed one too.
+                skipped = 0
+                while reserved[target]:
+                    prior = links[target]
+                    if prior <= 1:
+                        break
+                    links[target] = prior | 1
+                    target = (prior >> 1) - 1
+                    state[target] |= marked
+                    skipped += 1
+                self.skipped[end] += skipped
         finally:
             lock.release()
         if keys[target] is POISONED:
@@ -344,24 +373,33 @@ class ListPair:
 
     @sited
     def sweep_head(self, end: int) -> list[int]:
-        """Physically delete the head once a pop has marked its link word.
+        """Physically delete the head, and the run of nodes behind it that
+        the last pop marked, once that pop has marked the head's link word.
 
-        Consumer-only.  Moves the head to the node the marked word names,
-        the node the pop returned, and returns the old head in a list, for
-        the caller to run through reclamation; returns ``[]`` when the
-        word is not marked.  Only the head write pauses (see
-        :mod:`depq.atomics`): a marked word never changes and only this
-        end's consumer sets a mark.
+        Consumer-only.  Moves the head over every marked word, to the node
+        the pop returned, and returns the nodes it passed, the old head
+        first, for the caller to run through reclamation; returns ``[]``
+        when the head's word is not marked.  Only the head write pauses
+        (see :mod:`depq.atomics`): a marked word never changes and only
+        this end's consumer sets a mark.
         """
         head = self._head[end]
         if self._keys[head] is POISONED:
             raise reclaimed_access(head)
-        word = self._link_words[end][head]
+        links = self._link_words[end]
+        word = links[head]
         if not word & 1:
             return []
+        removed = [head]
+        node = (word >> 1) - 1
+        word = links[node]
+        while word & 1:
+            removed.append(node)
+            node = (word >> 1) - 1
+            word = links[node]
         checkpoint("uh-write-head")
-        self._head[end] = (word >> 1) - 1
-        return [head]
+        self._head[end] = node
+        return removed
 
     # -- inspection ----------------------------------------------------------
 
@@ -537,11 +575,12 @@ class ListPq:
     never interfere.  No arbitrary-delete support.
 
     The sole consumer doubles as the sweeper: each extraction physically
-    deletes the node behind it, as the pair's contract asks, and otherwise
-    inserts would wade through an ever-growing dead prefix.  This is the
-    one place that sweeps.  Nodes it unlinks go to the reclaimer when one
-    is attached, and each pop then tries to advance the reclaimer's epoch,
-    so the path that retires nodes also frees them.
+    deletes the nodes behind the one it returns, the old head and any run
+    of claimed nodes the pop skipped, as the pair's contract asks, and
+    otherwise inserts would wade through an ever-growing dead prefix.  This
+    is the one place that sweeps.  Nodes it unlinks go to the reclaimer
+    when one is attached, and each pop then tries to advance the
+    reclaimer's epoch, so the path that retires nodes also frees them.
     """
 
     has_delete = False

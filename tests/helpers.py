@@ -7,7 +7,7 @@ import threading
 import time
 
 from depq.atomics import checkpoint
-from depq.items import MAX, MIN
+from depq.items import MARKED, MAX, MIN
 from depq.lincheck import EMPTY, Event
 from depq.list_depq import ListDepq
 from depq.oracle import SeqDepq
@@ -46,6 +46,34 @@ class EagerUnlinkListDepq(ListDepq):
                 on_unlink(index)
             return index
         queue.pq_extract_first = pop_and_unlink
+
+
+class OverskipListDepq(ListDepq):
+    """Deliberately broken build for the skip's mutation test: a pop that
+    skips a claimed node skips the first unclaimed node after it as well,
+    marking its word as the skip marks a claimed node's, so that node's
+    key is deleted unreturned.  The skip count includes it, so ``marks``
+    still matches the nodes marked."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        lists, arena = self.lists, self.arena
+        pop = lists.extract_first
+
+        def overskip(end):
+            skipped = lists.skipped[end]
+            got = pop(end)
+            links = arena.links[end]
+            if got is None or lists.skipped[end] == skipped or links[got] <= 1:
+                return got
+            with arena.rmw_lock:
+                word = links[got]
+                links[got] = word | 1
+                got = (word >> 1) - 1
+                arena.state[got] |= MARKED[end]
+                lists.skipped[end] += 1
+            return got
+        lists.extract_first = overskip
 
 
 class EarlyEntryListDepq(ListDepq):

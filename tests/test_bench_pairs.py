@@ -111,3 +111,20 @@ def test_bench_35_has_the_keys_the_script_writes():
     # Tier-1 failures are a key BENCH_35.json did not have; the rest are its keys.
     tier1 = list(bench_pairs.summarize_tier1("cmd", [(1, 0, 1.0)], [(1, 0, 1.0)]))
     assert tier1 == list(bench["tier1_wall_s"]) + ["failed"]
+
+
+def test_a_tier1_run_that_prints_no_summary_is_recorded_as_failed():
+    # A run killed by a segmentation fault prints no pytest summary line.
+    crashed = ("........................................................ [ 22%]\n"
+               "Fatal Python error: Segmentation fault\n\n"
+               "Current thread 0x00007f (most recent call first):\n"
+               '  File "src/depq/sched.py", line 200 in _park\n')
+    assert bench_pairs.read_tier1(crashed, -11) == (0, {"exit": -11}, None)
+    assert bench_pairs.read_tier1("307 passed in 22.10s\n", 0) == (307, 0, 22.1)
+    entry = bench_pairs.summarize_tier1("cmd", [(305, 0, 20.0), (305, 0, 22.0)],
+                                        [(307, 0, 19.0), (0, {"exit": -11}, None)])
+    assert entry["change"] == [19.0, None] and entry["change_median"] == 19.0
+    assert entry["parent_median"] == 21.0
+    assert entry["tests"] == {"parent": 305, "change": 307}
+    assert entry["failed"] == {"parent": [0, 0], "change": [0, {"exit": -11}]}
+    json.dumps(entry)        # it still goes into BENCH_<pr>.json

@@ -72,24 +72,25 @@ SURFACES = ([("list-depq", mode, reclaim_mode) for mode in MODES
 @pytest.mark.parametrize("impl, mode, reclaim_mode", SURFACES)
 def test_counters_are_a_view_of_stats(captured, monkeypatch, fast_switching,
                                       impl, mode, reclaim_mode):
-    # ``popped`` counts each end's pair pops that returned a node; each
+    # ``marked`` counts the nodes each end's sweeps unlinked: one per node
+    # that end's pops marked, since each pop is swept before the next; each
     # end's pops run one at a time, behind its serializer.
-    popped = [0, 0]
+    marked = [0, 0]
     make = workload.BUILDS[impl]
 
-    def counting_pops(cfg):
+    def counting_sweeps(cfg):
         depq = make(cfg)
         if impl == "list-depq":
-            pop = depq.lists.extract_first
+            sweep = depq.lists.sweep_head
 
             def counted(end):
-                got = pop(end)
-                popped[end] += got is not None
-                return got
-            depq.lists.extract_first = counted
+                removed = sweep(end)
+                marked[end] += len(removed)
+                return removed
+            depq.lists.sweep_head = counted
         return depq
 
-    monkeypatch.setitem(workload.BUILDS, impl, counting_pops)
+    monkeypatch.setitem(workload.BUILDS, impl, counting_sweeps)
     cfg = WorkloadConfig(impl=impl, mode=mode, reclaim_mode=reclaim_mode,
                          threads_insert=2, threads_min=2, threads_max=2,
                          prefill=20, key_range=64, ops_per_thread=150, seed=29)
@@ -102,7 +103,7 @@ def test_counters_are_a_view_of_stats(captured, monkeypatch, fast_switching,
     read = (depq if impl == "list-depq" else depq.inner).counters.snapshot()
     assert TARGET_KEYS[impl] <= set(read)
     if impl == "list-depq":
-        assert sum(popped) > 0 and stats["marks"] == popped
+        assert sum(marked) > 0 and stats["marks"] == marked
 
 
 def test_corrupted_heap_is_reported():

@@ -8,12 +8,13 @@ from functools import partial
 from types import SimpleNamespace
 
 import pytest
-from helpers import EagerUnlinkListDepq, UnclaimedListDepq, run_on_plain_threads
+from helpers import (EagerUnlinkListDepq, OverskipListDepq, UnclaimedListDepq,
+                     run_on_plain_threads)
 from hypothesis import given, settings, strategies as st
 
 from depq import items, scenarios
 from depq.combining import COMBINING, TWO_LOCKS
-from depq.items import MAX, MIN, ReclaimedAccessError, user_key_of
+from depq.items import MARKED, MAX, MIN, ReclaimedAccessError, key_of, user_key_of
 from depq.lincheck import Recorder, Verdict, check
 from depq.list_depq import ListDepq
 from depq.oracle import SeqDepq
@@ -204,6 +205,154 @@ def test_every_extraction_leaves_the_head_the_only_deleted_node(reclaim_mode):
             assert tagged == walk[:1] == [d.lists.head(end)]
             assert d.lists.suffix(end) == walk[1:]
     assert extractions > 300
+
+
+# -- the skip: a pop deletes the claimed nodes before its own -----------------
+
+
+def _tagged(d, end):
+    """How many nodes are tagged deleted on ``end``, the sentinel left out."""
+    state, marked = d.arena.state, MARKED[end]
+    return sum(1 for i in range(len(d.arena)) if i != d.lists.dummy and state[i] & marked)
+
+
+def _slots_by_key(d):
+    return {d.arena.item(i).user_key: i for i in range(len(d.arena)) if i != d.lists.dummy}
+
+
+def _drain_bursts(d, rng, bursts=20, size=30):
+    """``bursts`` times, insert ``size`` random keys, then extract, mostly
+    at MAX, until an end comes back empty.  The nodes MAX claims stay on
+    the MIN list, and the next burst's keys land among and behind them, so
+    pops meet claimed runs with unclaimed nodes after them.  Returns the
+    keys inserted and the keys returned."""
+    inserted, returned = Counter(), Counter()
+    for _ in range(bursts):
+        for _ in range(size):
+            key = rng.randrange(1000)
+            d.insert(key)
+            inserted[key] += 1
+        while (got := d.extract_max() if rng.random() < 0.7 else d.extract_min()) is not None:
+            returned[got] += 1
+    return inserted, returned
+
+
+def test_a_min_pop_deletes_the_run_max_claimed_and_returns_the_first_unclaimed_node():
+    d = ListDepq()
+    for key in (1, 2, 3):
+        d.insert(key)
+    assert [d.extract_max() for _ in range(3)] == [3, 2, 1]   # the MIN list's front
+    d.insert(5)
+    d.insert(6)
+    lists, arena = d.lists, d.arena
+    slot = _slots_by_key(d)
+    sweeps = []
+    sweep = lists.sweep_head
+
+    def recorded(end):
+        sweeps.append(sweep(end))
+        return sweeps[-1]
+    lists.sweep_head = recorded
+
+    assert d.extract_min() == 5
+    assert sweeps == [[lists.dummy, slot[1], slot[2], slot[3]]]   # the whole run
+    assert lists.head(MIN) == slot[5] and lists.suffix(MIN) == [slot[6]]
+    assert lists.skipped == [3, 0]
+    stats = d.stats()
+    assert stats["extract_successes"] == [1, 3] and stats["reserve_failures"] == [0, 0]
+    assert stats["marks"] == [4, 3] == [_tagged(d, MIN), _tagged(d, MAX)]
+    # MAX's sweeps unlinked the sentinel, 3 and 2; 1 is still MAX's head.
+    unlinked = {key: arena.item(slot[key]).unlinked for key in (1, 2, 3, 5, 6)}
+    assert unlinked == {1: 1, 2: 2, 3: 2, 5: 0, 6: 0}
+    assert arena.item(lists.dummy).unlinked == 2 and d.reclaim.retired == 3
+    tags = {key: arena.item(slot[key]).marked_into for key in (1, 2, 3, 5, 6)}
+    assert tags == {1: (True, True), 2: (True, True), 3: (True, True),
+                    5: (True, False), 6: (False, False)}
+    assert d.audit(MIN).ok and d.audit(MAX).ok
+    # The tags are the index entries' dead flags: a search for 4 finds no
+    # ascending start below it, and drops the entries dead on both ends.
+    assert lists._index_search(key_of(4, 0)) == (None, slot[5])
+    assert [user_key_of(k) for k in lists.index_keys()] == [5, 6]
+    assert d.extract_min() == 6
+    assert d.extract_max() is None      # skips 6, then 5 is the last node
+    assert lists.skipped == [3, 1] and d.stats()["reserve_failures"] == [0, 1]
+    assert d.problems() == []
+
+
+def test_an_insert_whose_predecessor_is_in_a_skipped_run_lands_after_the_popped_node():
+    d = ListDepq()
+    recorder = Recorder()
+    recorded = recorder.wrap(d)
+    recorded.insert(1)
+    recorded.insert(2)
+    assert recorded.extract_max() == 2 and recorded.extract_max() == 1
+    recorded.insert(5)
+    slot = _slots_by_key(d)
+    links = d.arena.links[MIN]
+    with ControlledScheduler() as sched:
+        sched.spawn("ins", recorded.insert, 3)
+        sched.run_until("ins", "ins-cas")
+        # Parked at its MIN publish, expecting 2's word, which names 5.
+        new = len(d.arena) - 1
+        assert links[new] == links[slot[2]] == (slot[5] + 1) << 1
+        assert recorded.extract_min() == 5         # skips 1 and 2, marking 2's word
+        assert d.lists.skipped[MIN] == 2
+        assert d.audit(MIN).ok and d.audit(MAX).ok
+        sched.run_to_completion("ins")
+    assert d.lists.insert_cas_failures == 1
+    assert d.lists.walk(MIN) == [slot[5], new]     # behind the popped node
+    assert d.audit(MIN).ok and d.audit(MAX).ok
+    assert recorded.extract_min() == 3
+    assert recorded.extract_max() is None
+    assert d.problems() == []
+    assert check(recorder.snapshot()).verdict is Verdict.LINEARIZABLE
+
+
+@pytest.mark.parametrize("reclaim_mode", [DEFERRED, EPOCH])
+def test_both_ends_racing_past_a_claimed_node_explored_exhaustively(reclaim_mode):
+    # Key 1 is claimed at MAX and still the MIN list's first node, with 2
+    # behind it.  The MIN pop skips 1 in every run; 2 goes to one end.
+    def factory():
+        d = ListDepq(reclaim_mode=reclaim_mode)
+        d.insert(1)
+        assert d.extract_max() == 1
+        d.insert(2)
+        return d, [("min", lambda d: d.extract_min()), ("max", lambda d: d.extract_max())]
+
+    runs = 0
+    winners = set()
+    for outcome in explore_interleavings(factory):
+        runs += 1
+        d = outcome.state
+        got = outcome.results
+        assert sorted(got.values(), key=str) == [2, None], outcome.schedule
+        winners.update(name for name, value in got.items() if value == 2)
+        assert d.problems() == [], outcome.schedule
+        assert d.lists.skipped == [1, 0], outcome.schedule
+        assert d.stats()["marks"] == [_tagged(d, MIN), _tagged(d, MAX)], outcome.schedule
+    assert winners == {"min", "max"}
+    assert runs == 1716, reclaim_mode
+
+
+@pytest.mark.parametrize("reclaim_mode", [DEFERRED, EPOCH])
+def test_marks_count_every_node_the_pops_marked(reclaim_mode):
+    d = ListDepq(reclaim_mode=reclaim_mode)
+    inserted, returned = _drain_bursts(d, random.Random(38))
+    assert returned == inserted and d.remaining_keys() == []
+    assert min(d.lists.skipped) > 0
+    stats = d.stats()
+    assert stats["marks"] == [_tagged(d, MIN), _tagged(d, MAX)]
+    assert d.problems() == []
+
+
+def test_a_pop_that_also_skips_an_unclaimed_node_is_caught():
+    # Mutation test: the node after a skipped run is deleted unreturned, so
+    # the accounting identity, inserted == returned + remaining, fails.
+    d = OverskipListDepq()
+    inserted, returned = _drain_bursts(d, random.Random(38))
+    lost = inserted - returned - Counter(d.remaining_keys())
+    assert sum(lost.values()) > 0
+    assert d.problems() == []     # the lists themselves stay well formed
 
 
 def test_single_item_race_is_exclusive_in_every_interleaving():

@@ -214,8 +214,8 @@ def test_searches_drop_dead_entries_and_empty_chunks():
     d = ListDepq(reclaim_mode=EPOCH)
     for key in range(3 * CHUNK_CAP):
         d.insert(key)
-    while d.extract_max() is not None:
-        pass                                  # every node dead on MAX
+    while d.inner.max_pq.pq_extract_first() is not None:
+        pass                                  # every node dead on MAX, unclaimed
     for _ in range(CHUNK_CAP + 10):
         d.inner.min_pq.pq_extract_first()     # the lowest ones dead on MIN too
     for _ in range(3):

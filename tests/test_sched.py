@@ -558,10 +558,10 @@ def test_waiters_left_at_an_error_exit_end_by_their_starvation_timeout():
 
 
 PAUSE_SCHEDULES = {
-    ("list-depq", TWO_LOCKS, DEFERRED): "f654447d296720cd",
-    ("list-depq", TWO_LOCKS, EPOCH): "1ef91ea2b49aeb47",
-    ("list-depq", COMBINING, DEFERRED): "0716ff24e199c5cb",
-    ("list-depq", COMBINING, EPOCH): "c78c601bde5c0898",
+    ("list-depq", TWO_LOCKS, DEFERRED): "fa5cf7f659c58745",
+    ("list-depq", TWO_LOCKS, EPOCH): "6a63f269ea961584",
+    ("list-depq", COMBINING, DEFERRED): "97eb4cd508a9dfc6",
+    ("list-depq", COMBINING, EPOCH): "75e5ae407f3804f1",
     ("dual-heap", TWO_LOCKS, DEFERRED): "06f003a016d6744b",
     ("dual-heap", COMBINING, DEFERRED): "af43423f556240d5",
 }

@@ -19,7 +19,8 @@ difference, the metric's bound, and ``pairs_won``: the pairs in which the
 change read better (ties count for neither).  It also holds the first
 change run's ``# env`` line, each side's correctness and failed ops, and
 ``tier1_wall_s``: the tier-1 suite's wall times as pytest reports them,
-and its failed tests, from ``TIER1_RUNS`` alternating runs per side.
+and its failed tests, from ``TIER1_RUNS`` alternating runs per side; a
+tier-1 run that prints no summary is recorded with its exit status.
 """
 
 from __future__ import annotations
@@ -70,6 +71,17 @@ def parse_tier1(stdout: str) -> tuple[int, int, float]:
     raise ValueError("no pytest summary line in the output")
 
 
+def read_tier1(stdout: str, returncode: int) -> tuple[int, int | dict, float | None]:
+    """:func:`parse_tier1`'s reading of one tier-1 run.  A run that printed
+    no summary line, as one that crashed does, reads as no test passed,
+    ``{"exit": returncode}`` failed and no time, so the pairs already
+    measured are kept."""
+    try:
+        return parse_tier1(stdout)
+    except ValueError:
+        return 0, {"exit": returncode}, None
+
+
 def iqr(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
@@ -110,16 +122,21 @@ def summarize(seeds: list[int], parent: list[dict], change: list[dict],
     }
 
 
-def summarize_tier1(command: str, parent: list[tuple[int, int, float]],
-                    change: list[tuple[int, int, float]]) -> dict:
-    """``parent[i]`` and ``change[i]`` are :func:`parse_tier1`'s readings of
+def _median_time(runs: list[tuple]) -> float | None:
+    times = [s for _, _, s in runs if s is not None]
+    return statistics.median(times) if times else None
+
+
+def summarize_tier1(command: str, parent: list[tuple], change: list[tuple]) -> dict:
+    """``parent[i]`` and ``change[i]`` are :func:`read_tier1`'s readings of
     run ``i``.  ``tests`` holds each side's most tests passed, and
-    ``failed`` each run's failed tests."""
+    ``failed`` each run's failed tests, or the exit status of a run that
+    printed no summary; the medians leave such a run out."""
     return {
         "command": command, "runs": len(parent),
         "parent": [s for _, _, s in parent], "change": [s for _, _, s in change],
-        "parent_median": statistics.median(s for _, _, s in parent),
-        "change_median": statistics.median(s for _, _, s in change),
+        "parent_median": _median_time(parent),
+        "change_median": _median_time(change),
         "tests": {"parent": max(n for n, _, _ in parent),
                   "change": max(n for n, _, _ in change)},
         "failed": {"parent": [f for _, f, _ in parent], "change": [f for _, f, _ in change]},
@@ -169,7 +186,7 @@ def measure(parent_dir: Path, workloads: list[tuple[str, int]], seconds: float,
     for pair in range(TIER1_RUNS):
         for side, cwd in _sides(pair, parent_dir):
             env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
-            times[side].append(parse_tier1(_run(cwd, TIER1, env)[0]))
+            times[side].append(read_tier1(*_run(cwd, TIER1, env)))
     out["tier1_wall_s"] = summarize_tier1("PYTHONPATH=src python -m pytest -q",
                                           times["parent"], times["change"])
     return out
