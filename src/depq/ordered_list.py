@@ -339,8 +339,7 @@ class ListPair:
             # answer.
             return None
         checkpoint("ex-mark")
-        state, reserved = self._state, self._reserved
-        marked = MARKED[end]
+        state = self._state
         lock = self._lock
         lock.acquire()
         try:
@@ -350,26 +349,35 @@ class ListPair:
             assert prior > 1, "marked an end-of-list link"
             target = (prior >> 1) - 1
             # The tag, before sweep_head can hand the node to reclamation.
-            state[target] |= marked
-            if reserved[target]:
-                # Claimed, so returned by the other end already: skipping it
-                # has the effect of the failed claim it saves.  A node whose
-                # word names no successor ends the run, a freed one too.
-                skipped = 0
-                while reserved[target]:
-                    prior = links[target]
-                    if prior <= 1:
-                        break
-                    links[target] = prior | 1
-                    target = (prior >> 1) - 1
-                    state[target] |= marked
-                    skipped += 1
-                self.skipped[end] += skipped
+            state[target] |= MARKED[end]
+            if self._reserved[target]:
+                target = self._skip_claimed(end, target)
         finally:
             lock.release()
         if keys[target] is POISONED:
             raise reclaimed_access(target)
         return target
+
+    def _skip_claimed(self, end: int, node: int) -> int:
+        """Under ``_lock``, from a claimed node just tagged on ``end``: mark
+        each claimed node's own link word and tag its successor, up to the
+        first unclaimed node or the list's last, and return that node.  A
+        claimed node was returned by the other end already, so skipping it
+        has the effect of the failed claim it saves.  A freed node's word
+        is 0, so it ends the run too, and the caller's poison check trips."""
+        links, state, reserved = self._link_words[end], self._state, self._reserved
+        marked = MARKED[end]
+        skipped = 0
+        while reserved[node]:
+            word = links[node]
+            if word <= 1:
+                break
+            links[node] = word | 1
+            node = (word >> 1) - 1
+            state[node] |= marked
+            skipped += 1
+        self.skipped[end] += skipped
+        return node
 
     @sited
     def sweep_head(self, end: int) -> list[int]:

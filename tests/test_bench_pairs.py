@@ -90,8 +90,8 @@ def test_tier1_times_and_failures_come_from_pytests_summary_line():
     assert bench_pairs.parse_tier1(out) == (307, 0, 22.1)
     assert bench_pairs.parse_tier1("1 failed, 306 passed, 2 warnings in 9.5s") == (306, 1, 9.5)
     assert bench_pairs.parse_tier1("= 2 failed, 300 passed, 1 error in 9.5s =") == (300, 3, 9.5)
-    with pytest.raises(ValueError):
-        bench_pairs.parse_tier1("no summary\n(5 durations < 0.005s hidden.)\n")
+    assert bench_pairs.parse_tier1("no summary\n(5 durations < 0.005s hidden.)\n") \
+        == (0, {"exit": 0}, None)
     entry = bench_pairs.summarize_tier1("cmd", [(305, 0, 20.0), (305, 0, 22.0)],
                                         [(307, 0, 19.0), (306, 1, 21.0)])
     assert entry == {"command": "cmd", "runs": 2, "parent": [20.0, 22.0],
@@ -119,8 +119,7 @@ def test_a_tier1_run_that_prints_no_summary_is_recorded_as_failed():
                "Fatal Python error: Segmentation fault\n\n"
                "Current thread 0x00007f (most recent call first):\n"
                '  File "src/depq/sched.py", line 200 in _park\n')
-    assert bench_pairs.read_tier1(crashed, -11) == (0, {"exit": -11}, None)
-    assert bench_pairs.read_tier1("307 passed in 22.10s\n", 0) == (307, 0, 22.1)
+    assert bench_pairs.parse_tier1(crashed, -11) == (0, {"exit": -11}, None)
     entry = bench_pairs.summarize_tier1("cmd", [(305, 0, 20.0), (305, 0, 22.0)],
                                         [(307, 0, 19.0), (0, {"exit": -11}, None)])
     assert entry["change"] == [19.0, None] and entry["change_median"] == 19.0

@@ -345,6 +345,28 @@ def test_marks_count_every_node_the_pops_marked(reclaim_mode):
     assert d.problems() == []
 
 
+def test_a_burst_replay_pops_about_once_per_extraction():
+    # Each extraction pops once, and again after each failed claim.  On
+    # one thread a claim fails only on a list's last node, just before
+    # that end comes back empty: once per burst at most.  Each pop that
+    # returned a claimed node used to cost a pop of its own.
+    d = ListDepq()
+    pops = [0, 0]
+    pop = d.lists.extract_first
+
+    def counted(end):
+        pops[end] += 1
+        return pop(end)
+    d.lists.extract_first = counted
+    bursts = 20
+    _, returned = _drain_bursts(d, random.Random(38), bursts=bursts)
+    extractions = sum(returned.values()) + bursts
+    failures = sum(d.stats()["reserve_failures"])
+    assert sum(pops) == extractions + failures
+    assert failures <= bursts and sum(d.lists.skipped) > 10 * bursts
+    assert sum(pops) / extractions < 1.04
+
+
 def test_a_pop_that_also_skips_an_unclaimed_node_is_caught():
     # Mutation test: the node after a skipped run is deleted unreturned, so
     # the accounting identity, inserted == returned + remaining, fails.

@@ -59,27 +59,18 @@ def parse_run(stdout: str, returncode: int = 0) -> tuple[dict, dict]:
     return env, result
 
 
-def parse_tier1(stdout: str) -> tuple[int, int, float]:
+def parse_tier1(stdout: str, returncode: int = 0) -> tuple[int, int | dict, float | None]:
     """Tests passed, tests failed or in error, and seconds, from pytest's
-    last summary line."""
+    last summary line.  A run that printed no summary line, as one that
+    crashed does, reads as no test passed, ``{"exit": returncode}`` failed
+    and no time, so the pairs already measured are kept."""
     for line in reversed(stdout.strip().splitlines()):
         found = _SUMMARY.search(line)
         if found and _COUNT.search(line):
             counts = {kind.rstrip("s"): int(n) for n, kind in _COUNT.findall(line)}
             return (counts.get("passed", 0), counts.get("failed", 0) + counts.get("error", 0),
                     float(found.group(1)))
-    raise ValueError("no pytest summary line in the output")
-
-
-def read_tier1(stdout: str, returncode: int) -> tuple[int, int | dict, float | None]:
-    """:func:`parse_tier1`'s reading of one tier-1 run.  A run that printed
-    no summary line, as one that crashed does, reads as no test passed,
-    ``{"exit": returncode}`` failed and no time, so the pairs already
-    measured are kept."""
-    try:
-        return parse_tier1(stdout)
-    except ValueError:
-        return 0, {"exit": returncode}, None
+    return 0, {"exit": returncode}, None
 
 
 def iqr(values: list[float]) -> float:
@@ -128,7 +119,7 @@ def _median_time(runs: list[tuple]) -> float | None:
 
 
 def summarize_tier1(command: str, parent: list[tuple], change: list[tuple]) -> dict:
-    """``parent[i]`` and ``change[i]`` are :func:`read_tier1`'s readings of
+    """``parent[i]`` and ``change[i]`` are :func:`parse_tier1`'s readings of
     run ``i``.  ``tests`` holds each side's most tests passed, and
     ``failed`` each run's failed tests, or the exit status of a run that
     printed no summary; the medians leave such a run out."""
@@ -186,7 +177,7 @@ def measure(parent_dir: Path, workloads: list[tuple[str, int]], seconds: float,
     for pair in range(TIER1_RUNS):
         for side, cwd in _sides(pair, parent_dir):
             env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
-            times[side].append(read_tier1(*_run(cwd, TIER1, env)))
+            times[side].append(parse_tier1(*_run(cwd, TIER1, env)))
     out["tier1_wall_s"] = summarize_tier1("PYTHONPATH=src python -m pytest -q",
                                           times["parent"], times["change"])
     return out
