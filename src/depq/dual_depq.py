@@ -8,9 +8,9 @@ already returned that item, so the loop simply pops again; emptiness of the
 own queue means the whole structure is empty.  A queue's pop may skip
 items whose flag is already set, as the list queue's does for a run of
 them (see :mod:`depq.ordered_list`): each skip has the effect of a failed
-claim, without its pop.  Then a claim fails only when the other end claims
-the item between the pop and the claim, or when the item popped is the
-queue's last and already claimed.
+claim, without its pop.  There a claim fails only when the other end
+claims the item between the pop and the claim, or when the item popped is
+the queue's last and already claimed.
 
 This loop is the only place in the package that claims an item.  Both
 builds run it: ``list-depq`` over two :class:`~depq.ordered_list.ListPq`,

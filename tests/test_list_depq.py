@@ -348,8 +348,8 @@ def test_marks_count_every_node_the_pops_marked(reclaim_mode):
 def test_a_burst_replay_pops_about_once_per_extraction():
     # Each extraction pops once, and again after each failed claim.  On
     # one thread a claim fails only on a list's last node, just before
-    # that end comes back empty: once per burst at most.  Each pop that
-    # returned a claimed node used to cost a pop of its own.
+    # that end comes back empty: once per burst at most, since every other
+    # claimed node a pop meets is skipped.
     d = ListDepq()
     pops = [0, 0]
     pop = d.lists.extract_first
